@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from sys import getsizeof
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 DEFAULT_BATCH_SIZE = 1024
 
@@ -186,19 +186,14 @@ def batches_from_rows(rows: Sequence[tuple],
     ]
 
 
-def iter_batches_from_rows(rows: Iterable[tuple],
-                           size: Optional[int] = None) -> Iterator[Batch]:
-    """Chunk an arbitrary row iterable into row-major batches lazily."""
-    if size is None:
-        size = _CONFIG["size"]
-    chunk: List[tuple] = []
-    for row in rows:
-        chunk.append(row)
-        if len(chunk) >= size:
-            yield Batch.from_rows(chunk)
-            chunk = []
-    if chunk:
-        yield Batch.from_rows(chunk)
+def drain_full_batches(chunk: List[tuple], size: int):
+    """Yield ``size``-row batches off the front of *chunk* (fresh slices);
+    the generator's return value is the remainder, so a page-wise producer
+    writes ``chunk = yield from drain_full_batches(chunk, size)``."""
+    stop = len(chunk) - len(chunk) % size
+    for start in range(0, stop, size):
+        yield Batch.from_rows(chunk[start:start + size])
+    return chunk[stop:]
 
 
 __all__ = [
@@ -206,8 +201,8 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "batch_size",
     "batches_from_rows",
+    "drain_full_batches",
     "execution_config",
-    "iter_batches_from_rows",
     "rows_from_batches",
     "set_batch_size",
     "set_vectorized",

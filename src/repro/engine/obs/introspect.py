@@ -49,7 +49,7 @@ SYSTEM_VIEWS: Dict[str, Dict[str, str]] = {
         "row_count": "row versions physically stored in the partition",
         "est_bytes": "estimated partition payload bytes (sampled row sizes)",
         "scans": "full scans of this partition since database start",
-        "rows_read": "rows produced by those scans (cumulative)",
+        "rows_read": "live rows on the pages those scans read; zone-map-pruned pages excluded (cumulative)",
         "scan_share": "this partition's fraction of the table's scans (NULL before any scan)",
         "last_analyze": "table catalog version at the last ANALYZE snapshot (NULL if never analyzed)",
         "stats_stale": "1 if DDL/DML invalidated the snapshot, 0 if fresh, NULL if never analyzed",
@@ -122,7 +122,7 @@ SYSTEM_VIEWS: Dict[str, Dict[str, str]] = {
 INTROSPECTION_METRICS: Dict[str, Tuple[str, str]] = {
     "repro_partition_rows": ("gauge", "row versions physically stored in one partition"),
     "repro_partition_scans": ("counter", "full scans of one partition"),
-    "repro_partition_rows_read": ("counter", "rows produced by one partition's scans"),
+    "repro_partition_rows_read": ("counter", "live rows on the pages one partition's scans read"),
     "repro_index_entries": ("gauge", "entries currently stored in one index structure"),
     "repro_index_probes": ("counter", "point lookups against one index structure"),
     "repro_index_range_scans": ("counter", "range/interval scans of one index structure"),

@@ -39,8 +39,10 @@ COUNTERS: Dict[str, str] = {
     "stats.auto_analyze_runs": "ANALYZE runs triggered by the mutation-count threshold",
     "storage.current_scans": "full scans of a current (or single) partition",
     "storage.history_scans": "full scans of a history partition",
-    "storage.current_rows_scanned": "rows produced by current-partition scans",
-    "storage.history_rows_scanned": "rows produced by history-partition scans",
+    "storage.current_rows_scanned": "live rows on the pages current-partition scans read",
+    "storage.history_rows_scanned": "live rows on the pages history-partition scans read",
+    "storage.pages_scanned": "pages (row store) and chunks (column store) batch scans read",
+    "storage.pages_pruned": "pages and chunks a system-time window skipped by zone map",
     "storage.vp_merge_joins": "sort/merge joins reconstructing vertically partitioned temporal columns",
     "storage.history_moves": "closed versions moved into a history partition",
     "storage.undo_drains": "undo-log drain operations (System B background process)",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..batch import Batch, batch_size, batches_from_rows, vectorized_enabled
-from ..storage.versioned import CURRENT, SINGLE, VersionedTable
+from ..storage.versioned import CURRENT, HISTORY, SINGLE, VersionedTable
 from ..types import END_OF_TIME
 
 ValueFn = Callable[[object], object]  # fn(env) -> runtime constant
@@ -45,6 +45,19 @@ class TemporalBounds:
     mode: str  # "as_of" | "overlap" | "all"
     low: Optional[ValueFn] = None
     high: Optional[ValueFn] = None  # exclusive upper bound for "overlap"
+
+    def window(self, env):
+        """The half-open ``[lo, hi)`` interval a matching row's period must
+        overlap (``as_of t`` is ``[t, t+1)`` on integer ticks), or None when
+        the bounds do not reduce to one (mode ``all``, NULL or non-integer
+        points) and only the row/batch filter expresses them."""
+        if self.mode == "as_of":
+            tick = self.low(env)
+            return (tick, tick + 1) if type(tick) is int else None
+        if self.mode == "overlap":
+            lo, hi = self.low(env), self.high(env)
+            return None if lo is None or hi is None else (lo, hi)
+        return None
 
     def row_filter(self, schema):
         begin_pos = schema.position(self.begin_column)
@@ -122,6 +135,7 @@ class AccessDecision:
     strategy: str  # "scan" | "pk-probe" | "index" | "rtree"
     index_name: Optional[str] = None
     detail: str = ""
+    pages: Optional[tuple] = None  # scans: (pages read, pages pruned)
 
 
 class TableAccessPlan:
@@ -148,10 +162,25 @@ class TableAccessPlan:
             for f in (tb.row_filter(table.schema) for tb in temporal_filters)
             if f is not None
         ]
-        self._batch_filters = [
-            f
-            for f in (tb.batch_filter(table.schema) for tb in temporal_filters)
-            if f is not None
+        # the system-time bounds go to storage as a scan window (applied
+        # there exactly, with zone-map page pruning); the others stay
+        # batch filters
+        period = table.schema.system_period
+        self._system_bounds = next(
+            (
+                tb for tb in temporal_filters
+                if period is not None and tb.mode != "all"
+                and tb.begin_column == period.begin_column
+            ),
+            None,
+        )
+        batch_filters = [
+            (tb, tb.batch_filter(table.schema))
+            for tb in temporal_filters if tb.mode != "all"
+        ]
+        self._batch_filters = [f for _tb, f in batch_filters]
+        self._other_batch_filters = [
+            f for tb, f in batch_filters if tb is not self._system_bounds
         ]
         self._pk_values = self._match_primary_key()
 
@@ -233,8 +262,9 @@ class TableAccessPlan:
             ]
             rows = [tuple(row) for _rid, row in pairs if row is not None]
             if partition == SINGLE and self._wants_closed_versions():
-                self.decisions.append(AccessDecision(partition, "scan", detail="pk map insufficient for closed versions"))
-                return self._scan_batches(partition, env)
+                return self._scan_batches(
+                    partition, env, "pk map insufficient for closed versions"
+                )
             self.decisions.append(AccessDecision(partition, "pk-probe"))
             return batches_from_rows(self._apply_filters(rows, env))
         chosen = self._choose_index(partition, env)
@@ -244,18 +274,36 @@ class TableAccessPlan:
                 AccessDecision(partition, index_def.kind if index_def.kind == "rtree" else "index", index_def.name)
             )
             return batches_from_rows(self._apply_filters(rows, env))
-        self.decisions.append(AccessDecision(partition, "scan"))
         return self._scan_batches(partition, env)
 
-    def _scan_batches(self, partition, env) -> List[Batch]:
+    def _scan_batches(self, partition, env, detail="") -> List[Batch]:
+        access = self.table.partition(partition).access
+        read, pruned = access.pages_read, access.pages_pruned
+        out = self._scan_filtered_batches(partition, env)
+        pages = (access.pages_read - read, access.pages_pruned - pruned)
+        self.decisions.append(
+            AccessDecision(partition, "scan", detail=detail, pages=pages)
+        )
+        return out
+
+    def _scan_filtered_batches(self, partition, env) -> List[Batch]:
+        # the row-at-a-time oracle (vectorized off) reads every page and
+        # evaluates every temporal filter itself
+        vectorized = vectorized_enabled()
+        window = None
+        batch_filters = self._batch_filters
+        if vectorized and self._system_bounds is not None:
+            window = self._system_bounds.window(env)
+            if window is not None:
+                batch_filters = self._other_batch_filters
         source = self.table.scan_partition_batches(
-            partition, need_temporal=self.need_temporal, size=batch_size()
+            partition, need_temporal=self.need_temporal, size=batch_size(),
+            window=window,
         )
         # the deadline is polled once per batch, not per row
         check = getattr(env, "check", None)
         out: List[Batch] = []
-        if vectorized_enabled():
-            batch_filters = self._batch_filters
+        if vectorized:
             for batch in source:
                 if check is not None:
                     check()
@@ -392,8 +440,13 @@ class TableAccessPlan:
             if partition in (CURRENT, SINGLE)
             else self.table.history_count(),
         )
+        candidates = self._candidate_indexes(partition)
+        if candidates and partition == HISTORY:
+            # versions still in System B's undo log are in no history index
+            # yet: flush them first, as a history scan would
+            self.table.drain_undo()
         best = None  # (est_rows, index_def, rid_list)
-        for index_def, structure in self._candidate_indexes(partition):
+        for index_def, structure in candidates:
             result = self._try_index(
                 index_def, structure, by_column, env, partition_size
             )

@@ -122,6 +122,8 @@ class TableAccess(Operator):
             bit = f"{decision.partition}: {decision.strategy}"
             if decision.index_name:
                 bit += f"[{decision.index_name}]"
+            if decision.pages is not None:
+                bit += " pages=%d/%d" % decision.pages
             bits.append(bit)
         return "; ".join(bits)
 

@@ -11,7 +11,18 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..batch import Batch
+from ..batch import Batch, drain_full_batches
+from .zonemap import (
+    SKIP,
+    SOME,
+    ScanTally,
+    Window,
+    Zone,
+    window_offsets,
+    window_rows,
+    zone_of,
+    zone_verdict,
+)
 
 
 class _Dictionary:
@@ -37,22 +48,23 @@ class _Dictionary:
 
 
 class ColumnStore:
-    """Columnar storage with delta/main split and explicit merge."""
+    """Columnar storage with delta/main split and explicit merge.
 
-    def __init__(self, column_count, merge_threshold=8192, metrics=None):
+    *period* names the ``(begin, end)`` positions of the system period;
+    with it, a windowed scan prunes chunks of main by zone map.
+    """
+
+    def __init__(self, column_count, merge_threshold=8192, metrics=None, *,
+                 period=None):
         self._column_count = column_count
         self._merge_threshold = merge_threshold
         self._metrics = metrics  # optional obs.MetricsRegistry
-        self._dictionaries = [_Dictionary() for _ in range(column_count)]
-        self._main: List[List[int]] = [[] for _ in range(column_count)]
-        self._main_deleted: List[bool] = []
-        self._delta: List[Optional[list]] = []
+        self._period = period
         self._merge_count = 0
+        self.clear()
 
     def __len__(self):
-        live_main = sum(1 for d in self._main_deleted if not d)
-        live_delta = sum(1 for row in self._delta if row is not None)
-        return live_main + live_delta
+        return self._live
 
     @property
     def delta_size(self):
@@ -73,7 +85,8 @@ class ColumnStore:
         if len(row) != self._column_count:
             raise ValueError("row arity mismatch")
         rid = self.main_size + len(self._delta)
-        self._delta.append(list(row))
+        self._delta.append(tuple(row))
+        self._live += 1
         if len(self._delta) >= self._merge_threshold:
             self.merge()
         return rid
@@ -84,8 +97,9 @@ class ColumnStore:
             # rewrite the encoded cells
             for col, value in enumerate(row):
                 self._main[col][rid] = self._dictionaries[col].encode(value)
+            self._drop_zones(rid)
         else:
-            self._delta[rid - main_size] = list(row)
+            self._delta[rid - main_size] = tuple(row)
 
     def delete(self, rid) -> bool:
         main_size = self.main_size
@@ -93,12 +107,20 @@ class ColumnStore:
             if self._main_deleted[rid]:
                 return False
             self._main_deleted[rid] = True
-            return True
-        offset = rid - main_size
-        if offset >= len(self._delta) or self._delta[offset] is None:
-            return False
-        self._delta[offset] = None
+            self._dead_main += 1
+            self._drop_zones(rid)
+        else:
+            offset = rid - main_size
+            if offset >= len(self._delta) or self._delta[offset] is None:
+                return False
+            self._delta[offset] = None
+            self._dead_delta += 1
+        self._live -= 1
         return True
+
+    def _drop_zones(self, rid):
+        for size, zones in self._zones.items():
+            zones.pop(rid // size, None)
 
     def merge(self):
         """Fold the delta into main (preserving rids: delta follows main)."""
@@ -115,6 +137,8 @@ class ColumnStore:
                     self._main[col].append(self._dictionaries[col].encode(value))
                 self._main_deleted.append(False)
         self._delta = []
+        self._dead_main += self._dead_delta
+        self._dead_delta = 0
         self._merge_count += 1
         if self._metrics is not None:
             self._metrics.inc("storage.column_merges")
@@ -149,41 +173,90 @@ class ColumnStore:
             if row is not None:
                 yield base + offset, list(row)
 
-    def scan_batches(self, size: int) -> Iterator[Batch]:
-        """Scan as column-major batches: main vectors are decoded a slice
-        at a time (no per-row tuple construction), the delta is replayed
-        as row-major chunks.  Row order matches :meth:`scan` exactly."""
-        decode = [d.decode for d in self._dictionaries]
+    def scan_batches(self, size: int, *, window: Optional[Window] = None,
+                     tally: Optional[ScanTally] = None) -> Iterator[Batch]:
+        """Scan as batches in :meth:`scan` order: main vectors are decoded
+        a *size*-row chunk at a time with C-level dictionary lookups (no
+        per-row tuple construction), the delta is replayed as row-major
+        chunks aliasing its tuples.
+
+        With *window* only rows whose system period overlaps it are
+        produced: a full chunk's zone map skips it, accepts it whole, or
+        sends it through the row-by-row filter (the partial last chunk and
+        the delta always are).  *tally* receives this scan's counts.
+        """
+        if tally is None:
+            tally = ScanTally()
+        lookups = [d._values.__getitem__ for d in self._dictionaries]
         cols = self._main
         deleted = self._main_deleted
         main_size = self.main_size
-        for start in range(0, main_size, size):
+        for chunk_no, start in enumerate(range(0, main_size, size)):
             stop = min(start + size, main_size)
-            if any(deleted[start:stop]):
-                live = [rid for rid in range(start, stop) if not deleted[rid]]
-                if not live:
+            live = None  # offsets into the chunk; None = every slot
+            if self._dead_main and True in deleted[start:stop]:
+                live = [i for i, dead in enumerate(deleted[start:stop]) if not dead]
+            rows_on_page = stop - start if live is None else len(live)
+            if window is not None:
+                verdict = SOME
+                if stop - start == size:
+                    verdict = zone_verdict(
+                        self._zone(size, chunk_no, start, stop, live), window
+                    )
+                if verdict is SKIP:
+                    tally.pages_pruned += 1
                     continue
+                if verdict is SOME:
+                    matching = window_offsets(
+                        *self._period_values(start, stop, live), window
+                    )
+                    live = matching if live is None else [live[i] for i in matching]
+            tally.pages_read += 1
+            tally.rows_read += rows_on_page
+            if live is None:
                 columns = [
-                    [dec(vector[rid]) for rid in live]
-                    for dec, vector in zip(decode, cols)
-                ]
-                yield Batch.from_columns(columns, len(live))
-            else:
-                columns = [
-                    list(map(dec, vector[start:stop]))
-                    for dec, vector in zip(decode, cols)
+                    list(map(lookup, vector[start:stop]))
+                    for lookup, vector in zip(lookups, cols)
                 ]
                 yield Batch.from_columns(columns, stop - start)
+            elif live:
+                columns = [
+                    list(map(lookup, map(vector[start:stop].__getitem__, live)))
+                    for lookup, vector in zip(lookups, cols)
+                ]
+                yield Batch.from_columns(columns, len(live))
+        delta = self._delta
         chunk: List[tuple] = []
-        for row in self._delta:
-            if row is None:
-                continue
-            chunk.append(tuple(row))
+        for start in range(0, len(delta), size):
+            rows = delta[start:start + size]
+            tally.pages_read += 1
+            tally.rows_read += len(rows) - (rows.count(None) if self._dead_delta else 0)
+            if window is not None:
+                rows = window_rows(rows, *self._period, window)
+            elif self._dead_delta:
+                rows = filter(None, rows)  # a stored row is a non-empty tuple
+            chunk.extend(rows)
             if len(chunk) >= size:
-                yield Batch.from_rows(chunk)
-                chunk = []
+                chunk = yield from drain_full_batches(chunk, size)
         if chunk:
             yield Batch.from_rows(chunk)
+
+    def _period_values(self, start, stop, live):
+        """Decoded (begins, ends) of main[start:stop], live offsets only."""
+        out = []
+        for pos in self._period:
+            codes = self._main[pos][start:stop]
+            if live is not None:
+                codes = map(codes.__getitem__, live)
+            out.append(list(map(self._dictionaries[pos]._values.__getitem__, codes)))
+        return out
+
+    def _zone(self, size, chunk_no, start, stop, live) -> Zone:
+        zones = self._zones.setdefault(size, {})
+        zone = zones.get(chunk_no)
+        if zone is None:
+            zone = zones[chunk_no] = zone_of(*self._period_values(start, stop, live))
+        return zone
 
     def scan_column(self, col) -> Iterator[Tuple[int, Any]]:
         """Single-column scan — the column store's natural access path."""
@@ -199,6 +272,12 @@ class ColumnStore:
 
     def clear(self):
         self._dictionaries = [_Dictionary() for _ in range(self._column_count)]
-        self._main = [[] for _ in range(self._column_count)]
-        self._main_deleted = []
-        self._delta = []
+        self._main: List[List[int]] = [[] for _ in range(self._column_count)]
+        self._main_deleted: List[bool] = []
+        self._delta: List[Optional[tuple]] = []
+        self._live = 0        # live rows, main + delta
+        self._dead_main = 0   # tombstones in main / in the delta
+        self._dead_delta = 0
+        # batch size -> {chunk number -> zone}: full chunks of main only,
+        # built lazily (main grows only at its end, so they stay valid)
+        self._zones: Dict[int, Dict[int, Zone]] = {}

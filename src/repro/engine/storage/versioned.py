@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..batch import Batch, iter_batches_from_rows
+from ..batch import Batch, batches_from_rows
 from ..catalog import IndexDef, TableSchema
 from ..errors import CatalogError, InternalError
 from ..index import create_index_structure
@@ -39,6 +39,7 @@ from ..obs import MetricsRegistry
 from ..types import END_OF_TIME
 from .column_store import ColumnStore
 from .row_store import AppendLog, RowStore
+from .zonemap import ScanTally, Window, window_rows
 
 CURRENT = "current"
 HISTORY = "history"
@@ -89,11 +90,13 @@ class AccessCounters:
     un-instrumented engine.  Introspection reads never reset them.
     """
 
-    __slots__ = ("scans", "rows_read")
+    __slots__ = ("scans", "rows_read", "pages_read", "pages_pruned")
 
     def __init__(self):
         self.scans = 0
-        self.rows_read = 0
+        self.rows_read = 0     # live rows on the pages scans actually read
+        self.pages_read = 0    # batch scans only: pages handed over ...
+        self.pages_pruned = 0  # ... and pages a system-time window skipped
 
     def as_dict(self):
         return {"scans": self.scans, "rows_read": self.rows_read}
@@ -102,16 +105,18 @@ class AccessCounters:
 class _Partition:
     """One physical partition: a store plus its secondary indexes."""
 
-    def __init__(self, name, schema_width, options: StorageOptions, metrics=None):
+    def __init__(self, name, schema_width, options: StorageOptions, metrics=None,
+                 period=None):
         self.name = name
         if options.store_kind == "column":
             self.store = ColumnStore(
                 schema_width,
                 merge_threshold=options.column_merge_threshold,
                 metrics=metrics,
+                period=period,
             )
         else:
-            self.store = RowStore()
+            self.store = RowStore(period=period)
         self.access = AccessCounters()
         self.indexes: Dict[str, Tuple[IndexDef, object]] = {}
 
@@ -151,15 +156,12 @@ class VersionedTable:
             self._sys_begin = self._sys_end = None
 
         self._split = self.options.split_history and sys_period is not None
-        if self._split:
-            self._partitions = {
-                CURRENT: _Partition(CURRENT, width, self.options, self.metrics),
-                HISTORY: _Partition(HISTORY, width, self.options, self.metrics),
-            }
-        else:
-            self._partitions = {
-                SINGLE: _Partition(SINGLE, width, self.options, self.metrics)
-            }
+        period = (self._sys_begin, self._sys_end) if sys_period is not None else None
+        names = (CURRENT, HISTORY) if self._split else (SINGLE,)
+        self._partitions = {
+            name: _Partition(name, width, self.options, self.metrics, period)
+            for name in names
+        }
 
         # System B: system-time info of *current* rows lives here, not inline.
         self._vp_temporal: Dict[int, Tuple[int, int, Optional[tuple]]] = {}
@@ -502,60 +504,76 @@ class VersionedTable:
 
     # -- batch reads ---------------------------------------------------------
 
-    def scan_current_batches(self, need_temporal=True, size=1024) -> Iterator[Batch]:
+    def scan_current_batches(self, need_temporal=True, size=1024, *,
+                             window: Optional[Window] = None) -> Iterator[Batch]:
         """Batch variant of :meth:`scan_current`: same rows in the same
-        order (as tuples), same stats/metrics side effects.  Column-store
-        partitions hand over decoded vector slices directly."""
+        order (as tuples).  The store hands over whole pages; with a
+        system-time *window* it returns exactly the rows overlapping it
+        and prunes pages by zone map (docs/EXECUTION.md, "Scan layer").
+        """
         part = self._partitions[self.current_partition_name()]
         self.stats.current_scans += 1
-        part.access.scans += 1
-        part.access.rows_read += len(part)
-        self.metrics.inc("storage.current_scans")
-        self.metrics.inc("storage.current_rows_scanned", len(part))
         if (
             need_temporal
             and self.options.vertical_partition_current
             and self.is_versioned
         ):
-            yield from iter_batches_from_rows(
-                (tuple(row) for _rid, row in self._scan_current_vp(part)), size
-            )
+            # System B pays its sort/merge join and a per-row filter on
+            # every scan: the side table has no pages to prune by
+            tally = ScanTally()
+            tally.pages_read = part.store.page_count
+            tally.rows_read = len(part)
+            self._account_scan(part, CURRENT, tally)
+            rows = [tuple(row) for _rid, row in self._scan_current_vp(part)]
+            if window is not None:
+                rows = window_rows(rows, self._sys_begin, self._sys_end, window)
+            yield from batches_from_rows(rows, size)
             return
-        if isinstance(part.store, ColumnStore):
-            yield from part.store.scan_batches(size)
-            return
-        yield from iter_batches_from_rows(
-            (tuple(row) for _rid, row in part.store.scan()), size
-        )
+        yield from self._scan_store_batches(part, CURRENT, size, window)
 
-    def scan_history_batches(self, size=1024) -> Iterator[Batch]:
-        """Batch variant of :meth:`scan_history` (drains the undo log,
-        bumps the same counters)."""
+    def scan_history_batches(self, size=1024, *,
+                             window: Optional[Window] = None) -> Iterator[Batch]:
+        """Batch variant of :meth:`scan_history` (drains the undo log)."""
         if not self._split:
             return
         if self._undo is not None and len(self._undo):
             self.drain_undo()
-        part = self._partitions[HISTORY]
         self.stats.history_scans += 1
-        part.access.scans += 1
-        part.access.rows_read += len(part)
-        self.metrics.inc("storage.history_scans")
-        self.metrics.inc("storage.history_rows_scanned", len(part))
-        store = part.store
-        if isinstance(store, ColumnStore):
-            yield from store.scan_batches(size)
-            return
-        yield from iter_batches_from_rows(
-            (tuple(row) for _rid, row in store.scan()), size
+        yield from self._scan_store_batches(
+            self._partitions[HISTORY], HISTORY, size, window
         )
 
-    def scan_partition_batches(self, name, need_temporal=True, size=1024):
+    def _scan_store_batches(self, part, kind, size, window):
+        tally = ScanTally()
+        try:
+            yield from part.store.scan_batches(size, window=window, tally=tally)
+        finally:
+            # also when the consumer stops early (timeout): count what was read
+            self._account_scan(part, kind, tally)
+
+    def _account_scan(self, part, kind, tally):
+        access = part.access
+        access.scans += 1
+        access.rows_read += tally.rows_read
+        access.pages_read += tally.pages_read
+        access.pages_pruned += tally.pages_pruned
+        if kind == HISTORY:
+            self.metrics.inc("storage.history_scans")
+            self.metrics.inc("storage.history_rows_scanned", tally.rows_read)
+        else:
+            self.metrics.inc("storage.current_scans")
+            self.metrics.inc("storage.current_rows_scanned", tally.rows_read)
+        self.metrics.inc("storage.pages_scanned", tally.pages_read)
+        self.metrics.inc("storage.pages_pruned", tally.pages_pruned)
+
+    def scan_partition_batches(self, name, need_temporal=True, size=1024, *,
+                               window: Optional[Window] = None):
         if name in (CURRENT, SINGLE):
             yield from self.scan_current_batches(
-                need_temporal=need_temporal, size=size
+                need_temporal=need_temporal, size=size, window=window
             )
         elif name == HISTORY:
-            yield from self.scan_history_batches(size=size)
+            yield from self.scan_history_batches(size=size, window=window)
         else:
             raise InternalError(f"unknown partition {name!r}")
 

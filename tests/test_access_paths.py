@@ -140,3 +140,39 @@ class TestCorrelatedParameterProbes:
         )
         assert result.rows == [(5.0,), (10.0,)]
         assert _scan_count(db) == before  # probes, not scans
+
+
+class TestUndoLogHistoryProbe:
+    """System B buffers closed versions in an undo log; an index probe on
+    the history partition must see them, as a history scan does."""
+
+    def _versions(self, name):
+        from repro.systems import IndexSetting, apply_index_setting, make_system
+
+        system = make_system(name)
+        db = system.db
+        db.execute(DDL)
+        with db.begin():
+            for i in range(1, 201):
+                db.insert_row("item", {
+                    "id": i, "grp": i % 10, "v": float(i), "ab": 0, "ae": 1000,
+                })
+        apply_index_setting(system, IndexSetting.KEY_TIME, ["item"])
+        # enough history for the key index to be selective; the first 64
+        # closed versions are drained, the rest stay in B's undo log
+        for i in range(101, 201):
+            db.execute("UPDATE item SET v = 0 WHERE id = ?", [i])
+        for step in range(3):
+            db.execute("UPDATE item SET v = ? WHERE id = 17", [float(step)])
+        scans_before = db.table("item").stats.history_scans
+        result = db.execute(
+            "SELECT v, sb, se FROM item FOR SYSTEM_TIME ALL WHERE id = 17"
+        )
+        # the history index answered, not a scan (which would drain anyway)
+        assert db.table("item").stats.history_scans == scans_before
+        return sorted(result.rows)
+
+    def test_key_lookup_sees_undo_log_versions(self):
+        expected = self._versions("A")
+        assert len(expected) == 4
+        assert self._versions("B") == expected

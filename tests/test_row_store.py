@@ -7,7 +7,7 @@ def test_append_fetch():
     store = RowStore(page_size=4)
     rids = [store.append([i, f"row{i}"]) for i in range(10)]
     assert rids == list(range(10))
-    assert store.fetch(3) == [3, "row3"]
+    assert store.fetch(3) == (3, "row3")
     assert store.fetch(99) is None
 
 
@@ -33,7 +33,7 @@ def test_update_in_place():
     store = RowStore()
     rid = store.append([1, "a"])
     store.update_in_place(rid, [1, "b"])
-    assert store.fetch(rid) == [1, "b"]
+    assert store.fetch(rid) == (1, "b")
 
 
 def test_scan_yields_rids_in_order():

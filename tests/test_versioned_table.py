@@ -205,6 +205,6 @@ class TestColumnStoreTable:
         table = VersionedTable(schema, StorageOptions())
         rid = table.insert_version([1, "a"], sys_begin=None)
         table.plain_update(rid, [1, "b"])
-        assert table.fetch(SINGLE, rid) == [1, "b"]
+        assert table.fetch(SINGLE, rid) == (1, "b")
         assert table.plain_delete(rid)
         assert table.fetch(SINGLE, rid) is None
