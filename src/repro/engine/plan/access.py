@@ -434,6 +434,12 @@ class TableAccessPlan:
         by_column: Dict[str, List[ColumnConstraint]] = {}
         for c in constraints:
             by_column.setdefault(c.column, []).append(c)
+        if partition == HISTORY:
+            # versions still in System B's undo log are in no history index
+            # yet: flush them first, as a history scan would.  The drain
+            # rebuilds the history indexes under new rids, so it has to come
+            # before the candidates are looked up.
+            self.table.drain_undo()
         partition_size = max(
             1,
             self.table.current_count()
@@ -441,10 +447,6 @@ class TableAccessPlan:
             else self.table.history_count(),
         )
         candidates = self._candidate_indexes(partition)
-        if candidates and partition == HISTORY:
-            # versions still in System B's undo log are in no history index
-            # yet: flush them first, as a history scan would
-            self.table.drain_undo()
         best = None  # (est_rows, index_def, rid_list)
         for index_def, structure in candidates:
             result = self._try_index(

@@ -25,6 +25,9 @@ from .zonemap import (
 )
 
 
+ZONE_ROWS = 1024  # rows of main per zone map: what a page is to the row store
+
+
 class _Dictionary:
     """Per-column dictionary encoding (value <-> code)."""
 
@@ -51,12 +54,14 @@ class ColumnStore:
     """Columnar storage with delta/main split and explicit merge.
 
     *period* names the ``(begin, end)`` positions of the system period;
-    with it, a windowed scan prunes chunks of main by zone map.
+    with it, a windowed scan prunes chunks of main by the zone maps kept
+    per ``ZONE_ROWS`` rows of main, whatever the scan's batch size.
     """
 
     def __init__(self, column_count, merge_threshold=8192, metrics=None, *,
                  period=None):
         self._column_count = column_count
+        self._zone_rows = ZONE_ROWS
         self._merge_threshold = merge_threshold
         self._metrics = metrics  # optional obs.MetricsRegistry
         self._period = period
@@ -78,6 +83,12 @@ class ColumnStore:
     def merge_count(self):
         return self._merge_count
 
+    @property
+    def page_count(self):
+        """Zone-sized units a full scan reads (the row store's pages)."""
+        per_page = self._zone_rows
+        return -(-self.main_size // per_page) + -(-len(self._delta) // per_page)
+
     # -- writes ------------------------------------------------------------
 
     def append(self, row) -> int:
@@ -97,7 +108,7 @@ class ColumnStore:
             # rewrite the encoded cells
             for col, value in enumerate(row):
                 self._main[col][rid] = self._dictionaries[col].encode(value)
-            self._drop_zones(rid)
+            self._zones.pop(rid // self._zone_rows, None)
         else:
             self._delta[rid - main_size] = tuple(row)
 
@@ -108,7 +119,7 @@ class ColumnStore:
                 return False
             self._main_deleted[rid] = True
             self._dead_main += 1
-            self._drop_zones(rid)
+            self._zones.pop(rid // self._zone_rows, None)
         else:
             offset = rid - main_size
             if offset >= len(self._delta) or self._delta[offset] is None:
@@ -117,10 +128,6 @@ class ColumnStore:
             self._dead_delta += 1
         self._live -= 1
         return True
-
-    def _drop_zones(self, rid):
-        for size, zones in self._zones.items():
-            zones.pop(rid // size, None)
 
     def merge(self):
         """Fold the delta into main (preserving rids: delta follows main)."""
@@ -181,28 +188,22 @@ class ColumnStore:
         chunks aliasing its tuples.
 
         With *window* only rows whose system period overlaps it are
-        produced: a full chunk's zone map skips it, accepts it whole, or
-        sends it through the row-by-row filter (the partial last chunk and
-        the delta always are).  *tally* receives this scan's counts.
+        produced: the zone maps a chunk of main falls into skip it, accept
+        it whole, or send it through the row-by-row filter (the unsealed
+        tail of main and the delta always are).  *tally* receives this
+        scan's counts.
         """
         if tally is None:
             tally = ScanTally()
         lookups = [d._values.__getitem__ for d in self._dictionaries]
         cols = self._main
-        deleted = self._main_deleted
         main_size = self.main_size
-        for chunk_no, start in enumerate(range(0, main_size, size)):
+        for start in range(0, main_size, size):
             stop = min(start + size, main_size)
-            live = None  # offsets into the chunk; None = every slot
-            if self._dead_main and True in deleted[start:stop]:
-                live = [i for i, dead in enumerate(deleted[start:stop]) if not dead]
+            live = self._live_offsets(start, stop)  # None = every slot
             rows_on_page = stop - start if live is None else len(live)
             if window is not None:
-                verdict = SOME
-                if stop - start == size:
-                    verdict = zone_verdict(
-                        self._zone(size, chunk_no, start, stop, live), window
-                    )
+                verdict = self._chunk_verdict(start, stop, window)
                 if verdict is SKIP:
                     tally.pages_pruned += 1
                     continue
@@ -251,11 +252,36 @@ class ColumnStore:
             out.append(list(map(self._dictionaries[pos]._values.__getitem__, codes)))
         return out
 
-    def _zone(self, size, chunk_no, start, stop, live) -> Zone:
-        zones = self._zones.setdefault(size, {})
-        zone = zones.get(chunk_no)
+    def _live_offsets(self, start, stop) -> Optional[List[int]]:
+        """Offsets of the live slots of main[start:stop]; None = all."""
+        if not self._dead_main:
+            return None
+        deleted = self._main_deleted[start:stop]
+        if True not in deleted:
+            return None
+        return [i for i, dead in enumerate(deleted) if not dead]
+
+    def _chunk_verdict(self, start, stop, window) -> str:
+        """One verdict for main[start:stop] from the zones it falls into:
+        theirs when they agree, the row-by-row filter otherwise."""
+        zone_rows = self._zone_rows
+        last = (stop - 1) // zone_rows
+        if (last + 1) * zone_rows > self.main_size:
+            return SOME  # reaches into the unsealed tail of main
+        verdicts = {
+            zone_verdict(self._zone(zone_no), window)
+            for zone_no in range(start // zone_rows, last + 1)
+        }
+        return verdicts.pop() if len(verdicts) == 1 else SOME
+
+    def _zone(self, zone_no) -> Zone:
+        zone = self._zones.get(zone_no)
         if zone is None:
-            zone = zones[chunk_no] = zone_of(*self._period_values(start, stop, live))
+            start = zone_no * self._zone_rows
+            stop = start + self._zone_rows
+            zone = self._zones[zone_no] = zone_of(
+                *self._period_values(start, stop, self._live_offsets(start, stop))
+            )
         return zone
 
     def scan_column(self, col) -> Iterator[Tuple[int, Any]]:
@@ -278,6 +304,6 @@ class ColumnStore:
         self._live = 0        # live rows, main + delta
         self._dead_main = 0   # tombstones in main / in the delta
         self._dead_delta = 0
-        # batch size -> {chunk number -> zone}: full chunks of main only,
-        # built lazily (main grows only at its end, so they stay valid)
-        self._zones: Dict[int, Dict[int, Zone]] = {}
+        # zone number -> zone of that zone_rows-row block of main: full blocks
+        # only, built lazily (main grows at its end, so they stay valid)
+        self._zones: Dict[int, Zone] = {}

@@ -146,17 +146,27 @@ class TestUndoLogHistoryProbe:
     """System B buffers closed versions in an undo log; an index probe on
     the history partition must see them, as a history scan does."""
 
-    def _versions(self, name):
+    def _versions(self, name, early_key=None):
         from repro.systems import IndexSetting, apply_index_setting, make_system
 
         system = make_system(name)
         db = system.db
         db.execute(DDL)
+
+        def insert(i):
+            db.insert_row("item", {
+                "id": i, "grp": i % 10, "v": float(i), "ab": 0, "ae": 1000,
+            })
+
+        if early_key is not None:
+            # an older sys_begin than every other row: the drain's recluster
+            # moves its closed versions to the front, renumbering all rids
+            with db.begin():
+                insert(early_key)
         with db.begin():
             for i in range(1, 201):
-                db.insert_row("item", {
-                    "id": i, "grp": i % 10, "v": float(i), "ab": 0, "ae": 1000,
-                })
+                if i != early_key:
+                    insert(i)
         apply_index_setting(system, IndexSetting.KEY_TIME, ["item"])
         # enough history for the key index to be selective; the first 64
         # closed versions are drained, the rest stay in B's undo log
@@ -176,3 +186,8 @@ class TestUndoLogHistoryProbe:
         expected = self._versions("A")
         assert len(expected) == 4
         assert self._versions("B") == expected
+
+    def test_probe_uses_the_indexes_rebuilt_by_the_drain(self):
+        expected = self._versions("A", early_key=17)
+        assert len(expected) == 4
+        assert self._versions("B", early_key=17) == expected

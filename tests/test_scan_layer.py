@@ -123,10 +123,12 @@ def test_row_store_scan_batches_match_scan(ops):
 
 
 @settings(max_examples=120, deadline=None)
-@given(store_ops, st.sampled_from([3, 8, 10_000]))
-def test_column_store_scan_batches_match_scan(ops, merge_threshold):
+@given(store_ops, st.sampled_from([3, 8, 10_000]), st.sampled_from([2, 3]))
+def test_column_store_scan_batches_match_scan(ops, merge_threshold, zone_rows):
     store = ColumnStore(4, merge_threshold=merge_threshold, period=PERIOD)
-    # 2 and 3 make several full chunks out of a handful of rows
+    store._zone_rows = zone_rows
+    # zones seal within a handful of rows; chunks of 1, 2, 3 and 7 rows sit
+    # inside one zone, match it, or straddle several
     _run_store_ops(store, ops, (1, 3, 2, 7, 256, 1024))
 
 
@@ -167,21 +169,46 @@ def test_column_store_len_is_a_counter():
     assert len(store) == 0
 
 
-def test_column_store_write_to_main_drops_the_chunk_zone():
+def test_column_store_write_to_main_drops_the_zone():
     store = ColumnStore(4, merge_threshold=100, period=PERIOD)
+    store._zone_rows = 3
     for i in range(6):
         store.append((i, 3, 5, "x"))
     store.merge()
     window = (4, 5)
     assert len(_batch_rows(store.scan_batches(3, window=window))) == 6
-    assert set(store._zones[3]) == {0, 1}  # both full chunks accepted whole
+    assert set(store._zones) == {0, 1}  # both full zones accepted whole
     store.update_in_place(1, (1, 6, 7, "later"))
     store.delete(5)
-    assert store._zones[3] == {}
+    assert store._zones == {}
     tally = ScanTally()
     rows = _batch_rows(store.scan_batches(3, window=window, tally=tally))
     assert [row[0] for row in rows] == [0, 2, 3, 4]
     assert (tally.pages_read, tally.rows_read) == (2, 5)
+
+
+def test_column_store_zones_do_not_depend_on_the_batch_size():
+    store = ColumnStore(4, merge_threshold=100, period=PERIOD)
+    store._zone_rows = 4
+    for i in range(14):  # three sealed zones (ends 1..4, 5..8, 9..12) and a tail
+        store.append((i, 0, i + 1, "x"))
+    store.merge()
+    outcomes = {}
+    for size in (1, 2, 4, 8, 1024):
+        tally = ScanTally()
+        rows = _batch_rows(store.scan_batches(size, window=(9, 10), tally=tally))
+        assert [row[0] for row in rows] == [9, 10, 11, 12, 13]
+        outcomes[size] = (tally.pages_pruned, tally.pages_read, tally.rows_read)
+        assert set(store._zones) == {0, 1, 2}  # one zone set serves every size
+    # chunks inside or equal to a zone take its verdict: zones 0 and 1 are
+    # skipped, zone 2 is accepted whole, only the unsealed tail is filtered
+    assert outcomes[1] == (8, 6, 6)
+    assert outcomes[2] == (4, 3, 6)
+    assert outcomes[4] == (2, 2, 6)
+    # rows 0..7 still agree on "skip"; 8..13 reach into the tail
+    assert outcomes[8] == (1, 1, 6)
+    # one chunk over zones that disagree: filtered row by row
+    assert outcomes[1024] == (0, 1, 14)
 
 
 def test_zone_verdicts():
@@ -208,6 +235,10 @@ LAYOUTS = {
                         undo_drain_batch=5, record_metadata=True),
     "C": StorageOptions(store_kind="column", column_merge_threshold=6),
     "D": StorageOptions(split_history=False),
+    # not a paper archetype, but an accepted combination: B's side table
+    # over a column store
+    "VC": StorageOptions(store_kind="column", column_merge_threshold=6,
+                         vertical_partition_current=True),
 }
 
 table_ops = st.lists(
@@ -243,6 +274,8 @@ def test_table_windowed_scan_matches_filtered_scan(layout, ops, size):
     for store in (part.store for part in table._partitions.values()):
         if isinstance(store, RowStore):
             store._page_size = 4  # seal pages within a few rows
+        else:
+            store._zone_rows = 4
     tick, open_rids, window = 1, [], ("as_of", 3, None)
     for op in ops:
         if op[0] == "insert":
