@@ -17,10 +17,10 @@ the ``list[tuple]`` the DBAPI surface promises — is
 :func:`rows_from_batches`, which always builds a *fresh* list so cached
 subplan results are aliasing-safe.
 
-Module-level knobs (`batch size`, `vectorized on/off`) exist for the
-equivalence test-suite: forcing batch size 1 with vectorization off
-reproduces the historical row-at-a-time engine exactly, which is the
-reference oracle the batch path is checked against byte-for-byte.
+The one module-level setting is the batch size, which the equivalence
+test-suite varies: results must be byte-identical at every size, and
+size 1 is the degenerate row-at-a-time run the others are checked
+against.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Iterable, List, Optional, Sequence
 
 DEFAULT_BATCH_SIZE = 1024
 
-_CONFIG = {"size": DEFAULT_BATCH_SIZE, "vectorized": True}
+_CONFIG = {"size": DEFAULT_BATCH_SIZE}
 
 
 def batch_size() -> int:
@@ -45,32 +45,16 @@ def set_batch_size(size: int) -> None:
     _CONFIG["size"] = int(size)
 
 
-def vectorized_enabled() -> bool:
-    """Whether chunk-wise expression evaluation is in use.
-
-    When off, every operator falls back to its per-row evaluation path —
-    the reference semantics the vectorized path must match exactly.
-    """
-    return _CONFIG["vectorized"]
-
-
-def set_vectorized(enabled: bool) -> None:
-    _CONFIG["vectorized"] = bool(enabled)
-
-
 @contextmanager
-def execution_config(size: Optional[int] = None,
-                     vectorized: Optional[bool] = None):
-    """Temporarily override the batch size and/or vectorization flag."""
-    saved = dict(_CONFIG)
+def execution_config(size: Optional[int] = None):
+    """Temporarily override the batch size."""
+    saved = _CONFIG["size"]
     try:
         if size is not None:
             set_batch_size(size)
-        if vectorized is not None:
-            set_vectorized(vectorized)
         yield
     finally:
-        _CONFIG.update(saved)
+        _CONFIG["size"] = saved
 
 
 class Batch:
@@ -205,6 +189,4 @@ __all__ = [
     "execution_config",
     "rows_from_batches",
     "set_batch_size",
-    "set_vectorized",
-    "vectorized_enabled",
 ]

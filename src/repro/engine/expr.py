@@ -12,6 +12,7 @@ arithmetic therefore converts through the proleptic calendar so that
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -148,45 +149,135 @@ def add_interval(day_number, interval: Interval, sign=1):
 
 
 # ---------------------------------------------------------------------------
-# scalar function registry
+# kernels: one scalar function per node kind, NULL in -> NULL out
 # ---------------------------------------------------------------------------
 
 
-def _fn_extract(field, value):
+def _null_propagating(fn):
+    def kernel(left, right):
+        if left is None or right is None:
+            return None
+        return fn(left, right)
+
+    return kernel
+
+
+def _add(left, right):
+    if left is None or right is None:
+        return None
+    if isinstance(right, Interval):
+        return add_interval(left, right)
+    if isinstance(left, Interval):
+        return add_interval(right, left)
+    return left + right
+
+
+def _sub(left, right):
+    if left is None or right is None:
+        return None
+    if isinstance(right, Interval):
+        return add_interval(left, right, sign=-1)
+    if isinstance(left, Interval):
+        raise ProgrammingError("bad interval operator '-'")
+    return left - right
+
+
+def _div(left, right):
+    if left is None or right is None or right == 0:
+        return None
+    return left / right
+
+
+def _mod(left, right):
+    if left is None or right is None or right == 0:
+        return None
+    return left % right
+
+
+def _concat(left, right):
+    if left is None or right is None:
+        return None
+    return str(left) + str(right)
+
+
+def _and3(left, right):
+    """Kleene AND; non-boolean operands count by their Python truth."""
+    if (left is not None and not left) or (right is not None and not right):
+        return False
+    if left is None or right is None:
+        return None
+    return True
+
+
+def _or3(left, right):
+    if left or right:
+        return True
+    if left is None or right is None:
+        return None
+    return False
+
+
+def _not(value):
     if value is None:
         return None
-    date = day_to_date(value)
-    return {"year": date.year, "month": date.month, "day": date.day}[field]
+    return not value
 
 
-def _fn_substring(value, start, length=None):
+def _negate(value):
     if value is None:
         return None
-    begin = max(int(start) - 1, 0)
-    if length is None:
-        return value[begin:]
-    return value[begin:begin + int(length)]
+    return -value
 
 
-FUNCTIONS: Dict[str, Callable] = {
-    "date": lambda s: date_to_day(s) if s is not None else None,
-    "timestamp": lambda s: int(s) if not isinstance(s, str) else date_to_day(s),
-    "extract": _fn_extract,
-    "substring": _fn_substring,
-    "substr": _fn_substring,
-    "abs": lambda v: None if v is None else abs(v),
-    "round": lambda v, n=0: None if v is None else round(v, int(n)),
-    "floor": lambda v: None if v is None else int(v // 1),
-    "ceil": lambda v: None if v is None else -int((-v) // 1),
-    "mod": lambda a, b: None if a is None or b is None else a % b,
-    "coalesce": lambda *args: next((a for a in args if a is not None), None),
-    "nullif": lambda a, b: None if a == b else a,
-    "upper": lambda s: None if s is None else s.upper(),
-    "lower": lambda s: None if s is None else s.lower(),
-    "length": lambda s: None if s is None else len(s),
-    "greatest": lambda *args: None if any(a is None for a in args) else max(args),
-    "least": lambda *args: None if any(a is None for a in args) else min(args),
+_le = _null_propagating(operator.le)
+_FIRST_COLUMN = operator.itemgetter(0)
+
+_BINARY: Dict[str, Callable] = {
+    "and": _and3,
+    "or": _or3,
+    "=": _null_propagating(operator.eq),
+    "<>": _null_propagating(operator.ne),
+    "<": _null_propagating(operator.lt),
+    "<=": _le,
+    ">": _null_propagating(operator.gt),
+    ">=": _null_propagating(operator.ge),
+    "+": _add,
+    "-": _sub,
+    "*": _null_propagating(operator.mul),
+    "/": _div,
+    "%": _mod,
+    "||": _concat,
 }
+
+_UNARY: Dict[str, Callable] = {"-": _negate, "not": _not}
+
+
+def _between(value, low, high):
+    return _and3(_le(low, value), _le(value, high))
+
+
+def _in_values(value, candidates):
+    """SQL IN for a non-NULL *value*: a NULL candidate turns "no match"
+    into NULL."""
+    saw_null = False
+    for candidate in candidates:
+        if candidate is None:
+            saw_null = True
+        elif candidate == value:
+            return True
+    return None if saw_null else False
+
+
+def _in(value, *items):
+    return None if value is None else _in_values(value, items)
+
+
+def _is_null(value):
+    return value is None
+
+
+def _is_not_null(value):
+    return value is not None
 
 
 def _like_to_regex(pattern: str):
@@ -215,76 +306,51 @@ def like_match(value, pattern):
 
 
 # ---------------------------------------------------------------------------
-# arithmetic / comparison with NULL propagation
+# scalar function registry
 # ---------------------------------------------------------------------------
 
 
-def _arith(op, left, right):
-    if left is None or right is None:
+def _fn_timestamp(value):
+    if value is None:
         return None
-    if isinstance(right, Interval):
-        if op == "+":
-            return add_interval(left, right)
-        if op == "-":
-            return add_interval(left, right, sign=-1)
-        raise ProgrammingError(f"bad interval operator {op!r}")
-    if isinstance(left, Interval):
-        if op == "+":
-            return add_interval(right, left)
-        raise ProgrammingError(f"bad interval operator {op!r}")
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            return None
-        if isinstance(left, int) and isinstance(right, int):
-            return left / right
-        return left / right
-    if op == "%":
-        if right == 0:
-            return None
-        return left % right
-    if op == "||":
-        return str(left) + str(right)
-    raise ProgrammingError(f"unknown operator {op!r}")  # pragma: no cover
+    return date_to_day(value) if isinstance(value, str) else int(value)
 
 
-def _compare(op, left, right):
-    if left is None or right is None:
+def _fn_extract(field, value):
+    if value is None:
         return None
-    if op == "=":
-        return left == right
-    if op == "<>":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise ProgrammingError(f"unknown comparison {op!r}")  # pragma: no cover
+    date = day_to_date(value)
+    return {"year": date.year, "month": date.month, "day": date.day}[field]
 
 
-def _and(left, right):
-    if left is False or right is False:
-        return False
-    if left is None or right is None:
+def _fn_substring(value, start, length=None):
+    if value is None:
         return None
-    return True
+    begin = max(int(start) - 1, 0)
+    if length is None:
+        return value[begin:]
+    return value[begin:begin + int(length)]
 
 
-def _or(left, right):
-    if left is True or right is True:
-        return True
-    if left is None or right is None:
-        return None
-    return False
+FUNCTIONS: Dict[str, Callable] = {
+    "date": lambda s: date_to_day(s) if s is not None else None,
+    "timestamp": _fn_timestamp,
+    "extract": _fn_extract,
+    "substring": _fn_substring,
+    "substr": _fn_substring,
+    "abs": lambda v: None if v is None else abs(v),
+    "round": lambda v, n=0: None if v is None or n is None else round(v, int(n)),
+    "floor": lambda v: None if v is None else int(v // 1),
+    "ceil": lambda v: None if v is None else -int((-v) // 1),
+    "mod": _mod,
+    "coalesce": lambda *args: next((a for a in args if a is not None), None),
+    "nullif": lambda a, b: None if a == b else a,
+    "upper": lambda s: None if s is None else s.upper(),
+    "lower": lambda s: None if s is None else s.lower(),
+    "length": lambda s: None if s is None else len(s),
+    "greatest": lambda *args: None if any(a is None for a in args) else max(args),
+    "least": lambda *args: None if any(a is None for a in args) else min(args),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -295,392 +361,223 @@ def _or(left, right):
 #: (select_ast, outer_scope) -> fn(env) -> list of row tuples.
 SubqueryCompiler = Callable[[ast.Select, Scope], Callable[[Env], List[tuple]]]
 
+#: Signature of a compiled batch expression: (batch, env) -> list of values,
+#: one per row of the batch, in row order.
+BatchFn = Callable[[object, Env], list]
+
+
+class _ScalarForm:
+    """Builds ``fn(row, env) -> value`` closures."""
+
+    @staticmethod
+    def constant(value):
+        return lambda row, env: value
+
+    @staticmethod
+    def from_env(getter):
+        return lambda row, env: getter(env)
+
+    @staticmethod
+    def column(slot):
+        return lambda row, env: row[slot]
+
+    @staticmethod
+    def apply(kernel, args):
+        if len(args) == 1:
+            (inner,) = args
+            return lambda row, env: kernel(inner(row, env))
+        if len(args) == 2:
+            left, right = args
+            return lambda row, env: kernel(left(row, env), right(row, env))
+        if len(args) == 3:
+            a, b, c = args
+            return lambda row, env: kernel(a(row, env), b(row, env), c(row, env))
+        return lambda row, env: kernel(*[arg(row, env) for arg in args])
+
+    @staticmethod
+    def lift(fn):
+        return fn
+
+
+class _BatchForm:
+    """Builds ``fn(batch, env) -> list`` closures: one value per row."""
+
+    @staticmethod
+    def constant(value):
+        return lambda batch, env: [value] * batch.length
+
+    @staticmethod
+    def from_env(getter):
+        return lambda batch, env: [getter(env)] * batch.length
+
+    @staticmethod
+    def column(slot):
+        return lambda batch, env: batch.column(slot)
+
+    @staticmethod
+    def apply(kernel, args):
+        if len(args) == 1:
+            (inner,) = args
+            return lambda batch, env: list(map(kernel, inner(batch, env)))
+        if len(args) == 2:
+            left, right = args
+            return lambda batch, env: list(
+                map(kernel, left(batch, env), right(batch, env))
+            )
+        if not args:
+            return lambda batch, env: [kernel() for _ in range(batch.length)]
+        return lambda batch, env: list(
+            map(kernel, *[arg(batch, env) for arg in args])
+        )
+
+    @staticmethod
+    def lift(fn):
+        return lambda batch, env: [fn(row, env) for row in batch.to_rows()]
+
 
 def compile_expr(
     expr: ast.Expr,
     scope: Scope,
     subquery_compiler: Optional[SubqueryCompiler] = None,
 ) -> Callable[[tuple, Env], object]:
-    """Compile an AST expression into ``fn(row, env) -> value``."""
-    if isinstance(expr, ast.Literal):
-        value = expr.value
-        return lambda row, env: value
-    if isinstance(expr, ast.ColumnRef):
-        depth, slot = scope.resolve(expr)
-        if depth == 0:
-            return lambda row, env: row[slot]
-
-        def outer_ref(row, env, depth=depth - 1, slot=slot):
-            return env.outer_rows[depth][slot]
-
-        return outer_ref
-    if isinstance(expr, ast.Param):
-        index, name = expr.index, expr.name
-        return lambda row, env: env.param(index=index, name=name)
-    if isinstance(expr, ast.IntervalLiteral):
-        if expr.unit == "day":
-            value = Interval(days=expr.value)
-        elif expr.unit == "month":
-            value = Interval(months=expr.value)
-        else:
-            value = Interval(months=12 * expr.value)
-        return lambda row, env: value
-    if isinstance(expr, ast.Unary):
-        inner = compile_expr(expr.operand, scope, subquery_compiler)
-        if expr.op == "-":
-            return lambda row, env: _negate(inner(row, env))
-        if expr.op == "+":
-            return inner
-        if expr.op == "not":
-            return lambda row, env: _not(inner(row, env))
-        raise ProgrammingError(f"unknown unary {expr.op!r}")
-    if isinstance(expr, ast.Binary):
-        left = compile_expr(expr.left, scope, subquery_compiler)
-        right = compile_expr(expr.right, scope, subquery_compiler)
-        op = expr.op
-        if op == "and":
-            return lambda row, env: _and(
-                _truth(left(row, env)), _truth(right(row, env))
-            )
-        if op == "or":
-            return lambda row, env: _or(
-                _truth(left(row, env)), _truth(right(row, env))
-            )
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return lambda row, env: _compare(op, left(row, env), right(row, env))
-        return lambda row, env: _arith(op, left(row, env), right(row, env))
-    if isinstance(expr, ast.FuncCall):
-        fn = FUNCTIONS.get(expr.name)
-        if fn is None:
-            raise ProgrammingError(f"unknown function {expr.name!r}")
-        args = [compile_expr(a, scope, subquery_compiler) for a in expr.args]
-        return lambda row, env: fn(*[a(row, env) for a in args])
-    if isinstance(expr, ast.Case):
-        branches = [
-            (
-                compile_expr(cond, scope, subquery_compiler),
-                compile_expr(result, scope, subquery_compiler),
-            )
-            for cond, result in expr.branches
-        ]
-        default = (
-            compile_expr(expr.default, scope, subquery_compiler)
-            if expr.default is not None
-            else None
-        )
-
-        def run_case(row, env):
-            for cond, result in branches:
-                if _truth(cond(row, env)) is True:
-                    return result(row, env)
-            return default(row, env) if default is not None else None
-
-        return run_case
-    if isinstance(expr, ast.Between):
-        operand = compile_expr(expr.operand, scope, subquery_compiler)
-        low = compile_expr(expr.low, scope, subquery_compiler)
-        high = compile_expr(expr.high, scope, subquery_compiler)
-        negated = expr.negated
-
-        def run_between(row, env):
-            value = operand(row, env)
-            lo = _and(
-                _compare("<=", low(row, env), value),
-                _compare("<=", value, high(row, env)),
-            )
-            return _not(lo) if negated else lo
-
-        return run_between
-    if isinstance(expr, ast.Like):
-        operand = compile_expr(expr.operand, scope, subquery_compiler)
-        pattern = compile_expr(expr.pattern, scope, subquery_compiler)
-        negated = expr.negated
-
-        def run_like(row, env):
-            result = like_match(operand(row, env), pattern(row, env))
-            return _not(result) if negated else result
-
-        return run_like
-    if isinstance(expr, ast.IsNull):
-        operand = compile_expr(expr.operand, scope, subquery_compiler)
-        negated = expr.negated
-        return lambda row, env: (operand(row, env) is not None) == negated
-    if isinstance(expr, ast.InList):
-        operand = compile_expr(expr.operand, scope, subquery_compiler)
-        items = [compile_expr(i, scope, subquery_compiler) for i in expr.items]
-        negated = expr.negated
-
-        def run_in(row, env):
-            value = operand(row, env)
-            if value is None:
-                return None
-            found = False
-            saw_null = False
-            for item in items:
-                candidate = item(row, env)
-                if candidate is None:
-                    saw_null = True
-                elif candidate == value:
-                    found = True
-                    break
-            if found:
-                return not negated
-            if saw_null:
-                return None
-            return negated
-
-        return run_in
-    if isinstance(expr, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
-        if subquery_compiler is None:
-            raise ProgrammingError("subqueries are not allowed in this context")
-        return _compile_subquery_expr(expr, scope, subquery_compiler)
-    if isinstance(expr, ast.Aggregate):
-        raise ProgrammingError(
-            "aggregate used outside SELECT list / HAVING"
-        )
-    if isinstance(expr, ast.Star):
-        raise ProgrammingError("'*' is only valid in a select list or COUNT(*)")
-    raise ProgrammingError(f"cannot compile expression {expr!r}")
-
-
-def _compile_subquery_expr(expr, scope, subquery_compiler):
-    if isinstance(expr, ast.Exists):
-        run = subquery_compiler(expr.subquery, scope)
-        negated = expr.negated
-
-        def run_exists(row, env):
-            rows = run(env.nested(row))
-            found = bool(rows)
-            return found != negated
-
-        return run_exists
-    if isinstance(expr, ast.InSubquery):
-        operand = compile_expr(expr.operand, scope, subquery_compiler)
-        run = subquery_compiler(expr.subquery, scope)
-        negated = expr.negated
-
-        def run_in_subquery(row, env):
-            value = operand(row, env)
-            if value is None:
-                return None
-            saw_null = False
-            for sub_row in run(env.nested(row)):
-                candidate = sub_row[0]
-                if candidate is None:
-                    saw_null = True
-                elif candidate == value:
-                    return not negated
-            if saw_null:
-                return None
-            return negated
-
-        return run_in_subquery
-    # scalar subquery
-    run = subquery_compiler(expr.subquery, scope)
-
-    def run_scalar(row, env):
-        rows = run(env.nested(row))
-        if not rows:
-            return None
-        if len(rows) > 1:
-            raise ProgrammingError("scalar subquery returned more than one row")
-        return rows[0][0]
-
-    return run_scalar
-
-
-# ---------------------------------------------------------------------------
-# chunk-wise (batch) compilation
-# ---------------------------------------------------------------------------
-
-#: Signature of a compiled batch expression: (batch, env) -> list of values,
-#: one per row of the batch, in row order.
-BatchFn = Callable[[object, Env], list]
-
-
-class _NotVectorizable(Exception):
-    """Raised during batch compilation when an expression needs per-row
-    evaluation (subqueries re-enter the executor per outer row; CASE
-    guarantees untaken branches are never evaluated)."""
+    """Compile an AST expression into ``fn(row, env) -> value``: the form
+    for expressions evaluated per candidate pair or once per statement."""
+    return _Compiler(scope, subquery_compiler, _ScalarForm).compile(expr)
 
 
 def compile_batch_expr(
     expr: ast.Expr,
     scope: Scope,
     subquery_compiler: Optional[SubqueryCompiler] = None,
-) -> Optional[BatchFn]:
-    """Compile *expr* into ``fn(batch, env) -> list`` of per-row values.
+) -> BatchFn:
+    """Compile *expr* into ``fn(batch, env) -> list`` of per-row values:
+    the form for expressions evaluated once per input row.
 
-    Returns ``None`` when the expression is not vectorizable (contains a
-    subquery or CASE); callers then fall back to the per-row closure from
-    :func:`compile_expr`.  The two paths are semantically identical: the
-    row compiler evaluates both sides of AND/OR unconditionally, so the
-    elementwise translation here preserves evaluation behavior exactly.
+    Every node maps its scalar kernel — the same object
+    :func:`compile_expr` calls — over its children's value lists; both
+    forms evaluate both sides of AND/OR.  CASE and subquery nodes run
+    their scalar closure over ``batch.to_rows()`` (untaken branches stay
+    unevaluated, a correlated subquery sees each outer row) and the
+    expression around them stays chunk-wise.
     """
-    try:
-        return _compile_batch(expr, scope)
-    except _NotVectorizable:
-        return None
+    return _Compiler(scope, subquery_compiler, _BatchForm).compile(expr)
 
 
-def _compile_batch(expr: ast.Expr, scope: Scope) -> BatchFn:
-    if isinstance(expr, ast.Literal):
-        value = expr.value
-        return lambda batch, env: [value] * batch.length
-    if isinstance(expr, ast.ColumnRef):
-        depth, slot = scope.resolve(expr)
-        if depth == 0:
-            return lambda batch, env: batch.column(slot)
+class _Compiler:
+    """The one walk over node types; *form* decides scalar or batch."""
 
-        def outer_ref(batch, env, depth=depth - 1, slot=slot):
-            return [env.outer_rows[depth][slot]] * batch.length
+    def __init__(self, scope, subquery_compiler, form):
+        self.scope = scope
+        self.subquery_compiler = subquery_compiler
+        self.form = form
 
-        return outer_ref
-    if isinstance(expr, ast.Param):
-        index, name = expr.index, expr.name
-        return lambda batch, env: [env.param(index=index, name=name)] * batch.length
-    if isinstance(expr, ast.IntervalLiteral):
-        if expr.unit == "day":
-            value = Interval(days=expr.value)
-        elif expr.unit == "month":
-            value = Interval(months=expr.value)
-        else:
-            value = Interval(months=12 * expr.value)
-        return lambda batch, env: [value] * batch.length
-    if isinstance(expr, ast.Unary):
-        inner = _compile_batch(expr.operand, scope)
-        if expr.op == "-":
-            return lambda batch, env: [_negate(v) for v in inner(batch, env)]
-        if expr.op == "+":
-            return inner
-        if expr.op == "not":
-            return lambda batch, env: [_not(v) for v in inner(batch, env)]
-        raise ProgrammingError(f"unknown unary {expr.op!r}")
-    if isinstance(expr, ast.Binary):
-        left = _compile_batch(expr.left, scope)
-        right = _compile_batch(expr.right, scope)
-        op = expr.op
-        if op == "and":
-            return lambda batch, env: [
-                _and(_truth(a), _truth(b))
-                for a, b in zip(left(batch, env), right(batch, env))
-            ]
-        if op == "or":
-            return lambda batch, env: [
-                _or(_truth(a), _truth(b))
-                for a, b in zip(left(batch, env), right(batch, env))
-            ]
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return lambda batch, env: [
-                _compare(op, a, b)
-                for a, b in zip(left(batch, env), right(batch, env))
-            ]
-        return lambda batch, env: [
-            _arith(op, a, b)
-            for a, b in zip(left(batch, env), right(batch, env))
-        ]
-    if isinstance(expr, ast.FuncCall):
-        fn = FUNCTIONS.get(expr.name)
-        if fn is None:
-            raise ProgrammingError(f"unknown function {expr.name!r}")
-        args = [_compile_batch(a, scope) for a in expr.args]
-        if not args:
-            return lambda batch, env: [fn() for _ in range(batch.length)]
+    def compile(self, expr):
+        form, child = self.form, self.compile
+        if isinstance(expr, ast.Literal):
+            return form.constant(expr.value)
+        if isinstance(expr, ast.ColumnRef):
+            depth, slot = self.scope.resolve(expr)
+            if depth == 0:
+                return form.column(slot)
+            depth -= 1
+            return form.from_env(lambda env: env.outer_rows[depth][slot])
+        if isinstance(expr, ast.Param):
+            index, name = expr.index, expr.name
+            return form.from_env(lambda env: env.param(index=index, name=name))
+        if isinstance(expr, ast.IntervalLiteral):
+            if expr.unit == "day":
+                return form.constant(Interval(days=expr.value))
+            months = expr.value if expr.unit == "month" else 12 * expr.value
+            return form.constant(Interval(months=months))
+        if isinstance(expr, ast.Unary):
+            if expr.op == "+":
+                return child(expr.operand)
+            if expr.op not in _UNARY:
+                raise ProgrammingError(f"unknown unary {expr.op!r}")
+            return form.apply(_UNARY[expr.op], [child(expr.operand)])
+        if isinstance(expr, ast.Binary):
+            if expr.op not in _BINARY:
+                raise ProgrammingError(f"unknown operator {expr.op!r}")
+            return form.apply(
+                _BINARY[expr.op], [child(expr.left), child(expr.right)]
+            )
+        if isinstance(expr, ast.FuncCall):
+            if expr.name not in FUNCTIONS:
+                raise ProgrammingError(f"unknown function {expr.name!r}")
+            return form.apply(FUNCTIONS[expr.name], [child(a) for a in expr.args])
+        if isinstance(expr, ast.Between):
+            operands = [child(expr.operand), child(expr.low), child(expr.high)]
+            return self._negated_if(expr, form.apply(_between, operands))
+        if isinstance(expr, ast.Like):
+            operands = [child(expr.operand), child(expr.pattern)]
+            return self._negated_if(expr, form.apply(like_match, operands))
+        if isinstance(expr, ast.IsNull):
+            kernel = _is_not_null if expr.negated else _is_null
+            return form.apply(kernel, [child(expr.operand)])
+        if isinstance(expr, ast.InList):
+            operands = [child(expr.operand)] + [child(i) for i in expr.items]
+            return self._negated_if(expr, form.apply(_in, operands))
+        # The remaining nodes need the row itself, not just their operands'
+        # values: CASE must leave untaken branches unevaluated, and a
+        # subquery re-enters the executor with the outer row.  They compile
+        # to a scalar closure, which the batch form runs once per row.
+        if isinstance(expr, ast.Case):
+            scalar = self._scalar
+            branches = [(scalar(cond), scalar(res)) for cond, res in expr.branches]
+            default = scalar(expr.default) if expr.default is not None else None
 
-        def run_func(batch, env):
-            return [fn(*vals) for vals in zip(*[a(batch, env) for a in args])]
+            def run_case(row, env):
+                for cond, result in branches:
+                    if cond(row, env):
+                        return result(row, env)
+                return default(row, env) if default is not None else None
 
-        return run_func
-    if isinstance(expr, ast.Between):
-        operand = _compile_batch(expr.operand, scope)
-        low = _compile_batch(expr.low, scope)
-        high = _compile_batch(expr.high, scope)
-        negated = expr.negated
+            return form.lift(run_case)
+        if isinstance(expr, ast.Exists):
+            run, negated = self._subquery(expr), expr.negated
+            return form.lift(lambda row, env: bool(run(env.nested(row))) != negated)
+        if isinstance(expr, ast.InSubquery):
+            run, negated = self._subquery(expr), expr.negated
+            operand = self._scalar(expr.operand)
 
-        def run_between(batch, env):
-            out = [
-                _and(_compare("<=", lo, value), _compare("<=", value, hi))
-                for value, lo, hi in zip(
-                    operand(batch, env), low(batch, env), high(batch, env)
-                )
-            ]
-            return [_not(v) for v in out] if negated else out
-
-        return run_between
-    if isinstance(expr, ast.Like):
-        operand = _compile_batch(expr.operand, scope)
-        pattern = _compile_batch(expr.pattern, scope)
-        negated = expr.negated
-
-        def run_like(batch, env):
-            out = [
-                like_match(value, pat)
-                for value, pat in zip(operand(batch, env), pattern(batch, env))
-            ]
-            return [_not(v) for v in out] if negated else out
-
-        return run_like
-    if isinstance(expr, ast.IsNull):
-        operand = _compile_batch(expr.operand, scope)
-        negated = expr.negated
-        return lambda batch, env: [
-            (value is not None) == negated for value in operand(batch, env)
-        ]
-    if isinstance(expr, ast.InList):
-        operand = _compile_batch(expr.operand, scope)
-        items = [_compile_batch(i, scope) for i in expr.items]
-        negated = expr.negated
-
-        def run_in(batch, env):
-            candidate_lists = [item(batch, env) for item in items]
-            out = []
-            for pos, value in enumerate(operand(batch, env)):
+            def run_in_subquery(row, env):
+                value = operand(row, env)
                 if value is None:
-                    out.append(None)
-                    continue
-                found = False
-                saw_null = False
-                for candidates in candidate_lists:
-                    candidate = candidates[pos]
-                    if candidate is None:
-                        saw_null = True
-                    elif candidate == value:
-                        found = True
-                        break
-                if found:
-                    out.append(not negated)
-                elif saw_null:
-                    out.append(None)
-                else:
-                    out.append(negated)
-            return out
+                    return None
+                found = _in_values(value, map(_FIRST_COLUMN, run(env.nested(row))))
+                return _not(found) if negated else found
 
-        return run_in
-    # Case keeps its untaken branches unevaluated; subqueries re-enter
-    # the executor once per outer row — both stay on the per-row path.
-    raise _NotVectorizable(type(expr).__name__)
+            return form.lift(run_in_subquery)
+        if isinstance(expr, ast.ScalarSubquery):
+            run = self._subquery(expr)
 
+            def run_scalar(row, env):
+                rows = run(env.nested(row))
+                if not rows:
+                    return None
+                if len(rows) > 1:
+                    raise ProgrammingError(
+                        "scalar subquery returned more than one row"
+                    )
+                return rows[0][0]
 
-def _truth(value):
-    """Coerce an evaluation result into SQL boolean (True/False/None)."""
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return value
-    return bool(value)
+            return form.lift(run_scalar)
+        if isinstance(expr, ast.Aggregate):
+            raise ProgrammingError("aggregate used outside SELECT list / HAVING")
+        if isinstance(expr, ast.Star):
+            raise ProgrammingError("'*' is only valid in a select list or COUNT(*)")
+        raise ProgrammingError(f"cannot compile expression {expr!r}")
 
+    def _scalar(self, expr):
+        return compile_expr(expr, self.scope, self.subquery_compiler)
 
-def _not(value):
-    truth = _truth(value)
-    if truth is None:
-        return None
-    return not truth
+    def _subquery(self, expr):
+        if self.subquery_compiler is None:
+            raise ProgrammingError("subqueries are not allowed in this context")
+        return self.subquery_compiler(expr.subquery, self.scope)
 
-
-def _negate(value):
-    if value is None:
-        return None
-    return -value
+    def _negated_if(self, expr, fn):
+        return self.form.apply(_not, [fn]) if expr.negated else fn
 
 
 def expr_to_string(expr: ast.Expr) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from ..batch import Batch, batch_size, batches_from_rows, vectorized_enabled
+from ..batch import Batch, batch_size, batches_from_rows
 from ..storage.versioned import CURRENT, HISTORY, SINGLE, VersionedTable
 from ..types import END_OF_TIME
 
@@ -50,7 +50,7 @@ class TemporalBounds:
         """The half-open ``[lo, hi)`` interval a matching row's period must
         overlap (``as_of t`` is ``[t, t+1)`` on integer ticks), or None when
         the bounds do not reduce to one (mode ``all``, NULL or non-integer
-        points) and only the row/batch filter expresses them."""
+        points) and only the batch filter expresses them."""
         if self.mode == "as_of":
             tick = self.low(env)
             return (tick, tick + 1) if type(tick) is int else None
@@ -60,6 +60,8 @@ class TemporalBounds:
         return None
 
     def row_filter(self, schema):
+        """Per-row predicate for the row lists index probes and timeline
+        snapshots return (scans use :meth:`batch_filter` or the window)."""
         begin_pos = schema.position(self.begin_column)
         end_pos = schema.position(self.end_column)
         if self.mode == "all":
@@ -223,17 +225,10 @@ class TableAccessPlan:
 
     # -- execution ------------------------------------------------------------
 
-    def rows(self, env) -> List[tuple]:
-        out: List[tuple] = []
-        self.decisions = []
-        for partition in self.partitions:
-            out.extend(self._partition_rows(partition, env))
-        return out
-
     def batches(self, env) -> List[Batch]:
-        """Batch variant of :meth:`rows`: the same rows in the same order,
-        chunked.  Scans stream batches straight from storage with the
-        temporal filters applied as per-batch selection masks."""
+        """The table's matching rows, partition by partition.  Scans
+        stream batches straight from storage with the temporal filters
+        applied as a scan window or per-batch selection masks."""
         out: List[Batch] = []
         self.decisions = []
         for partition in self.partitions:
@@ -241,97 +236,6 @@ class TableAccessPlan:
         return out
 
     def _partition_batches(self, partition, env) -> List[Batch]:
-        table = self.table
-        timeline = getattr(table, "timeline", None)
-        if timeline is not None:
-            snapshot = self._timeline_snapshot(timeline, partition, env)
-            if snapshot is not None:
-                self.decisions.append(
-                    AccessDecision(partition, "timeline", detail="snapshot")
-                )
-                return batches_from_rows(snapshot)
-        if (
-            self._pk_values is not None
-            and partition in (CURRENT, SINGLE)
-            and table.schema.primary_key
-        ):
-            key = tuple(fn(env) for fn in self._pk_values)
-            rids = table.current_rids_for_key(key)
-            pairs = table.reconstruct_for_rids(rids) if self.need_temporal else [
-                (rid, table.fetch(table.current_partition_name(), rid)) for rid in rids
-            ]
-            rows = [tuple(row) for _rid, row in pairs if row is not None]
-            if partition == SINGLE and self._wants_closed_versions():
-                return self._scan_batches(
-                    partition, env, "pk map insufficient for closed versions"
-                )
-            self.decisions.append(AccessDecision(partition, "pk-probe"))
-            return batches_from_rows(self._apply_filters(rows, env))
-        chosen = self._choose_index(partition, env)
-        if chosen is not None:
-            index_def, rows = chosen
-            self.decisions.append(
-                AccessDecision(partition, index_def.kind if index_def.kind == "rtree" else "index", index_def.name)
-            )
-            return batches_from_rows(self._apply_filters(rows, env))
-        return self._scan_batches(partition, env)
-
-    def _scan_batches(self, partition, env, detail="") -> List[Batch]:
-        access = self.table.partition(partition).access
-        read, pruned = access.pages_read, access.pages_pruned
-        out = self._scan_filtered_batches(partition, env)
-        pages = (access.pages_read - read, access.pages_pruned - pruned)
-        self.decisions.append(
-            AccessDecision(partition, "scan", detail=detail, pages=pages)
-        )
-        return out
-
-    def _scan_filtered_batches(self, partition, env) -> List[Batch]:
-        # the row-at-a-time oracle (vectorized off) reads every page and
-        # evaluates every temporal filter itself
-        vectorized = vectorized_enabled()
-        window = None
-        batch_filters = self._batch_filters
-        if vectorized and self._system_bounds is not None:
-            window = self._system_bounds.window(env)
-            if window is not None:
-                batch_filters = self._other_batch_filters
-        source = self.table.scan_partition_batches(
-            partition, need_temporal=self.need_temporal, size=batch_size(),
-            window=window,
-        )
-        # the deadline is polled once per batch, not per row
-        check = getattr(env, "check", None)
-        out: List[Batch] = []
-        if vectorized:
-            for batch in source:
-                if check is not None:
-                    check()
-                for batch_filter in batch_filters:
-                    mask = batch_filter(batch, env)
-                    selected = [i for i, keep in enumerate(mask) if keep]
-                    if len(selected) != batch.length:
-                        batch = batch.take(selected)
-                    if batch.length == 0:
-                        break
-                if batch.length:
-                    out.append(batch)
-            return out
-        row_filters = self._row_filters
-        for batch in source:
-            if check is not None:
-                check()
-            if not row_filters:
-                out.append(batch)
-                continue
-            rows = batch.to_rows()
-            for row_filter in row_filters:
-                rows = [row for row in rows if row_filter(row, env)]
-            if rows:
-                out.append(Batch.from_rows(rows, batch.width))
-        return out
-
-    def _partition_rows(self, partition, env) -> List[tuple]:
         table = self.table
         # 0. native temporal index (System E): a system-time AS OF resolves
         #    through the Timeline Index instead of scanning (checkpoint +
@@ -343,7 +247,7 @@ class TableAccessPlan:
                 self.decisions.append(
                     AccessDecision(partition, "timeline", detail="snapshot")
                 )
-                return snapshot
+                return batches_from_rows(snapshot)
         # 1. primary-key probe (current partition only: the map tracks
         #    current versions, mirroring the system-created current index)
         if (
@@ -360,10 +264,11 @@ class TableAccessPlan:
             # System D's single table holds history interleaved: the PK map
             # only tracks open versions, so closed ones must come from a scan
             if partition == SINGLE and self._wants_closed_versions():
-                self.decisions.append(AccessDecision(partition, "scan", detail="pk map insufficient for closed versions"))
-                return self._scan(partition, env)
+                return self._scan_batches(
+                    partition, env, "pk map insufficient for closed versions"
+                )
             self.decisions.append(AccessDecision(partition, "pk-probe"))
-            return self._apply_filters(rows, env)
+            return batches_from_rows(self._apply_filters(rows, env))
         # 2. secondary indexes
         chosen = self._choose_index(partition, env)
         if chosen is not None:
@@ -371,10 +276,47 @@ class TableAccessPlan:
             self.decisions.append(
                 AccessDecision(partition, index_def.kind if index_def.kind == "rtree" else "index", index_def.name)
             )
-            return self._apply_filters(rows, env)
+            return batches_from_rows(self._apply_filters(rows, env))
         # 3. fall back to a scan
-        self.decisions.append(AccessDecision(partition, "scan"))
-        return self._scan(partition, env)
+        return self._scan_batches(partition, env)
+
+    def _scan_batches(self, partition, env, detail="") -> List[Batch]:
+        access = self.table.partition(partition).access
+        read, pruned = access.pages_read, access.pages_pruned
+        out = self._scan_filtered_batches(partition, env)
+        pages = (access.pages_read - read, access.pages_pruned - pruned)
+        self.decisions.append(
+            AccessDecision(partition, "scan", detail=detail, pages=pages)
+        )
+        return out
+
+    def _scan_filtered_batches(self, partition, env) -> List[Batch]:
+        window = None
+        batch_filters = self._batch_filters
+        if self._system_bounds is not None:
+            window = self._system_bounds.window(env)
+            if window is not None:
+                batch_filters = self._other_batch_filters
+        source = self.table.scan_partition_batches(
+            partition, need_temporal=self.need_temporal, size=batch_size(),
+            window=window,
+        )
+        # the deadline is polled once per batch, not per row
+        check = getattr(env, "check", None)
+        out: List[Batch] = []
+        for batch in source:
+            if check is not None:
+                check()
+            for batch_filter in batch_filters:
+                mask = batch_filter(batch, env)
+                selected = [i for i, keep in enumerate(mask) if keep]
+                if len(selected) != batch.length:
+                    batch = batch.take(selected)
+                if batch.length == 0:
+                    break
+            if batch.length:
+                out.append(batch)
+        return out
 
     def _timeline_snapshot(self, timeline, partition, env):
         """Rows visible at an AS OF tick, via the Timeline Index; None when
@@ -411,18 +353,6 @@ class TableAccessPlan:
         if not self.temporal_filters:
             return False
         return True
-
-    def _scan(self, partition, env):
-        source = self.table.scan_partition(
-            partition, need_temporal=self.need_temporal
-        )
-        # an ExecutionContext with an active deadline polls it mid-scan so
-        # timed-out queries stop burning CPU; a plain Env skips this entirely
-        guard = getattr(env, "guard_iter", None)
-        if guard is not None:
-            source = guard(source)
-        rows = [tuple(row) for _rid, row in source]
-        return self._apply_filters(rows, env)
 
     def _apply_filters(self, rows, env):
         for row_filter in self._row_filters:

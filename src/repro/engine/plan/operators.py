@@ -4,13 +4,20 @@ Every operator is a node with ``execute_batches(env) -> list[Batch]`` and
 an ``explain(indent)`` rendering.  Batches flow through the whole tree:
 scans hand over column-store slices without per-row tuple construction,
 filters apply chunk-wise selection masks, and projections build output
-columns vectorized — with a per-row fallback wherever an expression is
-not vectorizable (correlated subqueries, CASE).  Operators still
-materialise their full outputs — the engine is an analytics engine over
-in-memory partitions, and materialising keeps hash joins and sorts
-simple while preserving the *relative* costs the benchmark needs (scans
-linear in partition size, index probes logarithmic, extra joins visibly
-expensive).
+columns chunk-wise.  Operators still materialise their full outputs —
+the engine is an analytics engine over in-memory partitions, and
+materialising keeps hash joins and sorts simple while preserving the
+*relative* costs the benchmark needs (scans linear in partition size,
+index probes logarithmic, extra joins visibly expensive).
+
+An operator takes one compiled function per expression.  What is
+evaluated once per *input row* — filter predicates, projection items,
+join/align keys, period bounds, group keys, aggregate arguments, sort
+keys — is a batch function ``fn(batch, env) -> list``
+(:func:`~repro.engine.expr.compile_batch_expr`); what is evaluated per
+*candidate pair* (join residuals, the nested-loop predicate) or once per
+*statement* (LIMIT/OFFSET) is a scalar ``fn(row, env)``
+(:func:`~repro.engine.expr.compile_expr`).
 
 ``batches`` is a thin dispatcher: subclasses implement
 ``execute_batches(env)``, and when the env is an
@@ -22,21 +29,16 @@ dispatcher adds one ``getattr`` and nothing else.  ``rows(env)`` /
 batches into one fresh ``list[tuple]`` for the session/DBAPI surface
 (and for tests that predate the batch protocol).
 
-Deadline polling happens at batch granularity inside batch loops, and
-per-row (``guard_iter``) only on the row-at-a-time fallback paths.
+Deadline polling happens at batch granularity inside batch loops; only
+the pair-at-a-time joins (``CrossJoin``, ``NestedLoopJoin``) poll per
+outer row through ``guard_iter``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from ..batch import (
-    Batch,
-    batch_size,
-    batches_from_rows,
-    rows_from_batches,
-    vectorized_enabled,
-)
+from ..batch import Batch, batch_size, batches_from_rows, rows_from_batches
 from ..expr import Env
 from ..types import compare_values
 
@@ -89,36 +91,23 @@ class Operator:
 
 
 class TableAccess(Operator):
-    """Scan or index access over one table (built by plan.access).
+    """Scan or index access over one table: runs a
+    :class:`~repro.engine.plan.access.TableAccessPlan`, whose run-time
+    decisions feed EXPLAIN ANALYZE."""
 
-    Accepts either a :class:`~repro.engine.plan.access.TableAccessPlan`
-    (preferred — its run-time decisions feed EXPLAIN ANALYZE and it
-    yields column-store batches directly) or a bare producer callable.
-    """
-
-    def __init__(self, access, description: str):
-        if callable(access) and not hasattr(access, "rows"):
-            self.access_plan = None
-            self._producer = access
-        else:
-            self.access_plan = access
-            self._producer = access.rows
+    def __init__(self, access_plan, description: str):
+        self.access_plan = access_plan
         self._description = description
 
     def execute_batches(self, env):
-        if self.access_plan is not None:
-            return self.access_plan.batches(env)
-        return batches_from_rows(self._producer(env))
+        return self.access_plan.batches(env)
 
     def label(self):
         return self._description
 
     def metrics_detail(self):
-        plan = self.access_plan
-        if plan is None or not plan.decisions:
-            return ""
         bits = []
-        for decision in plan.decisions:
+        for decision in self.access_plan.decisions:
             bit = f"{decision.partition}: {decision.strategy}"
             if decision.index_name:
                 bit += f"[{decision.index_name}]"
@@ -197,39 +186,24 @@ class VirtualScan(Operator):
 
 
 class Filter(Operator):
-    def __init__(self, child: Operator, predicate, description="Filter",
-                 batch_predicate=None):
+    def __init__(self, child: Operator, predicate, description="Filter"):
         self.children = (child,)
         self._predicate = predicate
-        self._batch_predicate = batch_predicate
         self._description = description
 
     def execute_batches(self, env):
         out: List[Batch] = []
-        batch_predicate = (
-            self._batch_predicate if vectorized_enabled() else None
-        )
-        if batch_predicate is not None:
-            check = getattr(env, "check", None)
-            for batch in self.children[0].batches(env):
-                if check is not None:
-                    check()
-                values = batch_predicate(batch, env)
-                selected = [i for i, value in enumerate(values) if value is True]
-                if len(selected) == batch.length:
-                    out.append(batch)
-                elif selected:
-                    out.append(batch.take(selected))
-            return out
         predicate = self._predicate
-        guard = getattr(env, "guard_iter", None)
+        check = getattr(env, "check", None)
         for batch in self.children[0].batches(env):
-            rows = batch.to_rows()
-            if guard is not None:
-                rows = guard(rows)
-            kept = [row for row in rows if predicate(row, env) is True]
-            if kept:
-                out.append(Batch.from_rows(kept, batch.width))
+            if check is not None:
+                check()
+            values = predicate(batch, env)
+            selected = [i for i, value in enumerate(values) if value is True]
+            if len(selected) == batch.length:
+                out.append(batch)
+            elif selected:
+                out.append(batch.take(selected))
         return out
 
     def label(self):
@@ -237,42 +211,20 @@ class Filter(Operator):
 
 
 class Project(Operator):
-    def __init__(self, child: Operator, exprs, description="Project",
-                 batch_exprs=None):
+    def __init__(self, child: Operator, exprs, description="Project"):
         self.children = (child,)
         self._exprs = exprs
-        self._batch_exprs = batch_exprs
         self._description = description
 
     def execute_batches(self, env):
         out: List[Batch] = []
-        batch_exprs = self._batch_exprs if vectorized_enabled() else None
-        if batch_exprs is not None:
-            check = getattr(env, "check", None)
-            exprs = self._exprs
-            for batch in self.children[0].batches(env):
-                if check is not None:
-                    check()
-                columns = []
-                rows = None
-                for batch_fn, row_fn in zip(batch_exprs, exprs):
-                    if batch_fn is not None:
-                        columns.append(batch_fn(batch, env))
-                    else:  # per-row fallback for this output column only
-                        if rows is None:
-                            rows = batch.to_rows()
-                        columns.append([row_fn(row, env) for row in rows])
-                out.append(Batch.from_columns(columns, batch.length))
-            return out
         exprs = self._exprs
-        guard = getattr(env, "guard_iter", None)
+        check = getattr(env, "check", None)
         for batch in self.children[0].batches(env):
-            rows = batch.to_rows()
-            if guard is not None:
-                rows = guard(rows)
-            projected = [tuple(e(row, env) for e in exprs) for row in rows]
-            if projected:
-                out.append(Batch.from_rows(projected, len(exprs)))
+            if check is not None:
+                check()
+            columns = [expr(batch, env) for expr in exprs]
+            out.append(Batch.from_columns(columns, batch.length))
         return out
 
     def label(self):
@@ -347,29 +299,16 @@ class NestedLoopJoin(Operator):
         return f"NestedLoopJoin({self._kind})"
 
 
-def _batch_join_keys(batch, env, batch_fns, row_fns):
-    """Per-row key tuples for one input batch of a hash join.
+def count_star(batch, env):
+    """The aggregate argument of ``count(*)``: every row counts."""
+    return [1] * batch.length
 
-    ``batch_fns`` (when supplied by the planner) computes each key part
-    over the whole batch; any part that is not vectorizable falls back
-    to its per-row closure.
-    """
-    if batch_fns is not None:
-        columns = []
-        rows = None
-        for batch_fn, row_fn in zip(batch_fns, row_fns):
-            if batch_fn is not None:
-                columns.append(batch_fn(batch, env))
-            else:
-                if rows is None:
-                    rows = batch.to_rows()
-                columns.append([row_fn(row, env) for row in rows])
-        if columns:
-            return list(zip(*columns))
+
+def _key_tuples(batch, env, key_fns):
+    """One key tuple per row of *batch* (join, align and group keys)."""
+    if not key_fns:
         return [()] * batch.length
-    return [
-        tuple(k(row, env) for k in row_fns) for row in batch.to_rows()
-    ]
+    return list(zip(*[fn(batch, env) for fn in key_fns]))
 
 
 class HashJoin(Operator):
@@ -377,36 +316,29 @@ class HashJoin(Operator):
     cost-based planning may request ``build_side="left"`` for inner joins
     when the left input is estimated cheaper (left joins always probe
     from the left so every left row can surface).  Both build and probe
-    consume input batch-at-a-time, extracting key columns chunk-wise
-    when the planner supplied batch key expressions."""
+    consume input batch-at-a-time, extracting key columns chunk-wise."""
 
     def __init__(
         self,
         left,
         right,
-        left_keys,   # compiled exprs over the LEFT row layout
-        right_keys,  # compiled exprs over the RIGHT row layout
-        residual=None,  # compiled over the combined layout
+        left_keys,   # batch exprs over the LEFT row layout
+        right_keys,  # batch exprs over the RIGHT row layout
+        residual=None,  # scalar expr over the combined layout
         kind="inner",
         right_width=0,
         build_side="right",
-        batch_left_keys=None,
-        batch_right_keys=None,
     ):
         self.children = (left, right)
         self._left_keys = left_keys
         self._right_keys = right_keys
-        self._batch_left_keys = batch_left_keys
-        self._batch_right_keys = batch_right_keys
         self._residual = residual
         self._kind = kind
         self._right_width = right_width
         self._build_side = build_side if kind == "inner" else "right"
 
     def execute_batches(self, env):
-        vec = vectorized_enabled()
-        batch_left_keys = self._batch_left_keys if vec else None
-        batch_right_keys = self._batch_right_keys if vec else None
+        left_keys, right_keys = self._left_keys, self._right_keys
         residual = self._residual
         check = getattr(env, "check", None)
         size = batch_size()
@@ -417,7 +349,7 @@ class HashJoin(Operator):
             for batch in self.children[0].batches(env):
                 if check is not None:
                     check()
-                keys = _batch_join_keys(batch, env, batch_left_keys, self._left_keys)
+                keys = _key_tuples(batch, env, left_keys)
                 for lrow, key in zip(batch.to_rows(), keys):
                     if any(part is None for part in key):
                         continue
@@ -425,7 +357,7 @@ class HashJoin(Operator):
             for batch in self.children[1].batches(env):
                 if check is not None:
                     check()
-                keys = _batch_join_keys(batch, env, batch_right_keys, self._right_keys)
+                keys = _key_tuples(batch, env, right_keys)
                 for rrow, key in zip(batch.to_rows(), keys):
                     if any(part is None for part in key):
                         continue
@@ -443,7 +375,7 @@ class HashJoin(Operator):
         for batch in self.children[1].batches(env):
             if check is not None:
                 check()
-            keys = _batch_join_keys(batch, env, batch_right_keys, self._right_keys)
+            keys = _key_tuples(batch, env, right_keys)
             for rrow, key in zip(batch.to_rows(), keys):
                 if any(part is None for part in key):
                     continue
@@ -453,7 +385,7 @@ class HashJoin(Operator):
         for batch in self.children[0].batches(env):
             if check is not None:
                 check()
-            keys = _batch_join_keys(batch, env, batch_left_keys, self._left_keys)
+            keys = _key_tuples(batch, env, left_keys)
             for lrow, key in zip(batch.to_rows(), keys):
                 matched = False
                 if not any(part is None for part in key):
@@ -499,44 +431,32 @@ class MergeJoin(Operator):
     partition reconstruction uses the storage-level variant; this one backs
     SQL joins when both inputs are pre-sorted or small).
 
-    Keys are extracted once per input — chunk-wise when a batch key
-    expression is available — and the merge advances over the
-    precomputed key arrays run-at-a-time."""
+    Keys are extracted once per input, chunk-wise, and the merge advances
+    over the precomputed key arrays run-at-a-time."""
 
-    def __init__(self, left, right, left_key, right_key, residual=None,
-                 batch_left_key=None, batch_right_key=None):
+    def __init__(self, left, right, left_key, right_key, residual=None):
         self.children = (left, right)
         self._left_key = left_key
         self._right_key = right_key
-        self._batch_left_key = batch_left_key
-        self._batch_right_key = batch_right_key
         self._residual = residual
 
-    def _sorted_side(self, child, key_fn, batch_key_fn, env):
+    def _sorted_side(self, child, key_fn, env):
         """(rows, normalized keys) for one input, sorted by key (stable,
-        NULLs last — identical order to sorting rows by the key fn)."""
+        NULLs last)."""
         rows: List[tuple] = []
         keys: List[object] = []
         for batch in child.batches(env):
-            batch_rows = batch.to_rows()
-            if batch_key_fn is not None:
-                raw = batch_key_fn(batch, env)
-            else:
-                raw = [key_fn(row, env) for row in batch_rows]
-            keys.extend(_normalize_merge_key(key) for key in raw)
-            rows.extend(batch_rows)
+            keys.extend(map(_normalize_merge_key, key_fn(batch, env)))
+            rows.extend(batch.to_rows())
         order = sorted(range(len(rows)), key=lambda i: _SortToken(keys[i]))
         return [rows[i] for i in order], [keys[i] for i in order]
 
     def execute_batches(self, env):
-        vec = vectorized_enabled()
         left_rows, left_keys = self._sorted_side(
-            self.children[0], self._left_key,
-            self._batch_left_key if vec else None, env,
+            self.children[0], self._left_key, env
         )
         right_rows, right_keys = self._sorted_side(
-            self.children[1], self._right_key,
-            self._batch_right_key if vec else None, env,
+            self.children[1], self._right_key, env
         )
         residual = self._residual
         check = getattr(env, "check", None)
@@ -602,84 +522,38 @@ class MergeJoin(Operator):
 class Aggregate(Operator):
     """Hash aggregation.
 
-    ``key_exprs`` run on input rows; ``accumulators`` is a list of
-    (function_name, argument_expr, distinct).  Output rows are
-    ``group_key_values + aggregate_values``.  With planner-supplied
-    batch expressions, group keys and aggregate arguments are computed
+    ``key_exprs`` run on input batches; ``accumulators`` is a list of
+    (function_name, argument_expr, distinct), with :func:`count_star` as
+    the argument of ``count(*)``.  Output rows are ``group_key_values +
+    aggregate_values``.  Group keys and aggregate arguments are computed
     chunk-wise; the group-state update itself stays per-row."""
 
-    def __init__(self, child, key_exprs, accumulators, global_agg=False,
-                 batch_keys=None, batch_args=None):
+    def __init__(self, child, key_exprs, accumulators, global_agg=False):
         self.children = (child,)
         self._key_exprs = key_exprs
         self._accumulators = accumulators
-        self._batch_keys = batch_keys
-        self._batch_args = batch_args
         self._global_agg = global_agg
 
     def execute_batches(self, env):
         groups = {}
         key_exprs = self._key_exprs
         specs = self._accumulators
-        vec = vectorized_enabled() and self._batch_keys is not None
-        if vec:
-            check = getattr(env, "check", None)
-            batch_args = self._batch_args or [None] * len(specs)
-            for batch in self.children[0].batches(env):
-                if check is not None:
-                    check()
-                rows = None
-                key_columns = []
-                for batch_fn, row_fn in zip(self._batch_keys, key_exprs):
-                    if batch_fn is not None:
-                        key_columns.append(batch_fn(batch, env))
-                    else:
-                        if rows is None:
-                            rows = batch.to_rows()
-                        key_columns.append([row_fn(row, env) for row in rows])
-                arg_columns = []
-                for batch_fn, (_func, arg, _distinct) in zip(batch_args, specs):
-                    if arg is None:
-                        arg_columns.append(None)
-                    elif batch_fn is not None:
-                        arg_columns.append(batch_fn(batch, env))
-                    else:
-                        if rows is None:
-                            rows = batch.to_rows()
-                        arg_columns.append([arg(row, env) for row in rows])
-                length = batch.length
-                if key_columns:
-                    keys = list(zip(*key_columns))
-                else:
-                    keys = [()] * length
-                for pos in range(length):
-                    key = keys[pos]
-                    state = groups.get(key)
-                    if state is None:
-                        state = [
-                            _AggState(func, distinct)
-                            for func, _arg, distinct in specs
-                        ]
-                        groups[key] = state
-                    for acc, column in zip(state, arg_columns):
-                        acc.add(column[pos] if column is not None else 1)
-        else:
-            guard = getattr(env, "guard_iter", None)
-            for batch in self.children[0].batches(env):
-                rows = batch.to_rows()
-                if guard is not None:
-                    rows = guard(rows)
-                for row in rows:
-                    key = tuple(k(row, env) for k in key_exprs)
-                    state = groups.get(key)
-                    if state is None:
-                        state = [
-                            _AggState(func, distinct)
-                            for func, _arg, distinct in specs
-                        ]
-                        groups[key] = state
-                    for acc, (func, arg, _distinct) in zip(state, specs):
-                        acc.add(arg(row, env) if arg is not None else 1)
+        check = getattr(env, "check", None)
+        for batch in self.children[0].batches(env):
+            if check is not None:
+                check()
+            keys = _key_tuples(batch, env, key_exprs)
+            arg_columns = [arg(batch, env) for _func, arg, _distinct in specs]
+            for pos, key in enumerate(keys):
+                state = groups.get(key)
+                if state is None:
+                    state = [
+                        _AggState(func, distinct)
+                        for func, _arg, distinct in specs
+                    ]
+                    groups[key] = state
+                for acc, column in zip(state, arg_columns):
+                    acc.add(column[pos])
         if not groups and self._global_agg:
             state = [_AggState(func, distinct) for func, _arg, distinct in specs]
             groups[()] = state
@@ -731,11 +605,10 @@ class _AggState:
 
 
 class Sort(Operator):
-    def __init__(self, child, key_fns, descending_flags, batch_keys=None):
+    def __init__(self, child, key_fns, descending_flags):
         self.children = (child,)
         self._key_fns = key_fns
         self._descending = descending_flags
-        self._batch_keys = batch_keys
 
     def execute_batches(self, env):
         out = rows_from_batches(self.children[0].batches(env))
@@ -744,27 +617,20 @@ class Sort(Operator):
         # stable multi-key sort: apply keys right-to-left; key extraction is
         # the long part, so poll the context once per key pass
         check = getattr(env, "check", None)
-        batch_keys = self._batch_keys if vectorized_enabled() else None
-        if batch_keys is not None and all(k is not None for k in batch_keys):
-            holder = Batch.from_rows(out)
-            for batch_fn, descending in reversed(
-                list(zip(batch_keys, self._descending))
-            ):
-                if check is not None:
-                    check()
-                keys = batch_fn(holder, env)
-                order = sorted(
-                    range(holder.length),
-                    key=lambda i: _SortToken(keys[i]),
-                    reverse=descending,
-                )
-                holder = holder.take(order)
-            return [holder]
-        for key_fn, descending in reversed(list(zip(self._key_fns, self._descending))):
+        holder = Batch.from_rows(out)
+        for key_fn, descending in reversed(
+            list(zip(self._key_fns, self._descending))
+        ):
             if check is not None:
                 check()
-            out.sort(key=lambda r: _sort_token(key_fn(r, env)), reverse=descending)
-        return [Batch.from_rows(out)]
+            keys = key_fn(holder, env)
+            order = sorted(
+                range(holder.length),
+                key=lambda i: _SortToken(keys[i]),
+                reverse=descending,
+            )
+            holder = holder.take(order)
+        return [holder]
 
     def label(self):
         return f"Sort(keys={len(self._key_fns)})"
@@ -864,52 +730,27 @@ class TemporalAggregate(Operator):
     """
 
     def __init__(self, child, begin_fn, end_fn, accumulators,
-                 batch_begin=None, batch_end=None, batch_args=None,
                  period="system_time"):
         self.children = (child,)
         self._begin_fn = begin_fn
         self._end_fn = end_fn
         self._accumulators = accumulators
-        self._batch_begin = batch_begin
-        self._batch_end = batch_end
-        self._batch_args = batch_args
         self._period = period
 
     def _collect(self, env):
         """(begins, ends, per-accumulator argument columns) over the input."""
         check = getattr(env, "check", None)
-        vec = vectorized_enabled()
         specs = self._accumulators
-        batch_args = self._batch_args or [None] * len(specs)
         begins: List[object] = []
         ends: List[object] = []
         values: List[list] = [[] for _ in specs]
         for batch in self.children[0].batches(env):
             if check is not None:
                 check()
-            rows = None
-            if vec and self._batch_begin is not None:
-                begins.extend(self._batch_begin(batch, env))
-            else:
-                rows = batch.to_rows()
-                begins.extend(self._begin_fn(row, env) for row in rows)
-            if vec and self._batch_end is not None:
-                ends.extend(self._batch_end(batch, env))
-            else:
-                if rows is None:
-                    rows = batch.to_rows()
-                ends.extend(self._end_fn(row, env) for row in rows)
-            for slot, batch_fn, (_func, arg, _distinct) in zip(
-                values, batch_args, specs
-            ):
-                if arg is None:
-                    slot.extend([1] * batch.length)
-                elif vec and batch_fn is not None:
-                    slot.extend(batch_fn(batch, env))
-                else:
-                    if rows is None:
-                        rows = batch.to_rows()
-                    slot.extend(arg(row, env) for row in rows)
+            begins.extend(self._begin_fn(batch, env))
+            ends.extend(self._end_fn(batch, env))
+            for slot, (_func, arg, _distinct) in zip(values, specs):
+                slot.extend(arg(batch, env))
         return begins, ends, values
 
     def execute_batches(self, env):
@@ -1035,15 +876,13 @@ class TemporalAlignJoin(Operator):
         for batch in child.batches(env):
             if check is not None:
                 check()
-            for row in batch.to_rows():
-                key = _normalize_merge_key(
-                    tuple(fn(row, env) for fn in key_fns)
-                )
-                if key is None:
-                    continue
-                b = begin_fn(row, env)
-                e = end_fn(row, env)
-                if b is None or b != b or e is None or e != e:
+            for key, b, e, row in zip(
+                map(_normalize_merge_key, _key_tuples(batch, env, key_fns)),
+                begin_fn(batch, env),
+                end_fn(batch, env),
+                batch.to_rows(),
+            ):
+                if key is None or b is None or b != b or e is None or e != e:
                     continue
                 entries.append((key, b, e, row))
         return entries

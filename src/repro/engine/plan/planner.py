@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from ..batch import batches_from_rows, vectorized_enabled
+from ..batch import Batch, batches_from_rows
 from ..catalog import TableSchema
 from ..errors import NotSupportedError, PlanError, ProgrammingError
 from ..expr import Env, Scope, compile_batch_expr, compile_expr, expr_to_string
@@ -333,12 +333,10 @@ class Planner:
             )
             pre_op.est_rows = agg_est
             if rewritten_having is not None:
-                predicate = self._compile(rewritten_having, pre_scope)
                 pre_op = ops.Filter(
                     pre_op,
-                    predicate,
+                    self._compile_batch(rewritten_having, pre_scope),
                     "Filter(having)",
-                    batch_predicate=self._compile_batch(rewritten_having, pre_scope),
                 )
                 pre_op.est_rows = agg_est
             items = rewritten_items
@@ -347,23 +345,17 @@ class Planner:
             pre_op, pre_scope = source_op, scope
             order_rewrite = None
             if select.having is not None:
-                predicate = self._compile(select.having, pre_scope)
                 pre_op = ops.Filter(
                     pre_op,
-                    predicate,
+                    self._compile_batch(select.having, pre_scope),
                     "Filter(having)",
-                    batch_predicate=self._compile_batch(select.having, pre_scope),
                 )
 
         # projection / distinct / order / limit ------------------------------
         out_names = self._output_names(original_items)
-        item_fns = [self._compile(item.expr, pre_scope) for item in items]
         final = _Finalize(
             pre_op,
-            item_fns,
-            batch_item_fns=[
-                self._compile_batch(item.expr, pre_scope) for item in items
-            ],
+            [self._compile_batch(item.expr, pre_scope) for item in items],
             distinct=select.distinct,
             sort_specs=self._sort_specs(
                 select.order_by, items, out_names, pre_scope, order_rewrite
@@ -408,12 +400,10 @@ class Planner:
         if isinstance(node, LogicalFilter):
             relation = self._lower_relation(node.child, outer_scope, referenced)
             scope = Scope(relation.layout, outer=outer_scope)
-            predicate = self._compile(node.predicate, scope)
             filter_op = ops.Filter(
                 relation.op,
-                predicate,
+                self._compile_batch(node.predicate, scope),
                 f"Filter({node.label})",
-                batch_predicate=self._compile_batch(node.predicate, scope),
             )
             filter_op.est_rows = relation.est_rows
             return _Relation(
@@ -549,13 +539,10 @@ class Planner:
         if pushed:
             # the access node shows the pre-filter partition estimate
             op.est_rows = max(1, raw_est)
-            pushed_expr = conjoin(pushed)
-            predicate = self._compile(pushed_expr, scope)
             op = ops.Filter(
                 op,
-                predicate,
+                self._compile_batch(conjoin(pushed), scope),
                 f"Filter({binding})",
-                batch_predicate=self._compile_batch(pushed_expr, scope),
             )
         op.est_rows = est
         return _Relation(op, layout, {binding}, est, stats_backed=stats_backed)
@@ -574,14 +561,11 @@ class Planner:
         combined_scope = Scope(combined_layout, outer=outer_scope)
 
         left_keys, right_keys, residual = [], [], []
-        batch_left_keys, batch_right_keys = [], []
         for conjunct in conjuncts:
             pair = self._equi_key(conjunct, left_scope, right_scope)
             if pair is not None:
                 left_keys.append(pair[0])
                 right_keys.append(pair[1])
-                batch_left_keys.append(pair[2])
-                batch_right_keys.append(pair[3])
             else:
                 residual.append(conjunct)
         residual_fn = (
@@ -605,8 +589,6 @@ class Planner:
                 kind=kind,
                 right_width=len(right.layout),
                 build_side=build_side,
-                batch_left_keys=batch_left_keys,
-                batch_right_keys=batch_right_keys,
             )
         elif residual_fn is not None or kind == "left":
             op = ops.NestedLoopJoin(
@@ -628,24 +610,11 @@ class Planner:
     ) -> _Relation:
         child = self._lower_relation(node.child, outer_scope, referenced)
         scope = Scope(child.layout, outer=outer_scope)
-        accumulators = []
-        batch_args = []
-        for agg in node.aggregates:
-            arg_fn = self._compile(agg.arg, scope) if agg.arg is not None else None
-            accumulators.append((agg.func, arg_fn, agg.distinct))
-            batch_args.append(
-                self._compile_batch(agg.arg, scope)
-                if agg.arg is not None
-                else None
-            )
         op = ops.TemporalAggregate(
             child.op,
-            self._compile(node.begin, scope),
-            self._compile(node.end, scope),
-            accumulators,
-            batch_begin=self._compile_batch(node.begin, scope),
-            batch_end=self._compile_batch(node.end, scope),
-            batch_args=batch_args,
+            self._compile_batch(node.begin, scope),
+            self._compile_batch(node.end, scope),
+            self._accumulators(node.aggregates, scope),
             period=node.period,
         )
         est = node.est_hint or int(
@@ -683,10 +652,10 @@ class Planner:
             right.op,
             left_keys,
             right_keys,
-            self._compile(left_begin, left_scope),
-            self._compile(left_end, left_scope),
-            self._compile(right_begin, right_scope),
-            self._compile(right_end, right_scope),
+            self._compile_batch(left_begin, left_scope),
+            self._compile_batch(left_end, left_scope),
+            self._compile_batch(right_begin, right_scope),
+            self._compile_batch(right_end, right_scope),
             period=node.period,
         )
         est = node.est_hint or int(
@@ -710,27 +679,19 @@ class Planner:
         )
 
     def _equi_key(self, conjunct, left_scope, right_scope):
-        """If *conjunct* is ``left_col = right_col`` across the two sides,
-        return compiled key extractors (left_fn, right_fn, batch_left_fn,
-        batch_right_fn) — the batch variants are None when the key
-        expression is not vectorizable."""
+        """If *conjunct* is ``left_expr = right_expr`` with each side
+        resolving against one input alone, return the compiled batch key
+        extractors (left_fn, right_fn)."""
         if not (isinstance(conjunct, ast.Binary) and conjunct.op == "="):
             return None
         for first, second in ((conjunct.left, conjunct.right), (conjunct.right, conjunct.left)):
             try:
-                left_fn = compile_expr(first, Scope(left_scope.layout))
+                return (
+                    compile_batch_expr(first, Scope(left_scope.layout)),
+                    compile_batch_expr(second, Scope(right_scope.layout)),
+                )
             except ProgrammingError:
                 continue
-            try:
-                right_fn = compile_expr(second, Scope(right_scope.layout))
-            except ProgrammingError:
-                continue
-            return (
-                left_fn,
-                right_fn,
-                compile_batch_expr(first, Scope(left_scope.layout)),
-                compile_batch_expr(second, Scope(right_scope.layout)),
-            )
         return None
 
     # -- temporal resolution ----------------------------------------------------
@@ -861,7 +822,7 @@ class Planner:
 
     def _plan_aggregation(self, select, items, source_op, scope, outer_scope):
         group_keys = list(select.group_by)
-        key_fns = [self._compile(expr, scope) for expr in group_keys]
+        key_fns = [self._compile_batch(expr, scope) for expr in group_keys]
         key_ids = [_expr_key(expr, scope) for expr in group_keys]
 
         aggregates: List[ast.Aggregate] = []
@@ -892,30 +853,30 @@ class Planner:
         ]
         rewritten_having = rewrite(select.having) if select.having is not None else None
 
-        accumulators = []
-        batch_args = []
-        for agg in aggregates:
-            arg_fn = (
-                self._compile(agg.arg, scope) if agg.arg is not None else None
-            )
-            accumulators.append((agg.func, arg_fn, agg.distinct))
-            batch_args.append(
-                self._compile_batch(agg.arg, scope) if agg.arg is not None else None
-            )
-
         agg_op = ops.Aggregate(
             source_op,
             key_fns,
-            accumulators,
+            self._accumulators(aggregates, scope),
             global_agg=not group_keys,
-            batch_keys=[self._compile_batch(expr, scope) for expr in group_keys],
-            batch_args=batch_args,
         )
         post_layout = [("__agg", f"__g{i}") for i in range(len(group_keys))] + [
             ("__agg", f"__a{i}") for i in range(len(aggregates))
         ]
         post_scope = Scope(post_layout, outer=outer_scope)
         return agg_op, post_scope, rewritten_items, rewritten_having, rewrite
+
+    def _accumulators(self, aggregates, scope):
+        """(function, batch argument expr, distinct) per aggregate call."""
+        return [
+            (
+                agg.func,
+                self._compile_batch(agg.arg, scope)
+                if agg.arg is not None
+                else ops.count_star,
+                agg.distinct,
+            )
+            for agg in aggregates
+        ]
 
     # -- projection / ordering ------------------------------------------------------
 
@@ -946,7 +907,7 @@ class Planner:
         return names
 
     def _sort_specs(self, order_by, items, out_names, pre_scope, order_rewrite):
-        """Each spec is ('out', slot, desc) or ('pre', fn, desc)."""
+        """Each spec is ('out', slot, desc) or ('pre', batch fn, desc)."""
         specs = []
         for order_item in order_by:
             expr = order_item.expr
@@ -961,13 +922,12 @@ class Planner:
                 specs.append(("out", out_names.index(expr.name), desc))
                 continue
             target = order_rewrite(expr) if order_rewrite is not None else expr
-            fn = self._compile(target, pre_scope)
+            fn = self._compile_batch(target, pre_scope)
             specs.append(("pre", fn, desc))
         return specs
 
     def _order_on_output(self, op, order_by, out_names, outer_scope):
         key_fns = []
-        batch_keys = []
         descending = []
         for order_item in order_by:
             expr = order_item.expr
@@ -979,10 +939,9 @@ class Planner:
                 raise ProgrammingError(
                     "ORDER BY after UNION must reference output columns"
                 )
-            key_fns.append(lambda row, env, s=slot: row[s])
-            batch_keys.append(lambda batch, env, s=slot: batch.column(s))
+            key_fns.append(lambda batch, env, s=slot: batch.column(s))
             descending.append(not order_item.ascending)
-        return ops.Sort(op, key_fns, descending, batch_keys=batch_keys)
+        return ops.Sort(op, key_fns, descending)
 
     def _apply_limit(self, op, select, outer_scope):
         if select.limit is None:
@@ -998,16 +957,12 @@ class Planner:
     # -- expression compilation with subquery support ------------------------------
 
     def _compile(self, expr, scope):
-        if expr is None:
-            return None
+        """Scalar form: join residuals (per candidate pair), LIMIT/OFFSET
+        (per statement)."""
         return compile_expr(expr, scope, self._subquery_compiler)
 
     def _compile_batch(self, expr, scope):
-        """Chunk-wise variant of :meth:`_compile`; None when *expr* is
-        not vectorizable (subqueries, CASE) — callers then keep the
-        per-row closure as the fallback path."""
-        if expr is None:
-            return None
+        """Batch form: everything evaluated once per input row."""
         return compile_batch_expr(expr, scope, self._subquery_compiler)
 
     def _subquery_compiler(self, select: ast.Select, scope: Scope):
@@ -1048,15 +1003,12 @@ class _Finalize(ops.Operator):
     a sort spec needs them) so ORDER BY can reference either the
     projected output (aliases, positions) or the pre-projection row
     (arbitrary expressions), as SQL requires.  Projection runs
-    chunk-wise per output column when the planner could vectorize the
-    item expression, per-row otherwise.
+    chunk-wise, one output column per item expression.
     """
 
-    def __init__(self, child, item_fns, distinct, sort_specs, limit_fn, offset_fn,
-                 batch_item_fns=None):
+    def __init__(self, child, item_fns, distinct, sort_specs, limit_fn, offset_fn):
         self.children = (child,)
         self._item_fns = item_fns
-        self._batch_item_fns = batch_item_fns
         self._distinct = distinct
         self._sort_specs = sort_specs
         self._limit_fn = limit_fn
@@ -1068,32 +1020,12 @@ class _Finalize(ops.Operator):
         need_pre = any(spec[0] == "pre" for spec in self._sort_specs)
         pre_rows: List[tuple] = []
         out_rows: List[tuple] = []
-        if vectorized_enabled() and self._batch_item_fns is not None:
-            for batch in self.children[0].batches(env):
-                if check is not None:
-                    check()
-                columns = []
-                rows = None
-                for batch_fn, row_fn in zip(self._batch_item_fns, item_fns):
-                    if batch_fn is not None:
-                        columns.append(batch_fn(batch, env))
-                    else:  # per-row fallback for this output column only
-                        if rows is None:
-                            rows = batch.to_rows()
-                        columns.append([row_fn(row, env) for row in rows])
-                out_rows.extend(zip(*columns))
-                if need_pre:
-                    pre_rows.extend(batch.to_rows())
-        else:
-            guard = getattr(env, "guard_iter", None)
-            for batch in self.children[0].batches(env):
-                rows = batch.to_rows()
-                if guard is not None:
-                    rows = guard(rows)
-                for pre_row in rows:
-                    out_rows.append(tuple(fn(pre_row, env) for fn in item_fns))
-                    if need_pre:
-                        pre_rows.append(pre_row)
+        for batch in self.children[0].batches(env):
+            if check is not None:
+                check()
+            out_rows.extend(zip(*[fn(batch, env) for fn in item_fns]))
+            if need_pre:
+                pre_rows.extend(batch.to_rows())
         if self._distinct:
             seen = set()
             keep = []
@@ -1112,7 +1044,7 @@ class _Finalize(ops.Operator):
             if kind == "out":
                 keys = [row[key] for row in out_rows]
             else:
-                keys = [key(row, env) for row in pre_rows]
+                keys = key(Batch.from_rows(pre_rows), env)
             order = sorted(
                 range(len(out_rows)),
                 key=lambda i: ops._sort_token(keys[i]),

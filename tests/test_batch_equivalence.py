@@ -1,12 +1,12 @@
-"""Batch execution must be byte-identical to row-at-a-time execution.
+"""Batch execution must be byte-identical at every batch size.
 
-The equivalence oracle for the vectorized engine: every query result
-under chunked batch execution — at any batch size, vectorization on or
-off — must equal the reference produced with vectorization off at batch
-size 1, which reproduces the historical row-at-a-time engine exactly.
-Checked across all five architecture archetypes on a generated workload,
-plus operator-level cases for the sharp edges (NULL/NaN join keys,
-empty partitions, batch boundaries straddling group/sort runs).
+Every query result under chunked batch execution — at any batch size —
+must equal the reference produced at batch size 1, the degenerate
+row-at-a-time run.  Checked across all five architecture archetypes on a
+generated workload, plus operator-level cases for the sharp edges
+(NULL/NaN join keys, empty partitions, batch boundaries straddling
+group/sort runs).  That the batch form of an expression equals its
+scalar form is checked directly in ``tests/test_expr.py``.
 """
 
 import math
@@ -44,7 +44,7 @@ QUERIES = [
     # set operation
     "SELECT o_custkey FROM orders WHERE o_totalprice > 5000"
     " UNION SELECT c_custkey FROM customer ORDER BY 1",
-    # correlated subquery: the per-row fallback path
+    # correlated subquery: a lifted subtree inside a chunk-wise comparison
     "SELECT o_orderkey FROM orders o WHERE o_totalprice >"
     " (SELECT avg(o_totalprice) FROM orders i"
     "  WHERE i.o_custkey = o.o_custkey)"
@@ -66,13 +66,12 @@ def systems(tiny_workload):
 def test_queries_identical_across_batch_sizes(systems, name):
     system = systems[name]
     for sql in QUERIES:
-        with execution_config(size=1, vectorized=False):
+        with execution_config(size=1):
             reference = system.execute(sql).rows
-        for size in SIZES:
-            for vectorized in (True, False):
-                with execution_config(size=size, vectorized=vectorized):
-                    got = system.execute(sql).rows
-                assert got == reference, (name, sql, size, vectorized)
+        for size in SIZES[1:]:
+            with execution_config(size=size):
+                got = system.execute(sql).rows
+            assert got == reference, (name, sql, size)
 
 
 @pytest.mark.parametrize("name", list("ABCDE"))
@@ -80,9 +79,9 @@ def test_timeout_surface_is_config_independent(systems, name):
     # EXPLAIN ANALYZE actual row counts must not depend on the batch size
     system = systems[name]
     sql = "SELECT count(*) FROM orders FOR SYSTEM_TIME ALL"
-    with execution_config(size=1, vectorized=False):
+    with execution_config(size=1):
         reference = system.db.execute("EXPLAIN ANALYZE " + sql).rows
-    with execution_config(size=7, vectorized=True):
+    with execution_config(size=7):
         got = system.db.execute("EXPLAIN ANALYZE " + sql).rows
 
     def actuals(rows):
@@ -103,18 +102,17 @@ def _env():
 
 
 def col(i):
-    return lambda row, env: row[i]
+    return lambda batch, env: batch.column(i)
 
 
 def _variants(make_op):
-    """Rows of *make_op* under the reference config and every variant."""
-    with execution_config(size=1, vectorized=False):
+    """Rows of *make_op* at the reference size and every other size."""
+    with execution_config(size=1):
         reference = make_op().rows(_env())
     results = []
-    for size in SIZES:
-        for vectorized in (True, False):
-            with execution_config(size=size, vectorized=vectorized):
-                results.append(make_op().rows(_env()))
+    for size in SIZES[1:]:
+        with execution_config(size=size):
+            results.append(make_op().rows(_env()))
     return reference, results
 
 
@@ -141,8 +139,8 @@ class TestJoinKeyEdgeCases:
         ))
         # NULL keys match nothing; the 1-keys cross-match.  (A NaN key
         # that is the *same float object* on both sides does match —
-        # Python's dict identity shortcut — on the row path and the
-        # batch path alike, so equivalence still holds.)
+        # Python's dict identity shortcut — at every batch size alike,
+        # so equivalence still holds.)
         assert [r for r in _canon(reference) if r[0] == 1] == [
             (1, "a", 1, "x"), (1, "a", 1, "v"), (1, "e", 1, "x"), (1, "e", 1, "v")
         ]
@@ -174,11 +172,13 @@ class TestEmptyInputs:
     def test_empty_child_through_every_operator(self):
         empty = lambda: ops.Materialized([])
         makers = [
-            lambda: ops.Filter(empty(), lambda row, env: True),
+            lambda: ops.Filter(empty(), lambda batch, env: [True] * batch.length),
             lambda: ops.Project(empty(), [col(0)]),
             lambda: ops.Sort(empty(), [col(0)], [False]),
             lambda: ops.Distinct(empty()),
-            lambda: ops.Aggregate(empty(), [col(0)], [("count", None, False)]),
+            lambda: ops.Aggregate(
+                empty(), [col(0)], [("count", ops.count_star, False)]
+            ),
             lambda: ops.HashJoin(empty(), empty(), [col(0)], [col(0)]),
             lambda: ops.MergeJoin(empty(), empty(), col(0), col(0)),
             lambda: ops.Union(empty(), empty()),
@@ -192,7 +192,8 @@ class TestEmptyInputs:
 
     def test_global_aggregate_over_empty_input_yields_one_row(self):
         reference, results = _variants(lambda: ops.Aggregate(
-            ops.Materialized([]), [], [("count", None, False)], global_agg=True,
+            ops.Materialized([]), [], [("count", ops.count_star, False)],
+            global_agg=True,
         ))
         assert reference == [(0,)]
         for got in results:
@@ -211,10 +212,10 @@ class TestEmptyInputs:
             "SELECT * FROM empty_t FOR SYSTEM_TIME ALL",
             "SELECT count(*) FROM empty_t FOR SYSTEM_TIME ALL",
         ):
-            with execution_config(size=1, vectorized=False):
+            with execution_config(size=1):
                 reference = system.execute(sql).rows
-            for size in SIZES:
-                with execution_config(size=size, vectorized=True):
+            for size in SIZES[1:]:
+                with execution_config(size=size):
                     assert system.execute(sql).rows == reference
 
 
@@ -224,7 +225,6 @@ class TestSortStability:
         reference, results = _variants(lambda: ops.Sort(
             ops.Materialized(list(rows)),
             [col(0)], [False],
-            batch_keys=[lambda batch, env: batch.column(0)],
         ))
         assert reference == sorted(rows, key=lambda r: r[0])  # stable
         for got in results:

@@ -86,6 +86,21 @@ class TestNullHandling:
         self._seed(db)
         assert db.execute("SELECT count(*) FROM t WHERE a > 0").scalar() == 2
 
+    def test_mod_by_zero_is_null(self, db):
+        db.execute("INSERT INTO t (a, b) VALUES (4, 'x'), (0, 'y'), (NULL, 'z')")
+        result = db.execute("SELECT mod(7, a), 7 % a FROM t")
+        assert result.rows == [(3, 3), (None, None), (None, None)]
+
+    def test_timestamp_of_null_is_null(self, db):
+        self._seed(db)
+        result = db.execute("SELECT timestamp(a) FROM t")
+        assert result.rows == [(1,), (None,), (3,)]
+
+    def test_round_to_null_digits_is_null(self, db):
+        self._seed(db)
+        result = db.execute("SELECT round(2.567, a) FROM t")
+        assert result.rows == [(2.6,), (None,), (2.567,)]
+
 
 class TestCatalogErrors:
     def test_unknown_table(self, db):

@@ -29,7 +29,7 @@ def _env():
 
 
 def col(i):
-    return lambda row, env: row[i]
+    return lambda batch, env: batch.column(i)
 
 
 def rows_of(op):
@@ -105,7 +105,7 @@ class TestMergeJoinNullKeys:
     def test_composite_key_with_null_part_matches_nothing(self):
         left = [(1, 10, "a"), (1, None, "b"), (2, 20, "c")]
         right = [(1, 10, "x"), (None, 10, "y"), (2, 20, "z")]
-        key = lambda row, env: (row[0], row[1])
+        key = lambda batch, env: list(zip(batch.column(0), batch.column(1)))
         merge = ops.MergeJoin(
             ops.Materialized(left), ops.Materialized(right), key, key
         )

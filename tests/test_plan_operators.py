@@ -10,7 +10,7 @@ def _env():
 
 
 def col(i):
-    return lambda row, env: row[i]
+    return lambda batch, env: batch.column(i)
 
 
 def rows_of(op):
@@ -91,7 +91,7 @@ class TestAggregateOperator:
         op = ops.Aggregate(
             ops.Materialized(data),
             [col(0)],
-            [("count", None, False), ("sum", col(1), False), ("avg", col(1), False)],
+            [("count", ops.count_star, False), ("sum", col(1), False), ("avg", col(1), False)],
         )
         got = sorted(rows_of(op))
         assert got == [(1, 2, 30.0, 15.0), (2, 1, 5.0, 5.0)]
@@ -107,7 +107,7 @@ class TestAggregateOperator:
     def test_global_on_empty(self):
         op = ops.Aggregate(
             ops.Materialized([]), [],
-            [("count", None, False), ("min", col(0), False)],
+            [("count", ops.count_star, False), ("min", col(0), False)],
             global_agg=True,
         )
         assert rows_of(op) == [(0, None)]
@@ -158,14 +158,14 @@ class TestShapingOperators:
     def test_filter(self):
         op = ops.Filter(
             ops.Materialized([(1,), (2,), (3,)]),
-            lambda row, env: row[0] > 1,
+            lambda batch, env: [v > 1 for v in batch.column(0)],
         )
         assert rows_of(op) == [(2,), (3,)]
 
     def test_project(self):
         op = ops.Project(
             ops.Materialized([(1, 2)]),
-            [col(1), lambda row, env: row[0] * 10],
+            [col(1), lambda batch, env: [v * 10 for v in batch.column(0)]],
         )
         assert rows_of(op) == [(2, 10)]
 
@@ -174,7 +174,7 @@ class TestExplainTree:
     def test_nested_explain(self):
         op = ops.Filter(
             ops.Union(ops.Materialized([], "L"), ops.Materialized([], "R")),
-            lambda r, e: True,
+            lambda batch, env: [True] * batch.length,
             "Filter(test)",
         )
         text = op.explain()

@@ -70,9 +70,9 @@ has been broken (or nearly broken) by an innocent-looking edit before:
   shim — a stray list-returning override would silently bypass batch
   dispatch, per-operator metrics and the materialization-boundary copy.
   Loop-bearing ``execute_batches`` bodies must poll the
-  ``ExecutionContext`` (``check()`` at batch granularity, or
-  ``guard_iter`` on a row-at-a-time fallback), mirroring
-  **operator-guards** for the batch entrypoint.
+  ``ExecutionContext`` (``check()`` at batch granularity; ``guard_iter``
+  per outer row in the pair-at-a-time ``CrossJoin``/``NestedLoopJoin``),
+  mirroring **operator-guards** for the batch entrypoint.
 * **temporal-ops-catalogue** — while the engine ships the native temporal
   operators (``TemporalAggregate`` / ``TemporalAlignJoin`` under
   ``engine/plan``), ``docs/TEMPORAL_OPS.md`` must exist and document both
@@ -597,8 +597,8 @@ def check_batch_protocol(root: Path = REPO_ROOT) -> List[str]:
                 problems.append(
                     f"{path.relative_to(root)}:{node.lineno}: "
                     f"[batch-protocol] execute_batches() loops without "
-                    f"polling the ExecutionContext (check per batch or "
-                    f"guard_iter on the row fallback)"
+                    f"polling the ExecutionContext (check per batch, or "
+                    f"guard_iter per outer row of a pair-at-a-time join)"
                 )
     return problems
 
