@@ -60,13 +60,6 @@ class Scope:
             return (depth + 1, slot)
         raise ProgrammingError(f"unknown column {ref}")
 
-    def slots_for_binding(self, binding) -> List[Tuple[int, str]]:
-        return [
-            (slot, column)
-            for slot, (b, column) in enumerate(self.layout)
-            if b == binding
-        ]
-
     def __len__(self):
         return len(self.layout)
 
@@ -515,8 +508,15 @@ class _Compiler:
             kernel = _is_not_null if expr.negated else _is_null
             return form.apply(kernel, [child(expr.operand)])
         if isinstance(expr, ast.InList):
-            operands = [child(expr.operand)] + [child(i) for i in expr.items]
-            return self._negated_if(expr, form.apply(_in, operands))
+            operands, kernel = [child(expr.operand)], _in
+            if all(isinstance(item, ast.Literal) for item in expr.items):
+                # bound once per compiled expression; ``in`` stops at a match
+                listed = tuple(i.value for i in expr.items if i.value is not None)
+                miss = None if len(listed) < len(expr.items) else False
+                kernel = lambda value: None if value is None else value in listed or miss
+            else:
+                operands += [child(item) for item in expr.items]
+            return self._negated_if(expr, form.apply(kernel, operands))
         # The remaining nodes need the row itself, not just their operands'
         # values: CASE must leave untaken branches unevaluated, and a
         # subquery re-enters the executor with the outer row.  They compile

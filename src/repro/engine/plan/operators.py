@@ -3,12 +3,13 @@
 Every operator is a node with ``execute_batches(env) -> list[Batch]`` and
 an ``explain(indent)`` rendering.  Batches flow through the whole tree:
 scans hand over column-store slices without per-row tuple construction,
-filters apply chunk-wise selection masks, and projections build output
-columns chunk-wise.  Operators still materialise their full outputs —
-the engine is an analytics engine over in-memory partitions, and
-materialising keeps hash joins and sorts simple while preserving the
-*relative* costs the benchmark needs (scans linear in partition size,
-index probes logarithmic, extra joins visibly expensive).
+filters apply chunk-wise selection masks, projections build output
+columns chunk-wise, and the pipeline breakers work column-at-a-time
+(docs/EXECUTION.md, "Pipeline breakers").  Operators still materialise
+their full outputs — the engine is an analytics engine over in-memory
+partitions, and materialising keeps hash joins and sorts simple while
+preserving the *relative* costs the benchmark needs (scans linear in
+partition size, index probes logarithmic, extra joins visibly expensive).
 
 An operator takes one compiled function per expression.  What is
 evaluated once per *input row* — filter predicates, projection items,
@@ -19,23 +20,22 @@ keys — is a batch function ``fn(batch, env) -> list``
 *statement* (LIMIT/OFFSET) is a scalar ``fn(row, env)``
 (:func:`~repro.engine.expr.compile_expr`).
 
-``batches`` is a thin dispatcher: subclasses implement
-``execute_batches(env)``, and when the env is an
+``batches`` is a thin dispatcher: when the env is an
 :class:`~repro.engine.plan.context.ExecutionContext` the call routes
 through it, which enforces the cooperative deadline and records
-per-operator counters for ``EXPLAIN ANALYZE``.  With a plain ``Env`` the
-dispatcher adds one ``getattr`` and nothing else.  ``rows(env)`` /
-``execute(env)`` are the row-level boundary: they materialise the
-batches into one fresh ``list[tuple]`` for the session/DBAPI surface
-(and for tests that predate the batch protocol).
-
-Deadline polling happens at batch granularity inside batch loops; only
-the pair-at-a-time joins (``CrossJoin``, ``NestedLoopJoin``) poll per
-outer row through ``guard_iter``.
+per-operator counters for ``EXPLAIN ANALYZE``; a plain ``Env`` costs one
+``getattr``.  ``rows(env)`` / ``execute(env)`` are the row-level boundary:
+they materialise the batches into one fresh ``list[tuple]``.  Deadline
+polling happens per batch inside batch loops; only ``CrossJoin`` and
+``NestedLoopJoin`` poll per outer row through ``guard_iter``.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from functools import partial, reduce
+from itertools import chain, compress
+from operator import add, gt, lt
 from typing import Callable, List, Optional, Sequence
 
 from ..batch import Batch, batch_size, batches_from_rows, rows_from_batches
@@ -304,31 +304,36 @@ def count_star(batch, env):
     return [1] * batch.length
 
 
-def _key_tuples(batch, env, key_fns):
-    """One key tuple per row of *batch* (join, align and group keys)."""
-    if not key_fns:
-        return [()] * batch.length
-    return list(zip(*[fn(batch, env) for fn in key_fns]))
+def _row_keys(columns, length):
+    """One hashable key per row from its key *columns* (join, align and
+    group keys): a single column as it comes, several zipped into tuples."""
+    if len(columns) == 1:
+        return columns[0]
+    return list(zip(*columns)) if columns else [()] * length
+
+
+def _matchable(columns):
+    """Per row: is every value non-NULL and non-NaN?  Only such a key (or
+    period bound) can equal anything.  The test cannot be left to a dict:
+    a NaN key *is* found when both sides carry the same float object, as
+    self-joins over shared stored tuples do."""
+    flags = [v is not None and v == v for v in columns[0]]
+    for column in columns[1:]:
+        flags = [ok and v is not None and v == v for ok, v in zip(flags, column)]
+    return flags
 
 
 class HashJoin(Operator):
-    """Equi-join.  Builds the hash table on the right input by default;
-    cost-based planning may request ``build_side="left"`` for inner joins
-    when the left input is estimated cheaper (left joins always probe
-    from the left so every left row can surface).  Both build and probe
-    consume input batch-at-a-time, extracting key columns chunk-wise."""
+    """Equi-join: one build loop, one probe loop.  The keys are batch exprs
+    over their own side's layout, the ``residual`` a scalar expr over the
+    combined layout.  Builds on the right input unless cost-based planning
+    asks for ``build_side="left"`` (inner joins only: a left join probes
+    from the left so every left row can surface).  NULL/NaN keys are
+    dropped on the build side only — a key that was never inserted cannot
+    be hit, so the probe is a bare ``dict.get`` per row."""
 
-    def __init__(
-        self,
-        left,
-        right,
-        left_keys,   # batch exprs over the LEFT row layout
-        right_keys,  # batch exprs over the RIGHT row layout
-        residual=None,  # scalar expr over the combined layout
-        kind="inner",
-        right_width=0,
-        build_side="right",
-    ):
+    def __init__(self, left, right, left_keys, right_keys, residual=None,
+                 kind="inner", right_width=0, build_side="right"):
         self.children = (left, right)
         self._left_keys = left_keys
         self._right_keys = right_keys
@@ -338,92 +343,57 @@ class HashJoin(Operator):
         self._build_side = build_side if kind == "inner" else "right"
 
     def execute_batches(self, env):
-        left_keys, right_keys = self._left_keys, self._right_keys
-        residual = self._residual
         check = getattr(env, "check", None)
-        size = batch_size()
+        key_fns = (self._left_keys, self._right_keys)
+        build_left = self._build_side == "left"
+        build, probe = (0, 1) if build_left else (1, 0)
+        table = defaultdict(list)
+        for batch in self.children[build].batches(env):
+            if check is not None:
+                check()
+            columns = [fn(batch, env) for fn in key_fns[build]]
+            keyed = zip(_row_keys(columns, batch.length), batch.to_rows())
+            for key, row in compress(keyed, _matchable(columns)):
+                table[key].append(row)
+        lookup = table.get  # never inserts, unlike table[key]
+        residual = self._residual
+        left_join = self._kind == "left"
+        pad = (None,) * self._right_width
         out: List[Batch] = []
-        chunk: List[tuple] = []
-        if self._build_side == "left":
-            table = {}
-            for batch in self.children[0].batches(env):
-                if check is not None:
-                    check()
-                keys = _key_tuples(batch, env, left_keys)
-                for lrow, key in zip(batch.to_rows(), keys):
-                    if any(part is None for part in key):
-                        continue
-                    table.setdefault(key, []).append(lrow)
-            for batch in self.children[1].batches(env):
-                if check is not None:
-                    check()
-                keys = _key_tuples(batch, env, right_keys)
-                for rrow, key in zip(batch.to_rows(), keys):
-                    if any(part is None for part in key):
-                        continue
-                    for lrow in table.get(key, ()):
-                        combined = lrow + rrow
-                        if residual is None or residual(combined, env) is True:
-                            chunk.append(combined)
-                if len(chunk) >= size:
-                    out.append(Batch.from_rows(chunk))
-                    chunk = []
+        for batch in self.children[probe].batches(env):
+            if check is not None:
+                check()
+            keys = _row_keys([fn(batch, env) for fn in key_fns[probe]], batch.length)
+            chunk: List[tuple] = []
+            for row, bucket in zip(batch.to_rows(), map(lookup, keys)):
+                pairs = ()
+                if bucket is not None:
+                    if build_left:
+                        pairs = [other + row for other in bucket]
+                    else:
+                        pairs = [row + other for other in bucket]
+                    if residual is not None:
+                        pairs = [p for p in pairs if residual(p, env) is True]
+                    chunk.extend(pairs)
+                if left_join and not pairs:
+                    chunk.append(row + pad)
             if chunk:
                 out.append(Batch.from_rows(chunk))
-            return out
-        table = {}
-        for batch in self.children[1].batches(env):
-            if check is not None:
-                check()
-            keys = _key_tuples(batch, env, right_keys)
-            for rrow, key in zip(batch.to_rows(), keys):
-                if any(part is None for part in key):
-                    continue
-                table.setdefault(key, []).append(rrow)
-        pad = (None,) * self._right_width
-        left_join = self._kind == "left"
-        for batch in self.children[0].batches(env):
-            if check is not None:
-                check()
-            keys = _key_tuples(batch, env, left_keys)
-            for lrow, key in zip(batch.to_rows(), keys):
-                matched = False
-                if not any(part is None for part in key):
-                    for rrow in table.get(key, ()):
-                        combined = lrow + rrow
-                        if residual is None or residual(combined, env) is True:
-                            chunk.append(combined)
-                            matched = True
-                if left_join and not matched:
-                    chunk.append(lrow + pad)
-            if len(chunk) >= size:
-                out.append(Batch.from_rows(chunk))
-                chunk = []
-        if chunk:
-            out.append(Batch.from_rows(chunk))
         return out
 
     def label(self):
-        base = f"HashJoin({self._kind}, keys={len(self._left_keys)})"
-        if self._build_side == "left":
-            base = f"HashJoin({self._kind}, keys={len(self._left_keys)}, build=left)"
-        return base
+        side = ", build=left" if self._build_side == "left" else ""
+        return f"HashJoin({self._kind}, keys={len(self._left_keys)}{side})"
 
 
 def _normalize_merge_key(key):
-    """Join key with SQL NULL semantics: a NULL (or a composite key with
-    a NULL part) matches nothing, so it normalises to None — which also
-    keeps composite keys with NULL parts sortable.  NaN gets the same
-    treatment: compare_values ranks it "equal" to everything, so letting
-    it into a merge run would glue unrelated keys together."""
-    if key is None:
-        return None
-    if isinstance(key, tuple):
-        if any(part is None or part != part for part in key):
-            return None
-    elif key != key:  # NaN
-        return None
-    return key
+    """Join key with SQL NULL semantics: a NULL or NaN key (or a composite
+    key with such a part) matches nothing, so it normalises to None — which
+    also keeps composite keys with NULL parts sortable, and keeps NaN, which
+    compare_values ranks "equal" to everything, from gluing unrelated keys
+    into one merge run."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return key if all(_matchable([parts])) else None
 
 
 class MergeJoin(Operator):
@@ -520,13 +490,14 @@ class MergeJoin(Operator):
 
 
 class Aggregate(Operator):
-    """Hash aggregation.
+    """Hash aggregation over dense group slots.
 
     ``key_exprs`` run on input batches; ``accumulators`` is a list of
     (function_name, argument_expr, distinct), with :func:`count_star` as
     the argument of ``count(*)``.  Output rows are ``group_key_values +
-    aggregate_values``.  Group keys and aggregate arguments are computed
-    chunk-wise; the group-state update itself stays per-row."""
+    aggregate_values``, groups in first-seen order.  Each batch's keys map
+    to slot numbers and every :class:`_Accumulator` routes its argument
+    column there; without keys it folds the whole column at C level."""
 
     def __init__(self, child, key_exprs, accumulators, global_agg=False):
         self.children = (child,)
@@ -535,73 +506,132 @@ class Aggregate(Operator):
         self._global_agg = global_agg
 
     def execute_batches(self, env):
-        groups = {}
         key_exprs = self._key_exprs
         specs = self._accumulators
+        states = [
+            _Accumulator(func, distinct, slots=0 if key_exprs else 1)
+            for func, _arg, distinct in specs
+        ]
+        index: dict = {}  # group key -> slot
+        rows_in = 0
         check = getattr(env, "check", None)
         for batch in self.children[0].batches(env):
             if check is not None:
                 check()
-            keys = _key_tuples(batch, env, key_exprs)
-            arg_columns = [arg(batch, env) for _func, arg, _distinct in specs]
-            for pos, key in enumerate(keys):
-                state = groups.get(key)
-                if state is None:
-                    state = [
-                        _AggState(func, distinct)
-                        for func, _arg, distinct in specs
-                    ]
-                    groups[key] = state
-                for acc, column in zip(state, arg_columns):
-                    acc.add(column[pos])
-        if not groups and self._global_agg:
-            state = [_AggState(func, distinct) for func, _arg, distinct in specs]
-            groups[()] = state
-        out = [
-            key + tuple(acc.result() for acc in state)
-            for key, state in groups.items()
-        ]
-        return [Batch.from_rows(out)] if out else []
+            rows_in += batch.length
+            if key_exprs:
+                keys = _row_keys([fn(batch, env) for fn in key_exprs], batch.length)
+                slots = [index.setdefault(key, len(index)) for key in keys]
+                for state, (_func, arg, _distinct) in zip(states, specs):
+                    state.scatter(slots, arg(batch, env), len(index))
+            else:
+                for state, (_func, arg, distinct) in zip(states, specs):
+                    if arg is count_star and not distinct:
+                        state.counts[0] += batch.length
+                    else:
+                        state.fold(arg(batch, env))
+        groups = len(index) if key_exprs else int(rows_in > 0 or self._global_agg)
+        if not groups:
+            return []
+        columns = [state.results() for state in states]
+        if len(key_exprs) == 1:
+            columns.insert(0, list(index))
+        elif key_exprs:
+            columns[:0] = [list(column) for column in zip(*index)]
+        return [Batch.from_columns(columns, groups)]
 
     def label(self):
         funcs = ",".join(func for func, _a, _d in self._accumulators)
         return f"Aggregate(keys={len(self._key_exprs)}, [{funcs}])"
 
 
-class _AggState:
-    __slots__ = ("func", "distinct", "count", "total", "extreme", "seen")
+def _scatter_count(counts, values, slots, column):
+    for slot, value in zip(slots, column):
+        if value is not None:
+            counts[slot] += 1
 
-    def __init__(self, func, distinct):
+
+def _scatter_sum(counts, values, slots, column):
+    for slot, value in zip(slots, column):
+        if value is not None:
+            counts[slot] += 1
+            total = values[slot]
+            values[slot] = value if total is None else total + value
+
+
+def _scatter_best(better):
+    """The grouped min / max loop: like a left fold of ``min(a, b)`` it
+    keeps the first of equal values, and a leading NaN."""
+    def scatter(counts, values, slots, column):
+        for slot, value in zip(slots, column):
+            if value is not None:
+                best = values[slot]
+                if best is None or better(value, best):
+                    values[slot] = value
+    return scatter
+
+
+_sum_left = partial(reduce, add)
+#: function -> (C-level left fold over non-NULL values, per-slot loop)
+_REDUCERS = {
+    "count": (None, _scatter_count),
+    "sum": (_sum_left, _scatter_sum),
+    "avg": (_sum_left, _scatter_sum),
+    "min": (min, _scatter_best(lt)),
+    "max": (max, _scatter_best(gt)),
+}
+
+
+class _Accumulator:
+    """One aggregate call's state over dense group slots: ``counts[slot]``
+    non-NULL (DISTINCT: distinct) values seen, ``values[slot]`` the running
+    sum or extreme (None before the first value).  Every update is a strict
+    left fold carried across batches — never a per-batch partial sum, never
+    ``sum()`` — so floats are bit-identical at every batch size."""
+
+    __slots__ = ("func", "counts", "values", "_seen", "_fold", "_scatter")
+
+    def __init__(self, func, distinct, slots):
         self.func = func
-        self.distinct = distinct
-        self.count = 0
-        self.total = None
-        self.extreme = None
-        self.seen = set() if distinct else None
+        self.counts = [0] * slots
+        self.values = [None] * slots
+        self._seen = set() if distinct else None
+        self._fold, self._scatter = _REDUCERS[func]
 
-    def add(self, value):
-        if value is None:
-            return
-        if self.distinct:
-            if value in self.seen:
-                return
-            self.seen.add(value)
-        self.count += 1
-        if self.func in ("sum", "avg"):
-            self.total = value if self.total is None else self.total + value
-        elif self.func == "min":
-            self.extreme = value if self.extreme is None else min(self.extreme, value)
-        elif self.func == "max":
-            self.extreme = value if self.extreme is None else max(self.extreme, value)
+    def fold(self, column):
+        """Global form: reduce a whole argument column into slot 0."""
+        values = [v for v in column if v is not None] if column.count(None) else column
+        if self._seen is not None:
+            values = [v for v in dict.fromkeys(values) if v not in self._seen]
+            self._seen.update(values)
+        if values:
+            self.counts[0] += len(values)
+            if self._fold is not None:
+                running = self.values[0]
+                if running is not None:
+                    values = chain((running,), values)
+                self.values[0] = self._fold(values)
 
-    def result(self):
+    def scatter(self, slots, column, groups):
+        """Grouped form: route ``column[i]`` to slot ``slots[i]`` of the
+        *groups* handed out so far."""
+        grow = groups - len(self.counts)
+        self.counts.extend([0] * grow)
+        self.values.extend([None] * grow)
+        if self._seen is not None:
+            pairs = dict.fromkeys(zip(slots, column))
+            fresh = [pair for pair in pairs if pair not in self._seen]
+            self._seen.update(fresh)
+            slots, column = [s for s, _v in fresh], [v for _s, v in fresh]
+        self._scatter(self.counts, self.values, slots, column)
+
+    def results(self):
+        """The aggregate's value per slot."""
         if self.func == "count":
-            return self.count
-        if self.func == "sum":
-            return self.total
+            return self.counts
         if self.func == "avg":
-            return None if self.count == 0 else self.total / self.count
-        return self.extreme
+            return [t / n if n else None for t, n in zip(self.values, self.counts)]
+        return self.values
 
 
 class Sort(Operator):
@@ -669,22 +699,18 @@ class Limit(Operator):
         return "Limit"
 
 
+def _distinct_batches(batches):
+    """The distinct rows of *batches* in first-seen order, as batches."""
+    out = list(dict.fromkeys(rows_from_batches(batches)))
+    return [Batch.from_rows(out)] if out else []
+
+
 class Distinct(Operator):
     def __init__(self, child):
         self.children = (child,)
 
     def execute_batches(self, env):
-        seen = set()
-        out: List[tuple] = []
-        check = getattr(env, "check", None)
-        for batch in self.children[0].batches(env):
-            if check is not None:
-                check()
-            for row in batch.to_rows():
-                if row not in seen:
-                    seen.add(row)
-                    out.append(row)
-        return [Batch.from_rows(out)] if out else []
+        return _distinct_batches(self.children[0].batches(env))
 
 
 class Union(Operator):
@@ -695,19 +721,7 @@ class Union(Operator):
     def execute_batches(self, env):
         combined = list(self.children[0].batches(env))
         combined.extend(self.children[1].batches(env))
-        if self._all:
-            return combined
-        seen = set()
-        deduped: List[tuple] = []
-        check = getattr(env, "check", None)
-        for batch in combined:
-            if check is not None:
-                check()
-            for row in batch.to_rows():
-                if row not in seen:
-                    seen.add(row)
-                    deduped.append(row)
-        return [Batch.from_rows(deduped)] if deduped else []
+        return combined if self._all else _distinct_batches(combined)
 
     def label(self):
         return "UnionAll" if self._all else "Union"
@@ -760,25 +774,20 @@ class TemporalAggregate(Operator):
         # boundary set: every non-NULL/non-NaN endpoint of every version,
         # well-formed interval or not — the rewrite's derived table unions
         # both endpoint columns of the whole input
-        boundaries = {v for v in begins if v is not None and v == v}
-        boundaries.update(v for v in ends if v is not None and v == v)
+        boundaries = {v for v in chain(begins, ends) if v is not None and v == v}
         ordered = sorted(boundaries, key=_sort_token)
         # events: only well-formed intervals (begin < end, both non-NULL)
         # can satisfy begin <= t < end, so only they enter the active set
-        starts = []
-        stops = []
-        for idx in range(len(begins)):
+        starts, stops = [], []
+        for idx in compress(range(len(begins)), _matchable([begins, ends])):
             b, e = begins[idx], ends[idx]
-            if b is None or b != b or e is None or e != e:
-                continue
             try:
                 well_formed = b < e
             except TypeError:
                 continue
-            if not well_formed:
-                continue
-            starts.append((b, idx))
-            stops.append((e, idx))
+            if well_formed:
+                starts.append((b, idx))
+                stops.append((e, idx))
         starts.sort(key=lambda pair: _SortToken(pair[0]))
         stops.sort(key=lambda pair: _SortToken(pair[0]))
         fast_counts = None
@@ -819,13 +828,13 @@ class TemporalAggregate(Operator):
             else:
                 # re-accumulate in scan order: float sums then equal the
                 # rewrite's per-group accumulation bit for bit
-                states = [
-                    _AggState(func, distinct) for func, _arg, distinct in specs
-                ]
-                for idx in sorted(active):
-                    for acc, column in zip(states, values):
-                        acc.add(column[idx])
-                chunk.append((t,) + tuple(acc.result() for acc in states))
+                in_scan_order = sorted(active)
+                row = [t]
+                for (func, _arg, distinct), column in zip(specs, values):
+                    state = _Accumulator(func, distinct, slots=1)
+                    state.fold([column[idx] for idx in in_scan_order])
+                    row.append(state.results()[0])
+                chunk.append(tuple(row))
             if len(chunk) >= size:
                 out.append(Batch.from_rows(chunk))
                 chunk = []
@@ -850,8 +859,8 @@ class TemporalAlignJoin(Operator):
     ``left + right + (overlap_begin, overlap_end)`` with the intersected
     period appended.
 
-    NULL/NaN handling mirrors :func:`_normalize_merge_key` (the PR 5
-    MergeJoin NaN fix): a NULL or NaN equality key matches nothing, and a
+    NULL/NaN handling is :func:`_matchable` (the PR 5 MergeJoin NaN fix
+    family): a NULL or NaN equality key matches nothing, and a
     NULL/NaN period bound fails every overlap comparison, so such rows
     are dropped during collection instead of poisoning run detection.
     """
@@ -869,40 +878,31 @@ class TemporalAlignJoin(Operator):
         self._period = period
 
     def _collect(self, child, key_fns, begin_fn, end_fn, env):
-        """(key, begin, end, row) entries, dropping rows that can never
-        join (NULL/NaN key part or period bound)."""
+        """(key, begin, end, row) entries grouped by key, dropping rows that
+        can never join (NULL/NaN key part or period bound)."""
         check = getattr(env, "check", None)
-        entries = []
+        groups = defaultdict(list)
         for batch in child.batches(env):
             if check is not None:
                 check()
-            for key, b, e, row in zip(
-                map(_normalize_merge_key, _key_tuples(batch, env, key_fns)),
-                begin_fn(batch, env),
-                end_fn(batch, env),
-                batch.to_rows(),
-            ):
-                if key is None or b is None or b != b or e is None or e != e:
-                    continue
-                entries.append((key, b, e, row))
-        return entries
+            columns = [fn(batch, env) for fn in key_fns]
+            keys = _row_keys(columns, batch.length)
+            begins, ends = begin_fn(batch, env), end_fn(batch, env)
+            entries = zip(keys, begins, ends, batch.to_rows())
+            for entry in compress(entries, _matchable(columns + [begins, ends])):
+                groups[entry[0]].append(entry)
+        return groups
 
     def execute_batches(self, env):
         check = getattr(env, "check", None)
-        left = self._collect(
+        left_groups = self._collect(
             self.children[0], self._left_keys,
             self._left_begin, self._left_end, env,
         )
-        right = self._collect(
+        right_groups = self._collect(
             self.children[1], self._right_keys,
             self._right_begin, self._right_end, env,
         )
-        left_groups: dict = {}
-        for entry in left:
-            left_groups.setdefault(entry[0], []).append(entry)
-        right_groups: dict = {}
-        for entry in right:
-            right_groups.setdefault(entry[0], []).append(entry)
         size = batch_size()
         out: List[Batch] = []
         chunk: List[tuple] = []

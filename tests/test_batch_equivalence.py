@@ -137,10 +137,9 @@ class TestJoinKeyEdgeCases:
             ops.Materialized(list(self.RIGHT)),
             [col(0)], [col(0)], right_width=2,
         ))
-        # NULL keys match nothing; the 1-keys cross-match.  (A NaN key
-        # that is the *same float object* on both sides does match —
-        # Python's dict identity shortcut — at every batch size alike,
-        # so equivalence still holds.)
+        # NULL keys match nothing; the 1-keys cross-match.  (Neither does
+        # a NaN key, even as the *same float object* on both sides — see
+        # tests/test_plan_operators.py.)
         assert [r for r in _canon(reference) if r[0] == 1] == [
             (1, "a", 1, "x"), (1, "a", 1, "v"), (1, "e", 1, "x"), (1, "e", 1, "v")
         ]

@@ -88,6 +88,16 @@ class TestComparisonsAndLogic:
         assert evaluate("9 IN (1, 2, 3)") is False
         assert evaluate("9 NOT IN (1, 2, 3)") is True
         assert evaluate("9 IN (1, NULL)") is None
+        assert evaluate("1 IN (1, NULL)") is True
+        assert evaluate("NULL IN (1, 2)") is None
+        assert evaluate("9 NOT IN (1, NULL)") is None
+
+    def test_in_list_with_a_non_literal_item(self):
+        # only an all-literal list is bound at compile time
+        layout = [("t", "a"), ("t", "b")]
+        assert evaluate("a IN (1, b)", row=(3, 3), layout=layout) is True
+        assert evaluate("a IN (1, b)", row=(3, 4), layout=layout) is False
+        assert evaluate("a IN (1, b)", row=(3, None), layout=layout) is None
 
     def test_is_null(self):
         assert evaluate("NULL IS NULL") is True
