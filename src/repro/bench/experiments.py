@@ -63,10 +63,13 @@ def prepare_systems(
     under cost-based join ordering; pass ``analyze=False`` to benchmark
     the statistics-free greedy planner instead.
 
-    Databases built here are long-lived workload hosts, so the default
-    auto-ANALYZE threshold is armed *after* loading — bulk-load mutations
-    never trigger it, later DML churn re-freshens statistics
-    automatically (``repro_stat_tables.last_analyze`` shows it firing).
+    Analysed databases are long-lived workload hosts, so the default
+    auto-ANALYZE threshold is armed with the snapshot: once DML churn has
+    drifted a table that far, the next statement *planned* over it
+    refreshes its statistics (``repro_stat_tables.last_analyze`` shows
+    it); writes themselves never ANALYZE.  An ``analyze=False`` host
+    stays statistics-free for good — the threshold is left unarmed, or
+    its first planned statement would quietly make it cost-based.
     """
     from ..engine.database import DEFAULT_AUTO_ANALYZE_THRESHOLD
 
@@ -76,7 +79,7 @@ def prepare_systems(
         Loader(system, workload).load(batch_size=batch_size)
         if analyze:
             system.analyze()
-        system.db.auto_analyze_threshold = DEFAULT_AUTO_ANALYZE_THRESHOLD
+            system.db.auto_analyze_threshold = DEFAULT_AUTO_ANALYZE_THRESHOLD
         systems[name] = system
     return systems
 

@@ -822,8 +822,9 @@ def _drive_workload(args, telemetry: bool = True):
     ).generate()
     system = make_system(args.system)
     Loader(system, workload).load()
-    # long-lived CLI database: arm the default auto-ANALYZE threshold after
-    # the bulk load so later DML churn re-freshens statistics automatically
+    # long-lived CLI database: with the default auto-ANALYZE threshold
+    # armed, the first statement planned over a bulk-loaded (or since
+    # churned) table refreshes its statistics; writes never do
     system.db.auto_analyze_threshold = DEFAULT_AUTO_ANALYZE_THRESHOLD
     if telemetry:
         system.enable_telemetry()

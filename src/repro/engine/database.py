@@ -23,9 +23,10 @@ from .txn import TransactionManager
 from .types import END_OF_TIME, Period
 
 #: auto-ANALYZE mutation threshold armed by the CLI/bench entry points for
-#: long-lived databases (ROADMAP, PR 6 leftover).  Not the Database default:
-#: direct engine instantiations (tests, libraries) keep statistics strictly
-#: manual so no measurement pays a surprise ANALYZE mid-run.
+#: long-lived databases: the drift :meth:`Database.stats_for` tolerates
+#: before the statement being planned refreshes the table.  Not the Database
+#: default: direct engine instantiations (tests, libraries) keep statistics
+#: strictly manual so no measurement pays a surprise ANALYZE mid-run.
 DEFAULT_AUTO_ANALYZE_THRESHOLD = 256
 
 
@@ -92,8 +93,8 @@ class Database:
         self._tables: Dict[str, VersionedTable] = {}
         self._views: Dict[str, object] = {}  # name -> Select AST
         self._sql_engine = None  # created on first execute()
-        #: when set, a table is re-ANALYZEd automatically once this many
-        #: mutations accumulate since its last snapshot (None = manual only)
+        #: when set, planning over a table re-ANALYZEs it once this many
+        #: mutations accumulated since its last snapshot (None = manual only)
         self.auto_analyze_threshold: Optional[int] = None
 
     # -- DDL -------------------------------------------------------------
@@ -208,7 +209,6 @@ class Database:
             rid = temporal.temporal_insert(table, row, self._tick())
         else:
             rid = table.insert_version(row, sys_begin=None)
-        self._maybe_auto_analyze(table_name)
         return rid
 
     def insert_row_explicit(
@@ -237,17 +237,14 @@ class Database:
                 table.invalidate(rid, sys_end)
         if sys_begin is not None:
             self.txns.set_clock(max(self.txns.clock, sys_begin + 1))
-        self._maybe_auto_analyze(table_name)
         return rid
 
     def update_by_key(self, table_name, key, changes: Dict[str, object]) -> int:
         table = self.table(table_name)
         if table.is_versioned:
-            count = temporal.nontemporal_update(
+            return temporal.nontemporal_update(
                 table, tuple(key), changes, self._tick()
             )
-            self._maybe_auto_analyze(table_name)
-            return count
         count = 0
         schema = table.schema
         for rid, row in temporal.current_versions_for_key(table, tuple(key)):
@@ -256,26 +253,21 @@ class Database:
                 new_row[schema.position(column)] = value
             table.plain_update(rid, new_row)
             count += 1
-        self._maybe_auto_analyze(table_name)
         return count
 
     def sequenced_update_by_key(
         self, table_name, key, changes, period_name, begin, end
     ) -> int:
         table = self.table(table_name)
-        count = temporal.sequenced_update(
+        return temporal.sequenced_update(
             table, tuple(key), changes, period_name, Period(begin, end), self._tick()
         )
-        self._maybe_auto_analyze(table_name)
-        return count
 
     def sequenced_delete_by_key(self, table_name, key, period_name, begin, end) -> int:
         table = self.table(table_name)
-        count = temporal.sequenced_delete(
+        return temporal.sequenced_delete(
             table, tuple(key), period_name, Period(begin, end), self._tick()
         )
-        self._maybe_auto_analyze(table_name)
-        return count
 
     def delete_by_key(self, table_name, key) -> int:
         table = self.table(table_name)
@@ -286,33 +278,9 @@ class Database:
             for rid, _row in temporal.current_versions_for_key(table, tuple(key)):
                 table.plain_delete(rid)
                 count += 1
-        self._maybe_auto_analyze(table_name)
         return count
 
     # -- statistics -----------------------------------------------------------
-
-    def _maybe_auto_analyze(self, table_name) -> None:
-        """Re-ANALYZE *table_name* when its mutation count since the last
-        snapshot crosses ``auto_analyze_threshold`` (a table never analyzed
-        counts every mutation it has ever seen).
-
-        Called after every row-level DML entry point; a disabled threshold
-        (None) keeps statistics strictly manual, which is the default so
-        benchmark runs never pay a surprise ANALYZE mid-measurement.
-        """
-        threshold = self.auto_analyze_threshold
-        if threshold is None:
-            return
-        from . import stats as stats_mod
-
-        table = self._tables.get(table_name.lower())
-        if table is None:
-            return
-        snapshot = self.catalog.stats_of(table_name)
-        baseline = snapshot.mutation_marker if snapshot is not None else 0
-        if stats_mod.mutation_marker(table) - baseline >= threshold:
-            self.analyze(table_name)
-            self.metrics.inc("stats.auto_analyze_runs")
 
     def analyze(self, table_name: Optional[str] = None) -> List["stats_mod.TableStats"]:
         """Collect per-column statistics (the ``ANALYZE [TABLE]`` statement).
@@ -344,27 +312,38 @@ class Database:
     def stats_for(self, table_name: str):
         """Return the table's ANALYZE snapshot, or None when absent/stale.
 
-        A snapshot is stale when DDL moved the table's catalog version or
-        DML moved its storage mutation marker since collection; the
-        planner then falls back to the greedy pre-statistics heuristics.
+        The one door the planner reads statistics through, and the only
+        place ``auto_analyze_threshold`` is compared.  A snapshot is stale
+        when DDL moved the table's catalog version or DML moved its storage
+        mutation marker since collection.  With the threshold armed and the
+        marker drifted that far (a table never analyzed counts every
+        mutation it has ever seen) the statement being planned re-ANALYZEs
+        the table here and plans against the new snapshot; otherwise the
+        planner gets ``None`` and falls back to the greedy pre-statistics
+        heuristics.  Writes never collect statistics.
         """
         from . import stats as stats_mod
 
         self.metrics.inc("stats.lookups")
         snapshot = self.catalog.stats_of(table_name)
-        if snapshot is None:
-            self.metrics.inc("stats.misses")
-            return None
         table = self._tables.get(table_name.lower())
-        if (
-            table is None
-            or snapshot.catalog_version != self.catalog.version_of(table_name)
-            or snapshot.mutation_marker != stats_mod.mutation_marker(table)
-        ):
-            self.metrics.inc("stats.stale")
-            return None
-        self.metrics.inc("stats.hits")
-        return snapshot
+        if table is not None:
+            marker = stats_mod.mutation_marker(table)
+            if (
+                snapshot is not None
+                and snapshot.catalog_version == self.catalog.version_of(table_name)
+                and snapshot.mutation_marker == marker
+            ):
+                self.metrics.inc("stats.hits")
+                return snapshot
+            threshold = self.auto_analyze_threshold
+            baseline = snapshot.mutation_marker if snapshot is not None else 0
+            if threshold is not None and marker - baseline >= threshold:
+                (snapshot,) = self.analyze(table_name)
+                self.metrics.inc("stats.auto_analyze_runs")
+                return snapshot
+        self.metrics.inc("stats.misses" if snapshot is None else "stats.stale")
+        return None
 
     # -- SQL ------------------------------------------------------------------
 

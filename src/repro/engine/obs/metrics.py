@@ -36,7 +36,7 @@ COUNTERS: Dict[str, str] = {
     "stats.hits": "statistics lookups answered by a valid snapshot",
     "stats.misses": "statistics lookups for tables never analyzed",
     "stats.stale": "statistics lookups rejected because DDL/DML invalidated the snapshot",
-    "stats.auto_analyze_runs": "ANALYZE runs triggered by the mutation-count threshold",
+    "stats.auto_analyze_runs": "statistics lookups that re-ANALYZEd a table past the mutation-count threshold",
     "storage.current_scans": "full scans of a current (or single) partition",
     "storage.history_scans": "full scans of a history partition",
     "storage.current_rows_scanned": "live rows on the pages current-partition scans read",

@@ -16,7 +16,10 @@ plans are (PR 1): the ``ANALYZE`` run bumps the table's catalog version
 the snapshot records both that version and the table's mutation marker.
 DDL moves the catalog version, DML moves the mutation marker; either
 drift makes :meth:`Database.stats_for` report the snapshot as stale and
-the planner falls back to the pre-statistics greedy heuristics.
+the planner falls back to the pre-statistics greedy heuristics — unless
+``auto_analyze_threshold`` is armed and the marker drifted that far, in
+which case ``stats_for`` takes a new snapshot for the statement being
+planned.  Writes only ever move the marker; they never collect.
 
 This module sits beside the storage layer: it imports nothing from
 ``engine/sql`` or ``engine/plan`` so the cost model (:mod:`.plan.cost`)
@@ -25,8 +28,11 @@ can consume its dataclasses without dragging the parser in.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from math import inf, isfinite
+from typing import Dict, Optional, Sequence, Tuple
 
 #: number of equi-width buckets collected for numeric columns
 HISTOGRAM_BUCKETS = 16
@@ -116,34 +122,45 @@ def mutation_marker(table) -> int:
     return stats.inserts + stats.invalidations + stats.plain_writes
 
 
-def _column_stats(values: List[object], buckets: int) -> ColumnStats:
-    non_null = [v for v in values if v is not None]
-    nulls = len(values) - len(non_null)
+def _column_stats(values: Sequence[object], buckets: int) -> ColumnStats:
+    nulls = values.count(None)
+    non_null = [v for v in values if v is not None] if nulls else values
     distinct = set(non_null)
+    # NaN has no order and ±inf no bucket width: both count towards
+    # count/ndv but stay out of min/max and the histogram
+    ranked = non_null
+    try:
+        if not all(map(isfinite, distinct)):
+            ranked = [v for v in non_null if isfinite(v)]
+    except TypeError:
+        pass  # not a numeric column: nothing to exclude
     low = high = None
-    if non_null:
+    if ranked:
         try:
-            low = min(non_null)
-            high = max(non_null)
+            low, high = min(ranked), max(ranked)
         except TypeError:
-            low = high = None  # mixed types: no order statistics
+            pass  # mixed types: no order statistics
     histogram: Tuple[Tuple[float, float, int], ...] = ()
     numeric = (
-        low is not None
-        and isinstance(low, (int, float))
+        isinstance(low, (int, float))
         and isinstance(high, (int, float))
         and not isinstance(low, bool)
         and not isinstance(high, bool)
         and high > low
     )
-    if numeric:
-        width = (high - low) / buckets
-        counts = [0] * buckets
-        for value in non_null:
-            slot = min(buckets - 1, int((value - low) / width))
-            counts[slot] += 1
+    width = (high - low) / buckets if numeric else 0.0
+    if 0.0 < width < inf:  # a denormal or overflowing range has no buckets
+
+        def slot_of(value):
+            return int((value - low) / width)
+
+        # slot_of is monotone, so each bucket is a run of the sorted
+        # values; the last bucket takes every slot >= buckets - 1
+        ordered = sorted(ranked)
+        edges = [0, *(bisect_left(ordered, slot, key=slot_of)
+                      for slot in range(1, buckets)), len(ordered)]
         histogram = tuple(
-            (low + i * width, low + (i + 1) * width, counts[i])
+            (low + i * width, low + (i + 1) * width, edges[i + 1] - edges[i])
             for i in range(buckets)
         )
     return ColumnStats(
@@ -157,16 +174,16 @@ def _column_stats(values: List[object], buckets: int) -> ColumnStats:
 
 
 def collect_table_stats(table, buckets: int = HISTOGRAM_BUCKETS) -> TableStats:
-    """Scan every partition of *table* and compute its statistics."""
+    """Scan every partition of *table* and compute its statistics, one
+    transposed column at a time."""
     schema = table.schema
     column_names = schema.column_names()
     out = TableStats(table=schema.name)
     for name in table.partition_names():
         rows = [row for _rid, row in table.scan_partition(name, need_temporal=True)]
+        columns = zip(*rows) if rows else repeat((), len(column_names))
         part = PartitionStats(partition=name, row_count=len(rows))
-        for position, column in enumerate(column_names):
-            part.columns[column] = _column_stats(
-                [row[position] for row in rows], buckets
-            )
+        for column, values in zip(column_names, columns):
+            part.columns[column] = _column_stats(values, buckets)
         out.partitions[name] = part
     return out

@@ -9,11 +9,16 @@ from repro.bench.experiments import (
     fig07_tpch,
     fig16_loading,
     generate_workload,
+    join_ordering,
     prepare_systems,
     table1_scenario_mix,
     table2_operations,
 )
 from repro.bench.service import BenchmarkService
+from repro.core.queries import tpch
+from repro.engine.database import DEFAULT_AUTO_ANALYZE_THRESHOLD
+from repro.engine.plan.logical import scans_in_order
+from repro.engine.sql.parser import parse_statement
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +40,27 @@ def test_prepare_systems_loads_named_subset(micro):
     assert set(systems) == {"A", "B"}
     for system in systems.values():
         assert system.execute("SELECT count(*) FROM orders").scalar() > 0
+
+
+def test_statistics_free_host_is_unarmed_and_stays_greedy(micro):
+    # `repro bench joins --no-stats` is the cost-model A/B baseline: an
+    # armed threshold would make it cost-based at its first planned statement
+    workload, analysed, service = micro
+    for system in analysed.values():
+        assert system.db.auto_analyze_threshold == DEFAULT_AUTO_ANALYZE_THRESHOLD
+    systems = prepare_systems(workload, "A", analyze=False)
+    db = systems["A"].db
+    assert db.auto_analyze_threshold is None
+    join_ordering(systems, workload, service)
+    assert db.metrics.counter("stats.analyze_runs") == 0
+    assert db.metrics.counter("plan.cost_based_joins") == 0
+    assert db.metrics.counter("plan.greedy_joins") > 0
+    lookups = db.metrics.counter("stats.lookups")
+    assert db.metrics.counter("stats.misses") == lookups > 0  # all answered None
+    q3 = db._engine().planner.logical_plan(parse_statement(tpch.tpch_query(3, "sys")))
+    scans = scans_in_order(q3.relation)
+    assert len(scans) == 3
+    assert {scan.est_source for scan in scans} == {"heuristic"}
 
 
 def test_table_experiments_return_structure(micro):

@@ -412,12 +412,15 @@ class TestAutoAnalyzeArming:
         assert Database().auto_analyze_threshold is None
 
     def test_last_analyze_proves_the_trigger_fired(self, db):
-        db.auto_analyze_threshold = 8
-        _insert(db, 0, 8)  # crosses the threshold
-        assert db.metrics.counter("stats.auto_analyze_runs") >= 1
-        (row,) = db.execute(
+        view = (
             "SELECT last_analyze, stats_stale FROM repro_stat_tables "
             "WHERE table_name = 'item' AND partition = 'current'"
-        ).rows
+        )
+        db.auto_analyze_threshold = 8
+        _insert(db, 0, 8)  # crosses the threshold, but a write never fires it
+        assert db.execute(view).rows == [(None, None)]  # nor does the view
+        db.execute("SELECT count(*) FROM item")  # the first planned statement
+        assert db.metrics.counter("stats.auto_analyze_runs") == 1
+        (row,) = db.execute(view).rows
         assert row[0] is not None  # the view shows the auto snapshot
-        assert row[1] == 0  # taken after the triggering mutation: fresh
+        assert row[1] == 0  # taken by the statement that needed it: fresh

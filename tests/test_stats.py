@@ -6,10 +6,15 @@ counters — the cost model trusts ``Database.stats_for`` to never return
 a snapshot that no longer matches the table.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Database
 from repro.engine import stats as stats_mod
+from repro.engine.storage.versioned import StorageOptions
 
 
 @pytest.fixture
@@ -189,3 +194,162 @@ class TestModuleHelpers:
         before = stats_mod.mutation_marker(table)
         db.execute("INSERT INTO t (a) VALUES (900)")
         assert stats_mod.mutation_marker(table) == before + 1
+
+
+class TestNonFiniteValues:
+    """ANALYZE never raises on storable data: NaN has no order and an
+    infinity no bucket width, so both count towards ``count`` / ``ndv``
+    and stay out of ``min_value`` / ``max_value`` / ``histogram``."""
+
+    @staticmethod
+    def _analyzed(values):
+        db = Database()
+        db.execute("CREATE TABLE t (a integer NOT NULL, b double, PRIMARY KEY (a))")
+        db.execute("CREATE TABLE u (k integer NOT NULL, PRIMARY KEY (k))")
+        for a, b in enumerate(values):
+            db.execute("INSERT INTO t (a, b) VALUES (?, ?)", [a, 0.0])
+            db.update_by_key("t", (a,), {"b": b})  # raw: ints stay ints
+            db.execute("INSERT INTO u (k) VALUES (?)", [a])
+        db.analyze()
+        # the snapshot must also carry a planned join, not just exist
+        joined = db.execute("SELECT count(*) FROM t, u WHERE t.a = u.k AND u.k >= 0")
+        assert joined.rows == [(len(values),)]
+        assert db.metrics.counter("plan.cost_based_joins") == 1
+        return db.stats_for("t").column("single", "b")
+
+    @pytest.mark.parametrize("odd", [math.nan, math.inf, -math.inf])
+    def test_one_non_finite_value(self, odd):
+        col = self._analyzed([1.5, odd, 4.0])
+        assert (col.count, col.nulls, col.ndv) == (3, 0, 3)
+        assert (col.min_value, col.max_value) == (1.5, 4.0)
+        assert sum(count for _, _, count in col.histogram) == 2
+
+    def test_nan_first_does_not_poison_min_max(self):
+        col = self._analyzed([math.nan, 2.0, 1.0])
+        assert (col.min_value, col.max_value) == (1.0, 2.0)
+
+    def test_all_nan_column(self):
+        col = self._analyzed([math.nan, float("nan")])
+        assert (col.count, col.ndv) == (2, 2)
+        assert (col.min_value, col.max_value, col.histogram) == (None, None, ())
+
+    def test_mixed_int_and_float_column(self):
+        col = self._analyzed([3, 1.5, math.nan, None, 7])
+        assert (col.count, col.nulls, col.ndv) == (4, 1, 4)
+        assert (col.min_value, col.max_value) == (1.5, 7)
+        assert sum(count for _, _, count in col.histogram) == 3
+
+    @pytest.mark.parametrize("values", [[0.0, 5e-324], [-1.7e308, 1.7e308]])
+    def test_range_without_a_usable_bucket_width(self, values):
+        col = self._analyzed(values)  # width underflows to 0 / overflows to inf
+        assert (col.min_value, col.max_value) == tuple(values)
+        assert col.histogram == ()
+
+
+# -- the parent's row-at-a-time ANALYZE, kept here as the reference ----------
+
+
+def _reference_column_stats(values, buckets):
+    non_null = [v for v in values if v is not None]
+    nulls = len(values) - len(non_null)
+    distinct = set(non_null)
+    low = high = None
+    if non_null:
+        try:
+            low = min(non_null)
+            high = max(non_null)
+        except TypeError:
+            low = high = None  # mixed types: no order statistics
+    histogram = ()
+    numeric = (
+        low is not None
+        and isinstance(low, (int, float))
+        and isinstance(high, (int, float))
+        and not isinstance(low, bool)
+        and not isinstance(high, bool)
+        and high > low
+    )
+    if numeric:
+        width = (high - low) / buckets
+        counts = [0] * buckets
+        for value in non_null:
+            slot = min(buckets - 1, int((value - low) / width))
+            counts[slot] += 1
+        histogram = tuple(
+            (low + i * width, low + (i + 1) * width, counts[i])
+            for i in range(buckets)
+        )
+    return stats_mod.ColumnStats(
+        count=len(non_null), nulls=nulls, ndv=len(distinct),
+        min_value=low, max_value=high, histogram=histogram,
+    )
+
+
+def _reference_table_stats(table, buckets=stats_mod.HISTOGRAM_BUCKETS):
+    column_names = table.schema.column_names()
+    out = stats_mod.TableStats(table=table.schema.name)
+    for name in table.partition_names():
+        rows = [row for _rid, row in table.scan_partition(name, need_temporal=True)]
+        part = stats_mod.PartitionStats(partition=name, row_count=len(rows))
+        for position, column in enumerate(column_names):
+            part.columns[column] = _reference_column_stats(
+                [row[position] for row in rows], buckets
+            )
+        out.partitions[name] = part
+    return out
+
+
+# finite, and float32-wide so no bucket width under- or overflows: the
+# reference raises there (TestNonFiniteValues covers what the engine does)
+_FLOATS = st.floats(-1e6, 1e6, allow_nan=False, width=32)
+_INTS = st.integers(-2**40, 2**40)
+_STRINGS = st.text("abc", max_size=3)
+_COLUMNS = st.one_of(
+    *(
+        st.lists(st.one_of(st.none(), *kinds), max_size=40)
+        for kinds in (
+            [_INTS], [_FLOATS], [_STRINGS], [st.booleans()],
+            [_INTS, _FLOATS, st.booleans()],            # comparable mix
+            [_INTS, _FLOATS, _STRINGS, st.booleans()],  # no common order
+            [st.just(7)], [st.just(None)],              # constant / all NULL
+        )
+    )
+)
+_LAYOUTS = {
+    "row": StorageOptions(),
+    "row-single": StorageOptions(split_history=False),
+    "column": StorageOptions(store_kind="column"),
+    "vertical": StorageOptions(vertical_partition_current=True, undo_log=True,
+                               undo_drain_batch=4, record_metadata=True),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    layout=st.sampled_from(sorted(_LAYOUTS)),
+    xs=_COLUMNS,
+    ys=_COLUMNS,
+    closed=st.sets(st.integers(0, 39)),
+    merge_at=st.integers(0, 40),
+)
+def test_collect_table_stats_equals_row_at_a_time_reference(
+    layout, xs, ys, closed, merge_at
+):
+    db = Database(options=_LAYOUTS[layout])
+    db.execute(
+        "CREATE TABLE h (k integer NOT NULL, x integer, y integer,"
+        " sb timestamp, se timestamp,"
+        " PRIMARY KEY (k), PERIOD FOR system_time (sb, se))"
+    )
+    table = db.table("h")
+    rows = list(zip(xs, ys))  # the shorter column bounds the partition
+    for k, (x, y) in enumerate(rows):
+        if k == merge_at:
+            db.merge_all()  # column store: rows before here in main, after in delta
+        rid = table.insert_version([k, x, y, None, None], sys_begin=k + 1)
+        if k in closed:
+            table.invalidate(rid, k + 2)  # to history (or B's undo log)
+    expected = _reference_table_stats(table)
+    collected = stats_mod.collect_table_stats(table)
+    assert collected == expected
+    assert repr(collected) == repr(expected)
