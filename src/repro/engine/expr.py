@@ -1,9 +1,14 @@
 """Expression compilation and evaluation with SQL semantics.
 
-Expressions are compiled once per query into Python closures over a *scope*
-(which maps qualified column names to row slots).  Evaluation follows SQL's
-three-valued logic: comparisons involving NULL yield NULL, AND/OR use
-Kleene logic, and WHERE treats NULL as false.
+An expression tree compiles to **one generated Python function**: one walk
+over the AST emits one Python source expression, wrapped in the *spelling*
+the call site needs (docs/EXECUTION.md, "One generator, four spellings"):
+``batch`` — ``fn(batch, env) -> list`` of per-row values; ``scalar`` —
+``fn(row, env)``; ``selection`` — ``fn(batch, env) ->`` indices of the rows
+that are True (``Filter``); ``pair`` — ``fn(probe_row, bucket, env) ->``
+joined rows that are True (``HashJoin``'s residual).  Evaluation follows
+SQL's three-valued logic: comparisons involving NULL yield NULL, AND/OR
+use Kleene logic, and WHERE treats NULL as false.
 
 Dates are integer day numbers (see :mod:`repro.engine.types`); ``INTERVAL``
 arithmetic therefore converts through the proleptic calendar so that
@@ -12,11 +17,13 @@ arithmetic therefore converts through the proleptic calendar so that
 
 from __future__ import annotations
 
-import operator
+import math
 import re
+from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .errors import ProgrammingError
+from .errors import DataError, ProgrammingError
 from .sql import ast
 from .types import date_to_day, day_to_date
 
@@ -31,12 +38,14 @@ class Scope:
     The layout is a list of (binding, column_name) pairs; *binding* is the
     table alias (or name) the column came from.  An optional *outer* scope
     makes correlated subqueries work: unresolved names are looked up there
-    and read from ``env.outer_row``.
+    and read from ``env.outer_rows``.
     """
 
     def __init__(self, layout: List[Tuple[str, str]], outer: Optional["Scope"] = None):
         self.layout = list(layout)
         self.outer = outer
+        #: resolves that reached this scope: moved by a subquery = correlated
+        self.resolved = 0
         self._by_qualified: Dict[Tuple[str, str], int] = {}
         self._by_name: Dict[str, List[int]] = {}
         for slot, (binding, column) in enumerate(self.layout):
@@ -47,18 +56,19 @@ class Scope:
         """Return (depth, slot); depth 0 = local row, 1.. = outer rows."""
         if ref.table is not None:
             slot = self._by_qualified.get((ref.table, ref.name))
-            if slot is not None:
-                return (0, slot)
         else:
-            slots = self._by_name.get(ref.name, [])
-            if len(slots) == 1:
-                return (0, slots[0])
+            slots = self._by_name.get(ref.name, ())
             if len(slots) > 1:
                 raise ProgrammingError(f"ambiguous column {ref.name!r}")
-        if self.outer is not None:
+            slot = slots[0] if slots else None
+        depth = 0
+        if slot is None:
+            if self.outer is None:
+                raise ProgrammingError(f"unknown column {ref}")
             depth, slot = self.outer.resolve(ref)
-            return (depth + 1, slot)
-        raise ProgrammingError(f"unknown column {ref}")
+            depth += 1
+        self.resolved += 1
+        return depth, slot
 
     def __len__(self):
         return len(self.layout)
@@ -99,7 +109,10 @@ class Env:
 
 
 class Interval:
-    """A calendar interval (result of compiling an IntervalLiteral)."""
+    """A calendar interval (result of compiling an IntervalLiteral).
+
+    ``day + interval``, ``interval + day`` and ``day - interval`` are Python
+    operators on it, so generated ``+`` / ``-`` need no interval test."""
 
     __slots__ = ("days", "months")
 
@@ -113,6 +126,14 @@ class Interval:
             and self.days == other.days
             and self.months == other.months
         )
+
+    def __add__(self, day_number):
+        return add_interval(day_number, self)
+
+    __radd__ = __add__
+
+    def __rsub__(self, day_number):
+        return add_interval(day_number, self, sign=-1)
 
     def __repr__(self):
         return f"Interval(days={self.days}, months={self.months})"
@@ -142,111 +163,16 @@ def add_interval(day_number, interval: Interval, sign=1):
 
 
 # ---------------------------------------------------------------------------
-# kernels: one scalar function per node kind, NULL in -> NULL out
+# kernels: what generated code calls instead of inlining
 # ---------------------------------------------------------------------------
 
-
-def _null_propagating(fn):
-    def kernel(left, right):
-        if left is None or right is None:
-            return None
-        return fn(left, right)
-
-    return kernel
-
-
-def _add(left, right):
-    if left is None or right is None:
-        return None
-    if isinstance(right, Interval):
-        return add_interval(left, right)
-    if isinstance(left, Interval):
-        return add_interval(right, left)
-    return left + right
-
-
-def _sub(left, right):
-    if left is None or right is None:
-        return None
-    if isinstance(right, Interval):
-        return add_interval(left, right, sign=-1)
-    if isinstance(left, Interval):
-        raise ProgrammingError("bad interval operator '-'")
-    return left - right
-
-
-def _div(left, right):
-    if left is None or right is None or right == 0:
-        return None
-    return left / right
+_FIRST_COLUMN = itemgetter(0)
 
 
 def _mod(left, right):
     if left is None or right is None or right == 0:
         return None
     return left % right
-
-
-def _concat(left, right):
-    if left is None or right is None:
-        return None
-    return str(left) + str(right)
-
-
-def _and3(left, right):
-    """Kleene AND; non-boolean operands count by their Python truth."""
-    if (left is not None and not left) or (right is not None and not right):
-        return False
-    if left is None or right is None:
-        return None
-    return True
-
-
-def _or3(left, right):
-    if left or right:
-        return True
-    if left is None or right is None:
-        return None
-    return False
-
-
-def _not(value):
-    if value is None:
-        return None
-    return not value
-
-
-def _negate(value):
-    if value is None:
-        return None
-    return -value
-
-
-_le = _null_propagating(operator.le)
-_FIRST_COLUMN = operator.itemgetter(0)
-
-_BINARY: Dict[str, Callable] = {
-    "and": _and3,
-    "or": _or3,
-    "=": _null_propagating(operator.eq),
-    "<>": _null_propagating(operator.ne),
-    "<": _null_propagating(operator.lt),
-    "<=": _le,
-    ">": _null_propagating(operator.gt),
-    ">=": _null_propagating(operator.ge),
-    "+": _add,
-    "-": _sub,
-    "*": _null_propagating(operator.mul),
-    "/": _div,
-    "%": _mod,
-    "||": _concat,
-}
-
-_UNARY: Dict[str, Callable] = {"-": _negate, "not": _not}
-
-
-def _between(value, low, high):
-    return _and3(_le(low, value), _le(value, high))
 
 
 def _in_values(value, candidates):
@@ -261,80 +187,113 @@ def _in_values(value, candidates):
     return None if saw_null else False
 
 
-def _in(value, *items):
-    return None if value is None else _in_values(value, items)
+def _in_rows(run):
+    """``value IN (correlated subquery)``: the subquery runs per outer row."""
+    return lambda value, env: (
+        None if value is None else _in_values(value, map(_FIRST_COLUMN, run(env)))
+    )
 
 
-def _is_null(value):
-    return value is None
+def _in_set(run):
+    """``value IN (uncorrelated subquery)``: one membership set per
+    statement execution, built on first use in ``env.cache``.  ``v == v``
+    keeps NaN out — a set finds a NaN by identity when both sides hold the
+    same stored float — and a NULL member turns a miss into NULL."""
+    def member(value, env):
+        if value is None:
+            return None
+        entry = env.cache.get(key)
+        if entry is None:
+            values = set(map(_FIRST_COLUMN, run(env)))
+            entry = env.cache[key] = (values, None if None in values else False)
+        return True if value == value and value in entry[0] else entry[1]
+    key = id(member)
+    return member
 
 
-def _is_not_null(value):
-    return value is not None
+def _single_value(rows):
+    if len(rows) > 1:
+        raise ProgrammingError("scalar subquery returned more than one row")
+    return rows[0][0] if rows else None
 
 
-def _like_to_regex(pattern: str):
-    out = []
-    for ch in pattern:
-        if ch == "%":
-            out.append(".*")
-        elif ch == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-    return re.compile("^" + "".join(out) + "$", re.DOTALL)
-
-
-_LIKE_CACHE: Dict[str, "re.Pattern"] = {}
+@lru_cache(maxsize=256)
+def _like_regex(pattern: str):
+    parts = (".*" if ch == "%" else "." if ch == "_" else re.escape(ch) for ch in pattern)
+    return re.compile("^" + "".join(parts) + "$", re.DOTALL)
 
 
 def like_match(value, pattern):
     if value is None or pattern is None:
         return None
-    regex = _LIKE_CACHE.get(pattern)
-    if regex is None:
-        regex = _like_to_regex(pattern)
-        _LIKE_CACHE[pattern] = regex
-    return regex.match(value) is not None
+    return _like_regex(pattern).match(value) is not None
 
 
 # ---------------------------------------------------------------------------
-# scalar function registry
+# scalar function registry: NULL in any argument gives NULL (coalesce and
+# nullif keep their SQL rules); a value no result exists for is a DataError
 # ---------------------------------------------------------------------------
+
+
+def _fn_date(value):
+    try:
+        return None if value is None else date_to_day(value)
+    except ValueError:
+        raise DataError(f"not a date: {value!r}") from None
 
 
 def _fn_timestamp(value):
-    if value is None:
-        return None
-    return date_to_day(value) if isinstance(value, str) else int(value)
+    try:
+        return _fn_date(value) if value is None or isinstance(value, str) else int(value)
+    except (ValueError, OverflowError):
+        raise DataError(f"not a timestamp: {value!r}") from None
 
 
 def _fn_extract(field, value):
-    if value is None:
+    if field is None or value is None:
         return None
-    date = day_to_date(value)
-    return {"year": date.year, "month": date.month, "day": date.day}[field]
+    try:
+        date = day_to_date(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"no calendar date for day {value!r}") from None
+    if field not in ("year", "month", "day"):
+        raise DataError(f"cannot extract {field!r}")
+    return getattr(date, field)
 
 
-def _fn_substring(value, start, length=None):
-    if value is None:
+_TO_END = object()
+
+
+def _fn_substring(value, start, length=_TO_END):
+    """SQL SUBSTRING: the characters at 1-based positions ``start ..
+    start + length - 1`` that exist, so a start before 1 uses up length."""
+    if value is None or start is None or length is None:
         return None
-    begin = max(int(start) - 1, 0)
-    if length is None:
-        return value[begin:]
-    return value[begin:begin + int(length)]
+    try:
+        begin = int(start) - 1
+        end = None if length is _TO_END else max(begin + int(length), 0)
+        return value[max(begin, 0):end]
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"bad substring arguments {start!r}, {length!r}") from None
+
+
+def _finite_only(fn):
+    """A numeric kernel that returns NaN / ±inf unchanged."""
+    return lambda v: None if v is None else fn(v) if math.isfinite(v) else v
 
 
 FUNCTIONS: Dict[str, Callable] = {
-    "date": lambda s: date_to_day(s) if s is not None else None,
+    "date": _fn_date,
     "timestamp": _fn_timestamp,
     "extract": _fn_extract,
     "substring": _fn_substring,
     "substr": _fn_substring,
     "abs": lambda v: None if v is None else abs(v),
-    "round": lambda v, n=0: None if v is None or n is None else round(v, int(n)),
-    "floor": lambda v: None if v is None else int(v // 1),
-    "ceil": lambda v: None if v is None else -int((-v) // 1),
+    "round": lambda v, n=0: (
+        None if v is None or n is None or not math.isfinite(n) else round(v, int(n))
+    ),
+    "floor": _finite_only(lambda v: int(v // 1)),
+    "ceil": _finite_only(lambda v: -int((-v) // 1)),
     "mod": _mod,
     "coalesce": lambda *args: next((a for a in args if a is not None), None),
     "nullif": lambda a, b: None if a == b else a,
@@ -347,237 +306,357 @@ FUNCTIONS: Dict[str, Callable] = {
 
 
 # ---------------------------------------------------------------------------
-# the compiler
+# the generator
 # ---------------------------------------------------------------------------
 
-#: Signature of the callback the planner supplies to run nested SELECTs:
-#: (select_ast, outer_scope) -> fn(env) -> list of row tuples.
+#: The planner's callback for nested SELECTs: (select, outer_scope) ->
+#: fn(env) -> rows, with ``fn.correlated = False`` when the subquery reads
+#: no outer column (a callback without the attribute counts as correlated).
 SubqueryCompiler = Callable[[ast.Select, Scope], Callable[[Env], List[tuple]]]
 
-#: Signature of a compiled batch expression: (batch, env) -> list of values,
-#: one per row of the batch, in row order.
-BatchFn = Callable[[object, Env], list]
+#: generated factories by source text (args, constant count, body lines)
+MEMO_SIZE = 512
+_MEMO: Dict[tuple, Callable] = {}
+
+#: NULL-propagating operators over the operand values ``{0}`` / ``{1}``
+_STRICT = {
+    "=": "{0} == {1}", "<>": "{0} != {1}", "<": "{0} < {1}", "<=": "{0} <= {1}",
+    ">": "{0} > {1}", ">=": "{0} >= {1}", "+": "{0} + {1}", "-": "{0} - {1}",
+    "*": "{0} * {1}", "/": "{0} / {1}", "%": "{0} % {1}", "||": "str({0}) + str({1})",
+}
+_PREDICATES = (ast.Between, ast.Like, ast.IsNull, ast.InList, ast.Exists, ast.InSubquery)
+_LOGICAL = {"and", "or", "not", "=", "<>", "<", "<=", ">", ">="}  # Unary / Binary ops
 
 
-class _ScalarForm:
-    """Builds ``fn(row, env) -> value`` closures."""
-
-    @staticmethod
-    def constant(value):
-        return lambda row, env: value
-
-    @staticmethod
-    def from_env(getter):
-        return lambda row, env: getter(env)
-
-    @staticmethod
-    def column(slot):
-        return lambda row, env: row[slot]
-
-    @staticmethod
-    def apply(kernel, args):
-        if len(args) == 1:
-            (inner,) = args
-            return lambda row, env: kernel(inner(row, env))
-        if len(args) == 2:
-            left, right = args
-            return lambda row, env: kernel(left(row, env), right(row, env))
-        if len(args) == 3:
-            a, b, c = args
-            return lambda row, env: kernel(a(row, env), b(row, env), c(row, env))
-        return lambda row, env: kernel(*[arg(row, env) for arg in args])
-
-    @staticmethod
-    def lift(fn):
-        return fn
+def _is_boolean(node) -> bool:
+    """Does *node* only ever yield True, False or NULL?"""
+    if isinstance(node, ast.Literal):
+        return node.value is None or isinstance(node.value, bool)
+    return isinstance(node, _PREDICATES) or getattr(node, "op", None) in _LOGICAL
 
 
-class _BatchForm:
-    """Builds ``fn(batch, env) -> list`` closures: one value per row."""
+class _Generator:
+    """One walk over an expression tree.  ``gen(node)`` returns the Python
+    source of the node's value and collects what the source names: the
+    constants ``k<n>`` (literals, parameter keys, kernels — bound, never
+    spliced into the text, so the text depends on the tree's shape only),
+    the lines ``h<n> = ...`` hoisted out of the per-row loop, the local
+    columns ``c<slot>`` read, and whether a correlated subquery needs the
+    whole ``row``."""
 
-    @staticmethod
-    def constant(value):
-        return lambda batch, env: [value] * batch.length
+    def __init__(self, scope, subqueries):
+        self.scope, self.subqueries = scope, subqueries
+        self.consts: List[object] = []
+        self.known: set = set()  # constants that are never NULL
+        self.prelude: List[str] = []
+        self.slots: Dict[int, str] = {}
+        self.temps = 0
+        self.lazy = False  # inside CASE: evaluate in place, hoist nothing
+        self.row = False
 
-    @staticmethod
-    def from_env(getter):
-        return lambda batch, env: [getter(env)] * batch.length
+    def gen(self, node) -> str:
+        try:
+            render = _RENDER[type(node)]
+        except KeyError:
+            raise ProgrammingError(f"cannot compile expression {node!r}") from None
+        return render(self, node)
 
-    @staticmethod
-    def column(slot):
-        return lambda batch, env: batch.column(slot)
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
 
-    @staticmethod
-    def apply(kernel, args):
-        if len(args) == 1:
-            (inner,) = args
-            return lambda batch, env: list(map(kernel, inner(batch, env)))
-        if len(args) == 2:
-            left, right = args
-            return lambda batch, env: list(
-                map(kernel, left(batch, env), right(batch, env))
-            )
-        if not args:
-            return lambda batch, env: [kernel() for _ in range(batch.length)]
-        return lambda batch, env: list(
-            map(kernel, *[arg(batch, env) for arg in args])
-        )
+    def bind(self, src) -> Tuple[Optional[str], str]:
+        """(first, again): *first* evaluates *src* (None for a constant that
+        is never NULL), *again* reads the value afterwards — *src* itself
+        when it is a name, else a walrus temporary."""
+        if src.isidentifier():
+            return (None if src in self.known else src), src
+        self.temps += 1
+        return f"(t{self.temps} := {src})", f"t{self.temps}"
 
-    @staticmethod
-    def lift(fn):
-        return lambda batch, env: [fn(row, env) for row in batch.to_rows()]
+    def strict(self, template, *operands, guard=None) -> str:
+        """NULL in, NULL out: *template* runs once every operand (a node,
+        or a ``bind`` pair) is non-NULL and *guard* over their values is
+        false."""
+        values, firsts = [], []
+        for operand in operands:
+            first, again = operand if type(operand) is tuple else self.bind(self.gen(operand))
+            values.append(again)
+            if first:
+                firsts.append(first)
+        tests = [" is None or ".join(firsts) + " is None"] if firsts else []
+        if guard:
+            tests.append(guard.format(*values))
+        body = template.format(*values)
+        return f"(None if {' or '.join(tests)} else {body})" if tests else f"({body})"
+
+    def truth(self, node) -> str:
+        """*node* as True / False / NULL: other values count by their truth."""
+        if _is_boolean(node):
+            return self.gen(node)
+        return self.strict("not not {0}", node)
+
+    def is_true(self, node, operand=False) -> str:
+        """A test that is True exactly when *node* is: an AND / OR tree is
+        ``&`` / ``|`` over its *operand*s' tests, which evaluates both."""
+        if isinstance(node, ast.Binary) and node.op in ("and", "or"):
+            joiner = " & " if node.op == "and" else " | "
+            return f"({self.is_true(node.left, True)}{joiner}{self.is_true(node.right, True)})"
+        return f"({self.truth(node) if operand else self.gen(node)} is True)"
+
+    def kleene(self, op, left, right) -> str:
+        """Kleene AND / OR over two truth values, both always evaluated."""
+        (a, ta), (b, tb) = left, right
+        a, b = a or ta, b or tb
+        decided, other = ("False", "True") if op == "and" else ("True", "False")
+        return (f"({decided} if ({a} is {decided}) | ({b} is {decided}) "
+                f"else {tb} if {ta} is {other} else None)")
+
+    def negated(self, node, src) -> str:
+        return self.strict("not {0}", self.bind(src)) if node.negated else src
+
+    def hoist(self, src) -> str:
+        """Evaluate *src* once per call, not per row (never inside CASE)."""
+        if self.lazy:
+            return src
+        self.prelude.append(f"h{len(self.prelude)} = {src}")
+        return f"h{len(self.prelude) - 1}"
+
+    def call(self, kernel, args) -> str:
+        return f"{self.const(kernel)}({', '.join(map(self.gen, args))})"
+
+    def unpack(self, slots, row, offset=0):
+        """(target, values): ``target = values`` binds *slots*' names from
+        the tuple named *row*, whose slot 0 is *slots*' slot *offset*."""
+        target = ", ".join(self.slots[slot] for slot in slots)
+        return target, ", ".join(f"{row}[{slot - offset}]" for slot in slots)
+
+
+def _literal(g, node):
+    name = g.const(node.value)
+    if node.value is not None:
+        g.known.add(name)
+    return name
+
+
+def _column(g, node):
+    depth, slot = g.scope.resolve(node)
+    if depth:
+        return g.hoist(f"env.outer_rows[{depth - 1}][{slot}]")
+    return g.slots.setdefault(slot, f"c{slot}")
+
+
+def _interval(g, node):
+    if node.unit == "day":
+        return g.const(Interval(days=node.value))
+    return g.const(Interval(months=node.value * (1 if node.unit == "month" else 12)))
+
+
+def _unary(g, node):
+    if node.op == "+":
+        return g.gen(node.operand)
+    if node.op not in ("-", "not"):
+        raise ProgrammingError(f"unknown unary {node.op!r}")
+    return g.strict(node.op + " {0}", node.operand)
+
+
+def _binary(g, node):
+    if node.op in ("and", "or"):
+        return g.kleene(node.op, g.bind(g.truth(node.left)), g.bind(g.truth(node.right)))
+    if node.op not in _STRICT:
+        raise ProgrammingError(f"unknown operator {node.op!r}")
+    guard = "{1} == 0" if node.op in ("/", "%") else None
+    return g.strict(_STRICT[node.op], node.left, node.right, guard=guard)
+
+
+def _func(g, node):
+    if node.name not in FUNCTIONS:
+        raise ProgrammingError(f"unknown function {node.name!r}")
+    return g.call(FUNCTIONS[node.name], node.args)
+
+
+def _between(g, node):
+    value = g.bind(g.gen(node.operand))
+    low = g.strict("{1} <= {0}", value, node.low)
+    high = g.strict("{0} <= {1}", (value[1], value[1]), node.high)
+    return g.negated(node, g.kleene("and", g.bind(low), g.bind(high)))
+
+
+def _in_list(g, node):
+    if all(isinstance(item, ast.Literal) for item in node.items):
+        # bound once per compiled expression; ``in`` stops at a match
+        listed = tuple(i.value for i in node.items if i.value is not None)
+        miss = None if len(listed) < len(node.items) else False
+        test = f"{{0}} in {g.const(listed)} or {g.const(miss)}"
+        return g.negated(node, g.strict(test, node.operand))
+    items = ", ".join(map(g.gen, node.items))
+    test = f"{g.const(_in_values)}({{0}}, ({items},))"
+    return g.negated(node, g.strict(test, node.operand))
+
+
+def _case(g, node):
+    lazy, g.lazy = g.lazy, True
+    src = "None" if node.default is None else g.gen(node.default)
+    for condition, result in reversed(node.branches):
+        src = f"({g.gen(result)} if {g.gen(condition)} else {src})"
+    g.lazy = lazy
+    return src
+
+
+def _subquery(g, node):
+    """EXISTS / IN / scalar subqueries: a correlated one re-enters the
+    executor per row with ``env.nested(row)``, an uncorrelated one runs
+    once per statement (cached by the planner) and is hoisted."""
+    if g.subqueries is None:
+        raise ProgrammingError("subqueries are not allowed in this context")
+    run = g.subqueries(node.subquery, g.scope)
+    correlated = getattr(run, "correlated", True)
+    g.row |= correlated
+    env = "env.nested(row)" if correlated else "env"
+    if isinstance(node, ast.InSubquery):
+        member = g.const(_in_rows(run) if correlated else _in_set(run))
+        return g.negated(node, f"{member}({g.gen(node.operand)}, {env})")
+    src = f"{g.const(run)}({env})"
+    if isinstance(node, ast.ScalarSubquery):
+        src = f"{g.const(_single_value)}({src})"
+    if not correlated:
+        src = g.hoist(src)
+    if isinstance(node, ast.Exists):
+        return f"({'not' if node.negated else 'not not'} {src})"
+    return src
+
+
+def _misplaced(g, node):
+    if isinstance(node, ast.Aggregate):
+        raise ProgrammingError("aggregate used outside SELECT list / HAVING")
+    raise ProgrammingError("'*' is only valid in a select list or COUNT(*)")
+
+
+_RENDER = {
+    ast.Literal: _literal, ast.ColumnRef: _column, ast.IntervalLiteral: _interval,
+    ast.Param: lambda g, node: g.hoist(
+        f"env.param({g.const(node.index)}, {g.const(node.name)})"),
+    ast.Unary: _unary, ast.Binary: _binary, ast.FuncCall: _func, ast.Between: _between,
+    ast.Like: lambda g, node: g.negated(node, g.call(like_match, (node.operand, node.pattern))),
+    ast.IsNull: lambda g, node: f"({g.gen(node.operand)} is {'not ' * node.negated}None)",
+    ast.InList: _in_list, ast.Case: _case, ast.Exists: _subquery,
+    ast.ScalarSubquery: _subquery, ast.InSubquery: _subquery,
+    ast.Aggregate: _misplaced, ast.Star: _misplaced,
+}
+
+
+# ---------------------------------------------------------------------------
+# spellings
+# ---------------------------------------------------------------------------
+
+
+def _batch_lines(g, value, selection):
+    """``[value for ...]`` / ``[i for i, ... if value is True]`` over the
+    zipped columns, or ``map(itemgetter(...), rows)`` when row-major."""
+    slots = list(g.slots)
+    target = ", ".join(g.slots.values())
+    lines = ["if not batch.length: return []", *g.prelude]
+    if g.row:
+        lines.append("rows = batch.to_rows()")
+        loop = "for i, row in enumerate(rows)" if selection else "for row in rows"
+        loop += f" for {target} in (({g.unpack(slots, 'row')[1]}),)" if target else ""
+    elif target:
+        lines.append("cols = batch._columns")
+        columns = "cols[" + "], cols[".join(map(str, slots)) + "]"
+        columns = f"zip({columns})" if len(slots) > 1 else columns
+        rows = f"({columns} if cols is not None else map({g.const(itemgetter(*slots))}, batch._rows))"
+        loop = f"for i, ({target}) in enumerate({rows})" if selection else f"for {target} in {rows}"
+    else:
+        loop = f"for {'i' if selection else '_'} in range(batch.length)"
+    lines.append(f"return [i {loop} if {value}]" if selection else f"return [{value} {loop}]")
+    return lines
+
+
+def _pair_lines(g, value, left_width, build_left):
+    """``[probe + o for o in bucket if value is True]``: probe columns
+    bound once, so a rejected pair is never concatenated."""
+    joined = "o + probe" if build_left else "probe + o"
+    if g.row:  # a correlated subquery needs the combined row itself
+        target, values = g.unpack(list(g.slots), "row")
+        bind = f" for {target} in (({values}),)" if target else ""
+        return [*g.prelude, f"return [row for o in bucket for row in ({joined},)"
+                            f"{bind} if {value}]"]
+    probe = [slot for slot in g.slots if (slot < left_width) != build_left]
+    build = [slot for slot in g.slots if (slot < left_width) == build_left]
+    target, values = g.unpack(probe, "probe", left_width if build_left else 0)
+    lines = [f"{target} = {values}"] if probe else []
+    target, values = g.unpack(build, "o", 0 if build_left else left_width)
+    loop = f"for o in bucket for {target} in (({values}),)" if build else "for o in bucket"
+    return lines + g.prelude + [f"return [{joined} {loop} if {value}]"]
+
+
+def _leaf(expr, scope, batch):
+    """Bare columns, literals and parameters skip generation; a bare column
+    stays the zero-copy ``batch.column(slot)``."""
+    if isinstance(expr, ast.ColumnRef):
+        depth, slot = scope.resolve(expr)
+        if not depth:
+            return (lambda b, env: b.column(slot)) if batch else (lambda row, env: row[slot])
+        return None
+    if isinstance(expr, ast.Literal):
+        value = expr.value
+        get = lambda env: value
+    elif isinstance(expr, ast.Param):
+        index, name = expr.index, expr.name
+        get = lambda env: env.param(index, name)
+    else:
+        return None
+    return (lambda b, env: [get(env)] * b.length) if batch else (lambda row, env: get(env))
+
+
+def _instantiate(args, lines, consts):
+    """The generated function, its constants bound as closure cells.  The
+    shape memo maps source text to the factory ``exec`` built, so a
+    statement that differs only in literals costs a dict lookup here."""
+    key = (args, len(consts), *lines)
+    make = _MEMO.get(key)
+    if make is None:
+        params = ", ".join(f"k{i}" for i in range(len(consts)))
+        namespace: Dict[str, object] = {}  # the text holds no literal: see _Generator
+        exec(f"def make({params}):\n def fn({args}):\n  " + "\n  ".join(lines)
+             + "\n return fn", namespace)
+        make = namespace["make"]
+        if len(_MEMO) >= MEMO_SIZE:
+            _MEMO.pop(next(iter(_MEMO)), None)
+        _MEMO[key] = make
+    return make(*consts)
 
 
 def compile_expr(
     expr: ast.Expr,
     scope: Scope,
     subquery_compiler: Optional[SubqueryCompiler] = None,
-) -> Callable[[tuple, Env], object]:
-    """Compile an AST expression into ``fn(row, env) -> value``: the form
-    for expressions evaluated per candidate pair or once per statement."""
-    return _Compiler(scope, subquery_compiler, _ScalarForm).compile(expr)
+    spelling: str = "scalar",
+    left_width: int = 0,
+    build_left: bool = False,
+) -> Callable:
+    """*expr* as one function in *spelling* (module docstring).  ``pair``:
+    the first *left_width* columns are the left input's, and *build_left*
+    means the bucket holds left rows and the probe row is the right one."""
+    if spelling in ("scalar", "batch"):
+        leaf = _leaf(expr, scope, spelling == "batch")
+        if leaf is not None:
+            return leaf
+    g = _Generator(scope, subquery_compiler)
+    value = g.is_true(expr) if spelling in ("selection", "pair") else g.gen(expr)
+    if spelling == "scalar":
+        target, values = g.unpack(list(g.slots), "row")
+        lines = [f"{target} = {values}"] if target else []
+        return _instantiate("row, env", lines + g.prelude + [f"return {value}"], g.consts)
+    if spelling == "pair":
+        lines = _pair_lines(g, value, left_width, build_left)
+        return _instantiate("probe, bucket, env", lines, g.consts)
+    return _instantiate("batch, env", _batch_lines(g, value, spelling == "selection"), g.consts)
 
 
-def compile_batch_expr(
-    expr: ast.Expr,
-    scope: Scope,
-    subquery_compiler: Optional[SubqueryCompiler] = None,
-) -> BatchFn:
-    """Compile *expr* into ``fn(batch, env) -> list`` of per-row values:
-    the form for expressions evaluated once per input row.
-
-    Every node maps its scalar kernel — the same object
-    :func:`compile_expr` calls — over its children's value lists; both
-    forms evaluate both sides of AND/OR.  CASE and subquery nodes run
-    their scalar closure over ``batch.to_rows()`` (untaken branches stay
-    unevaluated, a correlated subquery sees each outer row) and the
-    expression around them stays chunk-wise.
-    """
-    return _Compiler(scope, subquery_compiler, _BatchForm).compile(expr)
-
-
-class _Compiler:
-    """The one walk over node types; *form* decides scalar or batch."""
-
-    def __init__(self, scope, subquery_compiler, form):
-        self.scope = scope
-        self.subquery_compiler = subquery_compiler
-        self.form = form
-
-    def compile(self, expr):
-        form, child = self.form, self.compile
-        if isinstance(expr, ast.Literal):
-            return form.constant(expr.value)
-        if isinstance(expr, ast.ColumnRef):
-            depth, slot = self.scope.resolve(expr)
-            if depth == 0:
-                return form.column(slot)
-            depth -= 1
-            return form.from_env(lambda env: env.outer_rows[depth][slot])
-        if isinstance(expr, ast.Param):
-            index, name = expr.index, expr.name
-            return form.from_env(lambda env: env.param(index=index, name=name))
-        if isinstance(expr, ast.IntervalLiteral):
-            if expr.unit == "day":
-                return form.constant(Interval(days=expr.value))
-            months = expr.value if expr.unit == "month" else 12 * expr.value
-            return form.constant(Interval(months=months))
-        if isinstance(expr, ast.Unary):
-            if expr.op == "+":
-                return child(expr.operand)
-            if expr.op not in _UNARY:
-                raise ProgrammingError(f"unknown unary {expr.op!r}")
-            return form.apply(_UNARY[expr.op], [child(expr.operand)])
-        if isinstance(expr, ast.Binary):
-            if expr.op not in _BINARY:
-                raise ProgrammingError(f"unknown operator {expr.op!r}")
-            return form.apply(
-                _BINARY[expr.op], [child(expr.left), child(expr.right)]
-            )
-        if isinstance(expr, ast.FuncCall):
-            if expr.name not in FUNCTIONS:
-                raise ProgrammingError(f"unknown function {expr.name!r}")
-            return form.apply(FUNCTIONS[expr.name], [child(a) for a in expr.args])
-        if isinstance(expr, ast.Between):
-            operands = [child(expr.operand), child(expr.low), child(expr.high)]
-            return self._negated_if(expr, form.apply(_between, operands))
-        if isinstance(expr, ast.Like):
-            operands = [child(expr.operand), child(expr.pattern)]
-            return self._negated_if(expr, form.apply(like_match, operands))
-        if isinstance(expr, ast.IsNull):
-            kernel = _is_not_null if expr.negated else _is_null
-            return form.apply(kernel, [child(expr.operand)])
-        if isinstance(expr, ast.InList):
-            operands, kernel = [child(expr.operand)], _in
-            if all(isinstance(item, ast.Literal) for item in expr.items):
-                # bound once per compiled expression; ``in`` stops at a match
-                listed = tuple(i.value for i in expr.items if i.value is not None)
-                miss = None if len(listed) < len(expr.items) else False
-                kernel = lambda value: None if value is None else value in listed or miss
-            else:
-                operands += [child(item) for item in expr.items]
-            return self._negated_if(expr, form.apply(kernel, operands))
-        # The remaining nodes need the row itself, not just their operands'
-        # values: CASE must leave untaken branches unevaluated, and a
-        # subquery re-enters the executor with the outer row.  They compile
-        # to a scalar closure, which the batch form runs once per row.
-        if isinstance(expr, ast.Case):
-            scalar = self._scalar
-            branches = [(scalar(cond), scalar(res)) for cond, res in expr.branches]
-            default = scalar(expr.default) if expr.default is not None else None
-
-            def run_case(row, env):
-                for cond, result in branches:
-                    if cond(row, env):
-                        return result(row, env)
-                return default(row, env) if default is not None else None
-
-            return form.lift(run_case)
-        if isinstance(expr, ast.Exists):
-            run, negated = self._subquery(expr), expr.negated
-            return form.lift(lambda row, env: bool(run(env.nested(row))) != negated)
-        if isinstance(expr, ast.InSubquery):
-            run, negated = self._subquery(expr), expr.negated
-            operand = self._scalar(expr.operand)
-
-            def run_in_subquery(row, env):
-                value = operand(row, env)
-                if value is None:
-                    return None
-                found = _in_values(value, map(_FIRST_COLUMN, run(env.nested(row))))
-                return _not(found) if negated else found
-
-            return form.lift(run_in_subquery)
-        if isinstance(expr, ast.ScalarSubquery):
-            run = self._subquery(expr)
-
-            def run_scalar(row, env):
-                rows = run(env.nested(row))
-                if not rows:
-                    return None
-                if len(rows) > 1:
-                    raise ProgrammingError(
-                        "scalar subquery returned more than one row"
-                    )
-                return rows[0][0]
-
-            return form.lift(run_scalar)
-        if isinstance(expr, ast.Aggregate):
-            raise ProgrammingError("aggregate used outside SELECT list / HAVING")
-        if isinstance(expr, ast.Star):
-            raise ProgrammingError("'*' is only valid in a select list or COUNT(*)")
-        raise ProgrammingError(f"cannot compile expression {expr!r}")
-
-    def _scalar(self, expr):
-        return compile_expr(expr, self.scope, self.subquery_compiler)
-
-    def _subquery(self, expr):
-        if self.subquery_compiler is None:
-            raise ProgrammingError("subqueries are not allowed in this context")
-        return self.subquery_compiler(expr.subquery, self.scope)
-
-    def _negated_if(self, expr, fn):
-        return self.form.apply(_not, [fn]) if expr.negated else fn
+def compile_batch_expr(expr, scope, subquery_compiler=None) -> Callable:
+    """The ``batch`` spelling: ``fn(batch, env) -> list`` of per-row values."""
+    return compile_expr(expr, scope, subquery_compiler, "batch")
 
 
 def expr_to_string(expr: ast.Expr) -> str:

@@ -1,7 +1,7 @@
 """Execution context: the runtime companion of a physical plan.
 
 An :class:`ExecutionContext` *is* an :class:`~repro.engine.expr.Env` — every
-compiled expression closure keeps its ``fn(row, env)`` shape — extended with
+generated expression function takes it as its ``env`` — extended with
 the observability and control surface the benchmark harness needs:
 
 * **per-operator metrics** (rows produced, invocation count, inclusive wall

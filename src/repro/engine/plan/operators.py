@@ -3,7 +3,7 @@
 Every operator is a node with ``execute_batches(env) -> list[Batch]`` and
 an ``explain(indent)`` rendering.  Batches flow through the whole tree:
 scans hand over column-store slices without per-row tuple construction,
-filters apply chunk-wise selection masks, projections build output
+filters take the rows their selection function picks, projections build output
 columns chunk-wise, and the pipeline breakers work column-at-a-time
 (docs/EXECUTION.md, "Pipeline breakers").  Operators still materialise
 their full outputs — the engine is an analytics engine over in-memory
@@ -11,14 +11,15 @@ partitions, and materialising keeps hash joins and sorts simple while
 preserving the *relative* costs the benchmark needs (scans linear in
 partition size, index probes logarithmic, extra joins visibly expensive).
 
-An operator takes one compiled function per expression.  What is
-evaluated once per *input row* — filter predicates, projection items,
+An operator takes one generated function per expression
+(:func:`~repro.engine.expr.compile_expr`; docs/EXECUTION.md, "One
+generator, four spellings"): a ``batch`` function ``fn(batch, env) ->
+list`` for what is evaluated once per input row (projection items,
 join/align keys, period bounds, group keys, aggregate arguments, sort
-keys — is a batch function ``fn(batch, env) -> list``
-(:func:`~repro.engine.expr.compile_batch_expr`); what is evaluated per
-*candidate pair* (join residuals, the nested-loop predicate) or once per
-*statement* (LIMIT/OFFSET) is a scalar ``fn(row, env)``
-(:func:`~repro.engine.expr.compile_expr`).
+keys); a ``selection`` function returning the surviving row indices for a
+``Filter``; a ``pair`` function over a probe row and its bucket for a
+``HashJoin`` residual; a ``scalar`` ``fn(row, env)`` per candidate row
+(``MergeJoin`` / ``NestedLoopJoin``) or per statement (LIMIT/OFFSET).
 
 ``batches`` is a thin dispatcher: when the env is an
 :class:`~repro.engine.plan.context.ExecutionContext` the call routes
@@ -153,7 +154,9 @@ class EmptyScan(Operator):
 
 
 class Subplan(Operator):
-    """Defer to a planner-produced callable (derived tables, subqueries)."""
+    """Defer to a planner-produced callable: derived tables, and the
+    ``repro_stat_*`` system views, whose rows are assembled from live
+    engine state on every execution (cached plan or not)."""
 
     def __init__(self, producer: Callable[[Env], List[tuple]], description: str):
         self._producer = producer
@@ -166,65 +169,27 @@ class Subplan(Operator):
         return self._description
 
 
-class VirtualScan(Operator):
-    """A ``repro_stat_*`` system view materialised from live engine state.
-
-    The producer snapshots the introspection counters at execution time —
-    every execution (cached plan or not) sees the current state, like a
-    ``pg_stat_*`` relation.
-    """
-
-    def __init__(self, producer: Callable[[], List[tuple]], description: str):
-        self._producer = producer
-        self._description = description
-
-    def execute_batches(self, env):
-        return batches_from_rows(self._producer())
-
-    def label(self):
-        return self._description
-
-
 class Filter(Operator):
-    def __init__(self, child: Operator, predicate, description="Filter"):
+    """Keeps the rows whose predicate is True: a ``selection`` function
+    returns a batch's surviving row indices, with no value list between."""
+
+    def __init__(self, child: Operator, selection, description="Filter"):
         self.children = (child,)
-        self._predicate = predicate
+        self._selection = selection
         self._description = description
 
     def execute_batches(self, env):
         out: List[Batch] = []
-        predicate = self._predicate
+        selection = self._selection
         check = getattr(env, "check", None)
         for batch in self.children[0].batches(env):
             if check is not None:
                 check()
-            values = predicate(batch, env)
-            selected = [i for i, value in enumerate(values) if value is True]
+            selected = selection(batch, env)
             if len(selected) == batch.length:
                 out.append(batch)
             elif selected:
                 out.append(batch.take(selected))
-        return out
-
-    def label(self):
-        return self._description
-
-
-class Project(Operator):
-    def __init__(self, child: Operator, exprs, description="Project"):
-        self.children = (child,)
-        self._exprs = exprs
-        self._description = description
-
-    def execute_batches(self, env):
-        out: List[Batch] = []
-        exprs = self._exprs
-        check = getattr(env, "check", None)
-        for batch in self.children[0].batches(env):
-            if check is not None:
-                check()
-            columns = [expr(batch, env) for expr in exprs]
-            out.append(Batch.from_columns(columns, batch.length))
         return out
 
     def label(self):
@@ -324,13 +289,14 @@ def _matchable(columns):
 
 
 class HashJoin(Operator):
-    """Equi-join: one build loop, one probe loop.  The keys are batch exprs
-    over their own side's layout, the ``residual`` a scalar expr over the
-    combined layout.  Builds on the right input unless cost-based planning
-    asks for ``build_side="left"`` (inner joins only: a left join probes
-    from the left so every left row can surface).  NULL/NaN keys are
-    dropped on the build side only — a key that was never inserted cannot
-    be hit, so the probe is a bare ``dict.get`` per row."""
+    """Equi-join: one build loop, one probe comprehension.  Keys are batch
+    exprs over their own side's layout; the ``residual`` is a ``pair``
+    function for this build side, ``fn(probe_row, bucket, env) -> joined
+    rows``, which never concatenates a rejected pair.  Builds on the right
+    unless cost-based planning asks for ``build_side="left"`` (inner joins
+    only: a left join probes from the left so every left row surfaces).
+    NULL/NaN keys are dropped on the build side only, so the probe is a
+    bare ``dict.get`` per row."""
 
     def __init__(self, left, right, left_keys, right_keys, residual=None,
                  kind="inner", right_width=0, build_side="right"):
@@ -357,26 +323,24 @@ class HashJoin(Operator):
                 table[key].append(row)
         lookup = table.get  # never inserts, unlike table[key]
         residual = self._residual
-        left_join = self._kind == "left"
         pad = (None,) * self._right_width
         out: List[Batch] = []
         for batch in self.children[probe].batches(env):
             if check is not None:
                 check()
             keys = _row_keys([fn(batch, env) for fn in key_fns[probe]], batch.length)
-            chunk: List[tuple] = []
-            for row, bucket in zip(batch.to_rows(), map(lookup, keys)):
-                pairs = ()
-                if bucket is not None:
-                    if build_left:
-                        pairs = [other + row for other in bucket]
-                    else:
-                        pairs = [row + other for other in bucket]
-                    if residual is not None:
-                        pairs = [p for p in pairs if residual(p, env) is True]
-                    chunk.extend(pairs)
-                if left_join and not pairs:
-                    chunk.append(row + pad)
+            # one comprehension per probe batch; a bucket is None or non-empty
+            matched = zip(batch.to_rows(), map(lookup, keys))
+            if self._kind == "left":  # probes from the left, builds on the right
+                pairs = residual or _joined
+                chunk = [joined for row, bucket in matched
+                         for joined in bucket and pairs(row, bucket, env) or (row + pad,)]
+            elif residual is not None:
+                chunk = [p for row, bucket in matched if bucket for p in residual(row, bucket, env)]
+            elif build_left:
+                chunk = [other + row for row, bucket in matched if bucket for other in bucket]
+            else:
+                chunk = [row + other for row, bucket in matched if bucket for other in bucket]
             if chunk:
                 out.append(Batch.from_rows(chunk))
         return out
@@ -384,6 +348,10 @@ class HashJoin(Operator):
     def label(self):
         side = ", build=left" if self._build_side == "left" else ""
         return f"HashJoin({self._kind}, keys={len(self._left_keys)}{side})"
+
+
+def _joined(probe, bucket, env):
+    return [probe + other for other in bucket]
 
 
 def _normalize_merge_key(key):
@@ -705,14 +673,6 @@ def _distinct_batches(batches):
     return [Batch.from_rows(out)] if out else []
 
 
-class Distinct(Operator):
-    def __init__(self, child):
-        self.children = (child,)
-
-    def execute_batches(self, env):
-        return _distinct_batches(self.children[0].batches(env))
-
-
 class Union(Operator):
     def __init__(self, left, right, all_rows=False):
         self.children = (left, right)
@@ -775,7 +735,7 @@ class TemporalAggregate(Operator):
         # well-formed interval or not — the rewrite's derived table unions
         # both endpoint columns of the whole input
         boundaries = {v for v in chain(begins, ends) if v is not None and v == v}
-        ordered = sorted(boundaries, key=_sort_token)
+        ordered = sorted(boundaries, key=_SortToken)
         # events: only well-formed intervals (begin < end, both non-NULL)
         # can satisfy begin <= t < end, so only they enter the active set
         starts, stops = [], []
@@ -979,7 +939,3 @@ class _SortToken:
 
     def __eq__(self, other):
         return compare_values(self.value, other.value) == 0
-
-
-def _sort_token(value):
-    return _SortToken(value)

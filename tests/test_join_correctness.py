@@ -22,14 +22,11 @@ from repro.engine.database import ArchitectureProfile
 from repro.engine.expr import Env
 from repro.engine.plan import operators as ops
 from repro.systems import make_system
+from tests.compiled import col, joined
 
 
 def _env():
     return Env({})
-
-
-def col(i):
-    return lambda batch, env: batch.column(i)
 
 
 def rows_of(op):
@@ -70,12 +67,8 @@ class TestMergeJoinNullKeys:
             ops.Materialized(left), ops.Materialized(right), [col(0)], [col(0)]
         )
 
-        def sql_eq(row, env):
-            lval, rval = row[0], row[width]
-            if lval is None or rval is None:
-                return None  # SQL three-valued logic: NULL matches nothing
-            return lval == rval
-
+        # SQL three-valued logic: NULL matches nothing
+        sql_eq = joined("l.c0 = r.c0", width, width)
         nested = ops.NestedLoopJoin(
             ops.Materialized(left), ops.Materialized(right), sql_eq
         )
@@ -105,7 +98,8 @@ class TestMergeJoinNullKeys:
     def test_composite_key_with_null_part_matches_nothing(self):
         left = [(1, 10, "a"), (1, None, "b"), (2, 20, "c")]
         right = [(1, 10, "x"), (None, 10, "y"), (2, 20, "z")]
-        key = lambda batch, env: list(zip(batch.column(0), batch.column(1)))
+        first, second = col(0), col(1)
+        key = lambda batch, env: list(zip(first(batch, env), second(batch, env)))
         merge = ops.MergeJoin(
             ops.Materialized(left), ops.Materialized(right), key, key
         )

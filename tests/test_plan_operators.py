@@ -8,16 +8,13 @@ from repro.engine import Database
 from repro.engine.batch import execution_config
 from repro.engine.expr import Env
 from repro.engine.plan import operators as ops
+from tests.compiled import col, joined, pair, scalar, selection
 
 NAN = float("nan")
 
 
 def _env():
     return Env({})
-
-
-def col(i):
-    return lambda batch, env: batch.column(i)
 
 
 def rows_of(op):
@@ -53,10 +50,9 @@ class TestJoins:
         assert len(got) == 4
 
     def test_hash_join_residual(self):
-        residual = lambda row, env: row[3] != "y"
         op = ops.HashJoin(
             ops.Materialized(self.LEFT), ops.Materialized(self.RIGHT),
-            [col(0)], [col(0)], residual=residual,
+            [col(0)], [col(0)], residual=pair("r.c1 <> 'y'", 2, 2),
         )
         assert rows_of(op) == [(1, "a", 1, "x")]
 
@@ -67,7 +63,7 @@ class TestJoins:
             ops.Materialized([(1, "a"), (2, "b"), (3, "c")]),
             ops.Materialized([(1, "no"), (2, "no"), (2, "yes")]),
             [col(0)], [col(0)], kind="left", right_width=2,
-            residual=lambda row, env: row[3] == "yes",
+            residual=pair("r.c1 = 'yes'", 2, 2),
         )
         assert rows_of(op) == [
             (1, "a", None, None), (2, "b", 2, "yes"), (3, "c", None, None)
@@ -86,12 +82,11 @@ class TestJoins:
     def test_hash_join_build_sides_agree(self):
         left = [(i % 4, f"l{i}") for i in range(9)] + [(None, "ln"), (NAN, "lnan")]
         right = [(i % 3, f"r{i}") for i in range(7)] + [(None, "rn"), (NAN, "rnan")]
-        residual = lambda row, env: row[1] != "l4"
-
         def joined(build_side):
             return sorted(rows_of(ops.HashJoin(
                 ops.Materialized(left), ops.Materialized(right),
-                [col(0)], [col(0)], residual=residual, build_side=build_side,
+                [col(0)], [col(0)], residual=pair("l.c1 <> 'l4'", 2, 2, build_side),
+                build_side=build_side,
             )))
 
         assert joined("left") == joined("right")
@@ -115,7 +110,7 @@ class TestJoins:
         )
         nested = ops.NestedLoopJoin(
             ops.Materialized(shared), ops.Materialized(shared),
-            lambda row, env: row[1] == row[3],
+            joined("l.c1 = r.c1", 2, 2),
         )
         assert rows_of(merge) == rows_of(nested) == [(2, 0.5, 2, 0.5)]
 
@@ -154,10 +149,9 @@ class TestJoins:
         assert len(rows_of(op)) == 6
 
     def test_nested_loop_left(self):
-        predicate = lambda row, env: row[0] == row[1]
         op = ops.NestedLoopJoin(
             ops.Materialized([(1,), (9,)]), ops.Materialized([(1,), (2,)]),
-            predicate, kind="left", right_width=1,
+            joined("l.c0 = r.c0", 1, 1), kind="left", right_width=1,
         )
         assert sorted(rows_of(op), key=str) == [(1, 1), (9, None)]
 
@@ -314,14 +308,10 @@ class TestShapingOperators:
     def test_limit_offset(self):
         op = ops.Limit(
             ops.Materialized([(i,) for i in range(10)]),
-            lambda row, env: 3,
-            lambda row, env: 2,
+            scalar("3"),
+            scalar("2"),
         )
         assert rows_of(op) == [(2,), (3,), (4,)]
-
-    def test_distinct(self):
-        op = ops.Distinct(ops.Materialized([(1,), (1,), (2,)]))
-        assert rows_of(op) == [(1,), (2,)]
 
     def test_union_modes(self):
         left = ops.Materialized([(1,), (2,)])
@@ -332,23 +322,16 @@ class TestShapingOperators:
     def test_filter(self):
         op = ops.Filter(
             ops.Materialized([(1,), (2,), (3,)]),
-            lambda batch, env: [v > 1 for v in batch.column(0)],
+            selection("t.c0 > 1"),
         )
         assert rows_of(op) == [(2,), (3,)]
-
-    def test_project(self):
-        op = ops.Project(
-            ops.Materialized([(1, 2)]),
-            [col(1), lambda batch, env: [v * 10 for v in batch.column(0)]],
-        )
-        assert rows_of(op) == [(2, 10)]
 
 
 class TestExplainTree:
     def test_nested_explain(self):
         op = ops.Filter(
             ops.Union(ops.Materialized([], "L"), ops.Materialized([], "R")),
-            lambda batch, env: [True] * batch.length,
+            selection("TRUE"),
             "Filter(test)",
         )
         text = op.explain()
