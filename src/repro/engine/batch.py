@@ -26,6 +26,7 @@ against.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from operator import itemgetter
 from sys import getsizeof
 from typing import Iterable, List, Optional, Sequence
 
@@ -170,6 +171,15 @@ def batches_from_rows(rows: Sequence[tuple],
     ]
 
 
+def projector(positions: Sequence[int]):
+    """``row -> tuple`` of the values at *positions*, for any number of
+    them (``itemgetter`` returns a bare value for one, and needs one)."""
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda row: (row[position],)
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
 def drain_full_batches(chunk: List[tuple], size: int):
     """Yield ``size``-row batches off the front of *chunk* (fresh slices);
     the generator's return value is the remainder, so a page-wise producer
@@ -187,6 +197,7 @@ __all__ = [
     "batches_from_rows",
     "drain_full_batches",
     "execution_config",
+    "projector",
     "rows_from_batches",
     "set_batch_size",
 ]

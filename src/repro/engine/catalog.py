@@ -14,6 +14,11 @@ from typing import Dict, List, Optional, Tuple
 from .errors import CatalogError
 from .types import SqlType
 
+#: What a period's columns may be: SQL:2011 asks for DATE or TIMESTAMP, and
+#: both hold integers here (day numbers, ticks), so scans may read
+#: ``AS OF t`` as the window ``[t, t + 1)`` (docs/EXECUTION.md, "Scan layer").
+PERIOD_TYPES = (SqlType.DATE, SqlType.TIMESTAMP, SqlType.INTEGER)
+
 
 @dataclass(frozen=True)
 class Column:
@@ -83,6 +88,11 @@ class TableSchema:
                 if col not in self._positions:
                     raise CatalogError(
                         f"period {period.name} references unknown column {col!r}"
+                    )
+                if self.columns[self._positions[col]].type not in PERIOD_TYPES:
+                    raise CatalogError(
+                        f"period {period.name} column {col!r} must be"
+                        " date, timestamp or integer"
                     )
 
     # -- lookups ---------------------------------------------------------

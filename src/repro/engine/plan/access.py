@@ -16,11 +16,13 @@ that plans flip between scans and index use as selectivity changes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..batch import Batch, batch_size, batches_from_rows
+from ..batch import Batch, batch_size, batches_from_rows, projector
 from ..storage.versioned import CURRENT, HISTORY, SINGLE, VersionedTable
+from ..storage.zonemap import NOTHING, Window, window_rows
 from ..types import END_OF_TIME
 
 ValueFn = Callable[[object], object]  # fn(env) -> runtime constant
@@ -46,87 +48,24 @@ class TemporalBounds:
     low: Optional[ValueFn] = None
     high: Optional[ValueFn] = None  # exclusive upper bound for "overlap"
 
-    def window(self, env):
-        """The half-open ``[lo, hi)`` interval a matching row's period must
-        overlap (``as_of t`` is ``[t, t+1)`` on integer ticks), or None when
-        the bounds do not reduce to one (mode ``all``, NULL or non-integer
-        points) and only the batch filter expresses them."""
-        if self.mode == "as_of":
-            tick = self.low(env)
-            return (tick, tick + 1) if type(tick) is int else None
-        if self.mode == "overlap":
-            lo, hi = self.low(env), self.high(env)
-            return None if lo is None or hi is None else (lo, hi)
+    def window(self, env) -> Window:
+        """The half-open ``[lo, hi)`` a matching row's period must overlap
+        (``begin < hi and end > lo``, storage/zonemap.py); ``AS OF t`` is
+        ``[t, after(t))``.  A NULL bound makes the predicate UNKNOWN for
+        every row: :data:`NOTHING`.  Not asked of mode ``all``."""
+        lo = self.low(env)
+        hi = after(lo) if self.mode == "as_of" else self.high(env)
+        return NOTHING if lo is None or hi is None else (lo, hi)
+
+
+def after(tick):
+    """The bound with ``begin < after(tick)`` exactly when ``begin <= tick``,
+    for the integer values every period holds (``catalog.PERIOD_TYPES``):
+    ``tick + 1`` for an integer tick, the next float above any other;
+    NULL stays NULL."""
+    if tick is None:
         return None
-
-    def row_filter(self, schema):
-        """Per-row predicate for the row lists index probes and timeline
-        snapshots return (scans use :meth:`batch_filter` or the window)."""
-        begin_pos = schema.position(self.begin_column)
-        end_pos = schema.position(self.end_column)
-        if self.mode == "all":
-            return None
-        if self.mode == "as_of":
-            low = self.low
-
-            def as_of(row, env):
-                tick = low(env)
-                begin, end = row[begin_pos], row[end_pos]
-                if begin is None:
-                    return False
-                return begin <= tick < (end if end is not None else END_OF_TIME)
-
-            return as_of
-        low, high = self.low, self.high
-
-        def overlap(row, env):
-            lo = low(env)
-            hi = high(env)
-            begin, end = row[begin_pos], row[end_pos]
-            if begin is None:
-                return False
-            if end is None:
-                end = END_OF_TIME
-            return begin < hi and end > lo
-
-        return overlap
-
-    def batch_filter(self, schema):
-        """Chunk-wise variant of :meth:`row_filter`: a selection mask
-        (list of bools) over a whole batch, evaluating the bound once."""
-        begin_pos = schema.position(self.begin_column)
-        end_pos = schema.position(self.end_column)
-        if self.mode == "all":
-            return None
-        if self.mode == "as_of":
-            low = self.low
-
-            def as_of(batch, env):
-                tick = low(env)
-                return [
-                    begin is not None
-                    and begin <= tick < (end if end is not None else END_OF_TIME)
-                    for begin, end in zip(
-                        batch.column(begin_pos), batch.column(end_pos)
-                    )
-                ]
-
-            return as_of
-        low, high = self.low, self.high
-
-        def overlap(batch, env):
-            lo = low(env)
-            hi = high(env)
-            return [
-                begin is not None
-                and begin < hi
-                and (end if end is not None else END_OF_TIME) > lo
-                for begin, end in zip(
-                    batch.column(begin_pos), batch.column(end_pos)
-                )
-            ]
-
-        return overlap
+    return tick + 1 if type(tick) is int else math.nextafter(tick, math.inf)
 
 
 @dataclass
@@ -134,14 +73,20 @@ class AccessDecision:
     """The chosen strategy for one partition (for EXPLAIN)."""
 
     partition: str
-    strategy: str  # "scan" | "pk-probe" | "index" | "rtree"
+    strategy: str  # "scan" | "pk-probe" | "index" | "rtree" | "timeline"
     index_name: Optional[str] = None
-    detail: str = ""
     pages: Optional[tuple] = None  # scans: (pages read, pages pruned)
+    cols: Optional[tuple] = None   # column-store scans: (decoded, width)
 
 
 class TableAccessPlan:
-    """Plans and executes access to one table across its partitions."""
+    """Plans and executes access to one table across its partitions.
+
+    Every temporal bound but ``ALL`` becomes a window storage applies
+    exactly — the system-time one also prunes pages by zone map — and a
+    column store decodes only *columns* (positions; None = all), which is
+    then the layout of every batch this plan returns.
+    """
 
     def __init__(
         self,
@@ -151,6 +96,7 @@ class TableAccessPlan:
         temporal_filters: List[TemporalBounds],
         constraints: List[ColumnConstraint],
         need_temporal: bool,
+        columns: Optional[Tuple[int, ...]] = None,
     ):
         self.table = table
         self.profile = profile
@@ -158,32 +104,25 @@ class TableAccessPlan:
         self.temporal_filters = temporal_filters
         self.constraints = constraints
         self.need_temporal = need_temporal
+        self.columns = columns
         self.decisions: List[AccessDecision] = []
-        self._row_filters = [
-            f
-            for f in (tb.row_filter(table.schema) for tb in temporal_filters)
-            if f is not None
-        ]
-        # the system-time bounds go to storage as a scan window (applied
-        # there exactly, with zone-map page pruning); the others stay
-        # batch filters
-        period = table.schema.system_period
-        self._system_bounds = next(
-            (
-                tb for tb in temporal_filters
-                if period is not None and tb.mode != "all"
-                and tb.begin_column == period.begin_column
-            ),
-            None,
-        )
-        batch_filters = [
-            (tb, tb.batch_filter(table.schema))
+        schema = table.schema
+        period = schema.system_period
+        bounds = [
+            (schema.position(tb.begin_column), schema.position(tb.end_column), tb)
             for tb in temporal_filters if tb.mode != "all"
         ]
-        self._batch_filters = [f for _tb, f in batch_filters]
-        self._other_batch_filters = [
-            f for tb, f in batch_filters if tb is not self._system_bounds
-        ]
+        # the system-time bounds go first: theirs is the window zone maps
+        # prune by, the others are checked row by row
+        system = None if period is None else schema.position(period.begin_column)
+        bounds.sort(key=lambda b: b[0] != system)
+        self._bounds = bounds
+        self._zoned = bool(bounds) and bounds[0][0] == system
+        self._project = None if columns is None else projector(columns)
+        width = len(schema.columns)
+        self._cols = None
+        if table.options.store_kind == "column":
+            self._cols = (width if columns is None else len(columns), width)
         self._pk_values = self._match_primary_key()
 
     # -- planning helpers ---------------------------------------------------
@@ -226,17 +165,22 @@ class TableAccessPlan:
     # -- execution ------------------------------------------------------------
 
     def batches(self, env) -> List[Batch]:
-        """The table's matching rows, partition by partition.  Scans
-        stream batches straight from storage with the temporal filters
-        applied as a scan window or per-batch selection masks."""
+        """The table's matching rows, partition by partition, in the plan's
+        layout.  Scans stream batches straight from storage, which applies
+        the windows; index, PK-probe and timeline row lists are windowed
+        and projected here."""
         out: List[Batch] = []
         self.decisions = []
+        checks = [(begin, end, tb.window(env)) for begin, end, tb in self._bounds]
         for partition in self.partitions:
-            out.extend(self._partition_batches(partition, env))
+            out.extend(self._partition_batches(partition, env, checks))
         return out
 
-    def _partition_batches(self, partition, env) -> List[Batch]:
+    def _partition_batches(self, partition, env, checks) -> List[Batch]:
         table = self.table
+        # a NULL bound matches no row: the scan's window skips every page
+        if any(window is NOTHING for *_pos, window in checks):
+            return self._scan_batches(partition, env, checks)
         # 0. native temporal index (System E): a system-time AS OF resolves
         #    through the Timeline Index instead of scanning (checkpoint +
         #    bounded replay), when the table has one attached
@@ -244,10 +188,8 @@ class TableAccessPlan:
         if timeline is not None:
             snapshot = self._timeline_snapshot(timeline, partition, env)
             if snapshot is not None:
-                self.decisions.append(
-                    AccessDecision(partition, "timeline", detail="snapshot")
-                )
-                return batches_from_rows(snapshot)
+                self.decisions.append(AccessDecision(partition, "timeline"))
+                return self._finish(snapshot, checks[1:])  # [0]: the AS OF
         # 1. primary-key probe (current partition only: the map tracks
         #    current versions, mirroring the system-created current index)
         if (
@@ -264,11 +206,9 @@ class TableAccessPlan:
             # System D's single table holds history interleaved: the PK map
             # only tracks open versions, so closed ones must come from a scan
             if partition == SINGLE and self._wants_closed_versions():
-                return self._scan_batches(
-                    partition, env, "pk map insufficient for closed versions"
-                )
+                return self._scan_batches(partition, env, checks)
             self.decisions.append(AccessDecision(partition, "pk-probe"))
-            return batches_from_rows(self._apply_filters(rows, env))
+            return self._finish(rows, checks)
         # 2. secondary indexes
         chosen = self._choose_index(partition, env)
         if chosen is not None:
@@ -276,30 +216,19 @@ class TableAccessPlan:
             self.decisions.append(
                 AccessDecision(partition, index_def.kind if index_def.kind == "rtree" else "index", index_def.name)
             )
-            return batches_from_rows(self._apply_filters(rows, env))
+            return self._finish(rows, checks)
         # 3. fall back to a scan
-        return self._scan_batches(partition, env)
+        return self._scan_batches(partition, env, checks)
 
-    def _scan_batches(self, partition, env, detail="") -> List[Batch]:
+    def _scan_batches(self, partition, env, checks) -> List[Batch]:
         access = self.table.partition(partition).access
         read, pruned = access.pages_read, access.pages_pruned
-        out = self._scan_filtered_batches(partition, env)
-        pages = (access.pages_read - read, access.pages_pruned - pruned)
-        self.decisions.append(
-            AccessDecision(partition, "scan", detail=detail, pages=pages)
-        )
-        return out
-
-    def _scan_filtered_batches(self, partition, env) -> List[Batch]:
-        window = None
-        batch_filters = self._batch_filters
-        if self._system_bounds is not None:
-            window = self._system_bounds.window(env)
-            if window is not None:
-                batch_filters = self._other_batch_filters
+        zoned = self._zoned
         source = self.table.scan_partition_batches(
             partition, need_temporal=self.need_temporal, size=batch_size(),
-            window=window,
+            window=checks[0][2] if zoned else None,
+            app_windows=checks[1:] if zoned else checks,
+            columns=self.columns,
         )
         # the deadline is polled once per batch, not per row
         check = getattr(env, "check", None)
@@ -307,16 +236,19 @@ class TableAccessPlan:
         for batch in source:
             if check is not None:
                 check()
-            for batch_filter in batch_filters:
-                mask = batch_filter(batch, env)
-                selected = [i for i, keep in enumerate(mask) if keep]
-                if len(selected) != batch.length:
-                    batch = batch.take(selected)
-                if batch.length == 0:
-                    break
-            if batch.length:
-                out.append(batch)
+            out.append(batch)
+        pages = (access.pages_read - read, access.pages_pruned - pruned)
+        self.decisions.append(
+            AccessDecision(partition, "scan", pages=pages, cols=self._cols)
+        )
         return out
+
+    def _finish(self, rows, checks) -> List[Batch]:
+        """A probe's full-width rows, windowed and in the plan's layout."""
+        rows = window_rows(rows, checks)
+        if self._project is not None:
+            rows = list(map(self._project, rows))
+        return batches_from_rows(rows)
 
     def _timeline_snapshot(self, timeline, partition, env):
         """Rows visible at an AS OF tick, via the Timeline Index; None when
@@ -332,18 +264,13 @@ class TableAccessPlan:
         if sys_filter is None or sys_filter.mode != "as_of":
             return None
         tick = sys_filter.low(env)
+        if not tick < END_OF_TIME:
+            return None  # no version is open after the sentinel (or at NaN)
         rows = []
         for rid in timeline.snapshot_rids(tick):
             row = self.table.fetch(partition, rid)
             if row is not None:
                 rows.append(tuple(row))
-        # apply the remaining (application-time) filters
-        for tb in self.temporal_filters:
-            if tb is sys_filter:
-                continue
-            row_filter = tb.row_filter(schema)
-            if row_filter is not None:
-                rows = [row for row in rows if row_filter(row, env)]
         return rows
 
     def _wants_closed_versions(self) -> bool:
@@ -353,11 +280,6 @@ class TableAccessPlan:
         if not self.temporal_filters:
             return False
         return True
-
-    def _apply_filters(self, rows, env):
-        for row_filter in self._row_filters:
-            rows = [row for row in rows if row_filter(row, env)]
-        return rows
 
     def _choose_index(self, partition, env):
         constraints = self._constraints_with_temporal()

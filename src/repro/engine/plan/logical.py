@@ -99,6 +99,27 @@ def referenced_columns(select: ast.Select) -> List[Tuple[Optional[str], str]]:
     return out
 
 
+def relation_columns(node: "LogicalNode") -> List[Tuple[Optional[str], str]]:
+    """The (binding, column) pairs a rewritten FROM/WHERE tree reads: a
+    rule may introduce references the text never named (a fused period's
+    endpoints, ``GROUP BY TEMPORAL``'s)."""
+    exprs: Sequence = ()
+    if isinstance(node, LogicalScan):
+        exprs = node.pushed
+    elif isinstance(node, LogicalJoin):
+        exprs = node.conjuncts
+    elif isinstance(node, LogicalAlignJoin):
+        exprs = node.conjuncts + node.left_period + node.right_period
+    elif isinstance(node, LogicalTemporalAggregate):
+        exprs = (node.begin, node.end) + node.aggregates
+    elif isinstance(node, LogicalFilter):
+        exprs = (node.predicate,)
+    out = [(ref.table, ref.name) for expr in exprs for ref in collect_column_refs(expr)]
+    for child in node.children():
+        out.extend(relation_columns(child))
+    return out
+
+
 def rebuild_expr(expr, rewrite):
     """Rebuild an expression node with rewritten children.
 

@@ -114,6 +114,8 @@ class TableAccess(Operator):
                 bit += f"[{decision.index_name}]"
             if decision.pages is not None:
                 bit += " pages=%d/%d" % decision.pages
+            if decision.cols is not None:
+                bit += " cols=%d/%d" % decision.cols
             bits.append(bit)
         return "; ".join(bits)
 

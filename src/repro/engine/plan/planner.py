@@ -35,7 +35,7 @@ from ..sql import ast
 from ..types import END_OF_TIME
 from . import cost
 from . import operators as ops
-from .access import ColumnConstraint, TableAccessPlan, TemporalBounds
+from .access import ColumnConstraint, TableAccessPlan, TemporalBounds, after
 from .logical import (
     LogicalAlignJoin,
     LogicalDerived,
@@ -52,6 +52,7 @@ from .logical import (
     build_logical,
     conjoin,
     rebuild_expr,
+    relation_columns,
     scans_in_order,
     unit_layout,
 )
@@ -306,7 +307,8 @@ class Planner:
 
     def _lower_query(self, query: LogicalQuery, outer_scope):
         select = query.select
-        relation = self._lower_relation(query.relation, outer_scope, query.referenced)
+        referenced = query.referenced + relation_columns(query.relation)
+        relation = self._lower_relation(query.relation, outer_scope, referenced)
         source_op = relation.op
         source_layout = relation.layout
         scope = Scope(source_layout, outer=outer_scope)
@@ -467,6 +469,13 @@ class Planner:
         schema = table.schema
         binding = node.binding
         layout = [(binding, column) for column in schema.column_names()]
+        names = {name for ref, name in referenced if ref in (binding, None)}
+        columns = None
+        if table.options.store_kind == "column" and "*" not in names:
+            # late materialisation: a column store decodes only what the
+            # query reads, and that narrower list is the scan's layout
+            columns = tuple(i for i, (_b, c) in enumerate(layout) if c in names)
+            layout = [layout[i] for i in columns]
         scope = Scope(layout, outer=outer_scope)
 
         temporal_filters, has_system_clause = self._resolve_temporal(
@@ -505,10 +514,13 @@ class Planner:
             if constraint is not None:
                 constraints.append(constraint)
 
-        need_temporal = self._needs_temporal(
-            schema, binding, referenced, has_system_clause, table
+        # System B's side table joins back only for a read of system time
+        # (the implicit-current filter of a single table reads sys_end)
+        period = schema.system_period
+        need_temporal = table.is_versioned and (
+            has_system_clause or not table.has_split or "*" in names
+            or not names.isdisjoint((period.begin_column, period.end_column))
         )
-
         access = TableAccessPlan(
             table,
             self.profile,
@@ -516,6 +528,7 @@ class Planner:
             temporal_filters,
             constraints,
             need_temporal,
+            columns,
         )
         description = (
             f"Access({schema.name} as {binding}, partitions={partitions}, "
@@ -723,7 +736,7 @@ class Planner:
                 bounds = TemporalBounds(
                     period.begin_column, period.end_column, "overlap",
                     low=low_fn,
-                    high=(lambda env, fn=high_fn: fn(env) + 1),
+                    high=(lambda env, fn=high_fn: after(fn(env))),
                 )
             filters.append(bounds)
         return filters, has_system
@@ -798,20 +811,6 @@ class Planner:
                 raise
             return None
         return lambda env: fn((), env)
-
-    def _needs_temporal(self, schema, binding, referenced, has_system_clause, table):
-        if not table.is_versioned:
-            return False
-        if has_system_clause:
-            return True
-        if not table.has_split:
-            return True  # the implicit-current filter reads sys_end
-        period = schema.system_period
-        sys_cols = {period.begin_column, period.end_column}
-        for ref_binding, name in referenced:
-            if name in sys_cols and ref_binding in (binding, None):
-                return True
-        return False
 
     # -- aggregation -----------------------------------------------------------
 

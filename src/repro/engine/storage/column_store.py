@@ -9,16 +9,19 @@ merge cost during loading.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import and_
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..batch import Batch, drain_full_batches
+from ..batch import Batch, drain_full_batches, projector
 from .zonemap import (
+    ALL,
     SKIP,
     SOME,
     ScanTally,
     Window,
     Zone,
-    window_offsets,
+    window_codes,
     window_rows,
     zone_of,
     zone_verdict,
@@ -48,6 +51,15 @@ class _Dictionary:
 
     def __len__(self):
         return len(self._values)
+
+
+def _select(values, live):
+    """The items of *values* (one per slot of a chunk) at the *live* slots:
+    all (None), those whose flag is set (a bytearray, one flag per slot),
+    or those at the offsets listed (a list)."""
+    if live is None:
+        return values
+    return compress(values, live) if type(live) is bytearray else map(values.__getitem__, live)
 
 
 class ColumnStore:
@@ -115,9 +127,9 @@ class ColumnStore:
     def delete(self, rid) -> bool:
         main_size = self.main_size
         if rid < main_size:
-            if self._main_deleted[rid]:
+            if not self._main_live[rid]:
                 return False
-            self._main_deleted[rid] = True
+            self._main_live[rid] = 0
             self._dead_main += 1
             self._zones.pop(rid // self._zone_rows, None)
         else:
@@ -138,11 +150,11 @@ class ColumnStore:
                 # keep the slot to preserve rid arithmetic, mark deleted
                 for col in range(self._column_count):
                     self._main[col].append(0)
-                self._main_deleted.append(True)
+                self._main_live.append(0)
             else:
                 for col, value in enumerate(row):
                     self._main[col].append(self._dictionaries[col].encode(value))
-                self._main_deleted.append(False)
+                self._main_live.append(1)
         self._delta = []
         self._dead_main += self._dead_delta
         self._dead_delta = 0
@@ -155,7 +167,7 @@ class ColumnStore:
     def fetch(self, rid) -> Optional[list]:
         main_size = self.main_size
         if rid < main_size:
-            if self._main_deleted[rid]:
+            if not self._main_live[rid]:
                 return None
             return [
                 self._dictionaries[col].decode(self._main[col][rid])
@@ -172,7 +184,7 @@ class ColumnStore:
         decode = [d.decode for d in self._dictionaries]
         cols = self._main
         for rid in range(self.main_size):
-            if self._main_deleted[rid]:
+            if not self._main_live[rid]:
                 continue
             yield rid, [decode[c](cols[c][rid]) for c in range(self._column_count)]
         base = self.main_size
@@ -181,85 +193,113 @@ class ColumnStore:
                 yield base + offset, list(row)
 
     def scan_batches(self, size: int, *, window: Optional[Window] = None,
+                     app_windows=(), columns=None,
                      tally: Optional[ScanTally] = None) -> Iterator[Batch]:
-        """Scan as batches in :meth:`scan` order: main vectors are decoded
-        a *size*-row chunk at a time with C-level dictionary lookups (no
-        per-row tuple construction), the delta is replayed as row-major
-        chunks aliasing its tuples.
-
-        With *window* only rows whose system period overlaps it are
-        produced: the zone maps a chunk of main falls into skip it, accept
-        it whole, or send it through the row-by-row filter (the unsealed
-        tail of main and the delta always are).  *tally* receives this
-        scan's counts.
+        """Scan as batches in :meth:`scan` order, restricting first and
+        decoding last.  Per *size*-row chunk of main: the verdict of the
+        zones the chunk falls into for the system-time *window* (skip,
+        accept, or check row by row); the live flags; each remaining window
+        (*app_windows*: ``(begin_pos, end_pos, window)`` triples) tested on
+        the live slots' period codes where the dictionaries are small
+        (:meth:`_code_tables`), narrowing them to the offsets that pass;
+        then the *columns* (positions; None = all) of the surviving slots,
+        each decoded once with C-level selection and dictionary lookup
+        (:func:`_select`).  The delta is replayed row-major and filtered
+        row by row, aliasing its tuples unless *columns* projects them.
+        *tally* receives this scan's counts.
         """
         if tally is None:
             tally = ScanTally()
-        lookups = [d._values.__getitem__ for d in self._dictionaries]
-        cols = self._main
+        both = app_windows
+        if window is not None:
+            both = [(*self._period, window), *app_windows]
+        project = None if columns is None else projector(columns)
+        if columns is None:
+            columns = range(self._column_count)
         main_size = self.main_size
-        for start in range(0, main_size, size):
-            stop = min(start + size, main_size)
-            live = self._live_offsets(start, stop)  # None = every slot
-            rows_on_page = stop - start if live is None else len(live)
-            if window is not None:
-                verdict = self._chunk_verdict(start, stop, window)
-                if verdict is SKIP:
-                    tally.pages_pruned += 1
-                    continue
-                if verdict is SOME:
-                    matching = window_offsets(
-                        *self._period_values(start, stop, live), window
-                    )
-                    live = matching if live is None else [live[i] for i in matching]
+        chunks = [(start, min(start + size, main_size)) for start in range(0, main_size, size)]
+        verdicts = [ALL if window is None else self._chunk_verdict(*chunk, window)
+                    for chunk in chunks]
+        tested = {}  # check -> slots of main it will be tested on
+        for (start, stop), verdict in zip(chunks, verdicts):
+            for check in both if verdict is SOME else app_windows if verdict is ALL else ():
+                tested[check] = tested.get(check, 0) + stop - start
+        tables = self._code_tables(tested)
+        for (start, stop), verdict in zip(chunks, verdicts):
+            if verdict is SKIP:
+                tally.pages_pruned += 1
+                continue
+            live = self._live_flags(start, stop)  # None = every slot
+            count = stop - start if live is None else live.count(1)
             tally.pages_read += 1
-            tally.rows_read += rows_on_page
-            if live is None:
-                columns = [
-                    list(map(lookup, vector[start:stop]))
-                    for lookup, vector in zip(lookups, cols)
-                ]
-                yield Batch.from_columns(columns, stop - start)
-            elif live:
-                columns = [
-                    list(map(lookup, map(vector[start:stop].__getitem__, live)))
-                    for lookup, vector in zip(lookups, cols)
-                ]
-                yield Batch.from_columns(columns, len(live))
+            tally.rows_read += count
+            for check in both if verdict is SOME else app_windows:
+                keep = self._overlapping(check, tables.get(check), start, stop, live)
+                matching = list(compress(_select(range(stop - start), live), keep))
+                if len(matching) < count:
+                    live, count = matching, len(matching)
+            if count:
+                yield Batch.from_columns(
+                    [self._decode(pos, start, stop, live) for pos in columns], count
+                )
         delta = self._delta
         chunk: List[tuple] = []
         for start in range(0, len(delta), size):
             rows = delta[start:start + size]
             tally.pages_read += 1
             tally.rows_read += len(rows) - (rows.count(None) if self._dead_delta else 0)
-            if window is not None:
-                rows = window_rows(rows, *self._period, window)
+            if both:
+                rows = window_rows(rows, both)
             elif self._dead_delta:
                 rows = filter(None, rows)  # a stored row is a non-empty tuple
-            chunk.extend(rows)
+            chunk.extend(rows if project is None else map(project, rows))
             if len(chunk) >= size:
                 chunk = yield from drain_full_batches(chunk, size)
         if chunk:
             yield Batch.from_rows(chunk)
 
-    def _period_values(self, start, stop, live):
-        """Decoded (begins, ends) of main[start:stop], live offsets only."""
-        out = []
-        for pos in self._period:
-            codes = self._main[pos][start:stop]
-            if live is not None:
-                codes = map(codes.__getitem__, live)
-            out.append(list(map(self._dictionaries[pos]._values.__getitem__, codes)))
-        return out
+    def _decode(self, pos, start, stop, live) -> list:
+        """Decoded values of column *pos* over the *live* slots of
+        main[start:stop] (:func:`_select`): one C-level dictionary lookup."""
+        codes = _select(self._main[pos][start:stop], live)
+        return list(map(self._dictionaries[pos]._values.__getitem__, codes))
 
-    def _live_offsets(self, start, stop) -> Optional[List[int]]:
-        """Offsets of the live slots of main[start:stop]; None = all."""
+    def _code_tables(self, tested) -> dict:
+        """For each check of *tested* (check -> slots it will be tested on)
+        whose period dictionaries hold no more values than those slots:
+        which codes of its begin and of its end dictionary pass it.  The
+        checks left out are tested on each chunk's decoded period values
+        instead, so a scan never compares more values than the slots it
+        tests, however large a long history has grown its dictionaries."""
+        tables = {}
+        for check, slots in tested.items():
+            begin_pos, end_pos, window = check
+            begins = self._dictionaries[begin_pos]._values
+            ends = self._dictionaries[end_pos]._values
+            if len(begins) + len(ends) <= 2 * slots:
+                tables[check] = window_codes(begins, ends, window)
+        return tables
+
+    def _overlapping(self, check, table, start, stop, live):
+        """Per *live* slot of main[start:stop], whether its period overlaps
+        the window of *check*: looked up by code in its *table*
+        (:meth:`_code_tables`), else tested on the decoded values."""
+        begin_pos, end_pos, window = check
+        if table is None:
+            return map(and_, *window_codes(self._decode(begin_pos, start, stop, live),
+                                           self._decode(end_pos, start, stop, live), window))
+        begin_ok, end_ok = table
+        begins = _select(self._main[begin_pos][start:stop], live)
+        ends = _select(self._main[end_pos][start:stop], live)
+        return map(and_, map(begin_ok.__getitem__, begins), map(end_ok.__getitem__, ends))
+
+    def _live_flags(self, start, stop) -> Optional[bytearray]:
+        """The live flags of main[start:stop] (1 live, 0 deleted); None
+        when every slot is live."""
         if not self._dead_main:
             return None
-        deleted = self._main_deleted[start:stop]
-        if True not in deleted:
-            return None
-        return [i for i, dead in enumerate(deleted) if not dead]
+        flags = self._main_live[start:stop]
+        return flags if 0 in flags else None
 
     def _chunk_verdict(self, start, stop, window) -> str:
         """One verdict for main[start:stop] from the zones it falls into:
@@ -279,8 +319,9 @@ class ColumnStore:
         if zone is None:
             start = zone_no * self._zone_rows
             stop = start + self._zone_rows
+            live = self._live_flags(start, stop)
             zone = self._zones[zone_no] = zone_of(
-                *self._period_values(start, stop, self._live_offsets(start, stop))
+                *(self._decode(pos, start, stop, live) for pos in self._period)
             )
         return zone
 
@@ -289,7 +330,7 @@ class ColumnStore:
         decode = self._dictionaries[col].decode
         vector = self._main[col]
         for rid in range(self.main_size):
-            if not self._main_deleted[rid]:
+            if self._main_live[rid]:
                 yield rid, decode(vector[rid])
         base = self.main_size
         for offset, row in enumerate(self._delta):
@@ -299,7 +340,7 @@ class ColumnStore:
     def clear(self):
         self._dictionaries = [_Dictionary() for _ in range(self._column_count)]
         self._main: List[List[int]] = [[] for _ in range(self._column_count)]
-        self._main_deleted: List[bool] = []
+        self._main_live = bytearray()  # per slot of main: 1 live, 0 deleted
         self._delta: List[Optional[tuple]] = []
         self._live = 0        # live rows, main + delta
         self._dead_main = 0   # tombstones in main / in the delta

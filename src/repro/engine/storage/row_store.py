@@ -12,6 +12,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..batch import Batch, drain_full_batches
 from .zonemap import (
+    ALL,
     SKIP,
     SOME,
     ScanTally,
@@ -98,6 +99,7 @@ class RowStore:
             rid_base += self._page_size
 
     def scan_batches(self, size: int, *, window: Optional[Window] = None,
+                     app_windows=(),
                      tally: Optional[ScanTally] = None) -> Iterator[Batch]:
         """The rows of :meth:`scan`, in the same order, as row-major
         batches of *size* rows that alias the stored tuples.
@@ -105,14 +107,19 @@ class RowStore:
         With *window* only rows whose system period overlaps it are
         produced: a sealed page's zone map skips it, accepts it whole, or
         sends it through the row-by-row filter (the open tail page always
-        is).  *tally* receives the page and row counts of this scan.
+        is).  Each of *app_windows*, ``(begin_pos, end_pos, window)``
+        triples, is applied row by row on the pages that are read.
+        *tally* receives the page and row counts of this scan.
         """
         if tally is None:
             tally = ScanTally()
+        both = app_windows
+        if window is not None:
+            both = [(*self._period, window), *app_windows]
         holes = self._holes
         chunk: List[tuple] = []
         for page_no, page in enumerate(self._pages):
-            rows = page
+            checks = both
             if window is not None:
                 verdict = SOME
                 if len(page) == self._page_size:
@@ -120,10 +127,12 @@ class RowStore:
                 if verdict is SKIP:
                     tally.pages_pruned += 1
                     continue
-                if verdict is SOME:
-                    rows = window_rows(page, *self._period, window)
-            if rows is page and page_no in holes:
-                rows = filter(None, page)  # a stored row is a non-empty tuple
+                if verdict is ALL:
+                    checks = app_windows
+            if checks:
+                rows = window_rows(page, checks)
+            else:  # a stored row is a non-empty tuple
+                rows = filter(None, page) if page_no in holes else page
             tally.pages_read += 1
             tally.rows_read += len(page) - holes.get(page_no, 0)
             chunk.extend(rows)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..batch import Batch, batches_from_rows
+from ..batch import Batch, batches_from_rows, projector
 from ..catalog import IndexDef, TableSchema
 from ..errors import CatalogError, InternalError
 from ..index import create_index_structure
@@ -505,11 +505,13 @@ class VersionedTable:
     # -- batch reads ---------------------------------------------------------
 
     def scan_current_batches(self, need_temporal=True, size=1024, *,
-                             window: Optional[Window] = None) -> Iterator[Batch]:
+                             window: Optional[Window] = None, app_windows=(),
+                             columns=None) -> Iterator[Batch]:
         """Batch variant of :meth:`scan_current`: same rows in the same
-        order (as tuples).  The store hands over whole pages; with a
-        system-time *window* it returns exactly the rows overlapping it
-        and prunes pages by zone map (docs/EXECUTION.md, "Scan layer").
+        order (as tuples).  The store applies the system-time *window*
+        (pruning pages by zone map) and the *app_windows* exactly and
+        hands over the *columns* (positions; None = all) of the surviving
+        rows (docs/EXECUTION.md, "Scan layer").
         """
         part = self._partitions[self.current_partition_name()]
         self.stats.current_scans += 1
@@ -526,13 +528,18 @@ class VersionedTable:
             self._account_scan(part, CURRENT, tally)
             rows = [tuple(row) for _rid, row in self._scan_current_vp(part)]
             if window is not None:
-                rows = window_rows(rows, self._sys_begin, self._sys_end, window)
+                app_windows = [(self._sys_begin, self._sys_end, window), *app_windows]
+            rows = window_rows(rows, app_windows)
+            if columns is not None:
+                rows = list(map(projector(columns), rows))
             yield from batches_from_rows(rows, size)
             return
-        yield from self._scan_store_batches(part, CURRENT, size, window)
+        yield from self._scan_store_batches(
+            part, CURRENT, size, window, app_windows, columns
+        )
 
-    def scan_history_batches(self, size=1024, *,
-                             window: Optional[Window] = None) -> Iterator[Batch]:
+    def scan_history_batches(self, size=1024, *, window: Optional[Window] = None,
+                             app_windows=(), columns=None) -> Iterator[Batch]:
         """Batch variant of :meth:`scan_history` (drains the undo log)."""
         if not self._split:
             return
@@ -540,13 +547,17 @@ class VersionedTable:
             self.drain_undo()
         self.stats.history_scans += 1
         yield from self._scan_store_batches(
-            self._partitions[HISTORY], HISTORY, size, window
+            self._partitions[HISTORY], HISTORY, size, window, app_windows, columns
         )
 
-    def _scan_store_batches(self, part, kind, size, window):
+    def _scan_store_batches(self, part, kind, size, window, app_windows, columns):
         tally = ScanTally()
+        # only a column store narrows: a row store hands over its tuples
+        narrow = {} if columns is None else {"columns": columns}
         try:
-            yield from part.store.scan_batches(size, window=window, tally=tally)
+            yield from part.store.scan_batches(
+                size, window=window, app_windows=app_windows, tally=tally, **narrow
+            )
         finally:
             # also when the consumer stops early (timeout): count what was read
             self._account_scan(part, kind, tally)
@@ -567,13 +578,22 @@ class VersionedTable:
         self.metrics.inc("storage.pages_pruned", tally.pages_pruned)
 
     def scan_partition_batches(self, name, need_temporal=True, size=1024, *,
-                               window: Optional[Window] = None):
+                               window: Optional[Window] = None, app_windows=(),
+                               columns=None):
+        """One partition's rows as batches.  *window* is the system-time
+        window, *app_windows* ``(begin_pos, end_pos, window)`` triples for
+        any other period, *columns* the positions to hand over (a
+        column-store table only); the defaults scan every row of every
+        column."""
         if name in (CURRENT, SINGLE):
             yield from self.scan_current_batches(
-                need_temporal=need_temporal, size=size, window=window
+                need_temporal=need_temporal, size=size, window=window,
+                app_windows=app_windows, columns=columns,
             )
         elif name == HISTORY:
-            yield from self.scan_history_batches(size=size, window=window)
+            yield from self.scan_history_batches(
+                size=size, window=window, app_windows=app_windows, columns=columns
+            )
         else:
             raise InternalError(f"unknown partition {name!r}")
 

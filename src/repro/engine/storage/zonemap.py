@@ -1,10 +1,11 @@
-"""System-time zone maps: the page-pruning arithmetic both stores share.
+"""Period windows and system-time zone maps: the restriction arithmetic
+both stores share.
 
-A *window* is the half-open system-time interval ``[lo, hi)`` a scan was
-asked for; a row version matches when its period overlaps it —
+A *window* is the half-open interval ``[lo, hi)`` a scan was asked for on
+one period; a row version matches when its period overlaps it —
 ``begin < hi and end > lo``, with a NULL ``begin`` never matching and a
-NULL ``end`` read as ``END_OF_TIME`` (exactly
-:meth:`~repro.engine.plan.access.TemporalBounds.row_filter`).  A *zone* is
+NULL ``end`` read as ``END_OF_TIME``.  A scan applies every window exactly;
+the system-time one also prunes.  A *zone* is
 ``(min begin, max begin, min end, max end, has_null)`` over the live rows
 of one sealed page; :func:`zone_verdict` decides from it alone whether the
 page can be skipped, handed over whole, or has to be filtered row by row.
@@ -24,6 +25,9 @@ SKIP, ALL, SOME = "skip", "all", "some"
 _INF = float("inf")
 #: zone of a page without a single matchable row: every window skips it
 _EMPTY_ZONE: Zone = (_INF, -_INF, _INF, -_INF, False)
+#: the window of a NULL bound, whose predicate is UNKNOWN for every row:
+#: every zone skips it and no row overlaps it
+NOTHING: Window = (_INF, -_INF)
 
 
 class ScanTally:
@@ -66,27 +70,31 @@ def zone_verdict(zone: Zone, window: Window) -> str:
     return SOME
 
 
-def window_rows(rows: Sequence[Optional[tuple]], begin_pos: int, end_pos: int,
-                window: Window) -> List[tuple]:
-    """The live rows of a row-major page whose period overlaps *window*."""
-    lo, hi = window
-    return [
-        row
-        for row in rows
-        if row is not None
-        and (begin := row[begin_pos]) is not None
-        and begin < hi
-        and (END_OF_TIME if (end := row[end_pos]) is None else end) > lo
-    ]
+def window_rows(rows: Sequence[Optional[tuple]],
+                checks: Sequence[Tuple[int, int, Window]]) -> List[tuple]:
+    """The live rows of a row-major page whose periods overlap every window
+    of *checks*, ``(begin_pos, end_pos, window)`` triples (no checks: *rows*
+    as given)."""
+    for begin_pos, end_pos, (lo, hi) in checks:
+        rows = [
+            row
+            for row in rows
+            if row is not None
+            and (begin := row[begin_pos]) is not None
+            and begin < hi
+            and (END_OF_TIME if (end := row[end_pos]) is None else end) > lo
+        ]
+    return rows
 
 
-def window_offsets(begins: Sequence, ends: Sequence, window: Window) -> List[int]:
-    """Column-major twin of :func:`window_rows`: the matching offsets."""
+def window_codes(begin_values: Sequence, end_values: Sequence,
+                 window: Window) -> Tuple[List[bool], List[bool]]:
+    """Column-major twin of :func:`window_rows`, over the dictionary values
+    of a period's begin and end vectors: which of *begin_values* and which
+    of *end_values* pass their half of the overlap test (a row passes when
+    both of its values do)."""
     lo, hi = window
-    return [
-        offset
-        for offset, (begin, end) in enumerate(zip(begins, ends))
-        if begin is not None
-        and begin < hi
-        and (END_OF_TIME if end is None else end) > lo
-    ]
+    return (
+        [begin is not None and begin < hi for begin in begin_values],
+        [(END_OF_TIME if end is None else end) > lo for end in end_values],
+    )

@@ -50,6 +50,14 @@ class TestTableSchema:
                 periods=[PeriodDef("p", "a", "zz")],
             )
 
+    @pytest.mark.parametrize("kind", [SqlType.DECIMAL, SqlType.VARCHAR, SqlType.BOOLEAN])
+    def test_period_columns_hold_integers(self, kind):
+        # scans read AS OF t as the window [t, t + 1): exact on integers only
+        for columns in ([Column("a", kind), Column("b", SqlType.DATE)],
+                        [Column("a", SqlType.TIMESTAMP), Column("b", kind)]):
+            with pytest.raises(CatalogError, match="must be date, timestamp or integer"):
+                TableSchema("t", columns, periods=[PeriodDef("p", "a", "b")])
+
     def test_system_and_application_periods(self):
         schema = _schema()
         assert schema.system_period.name == "system_time"
