@@ -9,7 +9,7 @@ wrappers over these functions; examples reuse them too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..core.generator import BitemporalDataGenerator, GeneratorConfig
@@ -19,7 +19,6 @@ from ..core.queries import tpch
 from ..core.stats import format_operations_table, operations_table, scenario_mix
 from ..engine.database import Database
 from ..systems import IndexSetting, apply_index_setting, drop_tuning_indexes, make_system
-from ..systems.system_e import SystemE
 from .report import (
     format_figure,
     format_latency_table,
@@ -401,26 +400,6 @@ _ALIGN_NATIVE = (
 )
 
 
-class _SystemENoFusion(SystemE):
-    """System E with ``temporal-fusion`` masked.
-
-    The honest rewrite arm of the temporal-ops experiment: on stock E
-    the optimizer fuses the rewrite back into the native operator, and
-    the comparison would measure the native plan twice.
-    """
-
-    def profile(self):
-        base = super().profile()
-        return replace(
-            base,
-            rewrite_rules=tuple(
-                rule
-                for rule in base.rewrite_rules
-                if rule != "temporal-fusion"
-            ),
-        )
-
-
 def temporal_ops(systems, workload, service) -> ExperimentResult:
     """Native temporal aggregation / align join vs their SQL:2011 rewrites.
 
@@ -431,13 +410,12 @@ def temporal_ops(systems, workload, service) -> ExperimentResult:
     native operators — explicit ``GROUP BY TEMPORAL`` / ``TEMPORAL
     JOIN`` dialect — with result equivalence checked inline before any
     timing.  Raw cells are kept so ``bench-diff`` can gate on them.
+    System E runs both arms as written, like A–D.
     """
-    native_e = make_system("E")
-    Loader(native_e, workload).load()
-    native_e.analyze()
-    rewrite_e = _SystemENoFusion()
-    Loader(rewrite_e, workload).load()
-    rewrite_e.analyze()
+    system_e = make_system("E")
+    Loader(system_e, workload).load()
+    system_e.analyze()
+    arms = {**systems, "E": system_e}
 
     pairs = [
         ("R3a", WORKLOAD.query("R3a").sql, _TEMPORAL_AGG_NATIVE["R3a"]),
@@ -448,19 +426,18 @@ def temporal_ops(systems, workload, service) -> ExperimentResult:
     speedups: Dict[str, Dict[str, float]] = {}
     for qid, rewrite_sql, native_sql in pairs:
         for name in "ABCDE":
-            rewrite_system = rewrite_e if name == "E" else systems[name]
-            native_system = native_e if name == "E" else systems[name]
-            expected = sorted(rewrite_system.execute(rewrite_sql).rows)
-            got = sorted(native_system.execute(native_sql).rows)
+            system = arms[name]
+            expected = sorted(system.execute(rewrite_sql).rows)
+            got = sorted(system.execute(native_sql).rows)
             if got != expected:
                 raise AssertionError(
                     f"native {qid} diverged from the rewrite on system {name}"
                 )
             rewrite_cell = service.measure_sql(
-                rewrite_system, rewrite_sql, qid=qid, setting="rewrite"
+                system, rewrite_sql, qid=qid, setting="rewrite"
             )
             native_cell = service.measure_sql(
-                native_system, native_sql, qid=qid, setting="native"
+                system, native_sql, qid=qid, setting="native"
             )
             measurements.extend((rewrite_cell, native_cell))
             speedups.setdefault(qid, {})[name] = (

@@ -66,9 +66,7 @@ QUERIES = [
         # that ends without a successor still changes the aggregate at its
         # ``sys_end``, and begins-only misses that boundary entirely.  (The
         # begins-only variant also undercounts whenever a deletion is the
-        # only event at a tick.)  This both-endpoints UNION shape is what the
-        # ``temporal-fusion`` rewrite recognises and replaces with the native
-        # sweep operator.
+        # only event at a tick.)
         "SELECT b.t, count(*)"
         " FROM (SELECT sys_begin AS t FROM orders FOR SYSTEM_TIME ALL"
         "       UNION"

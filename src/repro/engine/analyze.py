@@ -51,12 +51,7 @@ from .plan.logical import (
     collect_column_refs,
     split_conjuncts,
 )
-from .plan.rewrite import (
-    conjunct_bindings,
-    match_align_join_rewrite,
-    match_temporal_aggregate_rewrite,
-    rewrite_logical,
-)
+from .plan.rewrite import conjunct_bindings, rewrite_logical
 from .sql import ast
 from .sql.lexer import line_col
 from .sql.parser import parse_statement
@@ -261,12 +256,10 @@ _RULE_LIST = (
         "TQ017",
         "rewrite-shaped-temporal-operator",
         "info",
-        "query spells a native temporal operator as its SQL:2011 rewrite",
-        "§5.6/§5.7: the boundaries-self-join aggregation and the "
-        "inequality-pair overlap join cost orders of magnitude more than "
-        "the native sweep operators this engine provides",
-        "use GROUP BY TEMPORAL(<period>) or TEMPORAL JOIN, or run on a "
-        "profile with the 'temporal-fusion' rewrite enabled",
+        "query spells temporal aggregation as its SQL:2011 rewrite",
+        "§5.6: the boundaries-self-join aggregation costs orders of "
+        "magnitude more than the native sweep operator this engine provides",
+        "use GROUP BY TEMPORAL(<period>)",
     ),
 )
 
@@ -426,26 +419,19 @@ class _Analysis:
     # -- native temporal operators (TQ017) --------------------------------
 
     def _check_native_operators(self, select: ast.Select, relation, path: str):
-        """Flag rewrite shapes the native operators replace.
+        """Flag the temporal-aggregation rewrite ``GROUP BY TEMPORAL``
+        answers 48–143× faster.
 
-        Runs on the *post*-rewrite plan: on a profile with the
-        ``temporal-fusion`` rule the shape has already been fused into
-        :class:`LogicalTemporalAggregate` / :class:`LogicalAlignJoin`, the
-        matchers see nothing, and the rule is automatically silent.
+        The inequality-pair overlap join is deliberately not flagged: its
+        hash join with an overlap residual measured 1.2–2.1× *faster* than
+        ``TEMPORAL JOIN`` on every benchmark cell (docs/TEMPORAL_OPS.md,
+        "Why no fusion rule").
         """
-        if match_temporal_aggregate_rewrite(select, relation) is not None:
+        if _is_temporal_aggregate_rewrite(select, relation):
             self.emit(
                 "TQ017",
                 "boundaries-self-join temporal aggregation could use the "
                 "native sweep operator (GROUP BY TEMPORAL(...))",
-                select,
-                path,
-            )
-        elif match_align_join_rewrite(select, relation) is not None:
-            self.emit(
-                "TQ017",
-                "inequality-pair overlap join could use the native "
-                "period-align operator (TEMPORAL JOIN)",
                 select,
                 path,
             )
@@ -1034,6 +1020,187 @@ def _from_item_expressions(item):
                 yield clause.low
             if clause.high is not None:
                 yield clause.high
+
+
+# ---------------------------------------------------------------------------
+# TQ017: the temporal-aggregation rewrite shape
+# ---------------------------------------------------------------------------
+
+
+def _normalize_ineq(conjunct):
+    """(smaller, larger, strict) for a ``< <= > >=`` comparison, else None."""
+    if not isinstance(conjunct, ast.Binary):
+        return None
+    if conjunct.op == "<":
+        return conjunct.left, conjunct.right, True
+    if conjunct.op == "<=":
+        return conjunct.left, conjunct.right, False
+    if conjunct.op == ">":
+        return conjunct.right, conjunct.left, True
+    if conjunct.op == ">=":
+        return conjunct.right, conjunct.left, False
+    return None
+
+
+def _is_scan_col(expr, column, scan: LogicalScan) -> bool:
+    return (
+        isinstance(expr, ast.ColumnRef)
+        and expr.name == column
+        and (
+            expr.table == scan.binding
+            or (expr.table is None and scan.schema.has_column(column))
+        )
+    )
+
+
+def _is_t_ref(expr, t_name, alias) -> bool:
+    return (
+        isinstance(expr, ast.ColumnRef)
+        and expr.name == t_name
+        and expr.table in (None, alias)
+    )
+
+
+def _agg_over_scan(agg: ast.Aggregate, scan: LogicalScan) -> bool:
+    """True when the aggregate's argument reads only the scan's columns."""
+    if agg.arg is None:
+        return True
+    for node in ast.walk_expr(agg.arg):
+        if isinstance(
+            node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery, ast.Star)
+        ):
+            return False
+        if isinstance(node, ast.ColumnRef):
+            if node.table is not None and node.table != scan.binding:
+                return False
+            if node.table is None and not scan.schema.has_column(node.name):
+                return False
+    return True
+
+
+def _boundary_core(select: ast.Select):
+    """Match ``SELECT <endpoint> AS t FROM <table> FOR <period> ALL`` —
+    one core of the rewrite's boundary derived table.  Returns
+    ``(table_name, endpoint_column, temporal_clause, output_name)``."""
+    if (
+        len(select.items) != 1
+        or select.where is not None
+        or select.group_by
+        or select.having is not None
+        or select.order_by
+        or select.limit is not None
+        or select.distinct
+        or len(select.from_items) != 1
+    ):
+        return None
+    item = select.items[0]
+    if not isinstance(item.expr, ast.ColumnRef):
+        return None
+    ref = select.from_items[0]
+    if not isinstance(ref, ast.TableRef) or len(ref.temporal) != 1:
+        return None
+    clause = ref.temporal[0]
+    if clause.mode != "all":
+        return None
+    if item.expr.table is not None and item.expr.table != ref.binding:
+        return None
+    return ref.name, item.expr.name, clause, (item.alias or item.expr.name)
+
+
+def _is_temporal_aggregate_rewrite(select: ast.Select, relation: LogicalNode) -> bool:
+    """True for the boundary-union temporal-aggregation rewrite.
+
+    Shape (the corrected R3 family): a derived table unioning *both*
+    period endpoints of a table joined back to a pristine scan of the
+    same table on ``begin <= t AND t < end``, grouped by ``t``, with the
+    select list containing only ``t`` and aggregates over the scan — the
+    query ``GROUP BY TEMPORAL`` answers identically.  The begins-only
+    legacy shape misses pure-deletion boundaries and does not match.
+    """
+    if not isinstance(relation, LogicalJoin) or relation.kind != "inner":
+        return False
+    sides = (relation.left, relation.right)
+    scan = next((s for s in sides if isinstance(s, LogicalScan)), None)
+    derived = next((s for s in sides if isinstance(s, LogicalDerived)), None)
+    if scan is None or derived is None or scan.pushed:
+        return False
+    dsel = derived.select
+    if dsel.set_op is None or dsel.order_by or dsel.limit is not None:
+        return False
+    op_name, rhs, all_flag = dsel.set_op
+    if op_name != "union" or all_flag or rhs.set_op is not None:
+        return False
+    left_core = ast.Select(
+        items=dsel.items,
+        from_items=dsel.from_items,
+        where=dsel.where,
+        group_by=dsel.group_by,
+        having=dsel.having,
+        distinct=dsel.distinct,
+    )
+    first = _boundary_core(left_core)
+    second = _boundary_core(rhs)
+    if first is None or second is None:
+        return False
+    table_a, col_a, clause_a, t_name = first
+    table_b, col_b, clause_b, out_b = second
+    if table_a != table_b or t_name != out_b:
+        return False
+    if (clause_a.period, clause_a.mode) != (clause_b.period, clause_b.mode):
+        return False
+    if scan.ref.name != table_a or len(scan.ref.temporal) != 1:
+        return False
+    sclause = scan.ref.temporal[0]
+    if sclause.mode != "all" or sclause.period != clause_a.period:
+        return False
+    period = _clause_period(scan.schema, clause_a)
+    if period is None:
+        return False
+    if {col_a, col_b} != {period.begin_column, period.end_column}:
+        return False
+    alias = derived.alias
+    if len(relation.conjuncts) != 2:
+        return False
+    saw_begin = saw_end = False
+    for conjunct in relation.conjuncts:
+        norm = _normalize_ineq(conjunct)
+        if norm is None:
+            return False
+        small, large, strict = norm
+        if (
+            not strict
+            and _is_scan_col(small, period.begin_column, scan)
+            and _is_t_ref(large, t_name, alias)
+        ):
+            saw_begin = True
+        elif (
+            strict
+            and _is_t_ref(small, t_name, alias)
+            and _is_scan_col(large, period.end_column, scan)
+        ):
+            saw_end = True
+        else:
+            return False
+    if not (saw_begin and saw_end):
+        return False
+    if len(select.group_by) != 1 or not _is_t_ref(
+        select.group_by[0], t_name, alias
+    ):
+        return False
+    if select.having is not None or select.distinct:
+        return False
+    for item in select.items:
+        if _is_t_ref(item.expr, t_name, alias):
+            continue
+        if isinstance(item.expr, ast.Aggregate) and _agg_over_scan(
+            item.expr, scan
+        ):
+            continue
+        return False
+    return all(
+        _is_t_ref(item.expr, t_name, alias) or isinstance(item.expr, ast.Literal)
+        for item in select.order_by
+    )
 
 
 __all__ = [

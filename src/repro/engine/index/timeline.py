@@ -12,16 +12,15 @@ an **activation** event at ``sys_begin`` and (once closed) an
 **invalidation** event at ``sys_end``, both ordered by tick.  Periodic
 **checkpoints** materialise the set of visible rids, so a snapshot at any
 tick is a checkpoint plus a bounded replay — time travel in O(checkpoint +
-events-in-between) instead of a full scan.  A single sweep over the events
-computes *temporal aggregates* (one result per version boundary), the
-operation that costs two orders of magnitude over a full scan when
-expressed in SQL:2011 (paper §5.6).
+events-in-between) instead of a full scan.  Temporal aggregation and the
+temporal join are the engine's dialect operators (docs/TEMPORAL_OPS.md),
+not methods of this index.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterator, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from .counters import IndexAccessCounters
 
@@ -136,105 +135,3 @@ class TimelineIndex:
                 out.append(tick)
                 last = tick
         return out
-
-    def sweep(self) -> Iterator[Tuple[int, Set[int]]]:
-        """Yield (tick, visible-rid set) at every version boundary.
-
-        The returned set is reused between yields — copy it if you keep it.
-        """
-        if self._metrics is not None:
-            self._metrics.inc("index.timeline_sweeps")
-        self.access.range_scans += 1
-        visible: Set[int] = set()
-        index = 0
-        events = self._events
-        total = len(events)
-        while index < total:
-            tick = events[index][0]
-            while index < total and events[index][0] == tick:
-                _t, kind, rid = events[index]
-                if kind == ACTIVATE:
-                    visible.add(rid)
-                else:
-                    visible.discard(rid)
-                index += 1
-            yield tick, visible
-
-    def temporal_aggregate(
-        self,
-        value_of: Callable[[int], float],
-        functions: Tuple[str, ...] = ("count",),
-    ) -> List[Tuple[int, Tuple[float, ...]]]:
-        """One-sweep temporal aggregation (the paper's R3 operator).
-
-        ``value_of(rid)`` supplies the aggregated value of a version.
-        Supported functions: ``count``, ``sum``, ``avg``.  Incremental
-        maintenance makes the whole computation O(events), versus the
-        SQL rewrite's O(boundaries × versions).
-        """
-        for function in functions:
-            if function not in ("count", "sum", "avg"):
-                raise ValueError(f"unsupported temporal aggregate {function!r}")
-        if self._metrics is not None:
-            self._metrics.inc("index.timeline_sweeps")
-        self.access.range_scans += 1
-        out = []
-        count = 0
-        total = 0.0
-        index = 0
-        events = self._events
-        n = len(events)
-        while index < n:
-            tick = events[index][0]
-            while index < n and events[index][0] == tick:
-                _t, kind, rid = events[index]
-                value = value_of(rid)
-                if kind == ACTIVATE:
-                    count += 1
-                    if value is not None:
-                        total += value
-                else:
-                    count -= 1
-                    if value is not None:
-                        total -= value
-                index += 1
-            row = []
-            for function in functions:
-                if function == "count":
-                    row.append(count)
-                elif function == "sum":
-                    row.append(total if count else None)
-                else:
-                    row.append(total / count if count else None)
-            out.append((tick, tuple(row)))
-        return out
-
-    def temporal_join_pairs(self, other: "TimelineIndex") -> Iterator[Tuple[int, int]]:
-        """System-time overlap join: (rid_self, rid_other) pairs whose
-        visibility intervals intersect — the native temporal join the
-        SQL:2011 systems are missing (§5.7).
-
-        Implemented as a coordinated sweep over both event lists.
-        """
-        if self._metrics is not None:
-            self._metrics.inc("index.timeline_sweeps")
-        self.access.range_scans += 1
-        events = sorted(
-            [(t, k, r, 0) for t, k, r in self._events]
-            + [(t, k, r, 1) for t, k, r in other._events],
-            # invalidations before activations at the same tick: half-open
-            # intervals that merely touch do not overlap
-            key=lambda e: (e[0], e[1]),
-        )
-        live: Tuple[Set[int], Set[int]] = (set(), set())
-        emitted = set()
-        for _tick, kind, rid, side in events:
-            if kind == ACTIVATE:
-                live[side].add(rid)
-                for other_rid in live[1 - side]:
-                    pair = (rid, other_rid) if side == 0 else (other_rid, rid)
-                    if pair not in emitted:
-                        emitted.add(pair)
-                        yield pair
-            else:
-                live[side].discard(rid)

@@ -29,7 +29,7 @@ COUNTERS: Dict[str, str] = {
     "plan.cache_invalidate": "cached plans dropped because DDL touched a dependency",
     "plan.cost_based_joins": "join products ordered by the statistics-backed cost model",
     "plan.greedy_joins": "join products ordered by the greedy size heuristic (no usable stats)",
-    "plan.temporal_fusions": "rewrite-shaped plans fused into native temporal operators",
+    "plan.temporal_fusions": "native temporal operators planned (GROUP BY TEMPORAL / TEMPORAL JOIN)",
     "stats.analyze_runs": "ANALYZE statements / Database.analyze() invocations",
     "stats.tables_analyzed": "per-table statistics snapshots collected by ANALYZE",
     "stats.lookups": "planner requests for a table's statistics snapshot",
@@ -53,7 +53,6 @@ COUNTERS: Dict[str, str] = {
     "index.rtree_searches": "R-tree interval searches (overlap and stab queries)",
     "index.pk_probes": "primary-key lookups against the current-rid map",
     "index.timeline_lookups": "Timeline-Index snapshot reconstructions (checkpoint + replay)",
-    "index.timeline_sweeps": "Timeline-Index event-list sweeps (temporal aggregate/join)",
     "txn.versions_written": "row versions appended to any partition",
     "txn.commits": "committed transactions",
     "txn.rollbacks": "rolled-back transactions",

@@ -101,8 +101,8 @@ def referenced_columns(select: ast.Select) -> List[Tuple[Optional[str], str]]:
 
 def relation_columns(node: "LogicalNode") -> List[Tuple[Optional[str], str]]:
     """The (binding, column) pairs a rewritten FROM/WHERE tree reads: a
-    rule may introduce references the text never named (a fused period's
-    endpoints, ``GROUP BY TEMPORAL``'s)."""
+    rule may introduce references the text never named (``GROUP BY
+    TEMPORAL``'s period endpoints)."""
     exprs: Sequence = ()
     if isinstance(node, LogicalScan):
         exprs = node.pushed
@@ -295,9 +295,9 @@ class LogicalJoin(LogicalNode):
 
 @dataclass
 class LogicalAlignJoin(LogicalNode):
-    """A period-align temporal join (dialect ``TEMPORAL JOIN`` or the
-    temporal-fusion rewrite): equality conjuncts between the two sides
-    plus an implicit overlap of one period per side.  The layout is
+    """A period-align temporal join (dialect ``TEMPORAL JOIN``): equality
+    conjuncts between the two sides plus an implicit overlap of one
+    period per side.  The layout is
     ``left + right`` with ``__align.overlap_begin``/``overlap_end``
     (the intersected period) appended."""
 
@@ -307,8 +307,6 @@ class LogicalAlignJoin(LogicalNode):
     left_period: Tuple[ast.Expr, ast.Expr] = ()
     right_period: Tuple[ast.Expr, ast.Expr] = ()
     period: str = "system_time"
-    #: cardinality stamped at fusion time from the join it replaced
-    est_hint: Optional[int] = None
 
     @property
     def bindings(self) -> Set[str]:
@@ -316,8 +314,6 @@ class LogicalAlignJoin(LogicalNode):
 
     @property
     def est_rows(self) -> int:
-        if self.est_hint is not None:
-            return self.est_hint
         lhs, rhs = self.left.est_rows, self.right.est_rows
         if self.conjuncts:
             return max(1, (lhs * rhs) // max(lhs, rhs, 1))
@@ -342,7 +338,6 @@ class LogicalTemporalAggregate(LogicalNode):
     end: ast.Expr
     aggregates: Tuple[ast.Aggregate, ...] = ()
     period: str = "system_time"
-    est_hint: Optional[int] = None
 
     @property
     def bindings(self) -> Set[str]:
@@ -350,8 +345,6 @@ class LogicalTemporalAggregate(LogicalNode):
 
     @property
     def est_rows(self) -> int:
-        if self.est_hint is not None:
-            return self.est_hint
         # at most one boundary per version endpoint
         return max(1, 2 * self.child.est_rows)
 

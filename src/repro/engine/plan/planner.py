@@ -390,8 +390,10 @@ class Planner:
                 est_hint=node.est_hint,
             )
         if isinstance(node, LogicalAlignJoin):
+            self.db.metrics.inc("plan.temporal_fusions")
             return self._lower_align_join(node, outer_scope, referenced)
         if isinstance(node, LogicalTemporalAggregate):
+            self.db.metrics.inc("plan.temporal_fusions")
             return self._lower_temporal_aggregate(node, outer_scope, referenced)
         if isinstance(node, LogicalFilter):
             relation = self._lower_relation(node.child, outer_scope, referenced)
@@ -627,10 +629,9 @@ class Planner:
             self._accumulators(node.aggregates, scope),
             period=node.period,
         )
-        est = node.est_hint or int(
-            cost.estimate_temporal_aggregate_rows(child.est_rows)
+        op.est_rows = max(
+            1, int(cost.estimate_temporal_aggregate_rows(child.est_rows))
         )
-        op.est_rows = max(1, est)
         layout = [("__tagg", "t")] + [
             ("__tagg", f"__a{i}") for i in range(len(node.aggregates))
         ]
@@ -668,12 +669,9 @@ class Planner:
             self._compile(right_end, right_scope),
             period=node.period,
         )
-        est = node.est_hint or int(
-            cost.estimate_align_join_rows(
-                left.est_rows, right.est_rows, len(left_keys)
-            )
-        )
-        op.est_rows = max(1, est)
+        op.est_rows = max(1, int(cost.estimate_align_join_rows(
+            left.est_rows, right.est_rows, len(left_keys)
+        )))
         layout = (
             left.layout
             + right.layout

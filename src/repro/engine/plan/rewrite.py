@@ -1,6 +1,6 @@
 """Rule-based rewrites over the logical plan IR.
 
-Three rules, applied in order and individually switchable through
+Four rules, applied in order and individually switchable through
 ``ArchitectureProfile.rewrite_rules`` (for ablation benchmarks):
 
 * **constant-folding** — closed expression subtrees (no columns, params or
@@ -16,7 +16,14 @@ Three rules, applied in order and individually switchable through
   :data:`.cost.MAX_DP_RELATIONS` relations, greedy above); without
   statistics the pre-statistics greedy size-ordered tree is produced
   unchanged (the heuristic every §5.9 system uses: "standard storage and
-  query processing techniques").
+  query processing techniques");
+* **constraint-pruning** — interval-domain analysis drops subsumed
+  temporal predicates, tightens clause literals and replaces provably
+  empty scans (see :func:`_prune_constraints`).
+
+The native temporal operators are not a rule: only the explicit dialect
+(``GROUP BY TEMPORAL(p)`` here, ``TEMPORAL JOIN`` in :mod:`.logical`)
+reaches them, on every profile.
 
 Join-tree construction from a :class:`LogicalProduct` always runs — physical
 lowering requires binary joins — but with ``join-reorder`` disabled the
@@ -43,7 +50,6 @@ from . import cost
 from .logical import (
     _has_system_clause,
     LogicalAlignJoin,
-    LogicalDerived,
     LogicalEmpty,
     LogicalFilter,
     LogicalJoin,
@@ -67,7 +73,6 @@ ALL_RULES: Tuple[str, ...] = (
     "predicate-pushdown",
     "join-reorder",
     "constraint-pruning",
-    "temporal-fusion",
 )
 
 # Every rule must state the invariants it preserves; tools/engine_lint.py
@@ -92,11 +97,6 @@ RULE_INVARIANTS: Dict[str, Tuple[str, ...]] = {
         "result-equivalence",
         "source-spans",
         "temporal-clause-modes",
-    ),
-    "temporal-fusion": (
-        "result-equivalence",
-        "exact-rewrite-shape-only",
-        "order-insensitive-aggregates-only",
     ),
 }
 
@@ -145,11 +145,6 @@ def rewrite_logical(
         relation, changed = _prune_constraints(relation)
         if changed:
             applied.append("constraint-pruning")
-
-    if "temporal-fusion" in rules:
-        select, relation, fused = _fuse_temporal_ops(select, relation, db)
-        if fused:
-            applied.append("temporal-fusion")
 
     # explicit dialect syntax (GROUP BY TEMPORAL(p)) lowers to the native
     # operator on every profile — it is not a rewrite of standard SQL
@@ -931,397 +926,8 @@ def _equi_edge_keys(conjunct, units):
 
 
 # ---------------------------------------------------------------------------
-# native temporal operators: rewrite-shape fusion and dialect lowering
+# native temporal operators: dialect lowering
 # ---------------------------------------------------------------------------
-#
-# The paper's sharpest finding is that temporal aggregation and temporal
-# joins, missing from SQL:2011, are simulated via self-join rewrites that
-# cost orders of magnitude more than a history scan.  ``temporal-fusion``
-# (System E only) recognises the exact rewrite shapes the benchmark uses
-# and replaces them with the native sweep-line / sort-merge operators;
-# ``GROUP BY TEMPORAL(p)`` / ``TEMPORAL JOIN`` reach the same operators
-# through explicit syntax on every profile.  The matchers are exported so
-# the analyzer's TQ017 rule can flag fusable shapes on profiles without
-# the rule.
-
-
-def _normalize_ineq(conjunct):
-    """(smaller, larger, strict) for a ``< <= > >=`` comparison, else None."""
-    if not isinstance(conjunct, ast.Binary):
-        return None
-    if conjunct.op == "<":
-        return conjunct.left, conjunct.right, True
-    if conjunct.op == "<=":
-        return conjunct.left, conjunct.right, False
-    if conjunct.op == ">":
-        return conjunct.right, conjunct.left, True
-    if conjunct.op == ">=":
-        return conjunct.right, conjunct.left, False
-    return None
-
-
-def _is_scan_col(expr, column, scan: LogicalScan) -> bool:
-    return (
-        isinstance(expr, ast.ColumnRef)
-        and expr.name == column
-        and (
-            expr.table == scan.binding
-            or (expr.table is None and scan.schema.has_column(column))
-        )
-    )
-
-
-def _is_t_ref(expr, t_name, alias) -> bool:
-    return (
-        isinstance(expr, ast.ColumnRef)
-        and expr.name == t_name
-        and expr.table in (None, alias)
-    )
-
-
-def _agg_over_scan(agg: ast.Aggregate, scan: LogicalScan) -> bool:
-    """True when the aggregate's argument reads only the scan's columns."""
-    if agg.arg is None:
-        return True
-    for node in ast.walk_expr(agg.arg):
-        if isinstance(
-            node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery, ast.Star)
-        ):
-            return False
-        if isinstance(node, ast.ColumnRef):
-            if node.table is not None and node.table != scan.binding:
-                return False
-            if node.table is None and not scan.schema.has_column(node.name):
-                return False
-    return True
-
-
-def _boundary_core(select: ast.Select):
-    """Match ``SELECT <endpoint> AS t FROM <table> FOR <period> ALL`` —
-    one core of the rewrite's boundary derived table.  Returns
-    ``(table_name, endpoint_column, temporal_clause, output_name)``."""
-    if (
-        len(select.items) != 1
-        or select.where is not None
-        or select.group_by
-        or select.having is not None
-        or select.order_by
-        or select.limit is not None
-        or select.distinct
-        or len(select.from_items) != 1
-    ):
-        return None
-    item = select.items[0]
-    if not isinstance(item.expr, ast.ColumnRef):
-        return None
-    ref = select.from_items[0]
-    if not isinstance(ref, ast.TableRef) or len(ref.temporal) != 1:
-        return None
-    clause = ref.temporal[0]
-    if clause.mode != "all":
-        return None
-    if item.expr.table is not None and item.expr.table != ref.binding:
-        return None
-    return ref.name, item.expr.name, clause, (item.alias or item.expr.name)
-
-
-def match_temporal_aggregate_rewrite(select: ast.Select, relation: LogicalNode):
-    """Detect the boundary-union temporal-aggregation rewrite.
-
-    Shape (the corrected R3 family): a derived table unioning *both*
-    period endpoints of a table joined back to a pristine scan of the
-    same table on ``begin <= t AND t < end``, grouped by ``t``, with the
-    select list containing only ``t`` and aggregates over the scan.
-    Returns a match description for :func:`_fuse_temporal_ops` /
-    the analyzer's TQ017 rule, or None.
-    """
-    if not isinstance(relation, LogicalJoin) or relation.kind != "inner":
-        return None
-    sides = (relation.left, relation.right)
-    scan = next((s for s in sides if isinstance(s, LogicalScan)), None)
-    derived = next((s for s in sides if isinstance(s, LogicalDerived)), None)
-    if scan is None or derived is None or scan.pushed:
-        return None
-    dsel = derived.select
-    if dsel.set_op is None or dsel.order_by or dsel.limit is not None:
-        return None
-    op_name, rhs, all_flag = dsel.set_op
-    if op_name != "union" or all_flag or rhs.set_op is not None:
-        return None
-    left_core = ast.Select(
-        items=dsel.items,
-        from_items=dsel.from_items,
-        where=dsel.where,
-        group_by=dsel.group_by,
-        having=dsel.having,
-        distinct=dsel.distinct,
-    )
-    first = _boundary_core(left_core)
-    second = _boundary_core(rhs)
-    if first is None or second is None:
-        return None
-    table_a, col_a, clause_a, out_a = first
-    table_b, col_b, clause_b, out_b = second
-    if table_a != table_b or out_a != out_b:
-        return None
-    if (clause_a.period, clause_a.mode) != (clause_b.period, clause_b.mode):
-        return None
-    if scan.ref.name != table_a or len(scan.ref.temporal) != 1:
-        return None
-    sclause = scan.ref.temporal[0]
-    if sclause.mode != "all" or sclause.period != clause_a.period:
-        return None
-    period = _period_for(scan.schema, clause_a.period)
-    if period is None:
-        return None
-    if {col_a, col_b} != {period.begin_column, period.end_column}:
-        return None
-    t_name = out_a
-    alias = derived.alias
-    if len(relation.conjuncts) != 2:
-        return None
-    saw_begin = saw_end = False
-    for conjunct in relation.conjuncts:
-        norm = _normalize_ineq(conjunct)
-        if norm is None:
-            return None
-        small, large, strict = norm
-        if (
-            not strict
-            and _is_scan_col(small, period.begin_column, scan)
-            and _is_t_ref(large, t_name, alias)
-        ):
-            saw_begin = True
-        elif (
-            strict
-            and _is_t_ref(small, t_name, alias)
-            and _is_scan_col(large, period.end_column, scan)
-        ):
-            saw_end = True
-        else:
-            return None
-    if not (saw_begin and saw_end):
-        return None
-    if len(select.group_by) != 1 or not _is_t_ref(
-        select.group_by[0], t_name, alias
-    ):
-        return None
-    if select.having is not None or select.distinct:
-        return None
-    for item in select.items:
-        if _is_t_ref(item.expr, t_name, alias):
-            continue
-        if isinstance(item.expr, ast.Aggregate) and _agg_over_scan(
-            item.expr, scan
-        ):
-            continue
-        return None
-    for order_item in select.order_by:
-        if _is_t_ref(order_item.expr, t_name, alias):
-            continue
-        if isinstance(order_item.expr, ast.Literal):
-            continue
-        return None
-    return {
-        "scan": scan,
-        "t_name": t_name,
-        "alias": alias,
-        "period": clause_a.period,
-        "period_def": period,
-    }
-
-
-def _scan_column_side(expr, left: LogicalScan, right: LogicalScan):
-    if not isinstance(expr, ast.ColumnRef):
-        return None
-    if expr.table == left.binding:
-        return ("left", expr.name) if left.schema.has_column(expr.name) else None
-    if expr.table == right.binding:
-        return ("right", expr.name) if right.schema.has_column(expr.name) else None
-    if expr.table is None:
-        in_left = left.schema.has_column(expr.name)
-        in_right = right.schema.has_column(expr.name)
-        if in_left and not in_right:
-            return ("left", expr.name)
-        if in_right and not in_left:
-            return ("right", expr.name)
-    return None
-
-
-def _period_with_columns(schema, begin_column, end_column):
-    for period in schema.periods:
-        if (
-            period.begin_column == begin_column
-            and period.end_column == end_column
-        ):
-            return period
-    return None
-
-
-def match_align_join_rewrite(select: ast.Select, relation: LogicalNode):
-    """Detect the inequality-pair temporal-join rewrite.
-
-    Shape (the R1/R5 family): an inner join of two scans whose condition
-    is equality keys plus exactly the strict overlap pair ``L.begin <
-    R.end AND R.begin < L.end`` over one declared period per side (same
-    kind on both).  Fusion is gated on an order-insensitive select list —
-    global count/min/max aggregates only — because the align merge emits
-    pairs in a different order than the nested loop it replaces.
-    Returns a match description or None.
-    """
-    if not isinstance(relation, LogicalJoin) or relation.kind != "inner":
-        return None
-    left, right = relation.left, relation.right
-    if not (isinstance(left, LogicalScan) and isinstance(right, LogicalScan)):
-        return None
-    equi: List[ast.Expr] = []
-    ineqs: List[ast.Expr] = []
-    for conjunct in relation.conjuncts:
-        if _equi_edge_keys(conjunct, (left, right)) is not None:
-            equi.append(conjunct)
-        else:
-            ineqs.append(conjunct)
-    if len(ineqs) != 2:
-        return None
-    pair = []
-    for conjunct in ineqs:
-        norm = _normalize_ineq(conjunct)
-        if norm is None or not norm[2]:
-            return None
-        side_small = _scan_column_side(norm[0], left, right)
-        side_large = _scan_column_side(norm[1], left, right)
-        if (
-            side_small is None
-            or side_large is None
-            or side_small[0] == side_large[0]
-        ):
-            return None
-        pair.append((side_small, side_large))
-    lpart = next((p for p in pair if p[0][0] == "left"), None)
-    rpart = next((p for p in pair if p[0][0] == "right"), None)
-    if lpart is None or rpart is None:
-        return None
-    left_begin, right_end = lpart[0][1], lpart[1][1]
-    right_begin, left_end = rpart[0][1], rpart[1][1]
-    left_period = _period_with_columns(left.schema, left_begin, left_end)
-    right_period = _period_with_columns(right.schema, right_begin, right_end)
-    if (
-        left_period is None
-        or right_period is None
-        or left_period.is_system != right_period.is_system
-    ):
-        return None
-    if select.group_by or select.having is not None or select.distinct:
-        return None
-    if not select.items:
-        return None
-    for item in select.items:
-        if not isinstance(item.expr, ast.Aggregate):
-            return None
-        if item.expr.func not in ("count", "min", "max"):
-            return None
-    return {
-        "equi": tuple(equi),
-        "left_period": left_period,
-        "right_period": right_period,
-        "period": "system_time" if left_period.is_system else "business_time",
-    }
-
-
-def _rewrite_tagg_items(select: ast.Select, is_group_key, register):
-    """Select/order lists rewritten against the ``__tagg`` layout.
-
-    *is_group_key* recognises the grouping expression; *register* maps an
-    aggregate to its accumulator index.  Aliases are pinned so output
-    column names stay what the un-fused query produced.
-    """
-    items = []
-    for index, item in enumerate(select.items):
-        if is_group_key(item.expr):
-            rewritten: ast.Expr = ast.ColumnRef("t", table="__tagg")
-        else:
-            rewritten = ast.ColumnRef(
-                f"__a{register(item.expr)}", table="__tagg"
-            )
-        alias = item.alias
-        if alias is None:
-            alias = (
-                item.expr.name
-                if isinstance(item.expr, ast.ColumnRef)
-                else f"col{index}"
-            )
-        items.append(ast.SelectItem(rewritten, alias))
-    order_by = [
-        ast.OrderItem(ast.ColumnRef("t", table="__tagg"), item.ascending)
-        if is_group_key(item.expr)
-        else item
-        for item in select.order_by
-    ]
-    return items, order_by
-
-
-def _fuse_temporal_ops(select: ast.Select, relation: LogicalNode, db):
-    """Apply whichever native-operator fusion matches (at most one can)."""
-    metrics = getattr(db, "metrics", None) if db is not None else None
-    match = match_temporal_aggregate_rewrite(select, relation)
-    if match is not None:
-        scan = match["scan"]
-        period = match["period_def"]
-        aggregates: List[ast.Aggregate] = []
-
-        def register(agg):
-            aggregates.append(agg)
-            return len(aggregates) - 1
-
-        items, order_by = _rewrite_tagg_items(
-            select,
-            lambda expr: _is_t_ref(expr, match["t_name"], match["alias"]),
-            register,
-        )
-        relation = LogicalTemporalAggregate(
-            scan,
-            ast.ColumnRef(period.begin_column, table=scan.binding),
-            ast.ColumnRef(period.end_column, table=scan.binding),
-            tuple(aggregates),
-            period=match["period"],
-        )
-        select = ast.Select(
-            items=items,
-            from_items=select.from_items,
-            where=select.where,
-            group_by=[],
-            having=None,
-            order_by=order_by,
-            limit=select.limit,
-            offset=select.offset,
-            distinct=select.distinct,
-            set_op=select.set_op,
-        )
-        if metrics is not None:
-            metrics.inc("plan.temporal_fusions")
-        return select, relation, True
-    match = match_align_join_rewrite(select, relation)
-    if match is not None:
-        left, right = relation.left, relation.right
-        lperiod, rperiod = match["left_period"], match["right_period"]
-        relation = LogicalAlignJoin(
-            left,
-            right,
-            match["equi"],
-            left_period=(
-                ast.ColumnRef(lperiod.begin_column, table=left.binding),
-                ast.ColumnRef(lperiod.end_column, table=left.binding),
-            ),
-            right_period=(
-                ast.ColumnRef(rperiod.begin_column, table=right.binding),
-                ast.ColumnRef(rperiod.end_column, table=right.binding),
-            ),
-            period=match["period"],
-        )
-        if metrics is not None:
-            metrics.inc("plan.temporal_fusions")
-        return select, relation, True
-    return select, relation, False
 
 
 def _lower_temporal_group(select: ast.Select, relation: LogicalNode):
@@ -1365,21 +971,30 @@ def _lower_temporal_group(select: ast.Select, relation: LogicalNode):
         raise ProgrammingError(
             f"table {scan.schema.name!r} has no period {period_name!r}"
         )
+    # the select list reads the operator's ``__tagg`` layout: ``t`` for
+    # TEMPORAL(p), ``__a<i>`` for the i-th aggregate
     aggregates: List[ast.Aggregate] = []
-
-    def register(agg):
-        if not isinstance(agg, ast.Aggregate):
+    items = []
+    for index, item in enumerate(select.items):
+        if isinstance(item.expr, ast.TemporalGroup):
+            column = "t"
+        elif isinstance(item.expr, ast.Aggregate):
+            column = f"__a{len(aggregates)}"
+            aggregates.append(item.expr)
+        else:
             raise ProgrammingError(
                 "the select list of a GROUP BY TEMPORAL query may contain "
                 "only TEMPORAL(...) and aggregates"
             )
-        aggregates.append(agg)
-        return len(aggregates) - 1
-
-    items, order_by = _rewrite_tagg_items(
-        select, lambda expr: isinstance(expr, ast.TemporalGroup), register
-    )
-    fused = LogicalTemporalAggregate(
+        alias = item.alias if item.alias is not None else f"col{index}"
+        items.append(ast.SelectItem(ast.ColumnRef(column, table="__tagg"), alias))
+    order_by = [
+        ast.OrderItem(ast.ColumnRef("t", table="__tagg"), item.ascending)
+        if isinstance(item.expr, ast.TemporalGroup)
+        else item
+        for item in select.order_by
+    ]
+    lowered_relation = LogicalTemporalAggregate(
         relation,
         ast.ColumnRef(period.begin_column, table=scan.binding),
         ast.ColumnRef(period.end_column, table=scan.binding),
@@ -1398,4 +1013,4 @@ def _lower_temporal_group(select: ast.Select, relation: LogicalNode):
         distinct=select.distinct,
         set_op=select.set_op,
     )
-    return lowered, fused
+    return lowered, lowered_relation

@@ -39,10 +39,6 @@ class SystemA(TemporalSystem):
             prunes_explicit_current=False,
             manual_system_time=False,
             index_selectivity_threshold=0.15,
-            rewrite_rules=(
-                "constant-folding", "predicate-pushdown", "join-reorder",
-                "constraint-pruning",
-            ),
             # every analyzer rule applies to the row-store reference system
             lint_suppressions=(),
         )

@@ -44,9 +44,5 @@ class SystemB(TemporalSystem):
             prunes_explicit_current=False,
             manual_system_time=False,
             index_selectivity_threshold=0.15,
-            rewrite_rules=(
-                "constant-folding", "predicate-pushdown", "join-reorder",
-                "constraint-pruning",
-            ),
             lint_suppressions=(),
         )

@@ -46,10 +46,6 @@ class SystemC(TemporalSystem):
             prunes_explicit_current=False,
             manual_system_time=False,
             index_selectivity_threshold=0.0,
-            rewrite_rules=(
-                "constant-folding", "predicate-pushdown", "join-reorder",
-                "constraint-pruning",
-            ),
             # the column store has no secondary indexes, so the unindexed
             # history-probe diagnostic is noise here
             lint_suppressions=("TQ007",),

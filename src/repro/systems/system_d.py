@@ -44,10 +44,6 @@ class SystemD(TemporalSystem):
             prunes_explicit_current=False,
             manual_system_time=True,
             index_selectivity_threshold=0.15,
-            rewrite_rules=(
-                "constant-folding", "predicate-pushdown", "join-reorder",
-                "constraint-pruning",
-            ),
             # implicit time travel over a single interleaved table (§5.8):
             # history is not a separate partition, so full-history-scan,
             # explicit-current and history-index diagnostics do not apply

@@ -8,11 +8,13 @@ paper's reference [13] (Kaufmann et al., SIGMOD 2013):
 * a **single-table row store** (like System D) — no partition unions to
   reassemble, versions are append-only;
 * a **Timeline Index per table**, maintained on every write: time travel
-  resolves to a checkpoint + bounded replay instead of a scan;
-* **native temporal operators** (:mod:`repro.systems.temporal_ops`):
-  temporal aggregation in one sweep and a sweep-based temporal join —
-  the two operators whose SQL rewrites the paper found *"orders of
-  magnitude"* too slow (§5.6, §5.7).
+  resolves to a checkpoint + bounded replay instead of a scan.
+
+Timeline-Index time travel; native operators through the dialect: like
+A–D, E executes the SQL text it is sent, and reaches the native temporal
+aggregation / temporal join (the two operators whose SQL rewrites the
+paper found *"orders of magnitude"* too slow, §5.6, §5.7) through
+``GROUP BY TEMPORAL`` / ``TEMPORAL JOIN`` (docs/TEMPORAL_OPS.md).
 
 System E is not part of the paper's measured systems; the benches under
 ``benchmarks/test_future_system_e.py`` compare it against A–D to quantify
@@ -75,7 +77,7 @@ class SystemE(TemporalSystem):
     name = "E"
     architecture = (
         "research archetype: single-table row store + Timeline Index; "
-        "native time travel, temporal aggregation and temporal join"
+        "Timeline-Index time travel; native operators through the dialect"
     )
 
     def __init__(self, checkpoint_interval=1024):
@@ -102,14 +104,10 @@ class SystemE(TemporalSystem):
             prunes_explicit_current=True,
             manual_system_time=False,
             index_selectivity_threshold=0.15,
-            rewrite_rules=(
-                "constant-folding", "predicate-pushdown", "join-reorder",
-                "constraint-pruning", "temporal-fusion",
-            ),
             lint_suppressions=(),
         )
 
-    # -- native temporal operators ------------------------------------------
+    # -- native time travel -------------------------------------------------
 
     def snapshot_rows(self, table_name, tick):
         """Native time travel: timeline snapshot instead of scan+filter."""
@@ -122,33 +120,3 @@ class SystemE(TemporalSystem):
             if row is not None:
                 rows.append(tuple(row))
         return rows
-
-    def temporal_aggregate(self, table_name, column, functions=("count",)):
-        """Native temporal aggregation (the R3 operator) in one sweep."""
-        table = self.db.table(table_name)
-        timeline = self.db.timeline(table_name)
-        partition = table.current_partition_name()
-        position = table.schema.position(column)
-        cache: Dict[int, object] = {}
-
-        def value_of(rid):
-            if rid not in cache:
-                row = table.fetch(partition, rid)
-                cache[rid] = row[position] if row is not None else None
-            return cache[rid]
-
-        return timeline.temporal_aggregate(value_of, tuple(functions))
-
-    def temporal_join(self, left_table, right_table):
-        """Native system-time overlap join: (left_row, right_row) pairs."""
-        left = self.db.table(left_table)
-        right = self.db.table(right_table)
-        left_timeline = self.db.timeline(left_table)
-        right_timeline = self.db.timeline(right_table)
-        left_part = left.current_partition_name()
-        right_part = right.current_partition_name()
-        for left_rid, right_rid in left_timeline.temporal_join_pairs(right_timeline):
-            left_row = left.fetch(left_part, left_rid)
-            right_row = right.fetch(right_part, right_rid)
-            if left_row is not None and right_row is not None:
-                yield tuple(left_row), tuple(right_row)

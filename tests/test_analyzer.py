@@ -12,6 +12,7 @@ import pytest
 
 from repro.engine.analyze import RULES, SEVERITIES, analyze_sql
 from repro.engine.errors import ProgrammingError
+from repro.systems import make_system
 
 
 def codes(db, sql, profile=None):
@@ -443,9 +444,18 @@ class TestTQ017RewriteShapedTemporalOperator:
         assert d.severity == "info"
         assert "GROUP BY TEMPORAL" in d.message
 
-    def test_positive_inequality_pair_overlap_join(self, db):
-        d = only(db, self.JOIN_REWRITE, "TQ017")
-        assert "TEMPORAL JOIN" in d.message
+    def test_positive_fires_on_system_e(self, db):
+        # E executes the text it is sent: the shape is not auto-silent there
+        profile = make_system("E").db.profile
+        assert "TQ017" in codes(db, self.AGG_REWRITE, profile=profile)
+
+    def test_negative_inequality_pair_overlap_join(self, db):
+        # the hash join with an overlap residual measured faster than
+        # TEMPORAL JOIN, so the analyzer suggests it on no profile
+        assert "TQ017" not in codes(db, self.JOIN_REWRITE)
+        for name in "ABCDE":
+            profile = make_system(name).db.profile
+            assert "TQ017" not in codes(db, self.JOIN_REWRITE, profile=profile)
 
     def test_negative_native_dialect_syntax(self, db):
         assert "TQ017" not in codes(
@@ -460,19 +470,6 @@ class TestTQ017RewriteShapedTemporalOperator:
             " FROM item FOR SYSTEM_TIME ALL l"
             " TEMPORAL JOIN item FOR SYSTEM_TIME ALL r ON l.id = r.id",
         )
-
-    def test_negative_silent_when_fusion_rewrites_it(self, db):
-        # a profile with the temporal-fusion rule replaces the shape with
-        # the native operator before the analyzer looks at the plan
-        fusing = SimpleNamespace(
-            rewrite_rules=(
-                "constant-folding", "predicate-pushdown", "join-reorder",
-                "temporal-fusion",
-            ),
-            lint_suppressions=(),
-        )
-        assert "TQ017" not in codes(db, self.AGG_REWRITE, profile=fusing)
-        assert "TQ017" not in codes(db, self.JOIN_REWRITE, profile=fusing)
 
     def test_negative_begins_only_boundary_list(self, db):
         # the legacy begins-only DISTINCT shape is *not* equivalent to the

@@ -573,8 +573,8 @@ class TestTemporalOpsCatalogue:
     DOC = (
         "# Native temporal operators\n"
         "TemporalAggregate and TemporalAlignJoin; reached via\n"
-        "GROUP BY TEMPORAL and TEMPORAL JOIN, the temporal-fusion rule\n"
-        "(TQ017 suggests them), counted by plan.temporal_fusions.\n"
+        "GROUP BY TEMPORAL and TEMPORAL JOIN only (TQ017 suggests\n"
+        "the first), counted by plan.temporal_fusions.\n"
     )
 
     def test_no_operators_means_clean(self, fake_repo):

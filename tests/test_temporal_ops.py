@@ -3,9 +3,8 @@
 The equivalence oracle for PR 10's sweep-line temporal aggregation and
 period-align join: on every architecture archetype, at every batch size,
 the native operators (explicit ``GROUP BY TEMPORAL(...)`` / ``TEMPORAL
-JOIN`` dialect and the System E ``temporal-fusion`` rewrite) must return
-exactly the rows of the corrected self-join rewrites — byte for byte on
-floats.  Also pins the corrected R3 boundary values as a hand-checked
+JOIN`` dialect, the only way to reach them) must return exactly the rows
+of the corrected self-join rewrites — byte for byte on floats.  Also pins the corrected R3 boundary values as a hand-checked
 oracle (the begins-only legacy shape provably misses deletion
 boundaries), regression-tests the R2 open-version duration clamp, and
 covers the align join's NULL/NaN sharp edges (the PR 5 MergeJoin NaN
@@ -18,6 +17,7 @@ import pytest
 
 from repro.core.generator import BitemporalDataGenerator, GeneratorConfig
 from repro.core.loader import Loader
+from repro.core.queries import Workload
 from repro.core.queries.range_timeslice import QUERIES as R_QUERIES
 from repro.core.scenarios import SCENARIOS
 from repro.engine.batch import execution_config
@@ -93,33 +93,47 @@ def test_native_matches_rewrite_across_batch_sizes(systems, name):
             assert again == reference, (name, size, rewrite)
 
 
+def _plan_text(db, sql, params=None):
+    return "\n".join(line for (line,) in db.execute("EXPLAIN " + sql, params).rows)
+
+
 def test_explain_shows_native_operators(systems):
-    def plan_text(db, sql):
-        return "\n".join(line for (line,) in db.execute("EXPLAIN " + sql).rows)
+    # explicit dialect syntax lowers natively on every profile, and the
+    # SQL:2011 rewrite shapes run as written on every profile
+    for name in ("A", "E"):
+        db = systems[name].db
+        assert "TemporalAggregate" in _plan_text(db, AGG_NATIVE), name
+        assert "TemporalAlignJoin" in _plan_text(db, JOIN_NATIVE), name
+        assert "TemporalAggregate" not in _plan_text(db, AGG_REWRITE), name
+        assert "TemporalAlignJoin" not in _plan_text(db, JOIN_REWRITE), name
 
-    # explicit dialect syntax lowers natively on every profile
-    a = systems["A"].db
-    assert "TemporalAggregate" in plan_text(a, AGG_NATIVE)
-    assert "TemporalAlignJoin" in plan_text(a, JOIN_NATIVE)
-    # the temporal-fusion rule rewrites the SQL:2011 shapes on System E
+
+def test_system_e_runs_the_benchmark_text_it_is_sent(systems, tiny_workload):
+    """No optimiser rule swaps a native operator in for E's SQL:2011 text;
+    E plans and answers it as A does."""
+    e, a = systems["E"], systems["A"]
+    before = e.db.metrics.counter("plan.temporal_fusions")
+    for qid in ("R5", "B3.3", "R3a"):
+        query = Workload().query(qid)
+        params = query.params(tiny_workload.meta)
+        plan = _plan_text(e.db, query.sql, params)
+        assert "TemporalAggregate" not in plan, qid
+        assert "TemporalAlignJoin" not in plan, qid
+        assert sorted(e.execute(query.sql, params).rows) == sorted(
+            a.execute(query.sql, params).rows
+        ), qid
+    assert e.db.metrics.counter("plan.temporal_fusions") == before
+
+
+def test_dialect_on_system_e_lowers_natively_and_is_counted(systems):
     e = systems["E"].db
-    assert "TemporalAggregate" in plan_text(e, AGG_REWRITE)
-    assert "TemporalAlignJoin" in plan_text(e, JOIN_REWRITE)
-    # ... and only there: A executes the rewrite as written
-    assert "TemporalAggregate" not in plan_text(a, AGG_REWRITE)
-    assert "TemporalAlignJoin" not in plan_text(a, JOIN_REWRITE)
-
-
-def test_benchmark_r3_queries_fuse_on_system_e(systems):
-    e = systems["E"].db
-    before = e.metrics.counter("plan.temporal_fusions")
-    for qid in ("R3a", "R3b"):
-        query = next(q for q in R_QUERIES if q.qid == qid)
-        plan = "\n".join(
-            line for (line,) in e.execute("EXPLAIN " + query.sql).rows
-        )
-        assert "TemporalAggregate" in plan, qid
-    assert e.metrics.counter("plan.temporal_fusions") > before
+    for sql, operator in (
+        (AGG_NATIVE, "TemporalAggregate"),
+        (JOIN_NATIVE, "TemporalAlignJoin"),
+    ):
+        before = e.metrics.counter("plan.temporal_fusions")
+        assert operator in _plan_text(e, sql)
+        assert e.metrics.counter("plan.temporal_fusions") == before + 1
 
 
 # -- pinned boundary oracle (satellite 1: the R3 endpoint-union fix) ---------

@@ -47,62 +47,6 @@ class TestBasics:
         timeline.invalidate(1, 7)
         assert timeline.boundaries() == [2, 7]
 
-    def test_sweep(self):
-        timeline = TimelineIndex()
-        timeline.activate(1, 2)
-        timeline.activate(2, 4)
-        timeline.invalidate(1, 6)
-        states = [(tick, set(rids)) for tick, rids in timeline.sweep()]
-        assert states == [(2, {1}), (4, {1, 2}), (6, {2})]
-
-
-class TestTemporalAggregate:
-    def test_count_sum_avg(self):
-        timeline = TimelineIndex()
-        values = {1: 10.0, 2: 30.0}
-        timeline.activate(1, 2)
-        timeline.activate(2, 5)
-        timeline.invalidate(1, 8)
-        out = timeline.temporal_aggregate(values.get, ("count", "sum", "avg"))
-        assert out == [
-            (2, (1, 10.0, 10.0)),
-            (5, (2, 40.0, 20.0)),
-            (8, (1, 30.0, 30.0)),
-        ]
-
-    def test_unsupported_function(self):
-        with pytest.raises(ValueError):
-            TimelineIndex().temporal_aggregate(lambda r: 0, ("median",))
-
-    def test_empty_group_yields_none_sum(self):
-        timeline = TimelineIndex()
-        timeline.activate(1, 1)
-        timeline.invalidate(1, 2)
-        out = timeline.temporal_aggregate(lambda r: 1.0, ("sum",))
-        assert out[-1] == (2, (None,))
-
-
-class TestTemporalJoin:
-    def test_overlapping_pairs(self):
-        left = TimelineIndex()
-        right = TimelineIndex()
-        left.activate(1, 1)
-        left.invalidate(1, 5)
-        right.activate(7, 3)
-        right.activate(8, 6)
-        pairs = set(left.temporal_join_pairs(right))
-        assert pairs == {(1, 7)}  # rid 8 starts after rid 1 ended
-
-    def test_pairs_not_duplicated(self):
-        left = TimelineIndex()
-        right = TimelineIndex()
-        left.activate(1, 1)
-        right.activate(2, 2)
-        right.invalidate(2, 3)
-        right.activate(2, 4)  # same rid visible again
-        pairs = list(left.temporal_join_pairs(right))
-        assert pairs == [(1, 2)]
-
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -133,36 +77,3 @@ def test_property_snapshot_matches_bruteforce(intervals, probe, interval_size):
         if begin <= probe < begin + duration
     }
     assert timeline.snapshot_rids(probe) == expected
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(1, 40), st.integers(1, 10), st.integers(0, 100)),
-        max_size=40,
-    )
-)
-def test_property_temporal_aggregate_matches_bruteforce(rows):
-    events = []
-    values = {}
-    for rid, (begin, duration, value) in enumerate(rows):
-        values[rid] = float(value)
-        events.append((begin, "a", rid))
-        events.append((begin + duration, "i", rid))
-    events.sort(key=lambda e: e[0])
-    timeline = TimelineIndex(checkpoint_interval=7)
-    for tick, kind, rid in events:
-        (timeline.activate if kind == "a" else timeline.invalidate)(rid, tick)
-    out = dict(timeline.temporal_aggregate(values.get, ("count", "sum")))
-    for tick in timeline.boundaries():
-        visible = {
-            rid
-            for rid, (begin, duration, _v) in enumerate(rows)
-            if begin <= tick < begin + duration
-        }
-        count, total = out[tick]
-        assert count == len(visible)
-        if visible:
-            assert abs(total - sum(values[r] for r in visible)) < 1e-6
-        else:
-            assert total is None

@@ -77,8 +77,8 @@ has been broken (or nearly broken) by an innocent-looking edit before:
   operators (``TemporalAggregate`` / ``TemporalAlignJoin`` under
   ``engine/plan``), ``docs/TEMPORAL_OPS.md`` must exist and document both
   operators, the explicit dialect syntax (``GROUP BY TEMPORAL`` and
-  ``TEMPORAL JOIN``), the ``temporal-fusion`` rewrite rule, the ``TQ017``
-  analyzer rule and the ``plan.temporal_fusions`` counter — and
+  ``TEMPORAL JOIN``), the ``TQ017`` analyzer rule and the
+  ``plan.temporal_fusions`` counter — and
   ``docs/ARCHITECTURE.md`` / ``docs/SQL_DIALECT.md`` must link to it.  The
   operators replace rewrites the paper measured as two orders of magnitude
   slow; an undocumented operator is a speedup nobody will reach.
@@ -854,10 +854,9 @@ def check_temporal_ops_catalogue(root: Path = REPO_ROOT) -> List[str]:
     doc_text = doc_path.read_text()
     problems: List[str] = []
     required = list(shipped) + [
-        # the dialect surface, the fusion rule and its observability
+        # the dialect surface, the analyzer hint and its observability
         "GROUP BY TEMPORAL",
         "TEMPORAL JOIN",
-        "temporal-fusion",
         "TQ017",
         "plan.temporal_fusions",
     ]
