@@ -9,10 +9,11 @@ stored inline, vertically partitioned, or absent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .errors import CatalogError
-from .types import SqlType
+from .types import CHECKS, SqlType
 
 #: What a period's columns may be: SQL:2011 asks for DATE or TIMESTAMP, and
 #: both hold integers here (day numbers, ticks), so scans may read
@@ -67,7 +68,11 @@ class IndexDef:
 
 @dataclass
 class TableSchema:
-    """Logical schema of one table, temporal structure included."""
+    """Logical schema of one table, temporal structure included.
+
+    Immutable once built, so what a write needs per column — its position
+    and type check — and the primary-key extractor are bound here, once.
+    """
 
     name: str
     columns: List[Column]
@@ -80,9 +85,20 @@ class TableSchema:
         if len(set(names)) != len(names):
             raise CatalogError(f"duplicate column in table {self.name}")
         self._positions: Dict[str, int] = {c.name: i for i, c in enumerate(self.columns)}
+        #: column -> (position, type check) for every written value
+        self._writers = {
+            c.name: (i, CHECKS[c.type]) for i, c in enumerate(self.columns)
+        }
         for key in self.primary_key:
             if key not in self._positions:
                 raise CatalogError(f"primary key column {key!r} not in {self.name}")
+        # key_of(row): the primary-key tuple of a row tuple
+        keys = [self._positions[k] for k in self.primary_key]
+        if len(keys) == 1:
+            (only,) = keys
+            self.key_of = lambda row: (row[only],)
+        else:  # itemgetter needs a position; a key-less table's key is ()
+            self.key_of = itemgetter(*keys) if keys else (lambda row: ())
         for period in self.periods:
             for col in (period.begin_column, period.end_column):
                 if col not in self._positions:
@@ -113,6 +129,19 @@ class TableSchema:
     def column_names(self):
         return [c.name for c in self.columns]
 
+    def row_from(self, values_by_column, base=None) -> list:
+        """A row with each of *values_by_column* type-checked into its
+        position; the other cells are NULL, or *base*'s values."""
+        row = [None] * len(self.columns) if base is None else list(base)
+        writers = self._writers
+        try:
+            for column, value in values_by_column.items():
+                position, check = writers[column]
+                row[position] = check(value)
+        except KeyError:
+            raise CatalogError(f"no column {column!r} in table {self.name}") from None
+        return row
+
     @property
     def system_period(self) -> Optional[PeriodDef]:
         for period in self.periods:
@@ -133,10 +162,6 @@ class TableSchema:
     @property
     def is_temporal(self):
         return bool(self.periods)
-
-    def key_of(self, row):
-        """Primary-key tuple extracted from a row tuple."""
-        return tuple(row[self._positions[k]] for k in self.primary_key)
 
     def without_periods(self) -> "TableSchema":
         """A copy of this schema with all period columns and metadata removed.

@@ -201,10 +201,7 @@ class Database:
 
     def insert_row(self, table_name, values_by_column: Dict[str, object]) -> int:
         table = self.table(table_name)
-        schema = table.schema
-        row: List[object] = [None] * len(schema.columns)
-        for column, value in values_by_column.items():
-            row[schema.position(column)] = schema.column(column).type.validate(value)
+        row = table.schema.row_from(values_by_column)
         if table.is_versioned:
             rid = temporal.temporal_insert(table, row, self._tick())
         else:
@@ -225,15 +222,12 @@ class Database:
                 f"{self.profile.name}: system time is immutable and set at commit"
             )
         table = self.table(table_name)
-        schema = table.schema
-        row: List[object] = [None] * len(schema.columns)
-        for column, value in values_by_column.items():
-            row[schema.position(column)] = value
+        row = table.schema.row_from(values_by_column)
         if table.is_versioned and not table.has_split:
             rid = table.insert_version_explicit(row, sys_begin, sys_end)
         else:
             rid = table.insert_version(row, sys_begin=sys_begin)
-            if schema.system_period is not None and sys_end != END_OF_TIME:
+            if table.is_versioned and sys_end != END_OF_TIME:
                 table.invalidate(rid, sys_end)
         if sys_begin is not None:
             self.txns.set_clock(max(self.txns.clock, sys_begin + 1))
@@ -246,12 +240,8 @@ class Database:
                 table, tuple(key), changes, self._tick()
             )
         count = 0
-        schema = table.schema
         for rid, row in temporal.current_versions_for_key(table, tuple(key)):
-            new_row = list(row)
-            for column, value in changes.items():
-                new_row[schema.position(column)] = value
-            table.plain_update(rid, new_row)
+            table.plain_update(rid, table.schema.row_from(changes, row))
             count += 1
         return count
 

@@ -288,9 +288,8 @@ class TableAccessPlan:
             by_column.setdefault(c.column, []).append(c)
         if partition == HISTORY:
             # versions still in System B's undo log are in no history index
-            # yet: flush them first, as a history scan would.  The drain
-            # rebuilds the history indexes under new rids, so it has to come
-            # before the candidates are looked up.
+            # yet: flush them first, as a history scan would, so the probe
+            # sees them (the drain appends and indexes them; no rid moves)
             self.table.drain_undo()
         partition_size = max(
             1,

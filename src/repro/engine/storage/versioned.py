@@ -29,7 +29,8 @@ to one knob of :class:`StorageOptions`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..batch import Batch, batches_from_rows, projector
 from ..catalog import IndexDef, TableSchema
@@ -119,9 +120,27 @@ class _Partition:
             self.store = RowStore(period=period)
         self.access = AccessCounters()
         self.indexes: Dict[str, Tuple[IndexDef, object]] = {}
+        #: the same indexes as the write path sees them, keyed like
+        #: ``indexes``: (key function, structure, removes lazily)
+        self.keyed: Dict[str, Tuple[Callable, object, bool]] = {}
 
     def __len__(self):
         return len(self.store)
+
+
+def _key_function(kind, positions):
+    """What an index of *kind* over the columns at *positions* stores a row
+    under; None means the row is not indexed."""
+    if kind == "rtree":
+        begin, end = positions
+
+        def period(row):
+            lo, hi = row[begin], row[end]
+            return None if lo is None or hi is None else (lo, hi)
+
+        return period
+    # one position: the value (so a NULL is not indexed); several: a tuple
+    return itemgetter(*positions)
 
 
 class VersionedTable:
@@ -281,12 +300,7 @@ class VersionedTable:
         self.metrics.inc("storage.versions_invalidated")
 
         if self.schema.primary_key:
-            key = self.schema.key_of(row)
-            rids = self._pk_current.get(key)
-            if rids and rid in rids:
-                rids.remove(rid)
-                if not rids:
-                    del self._pk_current[key]
+            self._pk_forget(row, rid)
 
         if not self._split:
             # System D: the closed version simply stays in the single table.
@@ -320,12 +334,7 @@ class VersionedTable:
         self.stats.plain_writes += 1
         self._index_remove(part, rid, row)
         if self.schema.primary_key:
-            key = self.schema.key_of(row)
-            rids = self._pk_current.get(key)
-            if rids and rid in rids:
-                rids.remove(rid)
-                if not rids:
-                    del self._pk_current[key]
+            self._pk_forget(row, rid)
         return part.store.delete(rid)
 
     def plain_update(self, rid, new_values):
@@ -338,16 +347,19 @@ class VersionedTable:
         new_row = list(new_values)
         part.store.update_in_place(rid, new_row)
         self._index_update(part, rid, old, new_row)
-        if self.schema.primary_key:
-            old_key = self.schema.key_of(old)
-            new_key = self.schema.key_of(new_row)
-            if old_key != new_key:
-                rids = self._pk_current.get(old_key)
-                if rids and rid in rids:
-                    rids.remove(rid)
-                    if not rids:
-                        del self._pk_current[old_key]
-                self._pk_current.setdefault(new_key, []).append(rid)
+        key_of = self.schema.key_of
+        if self.schema.primary_key and key_of(old) != key_of(new_row):
+            self._pk_forget(old, rid)
+            self._pk_current.setdefault(key_of(new_row), []).append(rid)
+
+    def _pk_forget(self, row, rid):
+        """Drop *rid* from the current rids of *row*'s primary key."""
+        key = self.schema.key_of(row)
+        rids = self._pk_current.get(key)
+        if rids and rid in rids:
+            rids.remove(rid)
+            if not rids:
+                del self._pk_current[key]
 
     def _move_to_history(self, closed_row):
         history = self._partitions[HISTORY]
@@ -361,40 +373,23 @@ class VersionedTable:
         background process; its stalls produce the 97th-percentile spikes of
         Fig 16 and contribute to B's worst-of-all total load time, §5.8).
 
-        Besides moving the buffered versions, the drain re-clusters the
-        history partition by system time — the metadata-heavy organisation
-        that lets B answer history queries at all, and the reason a drain
-        costs far more than an ordinary update."""
+        The drained batch is sorted by ``(sys_begin, sys_end)`` and appended
+        as one run, each version indexed once: a history row's rid never
+        changes, so sealed pages keep their zone maps and an index a reader
+        holds stays valid.  The sort and the batch's moves land inside the
+        transaction that fills the log — B's tail."""
         if self._undo is None:
             return 0
         records = self._undo.drain()
-        for closed_row, _meta in records:
-            self._move_to_history(closed_row)
         if records:
+            begin, end = self._sys_begin, self._sys_end
+            records.sort(key=lambda record: (record[0][begin], record[0][end]))
+            for closed_row, _meta in records:
+                self._move_to_history(closed_row)
             self.stats.undo_drains += 1
             self.metrics.inc("storage.undo_drains")
-            self._recluster_history()
         self._undo_since_drain = 0
         return len(records)
-
-    def _recluster_history(self):
-        """Rewrite the history partition in system-time order and rebuild
-        its secondary indexes (part of the undo drain)."""
-        history = self._partitions[HISTORY]
-        rows = [row for _rid, row in history.store.scan()]
-        rows.sort(key=lambda row: (row[self._sys_begin], row[self._sys_end]))
-        history.store.clear()
-        saved_indexes = list(history.indexes.items())
-        history.indexes = {}
-        rids = [history.store.append(row) for row in rows]
-        history.indexes = dict(saved_indexes)
-        for name, (index, structure) in saved_indexes:
-            rebuilt = create_index_structure(index.kind, metrics=self.metrics)
-            rebuilt.access = structure.access  # accounting survives the rebuild
-            positions = [self.schema.position(c) for c in index.columns]
-            for rid, row in zip(rids, rows):
-                self._index_one(index, rebuilt, positions, rid, row)
-            history.indexes[name] = (index, rebuilt)
 
     # -- reads ---------------------------------------------------------------
 
@@ -661,20 +656,24 @@ class VersionedTable:
         if index.name in part.indexes:
             raise CatalogError(f"index {index.name!r} already on {self.schema.name}")
         structure = create_index_structure(index.kind, metrics=self.metrics)
-        positions = [self.schema.position(c) for c in index.columns]
-        part.indexes[index.name] = (index, structure)
-        if target in (CURRENT, SINGLE):
-            rows = self.scan_current()
-        else:
-            rows = self.scan_history()
+        key_of = _key_function(
+            index.kind, [self.schema.position(c) for c in index.columns]
+        )
+        # registered after the build: a history scan drains B's undo log
+        # first, and the drained versions must not be indexed twice
+        rows = self.scan_current() if target in (CURRENT, SINGLE) else self.scan_history()
         for rid, row in rows:
-            self._index_one(index, structure, positions, rid, row)
+            key = key_of(row)
+            if key is not None:
+                structure.insert(key, rid)
+        part.indexes[index.name] = (index, structure)
+        part.keyed[index.name] = (key_of, structure, index.kind == "rtree")
         return structure
 
     def drop_index(self, name):
         for part in self._partitions.values():
             if name in part.indexes:
-                del part.indexes[name]
+                del part.indexes[name], part.keyed[name]
                 return True
         return False
 
@@ -683,45 +682,24 @@ class VersionedTable:
             name = SINGLE
         return self._partitions[name].indexes
 
-    def _index_key(self, index, positions, row):
-        if index.kind == "rtree":
-            begin, end = row[positions[0]], row[positions[1]]
-            if begin is None or end is None:
-                return None
-            return (begin, end)
-        if len(positions) == 1:
-            return row[positions[0]]
-        return tuple(row[p] for p in positions)
-
-    def _index_one(self, index, structure, positions, rid, row):
-        key = self._index_key(index, positions, row)
-        if key is None:
-            return
-        structure.insert(key, rid)
-
     def _index_insert(self, part, rid, row):
-        for index, structure in part.indexes.values():
-            positions = [self.schema.position(c) for c in index.columns]
-            self._index_one(index, structure, positions, rid, row)
+        for key_of, structure, _lazy in part.keyed.values():
+            key = key_of(row)
+            if key is not None:
+                structure.insert(key, rid)
 
     def _index_remove(self, part, rid, row):
-        for index, structure in part.indexes.values():
-            positions = [self.schema.position(c) for c in index.columns]
-            key = self._index_key(index, positions, row)
-            if key is None:
-                continue
-            if index.kind == "rtree":
-                continue  # lazy: rtree scans re-check liveness via fetch()
-            structure.remove(key, rid)
+        # an rtree removes lazily: its scans re-check liveness via fetch()
+        for key_of, structure, lazy in part.keyed.values():
+            if not lazy and (key := key_of(row)) is not None:
+                structure.remove(key, rid)
 
     def _index_update(self, part, rid, old_row, new_row):
-        for index, structure in part.indexes.values():
-            positions = [self.schema.position(c) for c in index.columns]
-            old_key = self._index_key(index, positions, old_row)
-            new_key = self._index_key(index, positions, new_row)
+        for key_of, structure, lazy in part.keyed.values():
+            old_key, new_key = key_of(old_row), key_of(new_row)
             if old_key == new_key:
                 continue
-            if index.kind != "rtree" and old_key is not None:
+            if not lazy and old_key is not None:
                 structure.remove(old_key, rid)
             if new_key is not None:
                 structure.insert(new_key, rid)

@@ -104,14 +104,9 @@ def nontemporal_update(
     successor with identical application time but new values is inserted.
     Returns the number of versions rewritten.
     """
-    schema = table.schema
     victims = current_versions_for_key(table, key)
-    if not victims:
-        return 0
     for rid, row in victims:
-        new_row = list(row)
-        for column, value in changes.items():
-            new_row[schema.position(column)] = value
+        new_row = table.schema.row_from(changes, row)  # checked before any write
         table.invalidate(rid, tick, txn_meta=txn_meta)
         table.insert_version(new_row, sys_begin=tick, txn_meta=txn_meta)
     return len(victims)
@@ -141,14 +136,12 @@ def sequenced_update(
         if overlap is None:
             continue
         affected += 1
+        changed = schema.row_from(changes, row)  # checked before any write
         table.invalidate(rid, tick, txn_meta=txn_meta)
         for remainder in existing.subtract(portion):
             keep = list(row)
             _set_period(schema, keep, period_name, remainder)
             table.insert_version(keep, sys_begin=tick, txn_meta=txn_meta)
-        changed = list(row)
-        for column, value in changes.items():
-            changed[schema.position(column)] = value
         _set_period(schema, changed, period_name, overlap)
         table.insert_version(changed, sys_begin=tick, txn_meta=txn_meta)
     return affected

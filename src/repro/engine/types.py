@@ -39,25 +39,37 @@ class SqlType(Enum):
 
     def validate(self, value):
         """Return *value* coerced into this domain, or raise DataError."""
-        if value is None:
-            return None
-        if self in (SqlType.INTEGER, SqlType.DATE, SqlType.TIMESTAMP):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise DataError(f"expected int for {self.value}, got {value!r}")
+        return CHECKS[self](value)
+
+
+def _check_for(sql_type, exact, accepted, expected, convert=None):
+    """The value check of one type: NULL and a value of exactly type *exact*
+    pass untouched; any other *accepted* value but a stray ``bool`` is
+    *convert*-ed; the rest is a DataError."""
+    prefix = f"expected {expected} for {sql_type.value}, got "
+
+    def check(value):
+        if type(value) is exact or value is None:
             return value
-        if self is SqlType.DECIMAL:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DataError(f"expected number for {self.value}, got {value!r}")
-            return float(value)
-        if self is SqlType.VARCHAR:
-            if not isinstance(value, str):
-                raise DataError(f"expected str for {self.value}, got {value!r}")
-            return value
-        if self is SqlType.BOOLEAN:
-            if not isinstance(value, bool):
-                raise DataError(f"expected bool for {self.value}, got {value!r}")
-            return value
-        raise DataError(f"unknown type {self}")  # pragma: no cover
+        if not isinstance(value, accepted) or (
+            isinstance(value, bool) and exact is not bool
+        ):
+            raise DataError(prefix + repr(value))
+        return value if convert is None else convert(value)
+
+    return check
+
+
+#: one value check per type, the single definition of its domain: a
+#: TableSchema binds them per column for its writes, validate looks them up
+CHECKS = {
+    SqlType.INTEGER: _check_for(SqlType.INTEGER, int, int, "int"),
+    SqlType.DECIMAL: _check_for(SqlType.DECIMAL, float, (int, float), "number", float),
+    SqlType.VARCHAR: _check_for(SqlType.VARCHAR, str, str, "str"),
+    SqlType.DATE: _check_for(SqlType.DATE, int, int, "int"),
+    SqlType.TIMESTAMP: _check_for(SqlType.TIMESTAMP, int, int, "int"),
+    SqlType.BOOLEAN: _check_for(SqlType.BOOLEAN, bool, bool, "bool"),
+}
 
 
 def date_to_day(value):

@@ -146,7 +146,7 @@ class TestUndoLogHistoryProbe:
     """System B buffers closed versions in an undo log; an index probe on
     the history partition must see them, as a history scan does."""
 
-    def _versions(self, name, early_key=None):
+    def _load(self, name, early_key=None):
         from repro.systems import IndexSetting, apply_index_setting, make_system
 
         system = make_system(name)
@@ -159,8 +159,8 @@ class TestUndoLogHistoryProbe:
             })
 
         if early_key is not None:
-            # an older sys_begin than every other row: the drain's recluster
-            # moves its closed versions to the front, renumbering all rids
+            # an older sys_begin than every other row: a drain that sorted
+            # all of history would move its closed versions to the front
             with db.begin():
                 insert(early_key)
         with db.begin():
@@ -174,6 +174,9 @@ class TestUndoLogHistoryProbe:
             db.execute("UPDATE item SET v = 0 WHERE id = ?", [i])
         for step in range(3):
             db.execute("UPDATE item SET v = ? WHERE id = 17", [float(step)])
+        return db
+
+    def _probe(self, db):
         scans_before = db.table("item").stats.history_scans
         result = db.execute(
             "SELECT v, sb, se FROM item FOR SYSTEM_TIME ALL WHERE id = 17"
@@ -182,12 +185,27 @@ class TestUndoLogHistoryProbe:
         assert db.table("item").stats.history_scans == scans_before
         return sorted(result.rows)
 
+    def _versions(self, name, early_key=None):
+        return self._probe(self._load(name, early_key))
+
     def test_key_lookup_sees_undo_log_versions(self):
         expected = self._versions("A")
         assert len(expected) == 4
         assert self._versions("B") == expected
 
-    def test_probe_uses_the_indexes_rebuilt_by_the_drain(self):
+    def test_history_rids_are_stable_across_drains(self):
+        from repro.engine.storage.versioned import HISTORY
+
         expected = self._versions("A", early_key=17)
         assert len(expected) == 4
-        assert self._versions("B", early_key=17) == expected
+        db = self._load("B", early_key=17)
+        assert self._probe(db) == expected
+        table = db.table("item")
+        before = dict(table.scan_partition_quiet(HISTORY))
+        drains = table.stats.undo_drains
+        for i in range(101, 201):  # 100 more closed versions: a drain or more
+            db.execute("UPDATE item SET v = 1 WHERE id = ?", [i])
+        assert table.stats.undo_drains > drains
+        for rid, row in before.items():
+            assert table.fetch(HISTORY, rid) is row
+        assert self._probe(db) == expected

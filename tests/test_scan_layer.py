@@ -419,7 +419,8 @@ def test_table_windowed_scan_matches_filtered_scan(layout, ops, size):
             tick += 1
         elif op[0] == "invalidate" and open_rids:
             # D closes in place (stale zone on that page), A/C move to
-            # history, B goes through the undo log and _recluster_history
+            # history, B buffers in the undo log and a drain appends a
+            # sorted run (earlier pages and their zones stay as they are)
             table.invalidate(open_rids.pop(op[1] % len(open_rids)), tick)
             tick += 1
         elif op[0] == "probe":
