@@ -3,9 +3,8 @@
 Modelled on the Benchmarking Service the paper used (§4, [10]): repeated
 measurement with warm-up discards, parameter binding from generator
 metadata, per-experiment orchestration and paper-style reports.  The
-perf-trajectory side (artifact diffing, trend folding) lives in
-:mod:`.compare` and :mod:`.trend` over the ``repro-bench/v1`` artifacts
-:mod:`.artifact` reads and writes.
+artifact differ behind ``repro bench-diff`` lives in :mod:`.compare`,
+over the ``repro-bench`` artifacts :mod:`.artifact` reads and writes.
 """
 
 from .service import BenchmarkService, Measurement

@@ -201,25 +201,3 @@ def load_artifact(path) -> Dict:
         raise ArtifactError(f"{source}: 'experiments' must be a list")
     return artifact
 
-
-def find_artifacts(directory) -> List[Path]:
-    """Every loadable artifact under *directory*, ordered for trending.
-
-    Order: the artifact's own ``generator.created_unix`` stamp when
-    present, file modification time otherwise — name is the final
-    tie-break so the fold is deterministic.  Unreadable or non-artifact
-    JSON files are skipped silently (the directory may hold other tooling
-    output).
-    """
-    root = Path(directory)
-    dated = []
-    for candidate in sorted(root.glob("*.json")):
-        try:
-            artifact = load_artifact(candidate)
-        except ArtifactError:
-            continue
-        stamp = (artifact.get("generator") or {}).get("created_unix")
-        if not isinstance(stamp, (int, float)):
-            stamp = candidate.stat().st_mtime
-        dated.append((stamp, candidate.name, candidate))
-    return [path for _stamp, _name, path in sorted(dated)]

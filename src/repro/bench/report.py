@@ -189,54 +189,6 @@ def format_metrics(
     return "\n".join(lines)
 
 
-def _abbrev_bytes(value) -> str:
-    if not value:
-        return "0B"
-    size = float(value)
-    for unit in ("B", "KB", "MB", "GB"):
-        if size < 1024.0 or unit == "GB":
-            return f"{int(size)}B" if unit == "B" else f"{size:.1f}{unit}"
-        size /= 1024.0
-    return f"{int(value)}B"
-
-
-def format_statements(title: str, rows, query_width: int = 48) -> str:
-    """pg_stat_statements-style table over telemetry snapshot rows.
-
-    *rows* is ``StatementStatsStore.snapshot()`` output (list of dicts with
-    the ``STATEMENT_FIELDS`` keys), already sorted by the caller's chosen
-    key.  Columns: calls, mean/p95 time, rows, plan-cache hit ratio, peak
-    working set, and the normalized (truncated) query text.
-    """
-    lines = [title, "=" * len(title)]
-    header = (
-        f"{'fingerprint':<13}{'calls':>7}{'mean':>10}{'p95':>10}"
-        f"{'rows':>9}{'hit%':>6}{'peak ws':>9}  query"
-    )
-    lines.append(header)
-    if not rows:
-        lines.append("(no statements tracked)")
-        return "\n".join(lines)
-    for row in rows:
-        mean = row.get("time_mean_s")
-        p95 = row.get("time_p95_s")
-        ratio = row.get("cache_hit_ratio")
-        query = row.get("query", "")
-        if len(query) > query_width:
-            query = query[: query_width - 1] + "…"
-        lines.append(
-            f"{row.get('fingerprint', '?'):<13}"
-            f"{row.get('calls', 0):>7}"
-            f"{'-' if mean is None else f'{mean * 1000:.2f}ms':>10}"
-            f"{'-' if p95 is None else f'{p95 * 1000:.2f}ms':>10}"
-            f"{row.get('rows', 0):>9}"
-            f"{'-' if ratio is None else f'{ratio:.0%}':>6}"
-            f"{_abbrev_bytes(row.get('peak_ws_bytes')):>9}"
-            f"  {query}"
-        )
-    return "\n".join(lines)
-
-
 def format_delta_table(diff, only_changed: bool = False) -> str:
     """Per-cell delta table for an :class:`repro.bench.compare.ArtifactDiff`.
 

@@ -203,17 +203,3 @@ class BenchmarkService:
         )
         return measurement
 
-
-def run_matrix(
-    service: BenchmarkService,
-    systems: Dict[str, object],
-    queries,
-    meta,
-    setting: str = "no index",
-) -> List[Measurement]:
-    """Measure every query on every system (one experiment cell grid)."""
-    out = []
-    for query in queries:
-        for name, system in systems.items():
-            out.append(service.measure_query(system, query, meta, setting=setting))
-    return out

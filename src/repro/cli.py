@@ -15,23 +15,17 @@ Commands mirror the benchmark pipeline of the paper's §4:
 * ``metrics``  — engine metric counters after workload passes;
 * ``bench-diff`` — compare two or more bench artifacts cell by cell
   (``--gate`` exits nonzero on regression, the CI perf gate);
-* ``trend``    — fold a directory of artifacts into ``TREND.json`` plus a
-  markdown trajectory report;
-* ``flamegraph`` — folded stacks / SVG flamegraph / per-operator table
-  from tracer spans (live run or a recorded JSONL file).
-
 * ``stat-statements`` — pg_stat_statements-style per-fingerprint workload
-  statistics after driving the benchmark queries;
-* ``top`` — one-shot workload summary (hottest statements, key counters).
+  statistics (JSON rows) after driving the benchmark queries;
 * ``health`` — markdown temporal-health report assembled by querying the
   ``repro_stat_*`` system views across archetypes (``--json`` writes a
   ``repro-health/v1`` artifact).
 
 ``bench --json PATH`` additionally writes a machine-readable
 ``BENCH_<experiment>.json`` artifact (schema ``repro-bench/v2``, see
-:mod:`repro.bench.artifact`) so the repo accumulates a perf trajectory;
-``bench --compare-to BASELINE.json`` prints the delta table against a
-prior artifact inline after the run.  ``metrics --format openmetrics``
+:mod:`repro.bench.artifact`); ``bench --compare-to BASELINE.json`` prints
+the delta table against a prior artifact inline after the run.
+``metrics --format openmetrics``
 emits the registry plus top-K statement stats as a Prometheus-scrapable
 text exposition.
 """
@@ -129,17 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-stats", dest="no_stats", action="store_true",
         help="skip the post-load ANALYZE so multi-join cells run the "
         "statistics-free greedy join order (cost-model A/B baseline)",
-    )
-    bench.add_argument(
-        "--slowlog-threshold", dest="slowlog_threshold", type=float,
-        default=None, metavar="SECONDS",
-        help="enable the slow-query log on every system at this threshold "
-        "(falls back to $REPRO_SLOWLOG_THRESHOLD when unset)",
-    )
-    bench.add_argument(
-        "--slowlog-path", dest="slowlog_path", default=None, metavar="PATH",
-        help="also append slow-query entries as JSONL here "
-        "(falls back to $REPRO_SLOWLOG_PATH)",
     )
     bench.add_argument(
         "--no-telemetry", dest="no_telemetry", action="store_true",
@@ -263,26 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sort", choices=("time", "calls", "rows"), default="time",
         help="ranking key (default %(default)s)",
     )
-    stat.add_argument(
-        "--json", dest="as_json", action="store_true",
-        help="emit the statement rows as JSON instead of a table",
-    )
-
-    top = sub.add_parser(
-        "top",
-        help="one-shot workload summary: hottest statements + key counters",
-    )
-    top.add_argument("--system", default="A", help="archetype A..E")
-    top.add_argument("--h", type=float, default=0.001)
-    top.add_argument("--m", type=float, default=0.0003)
-    top.add_argument(
-        "--runs", type=int, default=1, help="workload passes to drive"
-    )
-    top.add_argument(
-        "--top", dest="top_n", type=int, default=5,
-        help="statements to show (default %(default)s)",
-    )
-
     health = sub.add_parser(
         "health",
         help="temporal-health report from the repro_stat_* system views",
@@ -334,45 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print unchanged cells too (default shows changes only)",
     )
 
-    trend = sub.add_parser(
-        "trend", help="fold a directory of bench artifacts into TREND.json"
-    )
-    trend.add_argument("directory", help="directory holding BENCH_*.json files")
-    trend.add_argument(
-        "--json", dest="json_path", default=None, metavar="PATH",
-        help="where to write the trend store (default DIR/TREND.json)",
-    )
-    trend.add_argument(
-        "--md", dest="md_path", default=None, metavar="PATH",
-        help="where to write the markdown trajectory report "
-        "(default DIR/TREND.md)",
-    )
-
-    flame = sub.add_parser(
-        "flamegraph",
-        help="folded stacks / SVG flamegraph from tracer span trees",
-    )
-    flame.add_argument("--system", default="A", help="archetype A..E")
-    flame.add_argument("--h", type=float, default=0.001)
-    flame.add_argument("--m", type=float, default=0.0003)
-    flame.add_argument(
-        "--jsonl", default=None, metavar="PATH",
-        help="read spans from this JSONL file (tracer or slow-query-log "
-        "output) instead of executing anything",
-    )
-    flame.add_argument(
-        "--svg", default=None, metavar="PATH",
-        help="render the flamegraph SVG here",
-    )
-    flame.add_argument(
-        "--folded", default=None, metavar="PATH",
-        help="write folded-stack lines here (flamegraph.pl input)",
-    )
-    flame.add_argument(
-        "sql", nargs="?", default=None,
-        help="statement to profile (default: one full T/H/K/R/B "
-        "workload pass)",
-    )
     return parser
 
 
@@ -422,29 +346,6 @@ def _cmd_query(args) -> int:
     return 0
 
 
-def _slowlog_config(args):
-    """(threshold_s, path) for the bench slow-query log: CLI flags first,
-    $REPRO_SLOWLOG_THRESHOLD / $REPRO_SLOWLOG_PATH as the fallback."""
-    import os
-
-    threshold = getattr(args, "slowlog_threshold", None)
-    if threshold is None:
-        raw = os.environ.get("REPRO_SLOWLOG_THRESHOLD")
-        if raw:
-            try:
-                threshold = float(raw)
-            except ValueError:
-                print(
-                    f"bench: ignoring non-numeric "
-                    f"REPRO_SLOWLOG_THRESHOLD={raw!r}",
-                    file=sys.stderr,
-                )
-    path = getattr(args, "slowlog_path", None) or os.environ.get(
-        "REPRO_SLOWLOG_PATH"
-    )
-    return threshold, path
-
-
 def _cmd_bench(args) -> int:
     service = BenchmarkService(repetitions=3, discard=1)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
@@ -456,12 +357,9 @@ def _cmd_bench(args) -> int:
             context["workload"], "ABCD",
             analyze=not getattr(args, "no_stats", False),
         )
-        slowlog_threshold, slowlog_path = _slowlog_config(args)
-        for system in context["systems"].values():
-            if not getattr(args, "no_telemetry", False):
+        if not getattr(args, "no_telemetry", False):
+            for system in context["systems"].values():
                 system.enable_telemetry()
-            if slowlog_threshold is not None:
-                system.set_slow_query_log(slowlog_threshold, path=slowlog_path)
     measurements = []
     results = []
     for name in names:
@@ -810,8 +708,8 @@ def _drive_workload(args, telemetry: bool = True):
     """Load a tiny workload into one system, run the benchmark queries
     ``args.runs`` times, and return ``(system, runs, query_count)``.
 
-    Shared by the ``metrics``, ``stat-statements`` and ``top`` commands so
-    they all observe the same A–E workload shape.
+    Shared by the ``metrics``, ``stat-statements`` and ``health`` commands
+    so they all observe the same A–E workload shape.
     """
     from .core.queries import Workload
 
@@ -880,65 +778,8 @@ def _cmd_metrics(args) -> int:
 def _cmd_stat_statements(args) -> int:
     import json
 
-    from .bench.report import format_statements
-
-    system, runs, query_count = _drive_workload(args)
-    rows = system.stat_statements(top=args.top, sort=args.sort)
-    if args.as_json:
-        print(json.dumps(rows, indent=2))
-        return 0
-    print(
-        format_statements(
-            f"Statement statistics after {runs}x{query_count} queries "
-            f"(system {args.system}, sorted by {args.sort})",
-            rows,
-        )
-    )
-    store = system.db.telemetry
-    print(
-        f"({len(store)} fingerprints tracked, {store.evicted} evicted, "
-        f"capacity {store.capacity})"
-    )
-    return 0
-
-
-def _cmd_top(args) -> int:
-    from .bench.report import format_statements
-
-    system, runs, query_count = _drive_workload(args)
-    snapshot = system.telemetry_snapshot(top=args.top_n, sort="time")
-    counters = snapshot["counters"]
-    hist = snapshot["histograms"].get("query.execute_s", {})
-    executed = hist.get("count", 0)
-    mean = hist.get("mean")
-    p95 = hist.get("p95")
-    cache_lookups = counters.get("plan.cache_hit", 0) + counters.get(
-        "plan.cache_miss", 0
-    )
-    hit_rate = (
-        counters.get("plan.cache_hit", 0) / cache_lookups if cache_lookups else 0.0
-    )
-    print(f"workload summary (system {args.system}, {runs}x{query_count} queries)")
-    print(
-        f"  executed: {executed} statements, "
-        f"mean {0.0 if mean is None else mean * 1000:.2f}ms, "
-        f"p95 {0.0 if p95 is None else p95 * 1000:.2f}ms"
-    )
-    print(
-        f"  plan cache: {hit_rate:.0%} hit rate over {cache_lookups} lookups; "
-        f"statements tracked: {snapshot['statements_tracked']}"
-    )
-    print(
-        f"  rows scanned: current="
-        f"{counters.get('storage.current_rows_scanned', 0)} "
-        f"history={counters.get('storage.history_rows_scanned', 0)}"
-    )
-    print()
-    print(
-        format_statements(
-            f"Top {args.top_n} statements by total time", snapshot["statements"]
-        )
-    )
+    system, _runs, _query_count = _drive_workload(args)
+    print(json.dumps(system.stat_statements(top=args.top, sort=args.sort), indent=2))
     return 0
 
 
@@ -1098,76 +939,6 @@ def _cmd_bench_diff(args) -> int:
     return 0
 
 
-def _cmd_trend(args) -> int:
-    from .bench.artifact import ArtifactError
-    from .bench import trend as trend_mod
-
-    try:
-        trend = trend_mod.fold_directory(args.directory)
-    except ArtifactError as exc:
-        print(f"trend: {exc}", file=sys.stderr)
-        return 2
-    directory = Path(args.directory)
-    json_path = trend_mod.write_trend(trend, args.json_path or directory)
-    md_path = Path(args.md_path) if args.md_path else directory / "TREND.md"
-    md_path.write_text(trend_mod.markdown_report(trend))
-    print(trend_mod.format_trend_summary(trend))
-    print(f"wrote {json_path} and {md_path}")
-    return 0
-
-
-def _cmd_flamegraph(args) -> int:
-    from .engine.obs import (
-        RingBufferSink,
-        format_folded,
-        format_operator_table,
-        load_jsonl,
-        operator_table,
-        render_flamegraph_svg,
-    )
-    from .engine.obs.profile import normalize
-
-    if args.jsonl:
-        roots = load_jsonl(args.jsonl)
-        source = args.jsonl
-    else:
-        workload = BitemporalDataGenerator(
-            GeneratorConfig(h=args.h, m=args.m)
-        ).generate()
-        system = make_system(args.system)
-        Loader(system, workload).load()
-        ring = RingBufferSink(capacity=65536)
-        system.tracer.add_sink(ring)
-        try:
-            if args.sql:
-                system.execute(args.sql)
-                source = args.sql
-            else:
-                from .core.queries import Workload
-
-                for query in Workload():
-                    system.execute(query.sql, query.params(workload.meta))
-                source = f"T/H/K/R/B workload on system {args.system}"
-        finally:
-            system.tracer.remove_sink(ring)
-        roots = normalize(ring.roots())
-    if not roots:
-        print("flamegraph: no spans recorded", file=sys.stderr)
-        return 1
-    if args.folded:
-        Path(args.folded).write_text(format_folded(roots) + "\n")
-        print(f"wrote folded stacks to {args.folded}")
-    if args.svg:
-        svg = render_flamegraph_svg(roots, title=f"repro flamegraph: {source}")
-        Path(args.svg).write_text(svg)
-        print(f"wrote flamegraph to {args.svg}")
-    if not args.folded and not args.svg:
-        print(format_folded(roots))
-        print()
-    print(format_operator_table(operator_table(roots)))
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -1183,11 +954,8 @@ def main(argv=None) -> int:
         "trace": _cmd_trace,
         "metrics": _cmd_metrics,
         "stat-statements": _cmd_stat_statements,
-        "top": _cmd_top,
         "health": _cmd_health,
         "bench-diff": _cmd_bench_diff,
-        "trend": _cmd_trend,
-        "flamegraph": _cmd_flamegraph,
     }[args.command]
     return handler(args)
 

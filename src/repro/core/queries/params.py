@@ -50,11 +50,6 @@ class ParameterSampler:
             for i in range(count)
         ]
 
-    def random_app_day(self) -> int:
-        return self._rng.uniform_int(
-            self.meta.first_history_day, self.meta.last_history_day
-        )
-
     # -- keys -----------------------------------------------------------------
 
     def customer_keys(self, count: int, include_hottest: bool = True) -> List[int]:
@@ -63,17 +58,6 @@ class ParameterSampler:
         if include_hottest and self.meta.hottest_customer is not None:
             keys.append(self.meta.hottest_customer)
         limit = max(1, self.meta.max_custkey)
-        while len(keys) < count:
-            candidate = self._rng.uniform_int(1, limit)
-            if candidate not in keys:
-                keys.append(candidate)
-        return keys[:count]
-
-    def order_keys(self, count: int) -> List[int]:
-        keys: List[int] = []
-        if self.meta.hottest_order is not None:
-            keys.append(self.meta.hottest_order)
-        limit = max(1, self.meta.max_orderkey)
         while len(keys) < count:
             candidate = self._rng.uniform_int(1, limit)
             if candidate not in keys:

@@ -5,9 +5,9 @@ TQ016 and the ``constraint-pruning`` rewrite rule: it normalizes every
 temporal constraint on a scan — ``AS OF`` / ``FROM .. TO`` / ``BETWEEN``
 clauses and raw comparisons pushed onto period or date columns — into
 per-(binding, column) **interval lattices**: intersection for
-conjunction, convex hull for disjunction, an explicit empty element for
-contradictions and ``TOP`` (unbounded) for everything the domain cannot
-represent.
+conjunction, an explicit empty element for contradictions and ``TOP``
+(unbounded) for everything the domain cannot represent, disjunction
+included.
 
 The abstraction is deliberately faithful to how the engine *executes*
 each construct, not to SQL:2011 on paper:
@@ -25,7 +25,7 @@ Two soundness subtleties are encoded as flags on each contribution:
   compares as end-of-time).  Emptiness and redundancy proofs must keep a
   null-rejecting witness, or dropping a predicate could leak NULL rows.
 * ``exact`` — whether the interval equals the constraint (vs. an
-  over-approximation such as an OR-hull or IN-list hull).  Only exact
+  over-approximation such as an IN-list hull).  Only exact
   contributions may be *dropped* as redundant or *flagged* as
   tautological; over-approximations remain sound as subsumers and as
   emptiness evidence.
@@ -80,20 +80,6 @@ class Interval:
     def intersect(self, other: "Interval") -> "Interval":
         low = _max_bound(self.low, other.low)
         high = _min_bound(self.high, other.high)
-        return Interval(low, high)
-
-    def hull(self, other: "Interval") -> "Interval":
-        """Convex hull — the join of the lattice (over-approximates OR)."""
-        if self.is_empty():
-            return other
-        if other.is_empty():
-            return self
-        low = None
-        if self.low is not None and other.low is not None:
-            low = min(self.low, other.low)
-        high = None
-        if self.high is not None and other.high is not None:
-            high = max(self.high, other.high)
         return Interval(low, high)
 
     def contains(self, other: "Interval") -> bool:
@@ -421,16 +407,8 @@ def _add_predicate(domains: DomainMap, scan, conjunct, tracked):
 
 def _interval_of(expr, scan, tracked):
     """``(column, interval, exact, op)`` of a predicate over one tracked
-    column, or None when the expression falls outside the domain."""
-    if isinstance(expr, ast.Binary) and expr.op in ("and", "or"):
-        left = _interval_of(expr.left, scan, tracked)
-        right = _interval_of(expr.right, scan, tracked)
-        if left is None or right is None or left[0] != right[0]:
-            return None
-        combine = Interval.intersect if expr.op == "and" else Interval.hull
-        # hulls over-approximate; intersections of exact parts stay exact
-        exact = expr.op == "and" and left[2] and right[2]
-        return (left[0], combine(left[1], right[1]), exact, None)
+    column, or None when the expression falls outside the domain (an OR
+    among them; conjuncts arrive here already split)."""
     if isinstance(expr, ast.Binary) and expr.op in _COMPARISONS:
         column = op = None
         value = None

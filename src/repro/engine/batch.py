@@ -104,8 +104,8 @@ class Batch:
 
     def take(self, indices: Sequence[int]) -> "Batch":
         """A new batch holding the rows at *indices* (in that order),
-        preserving layout.  Also used for reordering, so no identity
-        shortcut — callers skip the call when taking everything."""
+        preserving layout.  No identity shortcut: callers skip the call
+        when taking everything."""
         if self._rows is not None:
             rows = self._rows
             return Batch.from_rows([rows[i] for i in indices], self.width)

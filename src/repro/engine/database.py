@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from . import temporal
 from .catalog import Catalog, IndexDef, TableSchema
 from .errors import CatalogError, IntegrityError
-from .obs import MetricsRegistry, SlowQueryLog, StatementStatsStore, Tracer
+from .obs import MetricsRegistry, StatementStatsStore, Tracer
 from .obs import introspect
 from .obs.telemetry import render_openmetrics
 from .storage.versioned import StorageOptions, VersionedTable
@@ -85,7 +85,6 @@ class Database:
         self.profile = profile or ArchitectureProfile()
         self.metrics = MetricsRegistry()
         self.tracer = Tracer()
-        self.slow_query_log: Optional[SlowQueryLog] = None
         #: pg_stat_statements-style workload telemetry; disabled by default
         #: so the execute hot path stays unobserved until someone asks
         self.telemetry = StatementStatsStore()
@@ -396,27 +395,6 @@ class Database:
             top=top,
             extra=introspect.introspection_openmetrics(self),
         )
-
-    def set_slow_query_log(
-        self, threshold_s: Optional[float], path: Optional[str] = None,
-        capacity: int = 256, max_bytes: Optional[int] = None,
-    ) -> Optional[SlowQueryLog]:
-        """Enable (or, with ``None``, disable) the slow-query log.
-
-        Enabling forces span collection on so every threshold breach has a
-        complete tree to record; disabling releases that again.
-        ``max_bytes`` (or ``$REPRO_SLOWLOG_MAX_BYTES``) bounds the JSONL
-        file, truncating oldest entries first.
-        """
-        if threshold_s is None:
-            self.slow_query_log = None
-            self.tracer.force_tracing = False
-            return None
-        self.slow_query_log = SlowQueryLog(
-            threshold_s, path=path, capacity=capacity, max_bytes=max_bytes
-        )
-        self.tracer.force_tracing = True
-        return self.slow_query_log
 
     # -- maintenance -----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Engine observability: structured tracer, metrics registry, slow-query log.
+"""Engine observability: structured tracer, metrics registry, statement telemetry.
 
 See ``docs/OBSERVABILITY.md`` for the span and metric catalogue and the
 paper sections each one diagnoses.  This package is stdlib-only by design:
@@ -16,17 +16,7 @@ from .introspect import (
     view_rows,
 )
 from .metrics import COUNTERS, HISTOGRAMS, Histogram, MetricsRegistry
-from .profile import (
-    SpanNode,
-    folded_stacks,
-    format_folded,
-    format_operator_table,
-    load_jsonl,
-    operator_table,
-    render_flamegraph_svg,
-)
 from .sinks import JsonlSink, RingBufferSink
-from .slowlog import SlowQueryLog
 from .telemetry import (
     STATEMENT_FIELDS,
     STATEMENT_METRICS,
@@ -51,9 +41,7 @@ __all__ = [
     "STATEMENT_METRICS",
     "SYSTEM_VIEWS",
     "SYSTEM_VIEW_PREFIX",
-    "SlowQueryLog",
     "Span",
-    "SpanNode",
     "StatementStats",
     "StatementStatsStore",
     "Tracer",
@@ -65,11 +53,5 @@ __all__ = [
     "validate_openmetrics",
     "view_columns",
     "view_rows",
-    "folded_stacks",
-    "format_folded",
-    "format_operator_table",
-    "load_jsonl",
-    "operator_table",
-    "render_flamegraph_svg",
     "render_span_tree",
 ]

@@ -56,7 +56,6 @@ COUNTERS: Dict[str, str] = {
     "txn.versions_written": "row versions appended to any partition",
     "txn.commits": "committed transactions",
     "txn.rollbacks": "rolled-back transactions",
-    "slowlog.entries": "queries recorded by the slow-query log",
 }
 
 #: histogram name -> description.  Histograms keep summary statistics plus a

@@ -287,8 +287,8 @@ class StatementStatsStore:
     def note_diagnostics(self, sql: str, count: int) -> None:
         """Attribute *count* analyzer findings to *sql*'s entry (if any).
 
-        Lint runs outside the execute path (slow-query log, benchmark
-        service); findings accumulate on the already-recorded entry rather
+        Lint runs outside the execute path (in the benchmark service);
+        findings accumulate on the already-recorded entry rather
         than creating one for a statement that never executed.
         """
         if count <= 0:

@@ -7,7 +7,7 @@ operator invocations.  Spans form a tree via parent ids; the tracer keeps
 an open-span stack so nesting falls out of call order.
 
 **Zero overhead when idle** is the design constraint: with no sink
-installed (and ``force_tracing`` off) the tracer is inactive,
+installed the tracer is inactive,
 :meth:`Tracer.start` returns ``None``, :meth:`Tracer.span` returns a
 shared no-op span, and nothing is allocated or timed.  The engine's hot
 paths only ever pay an attribute read and a truth test.
@@ -102,22 +102,19 @@ class Tracer:
     """Span factory with pluggable sinks and an open-span stack.
 
     Sinks receive every span as it *finishes* (children before parents);
-    each sink needs a single ``emit(span)`` method.  ``force_tracing``
-    keeps span collection on even without sinks — the slow-query log uses
-    it so a threshold breach always has a complete tree to record.
+    each sink needs a single ``emit(span)`` method.
     """
 
-    __slots__ = ("_sinks", "_stack", "_seq", "force_tracing")
+    __slots__ = ("_sinks", "_stack", "_seq")
 
     def __init__(self):
         self._sinks: List[object] = []
         self._stack: List[Span] = []
         self._seq = 0
-        self.force_tracing = False
 
     @property
     def active(self) -> bool:
-        return self.force_tracing or bool(self._sinks)
+        return bool(self._sinks)
 
     # -- sinks -------------------------------------------------------------
 

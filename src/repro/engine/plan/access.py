@@ -324,12 +324,10 @@ class TableAccessPlan:
         if index_def.kind == "rtree":
             return self._try_rtree(index_def, structure, by_column, env)
         if index_def.kind == "hash":
-            eq = _equality_for(by_column, index_def.columns)
-            if eq is None:
+            values = [_single_equality(by_column, c, env) for c in index_def.columns]
+            if None in values:
                 return None
-            values = [fn(env) for fn in eq]
-            key = values[0] if len(values) == 1 else tuple(values)
-            rids = structure.search(key)
+            rids = structure.search(values[0] if len(values) == 1 else tuple(values))
             return (len(rids), rids)
         # btree: consume equality prefix, then at most one range column
         columns = index_def.columns
@@ -408,21 +406,6 @@ def _single_equality(by_column, column, env):
         if c.op == "=" and c.low is not None:
             return c.low(env)
     return None
-
-
-def _equality_for(by_column, columns):
-    """Equality values for every column of a hash index, else None."""
-    out = []
-    for column in columns:
-        found = None
-        for c in by_column.get(column, ()):
-            if c.op == "=" and c.low is not None:
-                found = c.low
-                break
-        if found is None:
-            return None
-        out.append(found)
-    return None if not out else [fn for fn in out]
 
 
 def _range_bounds(by_column, column, env):

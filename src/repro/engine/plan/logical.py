@@ -163,7 +163,11 @@ def rebuild_expr(expr, rewrite):
 class LogicalNode:
     """Base class of all logical plan nodes."""
 
-    est_rows: int = 1
+    @property
+    def est_rows(self) -> int:
+        """Leaves carry their own estimate; a composite unit (an explicit
+        or temporal join in a FROM list) counts as its largest input."""
+        return max(child.est_rows for child in self.children())
 
     @property
     def bindings(self) -> Set[str]:
@@ -172,24 +176,12 @@ class LogicalNode:
     def children(self) -> Tuple["LogicalNode", ...]:
         return ()
 
-    def describe(self) -> str:
-        return type(self).__name__
-
-    def render(self, indent: int = 0) -> str:
-        lines = ["  " * indent + self.describe()]
-        for child in self.children():
-            lines.append(child.render(indent + 1))
-        return "\n".join(lines)
-
 
 @dataclass
 class LogicalValues(LogicalNode):
     """The single-row relation behind a FROM-less SELECT."""
 
     est_rows: int = 1
-
-    def describe(self):
-        return "Values(1 row)"
 
 
 @dataclass
@@ -212,12 +204,6 @@ class LogicalScan(LogicalNode):
     def bindings(self) -> Set[str]:
         return {self.ref.binding}
 
-    def describe(self):
-        return (
-            f"Scan({self.schema.name} as {self.binding}, est={self.est_rows}, "
-            f"temporal={len(self.ref.temporal)}, pushed={len(self.pushed)})"
-        )
-
 
 @dataclass
 class LogicalDerived(LogicalNode):
@@ -233,10 +219,6 @@ class LogicalDerived(LogicalNode):
     def bindings(self) -> Set[str]:
         return {self.alias}
 
-    def describe(self):
-        origin = f"view {self.view_name}" if self.view_name else "subquery"
-        return f"Derived({self.alias}, {origin})"
-
 
 @dataclass
 class LogicalVirtualScan(LogicalNode):
@@ -251,9 +233,6 @@ class LogicalVirtualScan(LogicalNode):
     @property
     def bindings(self) -> Set[str]:
         return {self.alias}
-
-    def describe(self):
-        return f"VirtualScan({self.view_name} as {self.alias})"
 
 
 @dataclass
@@ -273,24 +252,8 @@ class LogicalJoin(LogicalNode):
     def bindings(self) -> Set[str]:
         return self.left.bindings | self.right.bindings
 
-    @property
-    def est_rows(self) -> int:
-        if self.est_hint is not None:
-            return self.est_hint
-        lhs, rhs = self.left.est_rows, self.right.est_rows
-        if self.conjuncts:
-            if any(_looks_equi(c, self.left.bindings, self.right.bindings) for c in self.conjuncts):
-                return max(1, (lhs * rhs) // max(lhs, rhs, 1))
-            return max(lhs, rhs)
-        if self.kind == "left":
-            return max(lhs, rhs)
-        return lhs * max(rhs, 1)
-
     def children(self):
         return (self.left, self.right)
-
-    def describe(self):
-        return f"Join({self.kind}, conjuncts={len(self.conjuncts)})"
 
 
 @dataclass
@@ -312,18 +275,8 @@ class LogicalAlignJoin(LogicalNode):
     def bindings(self) -> Set[str]:
         return self.left.bindings | self.right.bindings
 
-    @property
-    def est_rows(self) -> int:
-        lhs, rhs = self.left.est_rows, self.right.est_rows
-        if self.conjuncts:
-            return max(1, (lhs * rhs) // max(lhs, rhs, 1))
-        return max(lhs, rhs)
-
     def children(self):
         return (self.left, self.right)
-
-    def describe(self):
-        return f"AlignJoin({self.period}, conjuncts={len(self.conjuncts)})"
 
 
 @dataclass
@@ -343,19 +296,8 @@ class LogicalTemporalAggregate(LogicalNode):
     def bindings(self) -> Set[str]:
         return {"__tagg"}
 
-    @property
-    def est_rows(self) -> int:
-        # at most one boundary per version endpoint
-        return max(1, 2 * self.child.est_rows)
-
     def children(self):
         return (self.child,)
-
-    def describe(self):
-        return (
-            f"TemporalAggregate({self.period}, "
-            f"aggregates={len(self.aggregates)})"
-        )
 
 
 @dataclass
@@ -373,18 +315,8 @@ class LogicalProduct(LogicalNode):
             out |= unit.bindings
         return out
 
-    @property
-    def est_rows(self) -> int:
-        est = 1
-        for unit in self.units:
-            est *= max(1, unit.est_rows)
-        return est
-
     def children(self):
         return tuple(self.units)
-
-    def describe(self):
-        return f"Product(units={len(self.units)}, edges={len(self.edges)})"
 
 
 @dataclass
@@ -399,15 +331,8 @@ class LogicalFilter(LogicalNode):
     def bindings(self) -> Set[str]:
         return self.child.bindings
 
-    @property
-    def est_rows(self) -> int:
-        return self.child.est_rows
-
     def children(self):
         return (self.child,)
-
-    def describe(self):
-        return f"Filter({self.label}, conjuncts={len(split_conjuncts(self.predicate))})"
 
 
 @dataclass
@@ -430,9 +355,6 @@ class LogicalEmpty(LogicalNode):
     def children(self):
         return (self.child,)
 
-    def describe(self):
-        return f"Empty({self.reason})"
-
 
 @dataclass
 class LogicalQuery:
@@ -448,41 +370,6 @@ class LogicalQuery:
     relation: LogicalNode
     referenced: List[Tuple[Optional[str], str]]
     applied_rules: List[str] = field(default_factory=list)
-
-    def render(self) -> str:
-        select = self.select
-        bits = [f"items={len(select.items)}"]
-        if select.group_by or any(
-            ast.contains_aggregate(i.expr) for i in select.items
-        ):
-            bits.append(f"group_by={len(select.group_by)}")
-        if select.distinct:
-            bits.append("distinct")
-        if select.order_by:
-            bits.append(f"order_by={len(select.order_by)}")
-        if select.limit is not None:
-            bits.append("limit")
-        lines = ["LogicalQuery[" + ", ".join(bits) + "]"]
-        if self.applied_rules:
-            lines.append("  rewrites: " + ", ".join(self.applied_rules))
-        lines.append(self.relation.render(1))
-        return "\n".join(lines)
-
-
-def _looks_equi(conjunct, left_bindings, right_bindings) -> bool:
-    """Heuristic mirror of the lowering-time equi-key test: ``a = b`` with
-    the two sides' column references split across the join inputs."""
-    if not (isinstance(conjunct, ast.Binary) and conjunct.op == "="):
-        return False
-    left_refs = {r.table for r in collect_column_refs(conjunct.left) if r.table}
-    right_refs = {r.table for r in collect_column_refs(conjunct.right) if r.table}
-    return bool(
-        (left_refs and right_refs)
-        and (
-            (left_refs <= left_bindings and right_refs <= right_bindings)
-            or (left_refs <= right_bindings and right_refs <= left_bindings)
-        )
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ join/align keys, period bounds, group keys, aggregate arguments, sort
 keys); a ``selection`` function returning the surviving row indices for a
 ``Filter``; a ``pair`` function over a probe row and its bucket for a
 ``HashJoin`` residual; a ``scalar`` ``fn(row, env)`` per candidate row
-(``MergeJoin`` / ``NestedLoopJoin``) or per statement (LIMIT/OFFSET).
+(``NestedLoopJoin``) or per statement (the planner's LIMIT / OFFSET).
 
 ``batches`` is a thin dispatcher: when the env is an
 :class:`~repro.engine.plan.context.ExecutionContext` the call routes
@@ -356,109 +356,6 @@ def _joined(probe, bucket, env):
     return [probe + other for other in bucket]
 
 
-def _normalize_merge_key(key):
-    """Join key with SQL NULL semantics: a NULL or NaN key (or a composite
-    key with such a part) matches nothing, so it normalises to None — which
-    also keeps composite keys with NULL parts sortable, and keeps NaN, which
-    compare_values ranks "equal" to everything, from gluing unrelated keys
-    into one merge run."""
-    parts = key if isinstance(key, tuple) else (key,)
-    return key if all(_matchable([parts])) else None
-
-
-class MergeJoin(Operator):
-    """Sort-merge equi-join on a single key pair (System B's vertical
-    partition reconstruction uses the storage-level variant; this one backs
-    SQL joins when both inputs are pre-sorted or small).
-
-    Keys are extracted once per input, chunk-wise, and the merge advances
-    over the precomputed key arrays run-at-a-time."""
-
-    def __init__(self, left, right, left_key, right_key, residual=None):
-        self.children = (left, right)
-        self._left_key = left_key
-        self._right_key = right_key
-        self._residual = residual
-
-    def _sorted_side(self, child, key_fn, env):
-        """(rows, normalized keys) for one input, sorted by key (stable,
-        NULLs last)."""
-        rows: List[tuple] = []
-        keys: List[object] = []
-        for batch in child.batches(env):
-            keys.extend(map(_normalize_merge_key, key_fn(batch, env)))
-            rows.extend(batch.to_rows())
-        order = sorted(range(len(rows)), key=lambda i: _SortToken(keys[i]))
-        return [rows[i] for i in order], [keys[i] for i in order]
-
-    def execute_batches(self, env):
-        left_rows, left_keys = self._sorted_side(
-            self.children[0], self._left_key, env
-        )
-        right_rows, right_keys = self._sorted_side(
-            self.children[1], self._right_key, env
-        )
-        residual = self._residual
-        check = getattr(env, "check", None)
-        size = batch_size()
-        out: List[Batch] = []
-        chunk: List[tuple] = []
-        steps = 0
-        i = j = 0
-        left_n, right_n = len(left_rows), len(right_rows)
-        while i < left_n and j < right_n:
-            steps += 1
-            if check is not None and steps % 4096 == 0:
-                check()
-            lkey = left_keys[i]
-            rkey = right_keys[j]
-            # NULL keys join nothing; skip their runs on BOTH inputs
-            # (NULLs sort last, so these rows tail each side)
-            if lkey is None:
-                i += 1
-                continue
-            if rkey is None:
-                j += 1
-                continue
-            cmp = compare_values(lkey, rkey)
-            if cmp < 0:
-                i += 1
-            elif cmp > 0:
-                j += 1
-            else:
-                # gather the equal runs; starting past the current row
-                # guarantees progress even for keys (NaN) that compare
-                # "equal" to everything but unequal to themselves
-                i_end = i + 1
-                while i_end < left_n:
-                    key = left_keys[i_end]
-                    if key is None or compare_values(key, lkey) != 0:
-                        break
-                    i_end += 1
-                j_end = j + 1
-                while j_end < right_n:
-                    key = right_keys[j_end]
-                    if key is None or compare_values(key, rkey) != 0:
-                        break
-                    j_end += 1
-                for li in range(i, i_end):
-                    lrow = left_rows[li]
-                    for rj in range(j, j_end):
-                        combined = lrow + right_rows[rj]
-                        if residual is None or residual(combined, env) is True:
-                            chunk.append(combined)
-                if len(chunk) >= size:
-                    out.append(Batch.from_rows(chunk))
-                    chunk = []
-                i, j = i_end, j_end
-        if chunk:
-            out.append(Batch.from_rows(chunk))
-        return out
-
-    def label(self):
-        return "MergeJoin"
-
-
 class Aggregate(Operator):
     """Hash aggregation over dense group slots.
 
@@ -602,71 +499,6 @@ class _Accumulator:
         if self.func == "avg":
             return [t / n if n else None for t, n in zip(self.values, self.counts)]
         return self.values
-
-
-class Sort(Operator):
-    def __init__(self, child, key_fns, descending_flags):
-        self.children = (child,)
-        self._key_fns = key_fns
-        self._descending = descending_flags
-
-    def execute_batches(self, env):
-        out = rows_from_batches(self.children[0].batches(env))
-        if not out:
-            return []
-        # stable multi-key sort: apply keys right-to-left; key extraction is
-        # the long part, so poll the context once per key pass
-        check = getattr(env, "check", None)
-        holder = Batch.from_rows(out)
-        for key_fn, descending in reversed(
-            list(zip(self._key_fns, self._descending))
-        ):
-            if check is not None:
-                check()
-            keys = key_fn(holder, env)
-            order = sorted(
-                range(holder.length),
-                key=lambda i: _SortToken(keys[i]),
-                reverse=descending,
-            )
-            holder = holder.take(order)
-        return [holder]
-
-    def label(self):
-        return f"Sort(keys={len(self._key_fns)})"
-
-
-class Limit(Operator):
-    def __init__(self, child, limit_fn, offset_fn=None):
-        self.children = (child,)
-        self._limit_fn = limit_fn
-        self._offset_fn = offset_fn
-
-    def execute_batches(self, env):
-        start = int(self._offset_fn((), env)) if self._offset_fn else 0
-        count = int(self._limit_fn((), env))
-        end = start + count
-        check = getattr(env, "check", None)
-        out: List[Batch] = []
-        seen = 0
-        for batch in self.children[0].batches(env):
-            if check is not None:
-                check()
-            if seen >= end:
-                break
-            lo = max(start - seen, 0)
-            hi = min(end - seen, batch.length)
-            seen += batch.length
-            if lo >= hi:
-                continue
-            if lo == 0 and hi == batch.length:
-                out.append(batch)
-            else:
-                out.append(batch.take(range(lo, hi)))
-        return out
-
-    def label(self):
-        return "Limit"
 
 
 def _distinct_batches(batches):
@@ -821,8 +653,8 @@ class TemporalAlignJoin(Operator):
     ``left + right + (overlap_begin, overlap_end)`` with the intersected
     period appended.
 
-    NULL/NaN handling is :func:`_matchable` (the PR 5 MergeJoin NaN fix
-    family): a NULL or NaN equality key matches nothing, and a
+    NULL/NaN handling is :func:`_matchable`, as in ``HashJoin``: a NULL
+    or NaN equality key matches nothing, and a
     NULL/NaN period bound fails every overlap comparison, so such rows
     are dropped during collection instead of poisoning run detection.
     """

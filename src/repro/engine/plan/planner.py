@@ -25,11 +25,12 @@ cache uses for targeted invalidation.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Set
 
 from ..batch import Batch, batches_from_rows
 from ..catalog import TableSchema
-from ..errors import NotSupportedError, PlanError, ProgrammingError
+from ..errors import DataError, NotSupportedError, PlanError, ProgrammingError
 from ..expr import Env, Scope, compile_batch_expr, compile_expr, expr_to_string
 from ..sql import ast
 from ..types import END_OF_TIME
@@ -283,13 +284,16 @@ class Planner:
         )
         left_op, left_layout, left_names = self._plan_core(left_core, outer_scope)
         right_op, _right_layout, _right_names = self._plan_select(rhs, outer_scope)
-        union = ops.Union(left_op, right_op, all_rows=all_flag)
-        out_layout = [("", name) for name in left_names]
-        op = union
-        if select.order_by:
-            op = self._order_on_output(op, select.order_by, left_names, outer_scope)
-        op = self._apply_limit(op, select, outer_scope)
-        return op, out_layout, left_names
+        op = ops.Union(left_op, right_op, all_rows=all_flag)
+        if select.order_by or select.limit is not None:
+            op = _Finalize(
+                op,
+                [partial(_output_column, slot) for slot in range(len(left_names))],
+                distinct=False,
+                sort_specs=self._sort_specs(select.order_by, left_names, None, None),
+                limits=self._limit_fns(select, outer_scope),
+            )
+        return op, [("", name) for name in left_names], left_names
 
     def _plan_core(self, select: ast.Select, outer_scope):
         # stages 1+2: AST -> logical IR -> rewritten IR
@@ -359,7 +363,7 @@ class Planner:
             [self._compile(item.expr, pre_scope) for item in items],
             distinct=select.distinct,
             sort_specs=self._sort_specs(
-                select.order_by, items, out_names, pre_scope, order_rewrite
+                select.order_by, out_names, pre_scope, order_rewrite
             ),
             limits=self._limit_fns(select, outer_scope),
         )
@@ -898,8 +902,9 @@ class Planner:
                 names.append(f"col{index}")
         return names
 
-    def _sort_specs(self, order_by, items, out_names, pre_scope, order_rewrite):
-        """Each spec is ('out', slot, desc) or ('pre', batch fn, desc)."""
+    def _sort_specs(self, order_by, out_names, pre_scope, order_rewrite):
+        """Each spec is ('out', slot, desc) or ('pre', batch fn, desc); with
+        no *pre_scope* (after UNION) only output columns can be ordered on."""
         specs = []
         for order_item in order_by:
             expr = order_item.expr
@@ -913,32 +918,14 @@ class Planner:
             if isinstance(expr, ast.ColumnRef) and expr.table is None and expr.name in out_names:
                 specs.append(("out", out_names.index(expr.name), desc))
                 continue
+            if pre_scope is None:
+                raise ProgrammingError(
+                    "ORDER BY after UNION must reference output columns"
+                )
             target = order_rewrite(expr) if order_rewrite is not None else expr
             fn = self._compile(target, pre_scope)
             specs.append(("pre", fn, desc))
         return specs
-
-    def _order_on_output(self, op, order_by, out_names, outer_scope):
-        key_fns = []
-        descending = []
-        for order_item in order_by:
-            expr = order_item.expr
-            if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                slot = expr.value - 1
-            elif isinstance(expr, ast.ColumnRef) and expr.name in out_names:
-                slot = out_names.index(expr.name)
-            else:
-                raise ProgrammingError(
-                    "ORDER BY after UNION must reference output columns"
-                )
-            key_fns.append(lambda batch, env, s=slot: batch.column(s))
-            descending.append(not order_item.ascending)
-        return ops.Sort(op, key_fns, descending)
-
-    def _apply_limit(self, op, select, outer_scope):
-        if select.limit is None:
-            return op
-        return ops.Limit(op, *self._limit_fns(select, outer_scope))
 
     def _limit_fns(self, select, outer_scope):
         """Scalar LIMIT and OFFSET functions (None when absent)."""
@@ -975,6 +962,23 @@ class Planner:
 
         run.correlated = correlated
         return run
+
+
+def _output_column(slot, batch, env):
+    """Identity item function: column *slot* of the input as it comes."""
+    return batch.column(slot)
+
+
+def _bound(clause, fn, env, default):
+    """The value of a LIMIT / OFFSET function: absent or NULL is *default*
+    (no limit, offset 0), a negative count is an error (PostgreSQL)."""
+    value = None if fn is None else fn((), env)
+    if value is None:
+        return default
+    value = int(value)
+    if value < 0:
+        raise DataError(f"{clause} must not be negative, got {value}")
+    return value
 
 
 class _Finalize(ops.Operator):
@@ -1034,8 +1038,9 @@ class _Finalize(ops.Operator):
             if need_pre:
                 pre_rows = [pre_rows[i] for i in order]
         if self._limit_fn is not None:
-            start = int(self._offset_fn((), env)) if self._offset_fn else 0
-            out_rows = out_rows[start:start + int(self._limit_fn((), env))]
+            start = _bound("OFFSET", self._offset_fn, env, 0)
+            count = _bound("LIMIT", self._limit_fn, env, None)
+            out_rows = out_rows[start:] if count is None else out_rows[start:start + count]
         return batches_from_rows(out_rows)
 
     def label(self):

@@ -69,8 +69,6 @@ class SqlEngine:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_invalidations = 0
-        #: plan of the most recent SELECT, for the slow-query log snapshot
-        self._last_planned: Optional[PlannedQuery] = None
         #: plan-cache outcome of the most recent statement (True hit /
         #: False miss / None not applicable), for the telemetry store
         self._cache_outcome: Optional[bool] = None
@@ -129,10 +127,9 @@ class SqlEngine:
         tracking = telemetry.enabled and isinstance(sql, str)
         self._collect_resources = tracking
         if not tracer.active and not tracking:
-            # hot path: no sinks, no slow-query log, no statement stats —
+            # hot path: no sinks, no statement stats —
             # zero observability overhead
             return self._dispatch(sql, params, timeout_s)
-        self._last_planned = None
         self._cache_outcome = None
         self._last_resources = None
         sql_text = sql if isinstance(sql, str) else type(sql).__name__
@@ -143,7 +140,6 @@ class SqlEngine:
         except BaseException as exc:
             if root is not None:
                 tracer.finish(root, aborted=True)
-                self._record_slow_query(root, sql, error=type(exc).__name__)
             if tracking:
                 timed_out = isinstance(exc, (QueryTimeout, QueryCancelled))
                 telemetry.record(
@@ -159,7 +155,6 @@ class SqlEngine:
         if root is not None:
             root.set(rows=result.rowcount)
             tracer.finish(root)
-            self._record_slow_query(root, sql)
         if tracking:
             telemetry.record(
                 sql,
@@ -179,7 +174,6 @@ class SqlEngine:
                 span.set(outcome="hit" if cached is not None else "miss")
             if cached is not None:
                 self._cache_outcome = True
-                self._last_planned = cached
                 return self._run_planned(cached, params, timeout_s)
             with tracer.span("parse"):
                 stmt = parse_statement(sql)
@@ -190,7 +184,6 @@ class SqlEngine:
             if isinstance(sql, str):
                 self._store_plan(sql, planned)
                 self._cache_outcome = False
-            self._last_planned = planned
             return self._run_planned(planned, params, timeout_s)
         if isinstance(stmt, ast.Explain):
             return self._execute_explain(
@@ -242,36 +235,6 @@ class SqlEngine:
             span.set(rows=len(rows))
         self.db.metrics.observe("query.execute_s", time.perf_counter() - started)
         return Result(rows, planned.column_names, len(rows))
-
-    def _record_slow_query(self, root, sql, error=None):
-        """Append a slow-query-log entry when *root* breached the threshold."""
-        log = self.db.slow_query_log
-        if log is None or root is None or root.duration is None:
-            return
-        if root.duration < log.threshold_s:
-            return
-        planned = self._last_planned
-        diagnostics = []
-        if isinstance(sql, str) and planned is not None:
-            try:
-                diagnostics = [
-                    {"code": d.code, "severity": d.severity,
-                     "rendered": d.render()}
-                    for d in self.lint(sql)
-                ]
-            except Exception:
-                diagnostics = []  # advisory: never let lint mask the query
-        log.record({
-            "database": self.db.name,
-            "sql": sql if isinstance(sql, str) else type(sql).__name__,
-            "duration_s": root.duration,
-            "threshold_s": log.threshold_s,
-            "error": error,
-            "plan": planned.explain() if planned is not None else None,
-            "spans": root.to_dict(recursive=True),
-            "diagnostics": diagnostics,
-        })
-        self.db.metrics.inc("slowlog.entries")
 
     def explain(self, sql, params=None) -> str:
         stmt = parse_statement(sql) if isinstance(sql, str) else sql

@@ -91,12 +91,6 @@ class TemporalSystem:
         """The engine's span tracer (install sinks here to trace queries)."""
         return self.db.tracer
 
-    def set_slow_query_log(self, threshold_s, path=None, max_bytes=None):
-        """Enable (or disable with ``None``) the slow-query log."""
-        return self.db.set_slow_query_log(
-            threshold_s, path=path, max_bytes=max_bytes
-        )
-
     def connect(self):
         """A PEP 249 connection to this system."""
         from ..engine import dbapi

@@ -38,13 +38,8 @@ def selection(text):
     return compile_expr(parse(text), _single(), spelling="selection")
 
 
-def scalar(text):
-    return compile_expr(parse(text), _single(), spelling="scalar")
-
-
 def joined(text, left_width, right_width):
-    """A scalar predicate over the concatenated row (nested-loop / merge
-    joins)."""
+    """A scalar predicate over the concatenated row (nested-loop joins)."""
     return compile_expr(parse(text), _joined(left_width, right_width))
 
 

@@ -84,6 +84,17 @@ class TestSecondaryIndex:
         index_rows = sorted(db.execute("SELECT id FROM item WHERE grp = 7").rows)
         assert scan_rows == index_rows
 
+    def test_hash_index_needs_equality_on_every_column(self):
+        db = _make()
+        db.create_index(IndexDef("ih", "item", ("grp", "id"), kind="hash"))
+        before = _scan_count(db)
+        sql = "SELECT v FROM item WHERE grp = :g AND id = :i"
+        assert db.execute(sql, {"g": 7, "i": 17}).rows == [(17.0,)]
+        assert db.execute(sql, {"g": None, "i": 17}).rows == []
+        assert _scan_count(db) == before  # both answered by the hash probe
+        db.execute("SELECT v FROM item WHERE grp = 7")  # a prefix is no key
+        assert _scan_count(db) == before + 1
+
 
 class TestPartitionSelection:
     def test_implicit_current_skips_history(self):

@@ -14,6 +14,7 @@ import math
 import pytest
 
 from repro.core.loader import Loader
+from repro.engine import Database
 from repro.engine.batch import DEFAULT_BATCH_SIZE, execution_config
 from repro.engine.expr import Env
 from repro.engine.plan import operators as ops
@@ -144,15 +145,6 @@ class TestJoinKeyEdgeCases:
         for got in results:
             assert _canon(got) == _canon(reference)
 
-    def test_merge_join_null_nan_keys(self):
-        reference, results = _variants(lambda: ops.MergeJoin(
-            ops.Materialized(list(self.LEFT)),
-            ops.Materialized(list(self.RIGHT)),
-            col(0), col(0),
-        ))
-        for got in results:
-            assert _canon(got) == _canon(reference)
-
     def test_left_join_pads_unmatched(self):
         reference, results = _variants(lambda: ops.HashJoin(
             ops.Materialized(list(self.LEFT)),
@@ -169,12 +161,10 @@ class TestEmptyInputs:
         empty = lambda: ops.Materialized([])
         makers = [
             lambda: ops.Filter(empty(), selection("TRUE")),
-            lambda: ops.Sort(empty(), [col(0)], [False]),
             lambda: ops.Aggregate(
                 empty(), [col(0)], [("count", ops.count_star, False)]
             ),
             lambda: ops.HashJoin(empty(), empty(), [col(0)], [col(0)]),
-            lambda: ops.MergeJoin(empty(), empty(), col(0), col(0)),
             lambda: ops.Union(empty(), empty()),
             lambda: ops.Union(empty(), empty(), all_rows=True),
         ]
@@ -215,11 +205,23 @@ class TestEmptyInputs:
 
 class TestSortStability:
     def test_duplicate_keys_keep_input_order_across_sizes(self):
+        database = Database()
+        database.execute(
+            "CREATE TABLE s (i integer NOT NULL, k integer, PRIMARY KEY (i))"
+        )
         rows = [(i % 3, i) for i in range(50)]
-        reference, results = _variants(lambda: ops.Sort(
-            ops.Materialized(list(rows)),
-            [col(0)], [False],
-        ))
-        assert reference == sorted(rows, key=lambda r: r[0])  # stable
-        for got in results:
-            assert got == reference
+        for k, i in rows:
+            database.execute("INSERT INTO s (i, k) VALUES (?, ?)", [i, k])
+        stable = sorted(rows, key=lambda r: r[0])
+        for sql, expected in (
+            ("SELECT k, i FROM s ORDER BY k", stable),
+            # after UNION ALL the sort runs over both inputs, left first
+            ("SELECT k, i FROM s UNION ALL SELECT k, i FROM s ORDER BY 1",
+             sorted(rows + rows, key=lambda r: r[0])),
+        ):
+            with execution_config(size=1):
+                reference = database.execute(sql).rows
+            assert reference == expected, sql
+            for size in SIZES[1:]:
+                with execution_config(size=size):
+                    assert database.execute(sql).rows == reference, (sql, size)

@@ -114,6 +114,28 @@ def test_cache_stats_command(capsys):
     assert "Plan cache" in out
 
 
+def test_analyze_stats_command(capsys):
+    code = main(["analyze-stats", "--system", "A", "--table", "orders",
+                 "--columns", "--h", "0.0003", "--m", "0.00005"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "table orders (" in out
+    assert "partition current:" in out and "partition history:" in out
+    assert "o_orderkey: ndv=" in out
+    assert "stats counters:" in out and "'stats.analyze_runs': 1" in out
+
+
+def test_stat_statements_command(capsys):
+    import json
+
+    code = main(["stat-statements", "--system", "A", "--top", "3",
+                 "--h", "0.0003", "--m", "0.00005"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 3
+    assert all(row["calls"] >= 1 and row["fingerprint"] for row in rows)
+
+
 def test_trace_command(capsys):
     code = main(["trace", "--system", "A", "--h", "0.0003", "--m", "0.00005",
                  "SELECT count(*) FROM orders"])
@@ -184,15 +206,12 @@ def test_bench_json_artifact(tmp_path, capsys):
     assert [e["name"] for e in artifact["experiments"]] == ["table2"]
 
 
-def _tiny_artifact(path, median=0.1, created=None):
+def _tiny_artifact(path, median=0.1):
     import json
 
-    generator = {"tool": "repro bench"}
-    if created is not None:
-        generator["created_unix"] = created
     path.write_text(json.dumps({
         "schema": "repro-bench/v1",
-        "generator": generator,
+        "generator": {"tool": "repro bench"},
         "experiments": [{"name": "fig02", "measurements": [{
             "qid": "T1", "system": "A", "setting": "no index",
             "median_s": median, "timed_out": False, "metrics": {},
@@ -244,54 +263,3 @@ def test_bench_compare_to_baseline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Bench delta" in out
     assert "geometric-mean ratio" in out
-
-
-def test_trend_command(tmp_path, capsys):
-    import json
-
-    _tiny_artifact(tmp_path / "run1.json", median=0.1, created=1000)
-    _tiny_artifact(tmp_path / "run2.json", median=0.2, created=2000)
-    code = main(["trend", str(tmp_path)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "Perf trajectory (2 runs)" in out
-    trend = json.loads((tmp_path / "TREND.json").read_text())
-    assert trend["schema"] == "repro-trend/v1"
-    assert (tmp_path / "TREND.md").exists()
-
-
-def test_trend_empty_directory_fails(tmp_path, capsys):
-    code = main(["trend", str(tmp_path)])
-    assert code == 2
-    assert "artifact" in capsys.readouterr().err.lower()
-
-
-def test_flamegraph_command(tmp_path, capsys):
-    import xml.etree.ElementTree as ET
-
-    svg = tmp_path / "fg.svg"
-    folded = tmp_path / "fg.txt"
-    code = main(["flamegraph", "--system", "A", "--svg", str(svg),
-                 "--folded", str(folded), "SELECT 1"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "Operator attribution" in out
-    ET.parse(svg)  # well-formed SVG
-    lines = folded.read_text().splitlines()
-    assert any(line.startswith("query") for line in lines)
-    stack, value = lines[0].rsplit(" ", 1)
-    assert value.isdigit()
-
-
-def test_flamegraph_from_jsonl(tmp_path, capsys):
-    import json
-
-    source = tmp_path / "spans.jsonl"
-    records = [
-        {"span_id": 2, "parent_id": 1, "name": "execute", "duration_s": 0.001},
-        {"span_id": 1, "parent_id": None, "name": "query", "duration_s": 0.002},
-    ]
-    source.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-    code = main(["flamegraph", "--jsonl", str(source)])
-    assert code == 0
-    assert "query;execute" in capsys.readouterr().out

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import Database
-from repro.engine.errors import CatalogError, ProgrammingError
+from repro.engine.errors import CatalogError, DataError, ProgrammingError
 
 
 @pytest.fixture
@@ -185,6 +185,71 @@ class TestOddButLegal:
         sql = "SELECT b FROM t WHERE a = ?"
         assert db.execute(sql, [1]).scalar() == "x"
         assert db.execute(sql, [2]).scalar() == "y"  # cached plan, new param
+
+
+#: the same six rows, 1..6, as one SELECT and as a UNION of two
+_SHAPES = {
+    "plain": "SELECT a FROM t ORDER BY a",
+    "union": "SELECT a FROM t WHERE a <= 3 UNION SELECT a FROM t WHERE a > 3"
+             " ORDER BY 1",
+}
+
+
+class TestLimitOffset:
+    """One LIMIT / OFFSET semantics for every SELECT shape: a negative
+    count is an error, NULL means no limit / offset 0 (PostgreSQL)."""
+
+    @pytest.fixture
+    def six(self, db):
+        db.execute("INSERT INTO t (a, b) VALUES (1, 'a'), (2, 'b'), (3, 'c'),"
+                   " (4, 'd'), (5, 'e'), (6, 'f')")
+        return db
+
+    @staticmethod
+    def _run(db, shape, limit, offset, form):
+        if form == "literal":
+            text = "NULL" if limit is None else str(limit)
+            sql = f"{_SHAPES[shape]} LIMIT {text}"
+            if offset is not ...:
+                sql += " OFFSET " + ("NULL" if offset is None else str(offset))
+            return db.execute(sql).rows
+        sql = f"{_SHAPES[shape]} LIMIT :n"
+        params = {"n": limit}
+        if offset is not ...:
+            sql += " OFFSET :o"
+            params["o"] = offset
+        return db.execute(sql, params).rows
+
+    @pytest.mark.parametrize("form", ["literal", "param"])
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    @pytest.mark.parametrize("limit, offset", [(-1, ...), (2, -3), (2, -1)])
+    def test_negative_count_raises(self, six, shape, form, limit, offset):
+        with pytest.raises(DataError, match="must not be negative"):
+            self._run(six, shape, limit, offset, form)
+
+    @pytest.mark.parametrize("form", ["literal", "param"])
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    @pytest.mark.parametrize("limit, offset, expected", [
+        (None, ..., [1, 2, 3, 4, 5, 6]),
+        (None, 4, [5, 6]),
+        (2, None, [1, 2]),
+        (2, 1, [2, 3]),
+        (0, 1, []),
+        (9, 5, [6]),
+    ])
+    def test_null_and_in_range_bounds(self, six, shape, form, limit, offset,
+                                      expected):
+        rows = self._run(six, shape, limit, offset, form)
+        assert [a for (a,) in rows] == expected
+
+    def test_union_order_by_is_a_finalize_node(self, six):
+        plan = six.explain(_SHAPES["union"] + " LIMIT 2")
+        assert plan.splitlines()[0].startswith("Finalize[Project(1), sort=1, limit]")
+        assert "Union" in plan
+
+    def test_union_order_by_non_output_expression_raises(self, six):
+        with pytest.raises(ProgrammingError, match="output columns"):
+            six.execute("SELECT a FROM t UNION SELECT a FROM t ORDER BY a + 1")
 
 
 class TestStorageMaintenance:

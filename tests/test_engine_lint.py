@@ -30,7 +30,7 @@ def fake_repo(tmp_path):
     ))
     _write(tmp_path, "src/repro/engine/plan/operators.py", (
         "class Ok:\n"
-        "    def execute(self, env):\n"
+        "    def execute_batches(self, env):\n"
         "        rows = self.children[0].rows(env)\n"
         '        guard = getattr(env, "guard_iter", None)\n'
         "        if guard is not None:\n"
@@ -99,48 +99,6 @@ class TestRepoIsClean:
 class TestFakeRepoBaseline:
     def test_clean_tree_passes(self, fake_repo):
         assert engine_lint.run_all(fake_repo) == []
-
-
-class TestOperatorGuards:
-    def test_unguarded_loop_is_flagged(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/plan/operators.py", (
-            "class Bad:\n"
-            "    def execute(self, env):\n"
-            "        out = []\n"
-            "        for row in self.children[0].rows(env):\n"
-            "            out.append(row)\n"
-            "        return out\n"
-        ))
-        problems = engine_lint.check_operator_guards(fake_repo)
-        assert len(problems) == 1
-        assert "operator-guards" in problems[0]
-
-    def test_unguarded_comprehension_is_flagged(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/plan/operators.py", (
-            "class Bad:\n"
-            "    def execute(self, env):\n"
-            "        return [r for r in self.children[0].rows(env)]\n"
-        ))
-        assert engine_lint.check_operator_guards(fake_repo)
-
-    def test_periodic_check_style_is_accepted(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/plan/operators.py", (
-            "class Ok:\n"
-            "    def execute(self, env):\n"
-            '        check = getattr(env, "check", None)\n'
-            "        while True:\n"
-            "            if check is not None:\n"
-            "                check()\n"
-        ))
-        assert engine_lint.check_operator_guards(fake_repo) == []
-
-    def test_loopless_execute_needs_no_guard(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/plan/operators.py", (
-            "class Ok:\n"
-            "    def execute(self, env):\n"
-            "        return self._rows\n"
-        ))
-        assert engine_lint.check_operator_guards(fake_repo) == []
 
 
 class TestNoWallclock:
@@ -285,6 +243,36 @@ class TestMetricNames:
         problems = engine_lint.check_metric_names(fake_repo)
         assert any("COUNTERS" in p for p in problems)
 
+    def test_undeclared_optimizer_counter_is_flagged(self, fake_repo):
+        # even on a receiver the metric-names check would skip
+        _write(fake_repo, "src/repro/engine/database.py", (
+            "def analyze(self):\n"
+            '    self._m.inc("stats.analyz_runs")\n'  # typo
+        ))
+        problems = engine_lint.check_metric_names(fake_repo)
+        assert len(problems) == 1
+        assert "stats.analyz_runs" in problems[0]
+
+    def test_declared_optimizer_counter_passes(self, fake_repo):
+        _write(fake_repo, "src/repro/engine/obs/metrics.py", (
+            'COUNTERS = {"txn.commits": "doc", "plan.greedy_joins": "doc"}\n'
+            'HISTOGRAMS = {"query.execute_s": "doc"}\n'
+        ))
+        _write(fake_repo, "src/repro/engine/plan/rewrite.py", (
+            'ALL_RULES = ("constant-folding",)\n'
+            'RULE_INVARIANTS = {"constant-folding": ("result-equivalence",)}\n'
+            "def order(metrics):\n"
+            '    metrics.inc("plan.greedy_joins")\n'
+        ))
+        assert engine_lint.check_metric_names(fake_repo) == []
+
+    def test_non_optimizer_counter_on_unrelated_receiver_is_ignored(self, fake_repo):
+        _write(fake_repo, "src/repro/engine/txn.py", (
+            "def f(counter):\n"
+            '    counter.inc("txn.whatever")\n'  # not stats.* / plan.*
+        ))
+        assert engine_lint.check_metric_names(fake_repo) == []
+
 
 class TestSpanCatalogue:
     def _trace_file(self, fake_repo, name="query"):
@@ -409,6 +397,53 @@ class TestBatchProtocol:
         problems = engine_lint.check_batch_protocol(fake_repo)
         assert len(problems) == 1
         assert "loops without" in problems[0]
+
+    def test_unpolled_row_loop_is_flagged(self, fake_repo):
+        _write(fake_repo, "src/repro/engine/plan/operators.py", (
+            self._BASE
+            + "class Bad(Operator):\n"
+            "    def execute_batches(self, env):\n"
+            "        out = []\n"
+            "        for row in self.children[0].rows(env):\n"
+            "            out.append(row)\n"
+            "        return out\n"
+        ))
+        problems = engine_lint.check_batch_protocol(fake_repo)
+        assert len(problems) == 1
+        assert "batch-protocol" in problems[0]
+
+    def test_unpolled_comprehension_is_flagged(self, fake_repo):
+        _write(fake_repo, "src/repro/engine/plan/operators.py", (
+            self._BASE
+            + "class Busy(Operator):\n"
+            "    def execute_batches(self, env):\n"
+            "        return [b for b in self.children[0].batches(env)]\n"
+        ))
+        problems = engine_lint.check_batch_protocol(fake_repo)
+        assert len(problems) == 1
+        assert "loops without" in problems[0]
+
+    def test_guard_iter_style_is_accepted(self, fake_repo):
+        _write(fake_repo, "src/repro/engine/plan/operators.py", (
+            self._BASE
+            + "class Pairs(Operator):\n"
+            "    def execute_batches(self, env):\n"
+            "        rows = self.children[0].rows(env)\n"
+            '        guard = getattr(env, "guard_iter", None)\n'
+            "        if guard is not None:\n"
+            "            rows = guard(rows, 256)\n"
+            "        return [row for row in rows]\n"
+        ))
+        assert engine_lint.check_batch_protocol(fake_repo) == []
+
+    def test_loopless_entrypoint_needs_no_guard(self, fake_repo):
+        _write(fake_repo, "src/repro/engine/plan/operators.py", (
+            self._BASE
+            + "class Empty(Operator):\n"
+            "    def execute_batches(self, env):\n"
+            "        return self._batches\n"
+        ))
+        assert engine_lint.check_batch_protocol(fake_repo) == []
 
     def test_ops_attribute_base_is_recognized(self, fake_repo):
         # planner.py spells the base as ops.Operator
@@ -634,34 +669,4 @@ class TestCostModel:
         # only sql is walled off; stats types come from the engine proper
         _write(fake_repo, "src/repro/engine/plan/cost.py",
                "from ..stats import ColumnStats\n")
-        assert engine_lint.check_cost_model(fake_repo) == []
-
-    def test_undeclared_optimizer_counter_is_flagged(self, fake_repo):
-        # even on a receiver the metric-names check would skip
-        _write(fake_repo, "src/repro/engine/database.py", (
-            "def analyze(self):\n"
-            '    self._m.inc("stats.analyz_runs")\n'  # typo
-        ))
-        problems = engine_lint.check_cost_model(fake_repo)
-        assert len(problems) == 1
-        assert "stats.analyz_runs" in problems[0]
-
-    def test_declared_optimizer_counter_passes(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/obs/metrics.py", (
-            'COUNTERS = {"txn.commits": "doc", "plan.greedy_joins": "doc"}\n'
-            'HISTOGRAMS = {"query.execute_s": "doc"}\n'
-        ))
-        _write(fake_repo, "src/repro/engine/plan/rewrite.py", (
-            'ALL_RULES = ("constant-folding",)\n'
-            'RULE_INVARIANTS = {"constant-folding": ("result-equivalence",)}\n'
-            "def order(metrics):\n"
-            '    metrics.inc("plan.greedy_joins")\n'
-        ))
-        assert engine_lint.check_cost_model(fake_repo) == []
-
-    def test_non_optimizer_counters_are_left_to_check_six(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/txn.py", (
-            "def f(counter):\n"
-            '    counter.inc("txn.whatever")\n'  # not stats.* / plan.*
-        ))
         assert engine_lint.check_cost_model(fake_repo) == []

@@ -5,8 +5,8 @@ Three families:
 * ``Materialized`` must hand out a private copy of its backing rows —
   consumers sort and extend result lists in place, and aliasing the
   backing list corrupted every later reuse.
-* ``MergeJoin`` must treat NULL (and NaN) keys like every other join:
-  they match nothing, on either input, even inside composite keys.
+* ``HashJoin`` must treat NULL (and NaN) keys as SQL does: they match
+  nothing, on either input, even inside composite keys.
 * Join output must be a pure function of the query, not of the FROM
   order, the ``join-reorder`` rule, or the presence of statistics —
   checked exhaustively over table permutations and across archetypes.
@@ -55,14 +55,11 @@ class TestMaterializedAliasing:
         assert op.execute(_env()) == [(2, "b"), (1, "a")]
 
 
-class TestMergeJoinNullKeys:
-    """Every NULL-key arrangement, checked against HashJoin and a
+class TestJoinNullKeys:
+    """Every NULL-key arrangement, HashJoin checked against a
     SQL-semantics NestedLoopJoin on the same inputs."""
 
     def _agree(self, left, right, width=2):
-        merge = ops.MergeJoin(
-            ops.Materialized(left), ops.Materialized(right), col(0), col(0)
-        )
         hashj = ops.HashJoin(
             ops.Materialized(left), ops.Materialized(right), [col(0)], [col(0)]
         )
@@ -72,10 +69,9 @@ class TestMergeJoinNullKeys:
         nested = ops.NestedLoopJoin(
             ops.Materialized(left), ops.Materialized(right), sql_eq
         )
-        merged = sorted(rows_of(merge), key=repr)
-        assert merged == sorted(rows_of(hashj), key=repr)
-        assert merged == sorted(rows_of(nested), key=repr)
-        return merged
+        hashed = sorted(rows_of(hashj), key=repr)
+        assert hashed == sorted(rows_of(nested), key=repr)
+        return hashed
 
     def test_null_keys_on_both_inputs(self):
         left = [(1, "a"), (None, "n1"), (2, "b"), (None, "n2")]
@@ -88,8 +84,7 @@ class TestMergeJoinNullKeys:
         assert got == []
 
     def test_null_run_does_not_consume_real_matches(self):
-        # NULLs sort last; skipping them must leave the pointer on the
-        # other side untouched so later equal runs still pair up
+        # NULL keys interleaved with a duplicated real key
         left = [(None, "n"), (5, "a"), (5, "b")]
         right = [(5, "x"), (None, "m"), (5, "y")]
         got = self._agree(left, right)
@@ -98,23 +93,22 @@ class TestMergeJoinNullKeys:
     def test_composite_key_with_null_part_matches_nothing(self):
         left = [(1, 10, "a"), (1, None, "b"), (2, 20, "c")]
         right = [(1, 10, "x"), (None, 10, "y"), (2, 20, "z")]
-        first, second = col(0), col(1)
-        key = lambda batch, env: list(zip(first(batch, env), second(batch, env)))
-        merge = ops.MergeJoin(
-            ops.Materialized(left), ops.Materialized(right), key, key
-        )
         hashj = ops.HashJoin(
             ops.Materialized(left), ops.Materialized(right),
             [col(0), col(1)], [col(0), col(1)],
         )
-        got = sorted(rows_of(merge))
-        assert got == sorted(rows_of(hashj))
+        nested = ops.NestedLoopJoin(
+            ops.Materialized(left), ops.Materialized(right),
+            joined("l.c0 = r.c0 AND l.c1 = r.c1", 3, 3),
+        )
+        got = sorted(rows_of(hashj))
+        assert got == sorted(rows_of(nested))
         assert got == [
             (1, 10, "a", 1, 10, "x"),
             (2, 20, "c", 2, 20, "z"),
         ]
 
-    def test_nan_keys_never_match_and_never_stall(self):
+    def test_nan_keys_never_match(self):
         # distinct NaN objects so no identity shortcut anywhere
         left = [(float("nan"), "l1"), (1.0, "l2")]
         right = [(float("nan"), "r1"), (1.0, "r2")]

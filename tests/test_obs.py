@@ -1,4 +1,4 @@
-"""Observability layer: tracer spans, metrics registry, sinks, slow-query log."""
+"""Observability layer: tracer spans, metrics registry, sinks."""
 
 import json
 
@@ -13,7 +13,6 @@ from repro.engine.obs import (
     JsonlSink,
     MetricsRegistry,
     RingBufferSink,
-    SlowQueryLog,
     Tracer,
     render_span_tree,
 )
@@ -142,14 +141,6 @@ class TestTracer:
         assert tracer.active is True
         tracer.remove_sink(ring)
         assert tracer.active is False
-
-    def test_force_tracing_activates_without_sinks(self):
-        tracer = Tracer()
-        tracer.force_tracing = True
-        assert tracer.active is True
-        span = tracer.start("s")
-        tracer.finish(span)
-        assert span.duration is not None
 
     def test_nesting_builds_a_tree(self):
         tracer = Tracer()
@@ -287,120 +278,6 @@ class TestSinks:
         assert len(names) == 8 * per_thread
 
 
-# -- slow-query log ----------------------------------------------------------
-
-
-class TestSlowQueryLog:
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            SlowQueryLog(-1.0)
-
-    def test_capacity_bound(self):
-        log = SlowQueryLog(0.0, capacity=2)
-        for i in range(3):
-            log.record({"i": i})
-        assert [e["i"] for e in log.entries()] == [1, 2]
-
-    def test_jsonl_append(self, tmp_path):
-        path = tmp_path / "slow.jsonl"
-        log = SlowQueryLog(0.0, path=str(path))
-        log.record({"sql": "SELECT 1"})
-        (line,) = path.read_text().splitlines()
-        assert json.loads(line)["sql"] == "SELECT 1"
-
-    def test_database_integration(self, db):
-        db.set_slow_query_log(0.0)  # every statement breaches
-        assert db.tracer.force_tracing is True
-        db.execute("SELECT v FROM n WHERE v < 3")
-        (entry,) = db.slow_query_log.entries()
-        assert entry["sql"] == "SELECT v FROM n WHERE v < 3"
-        assert entry["spans"]["name"] == "query"
-        assert any(
-            c["name"] == "execute" for c in entry["spans"]["children"]
-        )
-        assert "Access" in entry["plan"]
-        assert db.metrics.counter("slowlog.entries") == 1
-        db.set_slow_query_log(None)
-        assert db.tracer.force_tracing is False
-        assert db.slow_query_log is None
-
-    def test_threshold_filters(self, db):
-        db.set_slow_query_log(60.0)  # nothing is that slow
-        db.execute("SELECT v FROM n WHERE v < 3")
-        assert db.slow_query_log.entries() == []
-
-    def test_max_bytes_rotates_oldest_entries(self, tmp_path):
-        path = tmp_path / "slow.jsonl"
-        log = SlowQueryLog(0.0, path=str(path), max_bytes=120)
-        for i in range(10):
-            log.record({"i": i, "pad": "x" * 30})
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(lines) < 10  # oldest entries were dropped
-        assert lines[-1]["i"] == 9  # newest always survives
-        assert [e["i"] for e in lines] == list(
-            range(10 - len(lines), 10)
-        )  # contiguous newest suffix: truncation eats from the front
-        assert log.truncated == 10 - len(lines)
-        assert path.stat().st_size <= 120
-
-    def test_max_bytes_keeps_newest_even_when_oversized(self, tmp_path):
-        path = tmp_path / "slow.jsonl"
-        log = SlowQueryLog(0.0, path=str(path), max_bytes=10)
-        log.record({"sql": "a" * 50})
-        log.record({"sql": "b" * 50})
-        (line,) = path.read_text().splitlines()
-        assert json.loads(line)["sql"] == "b" * 50
-
-    def test_max_bytes_rejects_non_positive(self, tmp_path):
-        with pytest.raises(ValueError):
-            SlowQueryLog(0.0, path=str(tmp_path / "s.jsonl"), max_bytes=0)
-
-    def test_max_bytes_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SLOWLOG_MAX_BYTES", "120")
-        path = tmp_path / "slow.jsonl"
-        log = SlowQueryLog(0.0, path=str(path))
-        assert log.max_bytes == 120
-        for i in range(10):
-            log.record({"i": i, "pad": "x" * 30})
-        assert path.stat().st_size <= 120
-        assert log.truncated > 0
-
-    def test_max_bytes_env_non_numeric_ignored(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_SLOWLOG_MAX_BYTES", "lots")
-        log = SlowQueryLog(0.0, path=str(tmp_path / "s.jsonl"))
-        assert log.max_bytes is None
-
-    def test_in_memory_log_ignores_max_bytes(self):
-        log = SlowQueryLog(0.0, max_bytes=10)  # no path: nothing to rotate
-        for i in range(5):
-            log.record({"i": i})
-        assert len(log.entries()) == 5
-        assert log.truncated == 0
-
-    def test_aborted_query_is_recorded_with_error(self, db):
-        db.set_slow_query_log(0.0)
-        with pytest.raises(QueryTimeout):
-            db.execute("SELECT a.v FROM n a, n b", timeout_s=0)
-        (entry,) = db.slow_query_log.entries()
-        assert entry["error"] == "QueryTimeout"
-        assert entry["spans"]["attrs"]["aborted"] is True
-
-    def test_aborted_entry_feeds_the_folded_stack_walker(self, db):
-        # A slow-log span tree from an aborted query must remain a valid
-        # profiler input: the walker marks aborted frames with a ``!``.
-        from repro.engine.obs.profile import folded_stacks, node_from_dict
-
-        db.set_slow_query_log(0.0)
-        with pytest.raises(QueryTimeout):
-            db.execute("SELECT a.v FROM n a, n b", timeout_s=0)
-        (entry,) = db.slow_query_log.entries()
-        root = node_from_dict(entry["spans"])
-        stacks = folded_stacks([root])
-        assert stacks, "aborted tree produced no folded stacks"
-        assert all(stack.startswith("query!") for stack, _ in stacks)
-        assert all(count >= 0 for _, count in stacks)
-
-
 # -- engine tracing ----------------------------------------------------------
 
 
@@ -519,6 +396,27 @@ class TestTracingUnderAbort:
         assert all(s.duration is not None for s in ring.spans())
         assert any(s.status == "aborted" for s in ring.spans())
         assert db.tracer._stack == []
+
+    def test_aborted_tree_serialises_whole(self, traced_db):
+        # what a span consumer (``repro trace --jsonl``) reads back from an
+        # aborted query: one root whose recursive dict holds every span
+        db, ring = traced_db
+        ring.clear()
+        with pytest.raises(QueryTimeout):
+            db.execute("SELECT a.v FROM n a, n b", timeout_s=0)
+        (root,) = ring.roots()
+        payload = json.loads(json.dumps(root.to_dict(recursive=True)))
+        assert payload["status"] == "aborted"
+        assert payload["attrs"]["aborted"] is True
+
+        def walk(node):
+            yield node
+            for child in node["children"]:
+                yield from walk(child)
+
+        nodes = list(walk(payload))
+        assert len(nodes) == len(ring.spans())
+        assert all(node["duration_s"] >= 0 for node in nodes)
 
     def test_parse_error_emits_aborted_root(self, traced_db):
         db, ring = traced_db

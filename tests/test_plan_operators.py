@@ -1,5 +1,5 @@
-"""Direct tests of the physical operators (incl. ones the planner uses
-rarely, like MergeJoin)."""
+"""Direct tests of the physical operators; ORDER BY / LIMIT, which the
+planner's projection node applies, are tested through SQL."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +8,7 @@ from repro.engine import Database
 from repro.engine.batch import execution_config
 from repro.engine.expr import Env
 from repro.engine.plan import operators as ops
-from tests.compiled import col, joined, pair, scalar, selection
+from tests.compiled import col, joined, pair, selection
 
 NAN = float("nan")
 
@@ -105,14 +105,11 @@ class TestJoins:
                     build_side=build_side, **keys,
                 )
                 assert rows_of(hashj) == [(2, 0.5, 2, 0.5)]
-        merge = ops.MergeJoin(
-            ops.Materialized(shared), ops.Materialized(shared), col(1), col(1)
-        )
         nested = ops.NestedLoopJoin(
             ops.Materialized(shared), ops.Materialized(shared),
             joined("l.c1 = r.c1", 2, 2),
         )
-        assert rows_of(merge) == rows_of(nested) == [(2, 0.5, 2, 0.5)]
+        assert rows_of(nested) == [(2, 0.5, 2, 0.5)]
 
     def test_sql_self_join_on_a_nan_agrees_across_join_operators(self):
         database = Database()
@@ -128,25 +125,6 @@ class TestJoins:
         expected = [(1, 1), (1, 3), (3, 1), (3, 3)]
         assert sorted(database.execute(hashed).rows) == expected
         assert sorted(database.execute(looped).rows) == expected
-
-    def test_merge_join_matches_hash_join(self):
-        merge = ops.MergeJoin(
-            ops.Materialized(self.LEFT), ops.Materialized(self.RIGHT),
-            col(0), col(0),
-        )
-        hashj = ops.HashJoin(
-            ops.Materialized(self.LEFT), ops.Materialized(self.RIGHT),
-            [col(0)], [col(0)],
-        )
-        assert sorted(rows_of(merge)) == sorted(rows_of(hashj))
-
-    def test_merge_join_duplicate_runs(self):
-        left = [(1,), (1,), (2,)]
-        right = [(1,), (1,), (1,)]
-        op = ops.MergeJoin(
-            ops.Materialized(left), ops.Materialized(right), col(0), col(0)
-        )
-        assert len(rows_of(op)) == 6
 
     def test_nested_loop_left(self):
         op = ops.NestedLoopJoin(
@@ -290,28 +268,33 @@ def test_aggregate_equals_row_at_a_time_reference(rows, key_slots, specs, global
             assert repr(rows_of(op)) == expected, size
 
 
+def _shaping_db(rows):
+    """Table ``s (i, k, v)`` holding *rows* as (k, v), in that order."""
+    database = Database()
+    database.execute(
+        "CREATE TABLE s (i integer NOT NULL, k integer, v varchar,"
+        " PRIMARY KEY (i))"
+    )
+    for i, (k, v) in enumerate(rows):
+        database.execute("INSERT INTO s (i, k, v) VALUES (?, ?, ?)", [i, k, v])
+    return database
+
+
 class TestShapingOperators:
     def test_sort_multi_key_stability(self):
-        data = [(1, "b"), (2, "a"), (1, "a")]
-        op = ops.Sort(
-            ops.Materialized(data),
-            [col(0), col(1)],
-            [False, False],
-        )
-        assert rows_of(op) == [(1, "a"), (1, "b"), (2, "a")]
+        database = _shaping_db([(1, "b"), (2, "a"), (1, "a")])
+        rows = database.execute("SELECT k, v FROM s ORDER BY k, v").rows
+        assert rows == [(1, "a"), (1, "b"), (2, "a")]
 
     def test_sort_descending_with_nulls(self):
-        data = [(2,), (None,), (5,)]
-        op = ops.Sort(ops.Materialized(data), [col(0)], [True])
-        assert rows_of(op) == [(None,), (5,), (2,)]
+        database = _shaping_db([(2, "x"), (None, "y"), (5, "z")])
+        rows = database.execute("SELECT k FROM s ORDER BY k DESC").rows
+        assert rows == [(None,), (5,), (2,)]
 
     def test_limit_offset(self):
-        op = ops.Limit(
-            ops.Materialized([(i,) for i in range(10)]),
-            scalar("3"),
-            scalar("2"),
-        )
-        assert rows_of(op) == [(2,), (3,), (4,)]
+        database = _shaping_db([(i, "v") for i in range(10)])
+        rows = database.execute("SELECT k FROM s LIMIT 3 OFFSET 2").rows
+        assert rows == [(2,), (3,), (4,)]
 
     def test_union_modes(self):
         left = ops.Materialized([(1,), (2,)])

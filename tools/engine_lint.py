@@ -5,11 +5,6 @@ The benchmark engine has a handful of structural invariants that keep the
 paper's measurements honest.  Each is cheap to verify statically, and each
 has been broken (or nearly broken) by an innocent-looking edit before:
 
-* **operator-guards** — every plan operator ``execute`` method that loops
-  over rows must poll the ``ExecutionContext`` (``guard_iter`` wrapping or
-  periodic ``check()`` calls).  A single unguarded loop makes timeouts and
-  cancellation advisory, which silently invalidates the §5.1 timeout
-  methodology.
 * **no-wallclock** — engine code under ``src/repro/engine`` must never read
   the wall clock (``datetime.now``/``utcnow``/``today``, ``time.time``):
   system time is a logical, transaction-driven clock (``db.now()``), and
@@ -31,20 +26,19 @@ has been broken (or nearly broken) by an innocent-looking edit before:
   on a metrics registry anywhere under ``src/repro`` must be declared in
   ``repro.engine.obs.metrics`` (``COUNTERS``/``HISTOGRAMS``).  The registry
   raises at runtime for undeclared counters, but only on the code path that
-  increments them; this check catches the typo before any query runs.
+  increments them; this check catches the typo before any query runs.  A
+  ``stats.*``/``plan.*`` counter passed to any ``.inc()`` is checked
+  whatever its receiver: the optimizer counters back the cost-model
+  acceptance numbers, and a silently dropped increment would fake a
+  plan-choice regression.
 * **span-catalogue** — every span name started on a tracer
   (``tracer.span("...")``/``tracer.start("...")``) under ``src/repro`` must
-  appear in the span catalogue in ``docs/OBSERVABILITY.md``.  The profiler
-  and the slow-query log surface these names verbatim; an undocumented span
-  is a dashboard nobody can read.
+  appear in the span catalogue in ``docs/OBSERVABILITY.md``.  ``repro
+  trace`` and its JSONL output surface these names verbatim; an
+  undocumented span is a tree nobody can read.
 * **cost-model** — ``engine/plan/cost.py`` (the cardinality estimator) must
   not import from ``engine/sql``: costing works on sketches the rewriter
-  derives, so it stays usable without a parser behind it.  And every
-  ``stats.*``/``plan.*`` counter literal passed to ``.inc()`` anywhere under
-  ``src/repro`` must be declared in ``repro.engine.obs.metrics.COUNTERS`` —
-  stricter than **metric-names** (no receiver filter), because the optimizer
-  counters back the cost-model acceptance numbers and a silently dropped
-  increment would fake a plan-choice regression.
+  derives, so it stays usable without a parser behind it.
 * **telemetry-docs** — every OpenMetrics metric family the telemetry
   exposition can emit (registry counters/histograms mapped through the
   ``repro_``-prefix name mapping, plus the ``STATEMENT_METRICS`` statement
@@ -71,8 +65,9 @@ has been broken (or nearly broken) by an innocent-looking edit before:
   dispatch, per-operator metrics and the materialization-boundary copy.
   Loop-bearing ``execute_batches`` bodies must poll the
   ``ExecutionContext`` (``check()`` at batch granularity; ``guard_iter``
-  per outer row in the pair-at-a-time ``CrossJoin``/``NestedLoopJoin``),
-  mirroring **operator-guards** for the batch entrypoint.
+  per outer row in the pair-at-a-time ``CrossJoin``/``NestedLoopJoin``).
+  A single unguarded loop makes timeouts and cancellation advisory, which
+  silently invalidates the §5.1 timeout methodology.
 * **temporal-ops-catalogue** — while the engine ships the native temporal
   operators (``TemporalAggregate`` / ``TemporalAlignJoin`` under
   ``engine/plan``), ``docs/TEMPORAL_OPS.md`` must exist and document both
@@ -97,7 +92,7 @@ from typing import Dict, List, Set, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ENGINE = Path("src/repro/engine")
 
-#: loop-bearing node types that force an execute() method to poll the context
+#: loop-bearing node types that force an execute_batches() to poll the context
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
           ast.GeneratorExp)
 #: wall-clock reads forbidden inside the engine (dotted-name prefixes)
@@ -129,7 +124,7 @@ def _dotted(node: ast.AST) -> str:
     return ".".join(reversed(parts))
 
 
-# -- check 1: operator loops must poll the ExecutionContext ----------------
+# -- shared: does a function poll the ExecutionContext? ---------------
 
 def _polls_context(node: ast.FunctionDef) -> bool:
     """True when the method names a context hook (guard_iter/check).
@@ -149,28 +144,7 @@ def _polls_context(node: ast.FunctionDef) -> bool:
     return bool(mentioned & {"guard_iter", "check"})
 
 
-def check_operator_guards(root: Path = REPO_ROOT) -> List[str]:
-    problems = []
-    for path in sorted((root / ENGINE / "plan").glob("*.py")):
-        tree = _parse(path)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.FunctionDef) or node.name != "execute":
-                continue
-            has_loop = any(
-                isinstance(inner, _LOOPS) for inner in ast.walk(node)
-            )
-            if not has_loop:
-                continue
-            if not _polls_context(node):
-                problems.append(
-                    f"{path.relative_to(root)}:{node.lineno}: "
-                    f"[operator-guards] execute() loops over rows without "
-                    f"polling the ExecutionContext (guard_iter/check)"
-                )
-    return problems
-
-
-# -- check 2: no wall-clock reads inside the engine ------------------------
+# -- check 1: no wall-clock reads inside the engine ------------------------
 
 def check_no_wallclock(root: Path = REPO_ROOT) -> List[str]:
     problems = []
@@ -190,7 +164,7 @@ def check_no_wallclock(root: Path = REPO_ROOT) -> List[str]:
     return problems
 
 
-# -- check 3: every rewrite rule declares its invariants -------------------
+# -- check 2: every rewrite rule declares its invariants -------------------
 
 def _tuple_of_strings(node: ast.AST) -> Tuple[str, ...]:
     if isinstance(node, (ast.Tuple, ast.List)):
@@ -250,7 +224,7 @@ def check_rewrite_invariants(root: Path = REPO_ROOT) -> List[str]:
     return problems
 
 
-# -- check 4: layer separation between sql / plan / storage ----------------
+# -- check 3: layer separation between sql / plan / storage ----------------
 
 def _forbidden_import(module: str, level: int, forbidden: Tuple[str, ...]) -> bool:
     """True when a ``from`` target reaches into a forbidden sibling layer."""
@@ -293,7 +267,7 @@ def check_layering(root: Path = REPO_ROOT) -> List[str]:
     return problems
 
 
-# -- check 5: profiles only reference rules/codes that exist ---------------
+# -- check 4: profiles only reference rules/codes that exist ---------------
 
 def _analyzer_codes(root: Path) -> Set[str]:
     tree = _parse(root / ENGINE / "analyze.py")
@@ -339,7 +313,7 @@ def check_profiles(root: Path = REPO_ROOT) -> List[str]:
     return problems
 
 
-# -- check 6: incremented metric names are declared in the registry --------
+# -- check 5: incremented metric names are declared in the registry --------
 
 def _declared_metrics(root: Path) -> Tuple[Set[str], Set[str]]:
     """(counter names, histogram names) declared in repro.engine.obs.metrics."""
@@ -386,10 +360,11 @@ def check_metric_names(root: Path = REPO_ROOT) -> List[str]:
                 and isinstance(node.args[0].value, str)
             ):
                 continue
-            receiver = _dotted(node.func.value).lower()
-            if "metric" not in receiver and "registry" not in receiver:
-                continue  # .inc()/.observe() on something else entirely
             name = node.args[0].value
+            receiver = _dotted(node.func.value).lower()
+            optimizer = node.func.attr == "inc" and name.startswith(("stats.", "plan."))
+            if "metric" not in receiver and "registry" not in receiver and not optimizer:
+                continue  # .inc()/.observe() on something else entirely
             if name not in declared[node.func.attr]:
                 where = "COUNTERS" if node.func.attr == "inc" else "HISTOGRAMS"
                 problems.append(
@@ -400,7 +375,7 @@ def check_metric_names(root: Path = REPO_ROOT) -> List[str]:
     return problems
 
 
-# -- check 7: traced span names must be in the docs span catalogue ---------
+# -- check 6: traced span names must be in the docs span catalogue ---------
 
 def _span_call_sites(root: Path) -> List[Tuple[Path, int, str]]:
     """Every literal span name started on a tracer under src/repro.
@@ -452,7 +427,7 @@ def check_span_catalogue(root: Path = REPO_ROOT) -> List[str]:
     return problems
 
 
-# -- check 8: cost model stays sql-free; optimizer counters declared -------
+# -- check 7: the cost model stays sql-free --------------------------------
 
 def check_cost_model(root: Path = REPO_ROOT) -> List[str]:
     problems = []
@@ -481,33 +456,10 @@ def check_cost_model(root: Path = REPO_ROOT) -> List[str]:
                 f"plan/cost.py must not import {hit!r} (costing sees "
                 f"sketches, never AST)"
             )
-    counters, _ = _declared_metrics(root)
-    for path in sorted((root / "src/repro").rglob("*.py")):
-        if path.name == "metrics.py" and path.parent.name == "obs":
-            continue
-        for node in ast.walk(_parse(path)):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "inc"
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                continue
-            name = node.args[0].value
-            if not name.startswith(("stats.", "plan.")):
-                continue
-            if name not in counters:
-                problems.append(
-                    f"{path.relative_to(root)}:{node.lineno}: [cost-model] "
-                    f"optimizer counter {name!r} is incremented but not "
-                    f"declared in repro.engine.obs.metrics.COUNTERS"
-                )
     return problems
 
 
-# -- check 9: operators speak the chunked batch protocol -------------------
+# -- check 8: operators speak the chunked batch protocol -------------------
 
 def _class_bases(node: ast.ClassDef) -> List[str]:
     """Base-class names of one ClassDef (``Operator`` / ``ops.Operator``)."""
@@ -603,7 +555,7 @@ def check_batch_protocol(root: Path = REPO_ROOT) -> List[str]:
     return problems
 
 
-# -- check 10: telemetry metric families and columns are documented --------
+# -- check 9: telemetry metric families and columns are documented ---------
 
 def _telemetry_declarations(root: Path) -> Tuple[Set[str], Set[str]]:
     """(statement metric families, statement field names) declared in the
@@ -687,7 +639,7 @@ def check_telemetry_docs(root: Path = REPO_ROOT) -> List[str]:
     return problems
 
 
-# -- check 11: system views and their columns are documented ---------------
+# -- check 10: system views and their columns are documented ---------------
 
 def _introspect_declarations(
     root: Path,
@@ -772,7 +724,7 @@ def check_view_catalogue(root: Path = REPO_ROOT) -> List[str]:
     return problems
 
 
-# -- check 12: analyzer rules are documented and golden-tested -------------
+# -- check 11: analyzer rules are documented and golden-tested -------------
 
 def check_rule_catalogue(root: Path = REPO_ROOT) -> List[str]:
     codes = sorted(_analyzer_codes(root))
@@ -882,7 +834,6 @@ def check_temporal_ops_catalogue(root: Path = REPO_ROOT) -> List[str]:
 
 
 ALL_CHECKS = (
-    check_operator_guards,
     check_no_wallclock,
     check_rewrite_invariants,
     check_layering,
