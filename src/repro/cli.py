@@ -25,9 +25,6 @@ Commands mirror the benchmark pipeline of the paper's §4:
 ``BENCH_<experiment>.json`` artifact (schema ``repro-bench/v2``, see
 :mod:`repro.bench.artifact`); ``bench --compare-to BASELINE.json`` prints
 the delta table against a prior artifact inline after the run.
-``metrics --format openmetrics``
-emits the registry plus top-K statement stats as a Prometheus-scrapable
-text exposition.
 """
 
 from __future__ import annotations
@@ -217,15 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--runs", type=int, default=1, help="workload passes to drive"
     )
     metrics.add_argument(
-        "--format", dest="format", choices=("text", "json", "openmetrics"),
-        default="text",
-        help="output format: human text, JSON snapshot, or an "
-        "OpenMetrics/Prometheus exposition",
-    )
-    metrics.add_argument(
-        "--top", type=int, default=10,
-        help="statement-stats entries in the openmetrics exposition "
-        "(default %(default)s)",
+        "--format", dest="format", choices=("text", "json"), default="text",
+        help="output format: human text or the JSON registry snapshot",
     )
 
     stat = sub.add_parser(
@@ -739,9 +729,6 @@ def _cmd_metrics(args) -> int:
     import json
 
     system, runs, query_count = _drive_workload(args)
-    if args.format == "openmetrics":
-        sys.stdout.write(system.openmetrics(top=args.top))
-        return 0
     snapshot = system.metrics()
     if args.format == "json":
         print(json.dumps(snapshot, indent=2, sort_keys=True))

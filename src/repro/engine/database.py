@@ -17,7 +17,6 @@ from .catalog import Catalog, IndexDef, TableSchema
 from .errors import CatalogError, IntegrityError
 from .obs import MetricsRegistry, StatementStatsStore, Tracer
 from .obs import introspect
-from .obs.telemetry import render_openmetrics
 from .storage.versioned import StorageOptions, VersionedTable
 from .txn import TransactionManager
 from .types import END_OF_TIME, Period
@@ -385,16 +384,6 @@ class Database:
         snapshot["statements_tracked"] = len(self.telemetry)
         snapshot["statements_evicted"] = self.telemetry.evicted
         return snapshot
-
-    def openmetrics(self, top: int = 10) -> str:
-        """This database's registry + top-K statement stats + per-partition
-        and per-index access counters as an OpenMetrics text exposition."""
-        return render_openmetrics(
-            self.metrics,
-            self.telemetry,
-            top=top,
-            extra=introspect.introspection_openmetrics(self),
-        )
 
     # -- maintenance -----------------------------------------------------------
 

@@ -7,10 +7,8 @@ without violating the layering invariants in ``tools/engine_lint.py``.
 """
 
 from .introspect import (
-    INTROSPECTION_METRICS,
     SYSTEM_VIEWS,
     SYSTEM_VIEW_PREFIX,
-    introspection_openmetrics,
     is_system_view,
     view_columns,
     view_rows,
@@ -18,27 +16,21 @@ from .introspect import (
 from .metrics import COUNTERS, HISTOGRAMS, Histogram, MetricsRegistry
 from .sinks import JsonlSink, RingBufferSink
 from .telemetry import (
-    STATEMENT_FIELDS,
-    STATEMENT_METRICS,
     StatementStats,
     StatementStatsStore,
     fingerprint,
     normalize_statement,
-    render_openmetrics,
-    validate_openmetrics,
 )
-from .tracer import Span, Tracer, render_span_tree
+from .tracer import SPANS, Span, Tracer, render_span_tree
 
 __all__ = [
     "COUNTERS",
     "HISTOGRAMS",
     "Histogram",
-    "INTROSPECTION_METRICS",
     "JsonlSink",
     "MetricsRegistry",
     "RingBufferSink",
-    "STATEMENT_FIELDS",
-    "STATEMENT_METRICS",
+    "SPANS",
     "SYSTEM_VIEWS",
     "SYSTEM_VIEW_PREFIX",
     "Span",
@@ -46,11 +38,8 @@ __all__ = [
     "StatementStatsStore",
     "Tracer",
     "fingerprint",
-    "introspection_openmetrics",
     "is_system_view",
     "normalize_statement",
-    "render_openmetrics",
-    "validate_openmetrics",
     "view_columns",
     "view_rows",
     "render_span_tree",

@@ -23,10 +23,9 @@ Assembling a view reads engine state but never perturbs it: row iteration
 goes through ``VersionedTable.scan_partition_quiet`` which bumps no
 stats, metrics or access counters.
 
-``SYSTEM_VIEWS`` and ``INTROSPECTION_METRICS`` below are pure literals:
-``tools/engine_lint.py`` (check ``view-catalogue``) parses them statically
-and requires every view, column and metric family to be documented in
-``docs/OBSERVABILITY.md``.
+``SYSTEM_VIEWS`` below is the one declaration of every view and column:
+``tools/gen_docs.py`` renders the column tables of ``docs/OBSERVABILITY.md``
+from it.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import sys
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .metrics import HISTOGRAMS
-from .telemetry import STATEMENT_FIELDS, _escape_help, _sample
 
 #: reserved relation-name prefix; CREATE TABLE/VIEW reject it
 SYSTEM_VIEW_PREFIX = "repro_stat_"
@@ -47,11 +45,14 @@ SYSTEM_VIEWS: Dict[str, Dict[str, str]] = {
         "table_name": "table the partition belongs to",
         "partition": "physical partition: current, history or single",
         "row_count": "row versions physically stored in the partition",
-        "est_bytes": "estimated partition payload bytes (sampled row sizes)",
+        "est_bytes": "estimated partition payload bytes (sampled row sizes x row count)",
         "scans": "full scans of this partition since database start",
         "rows_read": "live rows on the pages those scans read; zone-map-pruned pages excluded (cumulative)",
         "scan_share": "this partition's fraction of the table's scans (NULL before any scan)",
-        "last_analyze": "table catalog version at the last ANALYZE snapshot (NULL if never analyzed)",
+        "last_analyze": (
+            "table catalog version at the last ANALYZE snapshot, manual or taken "
+            "by the planner's demand-driven refresh (NULL if never analyzed)"
+        ),
         "stats_stale": "1 if DDL/DML invalidated the snapshot, 0 if fresh, NULL if never analyzed",
     },
     "repro_stat_indexes": {
@@ -86,16 +87,28 @@ SYSTEM_VIEWS: Dict[str, Dict[str, str]] = {
         "time_min_s": "fastest single execution (seconds)",
         "time_max_s": "slowest single execution (seconds)",
         "time_mean_s": "mean execution time (seconds)",
-        "time_p50_s": "streaming median over the retained reservoir",
+        "time_p50_s": (
+            "streaming median over a bounded reservoir of recent samples "
+            "(the metrics Histogram machinery)"
+        ),
         "time_p95_s": "streaming 95th percentile over the retained reservoir",
         "rows": "total rows returned (SELECT) or affected (DML)",
-        "rows_scanned": "total rows produced by leaf operators (scans)",
+        "rows_scanned": (
+            "total rows produced by leaf operators (scans): actual scan "
+            "effort, not output size"
+        ),
         "batches": "total batches produced by all plan operators",
-        "peak_ws_bytes": "peak estimated working-set bytes of any operator",
+        "peak_ws_bytes": (
+            "peak estimated working-set bytes of any single operator "
+            "(Batch.estimated_bytes sampling)"
+        ),
         "cache_hits": "executions answered by a cached plan",
         "cache_misses": "executions that parsed and planned from scratch",
         "cache_hit_ratio": "cache_hits / (cache_hits + cache_misses), null before any lookup",
-        "diagnostics": "cumulative analyzer findings attributed to this statement",
+        "diagnostics": (
+            "cumulative analyzer findings attributed to this statement "
+            "(recorded by the benchmark service, outside the timed region)"
+        ),
         "timeouts": "executions aborted by deadline or cancellation",
         "aborts": "executions aborted by any other error",
     },
@@ -113,20 +126,6 @@ SYSTEM_VIEWS: Dict[str, Dict[str, str]] = {
         "p50": "streaming median over the reservoir (NULL for counters)",
         "p95": "streaming 95th percentile over the reservoir (NULL for counters)",
     },
-}
-
-#: OpenMetrics families emitted by :func:`introspection_openmetrics`,
-#: family name -> (type, help).  Partition families are labelled
-#: ``table``/``partition``; index families add ``index`` and ``kind``.
-#: Check ``view-catalogue`` requires every key in docs/OBSERVABILITY.md.
-INTROSPECTION_METRICS: Dict[str, Tuple[str, str]] = {
-    "repro_partition_rows": ("gauge", "row versions physically stored in one partition"),
-    "repro_partition_scans": ("counter", "full scans of one partition"),
-    "repro_partition_rows_read": ("counter", "live rows on the pages one partition's scans read"),
-    "repro_index_entries": ("gauge", "entries currently stored in one index structure"),
-    "repro_index_probes": ("counter", "point lookups against one index structure"),
-    "repro_index_range_scans": ("counter", "range/interval scans of one index structure"),
-    "repro_index_rows_returned": ("counter", "row ids handed back by one index structure"),
 }
 
 #: rows sampled per partition when estimating ``est_bytes``
@@ -331,9 +330,9 @@ def _stat_history_rows(db) -> List[tuple]:
 
 
 def _stat_statements_rows(db) -> List[tuple]:
-    fields = tuple(STATEMENT_FIELDS)
+    columns = view_columns("repro_stat_statements")
     return [
-        tuple(entry[field] for field in fields)
+        tuple(entry[column] for column in columns)
         for entry in db.telemetry.snapshot()
     ]
 
@@ -369,58 +368,9 @@ _ASSEMBLERS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# OpenMetrics exposition of the per-partition / per-index counters
-# ---------------------------------------------------------------------------
-
-
-def introspection_openmetrics(db) -> List[str]:
-    """Exposition lines (no ``# EOF``) for the per-partition and per-index
-    access counters; ``render_openmetrics`` appends them via ``extra``."""
-    lines: List[str] = []
-    for family, (kind, help_text) in INTROSPECTION_METRICS.items():
-        lines.append(f"# HELP {family} {_escape_help(help_text)}")
-        lines.append(f"# TYPE {family} {kind}")
-        suffix = "_total" if kind == "counter" else ""
-        if family.startswith("repro_partition_"):
-            for table in db.tables():
-                for part_name in table.partition_names():
-                    part = table.partition(part_name)
-                    labels = {"table": table.schema.name, "partition": part_name}
-                    if family == "repro_partition_rows":
-                        value = len(part)
-                    elif family == "repro_partition_scans":
-                        value = part.access.scans
-                    else:
-                        value = part.access.rows_read
-                    lines.append(_sample(f"{family}{suffix}", labels, value))
-        else:
-            for name, table, partition, kind_, _cols, structure in (
-                _index_structures(db)
-            ):
-                labels = {
-                    "index": name,
-                    "table": table,
-                    "partition": partition,
-                    "kind": kind_,
-                }
-                if family == "repro_index_entries":
-                    value = len(structure)
-                elif family == "repro_index_probes":
-                    value = structure.access.probes
-                elif family == "repro_index_range_scans":
-                    value = structure.access.range_scans
-                else:
-                    value = structure.access.rows_returned
-                lines.append(_sample(f"{family}{suffix}", labels, value))
-    return lines
-
-
 __all__ = [
-    "INTROSPECTION_METRICS",
     "SYSTEM_VIEWS",
     "SYSTEM_VIEW_PREFIX",
-    "introspection_openmetrics",
     "is_system_view",
     "view_columns",
     "view_rows",

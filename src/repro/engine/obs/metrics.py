@@ -6,8 +6,8 @@ declarations, so incrementing an undeclared name raises ``KeyError`` at the
 call site instead of silently creating a new counter — and
 ``tools/engine_lint.py`` cross-checks the same declarations statically
 (check ``metric-names``), so a typo cannot survive either at runtime or in
-CI.  See ``docs/OBSERVABILITY.md`` for the catalogue with the paper
-sections each metric diagnoses.
+CI.  ``tools/gen_docs.py`` renders the catalogue in
+``docs/OBSERVABILITY.md`` from these declarations.
 
 This module is stdlib-only and imports nothing from the engine: the
 storage, index and transaction layers all depend on it, and the layering
@@ -21,40 +21,88 @@ from bisect import bisect_left
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-#: counter name -> description.  Names are ``layer.event`` dotted pairs.
+#: counter name -> description (what it counts, and the paper finding it
+#: diagnoses).  Names are ``layer.event`` dotted pairs.
 COUNTERS: Dict[str, str] = {
-    "plan.cache_hit": "plan-cache lookups that returned a valid cached plan",
+    "plan.cache_hit": (
+        "plan-cache lookups that returned a valid cached plan; with the other "
+        "plan.cache_* counters, the plan-cache behaviour behind repeated benchmark runs"
+    ),
     "plan.cache_miss": "plan-cache lookups that found no (valid) entry",
     "plan.cache_evict": "LRU evictions when the plan cache overflowed",
     "plan.cache_invalidate": "cached plans dropped because DDL touched a dependency",
-    "plan.cost_based_joins": "join products ordered by the statistics-backed cost model",
+    "plan.cost_based_joins": (
+        "join products the join-reorder rule ordered by the statistics-backed cost "
+        "model (needs ANALYZE statistics)"
+    ),
     "plan.greedy_joins": "join products ordered by the greedy size heuristic (no usable stats)",
-    "plan.temporal_fusions": "native temporal operators planned (GROUP BY TEMPORAL / TEMPORAL JOIN)",
+    "plan.temporal_fusions": (
+        "native TemporalAggregate / TemporalAlignJoin operators lowered from GROUP BY "
+        "TEMPORAL / TEMPORAL JOIN (the operators §5.6/§5.7 find missing); 0 on a "
+        "workload that sends only SQL:2011 text"
+    ),
     "stats.analyze_runs": "ANALYZE statements / Database.analyze() invocations",
     "stats.tables_analyzed": "per-table statistics snapshots collected by ANALYZE",
     "stats.lookups": "planner requests for a table's statistics snapshot",
     "stats.hits": "statistics lookups answered by a valid snapshot",
     "stats.misses": "statistics lookups for tables never analyzed",
     "stats.stale": "statistics lookups rejected because DDL/DML invalidated the snapshot",
-    "stats.auto_analyze_runs": "statistics lookups that re-ANALYZEd a table past the mutation-count threshold",
-    "storage.current_scans": "full scans of a current (or single) partition",
-    "storage.history_scans": "full scans of a history partition",
-    "storage.current_rows_scanned": "live rows on the pages current-partition scans read",
-    "storage.history_rows_scanned": "live rows on the pages history-partition scans read",
-    "storage.pages_scanned": "pages (row store) and chunks (column store) batch scans read",
-    "storage.pages_pruned": "pages and chunks a system-time window skipped by zone map",
-    "storage.vp_merge_joins": "sort/merge joins reconstructing vertically partitioned temporal columns",
-    "storage.history_moves": "closed versions moved into a history partition",
-    "storage.undo_drains": "undo-log drain operations (System B background process)",
-    "storage.versions_invalidated": "current versions closed by update/delete",
-    "storage.column_merges": "delta-into-main merges of a column store",
-    "index.btree_probes": "B+-tree descents (point searches and range-scan starts)",
+    "stats.auto_analyze_runs": (
+        "statistics lookups that re-ANALYZEd a table past the mutation-count threshold"
+    ),
+    "storage.current_scans": (
+        "full scans of a current (or single) partition: current-partition work, "
+        "the baseline of Fig 2"
+    ),
+    "storage.history_scans": (
+        "full scans of a history partition: history access >> current access "
+        "(§5.3, Fig 2/5/6)"
+    ),
+    "storage.current_rows_scanned": (
+        "live rows on the pages current-partition scans read; a zone-map-pruned "
+        "page's rows are not in it"
+    ),
+    "storage.history_rows_scanned": (
+        "live rows on the pages history-partition scans read; same row accounting"
+    ),
+    "storage.pages_scanned": (
+        "pages (row store: 256 slots) and chunks (column store: one batch of main or "
+        "delta) batch scans read: the I/O proxy behind Fig 4's linear scan cost"
+    ),
+    "storage.pages_pruned": (
+        "pages and chunks a system-time window skipped by zone map without touching "
+        "a row; pruned / (scanned + pruned) is the share of history a time-travel "
+        "clause avoided"
+    ),
+    "storage.vp_merge_joins": (
+        "sort/merge joins reconstructing System B's vertically partitioned "
+        "temporal columns (§5.2)"
+    ),
+    "storage.history_moves": (
+        "closed versions moved into a history partition (A/C write path, §5.2)"
+    ),
+    "storage.undo_drains": "undo-log drain operations (System B background process, §5.2)",
+    "storage.versions_invalidated": (
+        "current versions closed by update/delete: the version churn of the §4.2 "
+        "scenarios"
+    ),
+    "storage.column_merges": "delta-into-main merges of a column store (System C, §5.2)",
+    "index.btree_probes": (
+        "B+-tree descents (point searches and range-scan starts): index use on "
+        "selective queries (Fig 3/4/8/11)"
+    ),
     "index.hash_probes": "hash-index equality probes",
-    "index.rtree_searches": "R-tree interval searches (overlap and stab queries)",
+    "index.rtree_searches": (
+        "R-tree interval searches (overlap and stab queries; §5.1 tuning)"
+    ),
     "index.pk_probes": "primary-key lookups against the current-rid map",
-    "index.timeline_lookups": "Timeline-Index snapshot reconstructions (checkpoint + replay)",
-    "txn.versions_written": "row versions appended to any partition",
-    "txn.commits": "committed transactions",
+    "index.timeline_lookups": (
+        "Timeline-Index snapshot reconstructions (checkpoint + replay; System E)"
+    ),
+    "txn.versions_written": (
+        "row versions appended to any partition by loading and DML (Fig 16)"
+    ),
+    "txn.commits": "committed transactions; one system-time tick per commit",
     "txn.rollbacks": "rolled-back transactions",
 }
 
@@ -67,8 +115,8 @@ HISTOGRAMS: Dict[str, str] = {
 
 #: default histogram bucket upper bounds (seconds, log-spaced 100 µs–10 s).
 #: Bucket counts are exact over *all* observations — unlike the percentile
-#: reservoir they never forget — and render as cumulative ``le`` series in
-#: the OpenMetrics exposition.
+#: reservoir they never forget — and render as cumulative ``le`` rows in
+#: the registry snapshot.
 BUCKET_BOUNDS: Tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,

@@ -21,7 +21,24 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
-__all__ = ["Span", "Tracer", "render_span_tree"]
+__all__ = ["SPANS", "Span", "Tracer", "render_span_tree"]
+
+#: span name -> parent, attrs and meaning.  ``repro trace`` output and
+#: ``JsonlSink`` files are read by these names; ``tools/engine_lint.py``
+#: (check ``metric-names``) rejects a traced name that is not declared here.
+SPANS: Dict[str, str] = {
+    "query": "root span of one statement; attrs sql, rows (aborted on failure)",
+    "plan_cache.lookup": "child of query: plan-cache probe; attr outcome = hit/miss",
+    "parse": "child of query: lex and parse, on a plan-cache miss only",
+    "plan.analyze": "child of query: AST to logical plan (build_logical)",
+    "plan.rewrite": "child of query: logical rewrite rules (rewrite_logical)",
+    "plan.physical": "child of query: lowering to physical operators",
+    "execute": "child of query: running the physical plan; attr rows",
+    "operator": (
+        "child of execute or of its parent operator: one operator's batches; "
+        "attrs op (label), rows"
+    ),
+}
 
 
 class Span:

@@ -82,10 +82,6 @@ class TemporalSystem:
         """Registry snapshot + statement statistics, JSON-serialisable."""
         return self.db.telemetry_snapshot(top=top, sort=sort)
 
-    def openmetrics(self, top: int = 10) -> str:
-        """OpenMetrics text exposition of this system's telemetry."""
-        return self.db.openmetrics(top=top)
-
     @property
     def tracer(self):
         """The engine's span tracer (install sinks here to trace queries)."""

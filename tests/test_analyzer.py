@@ -35,6 +35,25 @@ class TestRuleCatalog:
             assert rule.summary and rule.paper and rule.hint
             assert rule.code == rule.code.upper()
 
+    @staticmethod
+    def _golden_methods(code):
+        return [
+            name
+            for cls_name, cls in globals().items()
+            if cls_name.startswith(f"Test{code}")
+            for name in vars(cls)
+        ]
+
+    def test_every_rule_has_a_positive_golden_test(self):
+        for code in RULES:
+            methods = self._golden_methods(code)
+            assert any(m.startswith("test_positive") for m in methods), code
+
+    def test_every_rule_has_a_negative_golden_test(self):
+        for code in RULES:
+            methods = self._golden_methods(code)
+            assert any(m.startswith("test_negative") for m in methods), code
+
     def test_analyzer_rejects_dml(self, db):
         with pytest.raises(ProgrammingError):
             analyze_sql(db, "DELETE FROM item")

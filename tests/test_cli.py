@@ -100,6 +100,22 @@ def test_lint_workload_sweep_is_clean(capsys):
     assert "warning[" not in out
 
 
+def test_lint_json_rows(capsys):
+    import json
+
+    code = main([
+        "lint", "--system", "A", "--format", "json",
+        "SELECT o_orderkey FROM orders FOR SYSTEM_TIME AS OF 5 "
+        "WHERE sys_begin > 10",
+    ])
+    assert code == 1  # TQ015 is an error
+    rows = json.loads(capsys.readouterr().out)
+    (row,) = [r for r in rows if r["code"] == "TQ015"]
+    assert row["severity"] == "error"
+    assert row["line"] == 1 and row["column"] >= 1
+    assert row["baselined"] is False
+
+
 def test_lint_requires_sql_or_workload(capsys):
     code = main(["lint"])
     assert code == 2

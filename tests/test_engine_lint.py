@@ -49,36 +49,16 @@ def fake_repo(tmp_path):
         '    lint_suppressions=("TQ001",),\n'
         ")\n"
     ))
-    _write(tmp_path, "docs/ANALYZER.md",
-           "| TQ001 | full-history scan |\n")
-    _write(tmp_path, "tests/test_analyzer.py", (
-        "class TestTQ001FullHistoryScan:\n"
-        "    def test_positive(self):\n"
-        "        assert analyze('FOR SYSTEM_TIME ALL') == ['TQ001']\n"
-        "    def test_negative(self):\n"
-        "        assert analyze('AS OF 5') == []\n"
-    ))
     _write(tmp_path, "src/repro/engine/obs/metrics.py", (
         'COUNTERS = {"txn.commits": "doc"}\n'
         'HISTOGRAMS = {"query.execute_s": "doc"}\n'
     ))
+    _write(tmp_path, "src/repro/engine/obs/tracer.py",
+           'SPANS = {"query": "doc"}\n')
     _write(tmp_path, "src/repro/engine/txn.py", (
         "class T:\n"
         "    def done(self):\n"
         '        self._metrics.inc("txn.commits")\n'
-    ))
-    _write(tmp_path, "src/repro/engine/obs/telemetry.py", (
-        'STATEMENT_METRICS = {"repro_statements_tracked": ("gauge", "d")}\n'
-        'STATEMENT_FIELDS = {"calls": "d"}\n'
-    ))
-    _write(tmp_path, "src/repro/engine/obs/introspect.py", (
-        'SYSTEM_VIEWS = {"repro_stat_tables": {"table_name": "d"}}\n'
-        'INTROSPECTION_METRICS = {"repro_partition_scans": ("counter", "d")}\n'
-    ))
-    _write(tmp_path, "docs/OBSERVABILITY.md", (
-        "`repro_statements_tracked` `repro_txn_commits` "
-        "`repro_query_execute_seconds` `calls`\n"
-        "`repro_stat_tables` `table_name` `repro_partition_scans`\n"
     ))
     return tmp_path
 
@@ -273,52 +253,47 @@ class TestMetricNames:
         ))
         assert engine_lint.check_metric_names(fake_repo) == []
 
+    def test_both_names_of_a_conditional_are_checked(self, fake_repo):
+        _write(fake_repo, "src/repro/engine/database.py", (
+            "def lookup(self, snapshot):\n"
+            '    self.metrics.inc("txn.commits" if snapshot else "txn.comits")\n'
+        ))
+        problems = engine_lint.check_metric_names(fake_repo)
+        assert len(problems) == 1
+        assert "txn.comits" in problems[0]
 
-class TestSpanCatalogue:
-    def _trace_file(self, fake_repo, name="query"):
+    def _trace_file(self, fake_repo, name):
         _write(fake_repo, "src/repro/engine/session.py", (
             "def run(tracer, sql):\n"
             f'    with tracer.span("{name}"):\n'
             "        pass\n"
         ))
 
-    def test_no_span_calls_means_clean(self, fake_repo):
-        # the baseline fake repo has no tracer calls (and no OBSERVABILITY.md)
-        assert engine_lint.check_span_catalogue(fake_repo) == []
+    def test_declared_span_passes(self, fake_repo):
+        self._trace_file(fake_repo, "query")
+        assert engine_lint.check_metric_names(fake_repo) == []
 
-    def test_documented_span_passes(self, fake_repo):
-        self._trace_file(fake_repo)
-        _write(fake_repo, "docs/OBSERVABILITY.md", "| `query` | root span |\n")
-        assert engine_lint.check_span_catalogue(fake_repo) == []
-
-    def test_undocumented_span_is_flagged(self, fake_repo):
-        self._trace_file(fake_repo, name="mystery.phase")
-        _write(fake_repo, "docs/OBSERVABILITY.md", "| `query` | root span |\n")
-        problems = engine_lint.check_span_catalogue(fake_repo)
+    def test_undeclared_span_is_flagged(self, fake_repo):
+        self._trace_file(fake_repo, "mystery.phase")
+        problems = engine_lint.check_metric_names(fake_repo)
         assert len(problems) == 1
         assert "mystery.phase" in problems[0]
-        assert "span-catalogue" in problems[0]
+        assert "SPANS" in problems[0]
 
-    def test_missing_catalogue_is_flagged_when_spans_exist(self, fake_repo):
-        self._trace_file(fake_repo)
-        problems = engine_lint.check_span_catalogue(fake_repo)
-        assert any("OBSERVABILITY.md" in p for p in problems)
-
-    def test_start_call_is_also_collected(self, fake_repo):
+    def test_span_start_call_is_also_collected(self, fake_repo):
         _write(fake_repo, "src/repro/engine/session.py", (
             "def run(self, sql):\n"
-            '    span = self._tracer.start("undocumented", sql=sql)\n'
+            '    span = self._tracer.start("undeclared", sql=sql)\n'
         ))
-        _write(fake_repo, "docs/OBSERVABILITY.md", "nothing here\n")
-        problems = engine_lint.check_span_catalogue(fake_repo)
-        assert any("undocumented" in p for p in problems)
+        problems = engine_lint.check_metric_names(fake_repo)
+        assert any("undeclared" in p for p in problems)
 
     def test_span_on_non_tracer_receiver_is_ignored(self, fake_repo):
         _write(fake_repo, "src/repro/engine/session.py", (
             "def run(cursor):\n"
             '    cursor.span("whatever")\n'
         ))
-        assert engine_lint.check_span_catalogue(fake_repo) == []
+        assert engine_lint.check_metric_names(fake_repo) == []
 
 
 class TestBatchProtocol:
@@ -456,196 +431,6 @@ class TestBatchProtocol:
         ))
         problems = engine_lint.check_batch_protocol(fake_repo)
         assert any("_Finalize" in p for p in problems)
-
-
-class TestTelemetryDocs:
-    def test_undocumented_family_is_flagged(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/obs/telemetry.py", (
-            'STATEMENT_METRICS = {\n'
-            '    "repro_statements_tracked": ("gauge", "d"),\n'
-            '    "repro_statement_calls": ("counter", "d"),\n'
-            '}\n'
-            'STATEMENT_FIELDS = {"calls": "d"}\n'
-        ))
-        problems = engine_lint.check_telemetry_docs(fake_repo)
-        assert any("repro_statement_calls" in p for p in problems)
-
-    def test_undocumented_field_is_flagged(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/obs/telemetry.py", (
-            'STATEMENT_METRICS = {"repro_statements_tracked": ("gauge", "d")}\n'
-            'STATEMENT_FIELDS = {"calls": "d", "rows_scanned": "d"}\n'
-        ))
-        problems = engine_lint.check_telemetry_docs(fake_repo)
-        assert any("rows_scanned" in p for p in problems)
-
-    def test_undocumented_counter_family_is_flagged(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/obs/metrics.py", (
-            'COUNTERS = {"txn.commits": "doc", "plan.cache_hit": "doc"}\n'
-            'HISTOGRAMS = {"query.execute_s": "doc"}\n'
-        ))
-        problems = engine_lint.check_telemetry_docs(fake_repo)
-        assert any("repro_plan_cache_hit" in p for p in problems)
-
-    def test_missing_telemetry_module_is_flagged(self, fake_repo):
-        (fake_repo / "src/repro/engine/obs/telemetry.py").unlink()
-        problems = engine_lint.check_telemetry_docs(fake_repo)
-        assert any("telemetry" in p for p in problems)
-
-
-class TestViewCatalogue:
-    def test_undocumented_view_is_flagged(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/obs/introspect.py", (
-            'SYSTEM_VIEWS = {\n'
-            '    "repro_stat_tables": {"table_name": "d"},\n'
-            '    "repro_stat_history": {"table_name": "d"},\n'
-            '}\n'
-            'INTROSPECTION_METRICS = {"repro_partition_scans": ("counter", "d")}\n'
-        ))
-        problems = engine_lint.check_view_catalogue(fake_repo)
-        assert any("repro_stat_history" in p for p in problems)
-
-    def test_undocumented_column_is_flagged(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/obs/introspect.py", (
-            'SYSTEM_VIEWS = {"repro_stat_tables": {\n'
-            '    "table_name": "d", "scan_share": "d",\n'
-            '}}\n'
-            'INTROSPECTION_METRICS = {"repro_partition_scans": ("counter", "d")}\n'
-        ))
-        problems = engine_lint.check_view_catalogue(fake_repo)
-        assert any(
-            "scan_share" in p and "repro_stat_tables" in p for p in problems
-        )
-
-    def test_undocumented_family_is_flagged(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/obs/introspect.py", (
-            'SYSTEM_VIEWS = {"repro_stat_tables": {"table_name": "d"}}\n'
-            'INTROSPECTION_METRICS = {\n'
-            '    "repro_partition_scans": ("counter", "d"),\n'
-            '    "repro_index_probes": ("counter", "d"),\n'
-            '}\n'
-        ))
-        problems = engine_lint.check_view_catalogue(fake_repo)
-        assert any("repro_index_probes" in p for p in problems)
-
-    def test_missing_introspect_module_is_flagged(self, fake_repo):
-        (fake_repo / "src/repro/engine/obs/introspect.py").unlink()
-        problems = engine_lint.check_view_catalogue(fake_repo)
-        assert any("view-catalogue" in p and "missing" in p for p in problems)
-
-    def test_missing_literals_are_reported(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/obs/introspect.py",
-               "SYSTEM_VIEWS = build()\n")
-        problems = engine_lint.check_view_catalogue(fake_repo)
-        assert any("could not locate" in p for p in problems)
-
-
-class TestRuleCatalogue:
-    def test_no_rules_means_clean(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/analyze.py", "RULES = ()\n")
-        assert engine_lint.check_rule_catalogue(fake_repo) == []
-
-    def test_undocumented_rule_is_flagged(self, fake_repo):
-        _write(fake_repo, "docs/ANALYZER.md", "nothing about the rule\n")
-        problems = engine_lint.check_rule_catalogue(fake_repo)
-        assert len(problems) == 1
-        assert "rule-catalogue" in problems[0]
-        assert "TQ001" in problems[0] and "ANALYZER.md" in problems[0]
-
-    def test_missing_doc_file_is_flagged_once(self, fake_repo):
-        (fake_repo / "docs/ANALYZER.md").unlink()
-        problems = engine_lint.check_rule_catalogue(fake_repo)
-        assert len(problems) == 1
-        assert "missing" in problems[0]
-
-    def test_missing_positive_test_is_flagged(self, fake_repo):
-        _write(fake_repo, "tests/test_analyzer.py", (
-            "class TestTQ001FullHistoryScan:\n"
-            "    def test_negative(self):\n"
-            "        assert analyze('AS OF 5') == []\n"
-        ))
-        problems = engine_lint.check_rule_catalogue(fake_repo)
-        assert len(problems) == 1
-        assert "positive" in problems[0]
-
-    def test_missing_negative_test_is_flagged(self, fake_repo):
-        _write(fake_repo, "tests/test_analyzer.py", (
-            "class TestTQ001FullHistoryScan:\n"
-            "    def test_positive(self):\n"
-            "        assert analyze('ALL') == ['TQ001']\n"
-        ))
-        problems = engine_lint.check_rule_catalogue(fake_repo)
-        assert len(problems) == 1
-        assert "negative" in problems[0]
-
-    def test_code_in_method_literal_counts_without_class_name(self, fake_repo):
-        # evidence can live in a shared class when the method names the code
-        _write(fake_repo, "tests/test_analyzer.py", (
-            "class TestAssorted:\n"
-            "    def test_positive_history(self):\n"
-            "        assert fire() == ['TQ001']\n"
-            "    def test_negative_history(self):\n"
-            "        assert 'TQ001' not in fire()\n"
-        ))
-        assert engine_lint.check_rule_catalogue(fake_repo) == []
-
-    def test_non_golden_methods_are_not_evidence(self, fake_repo):
-        _write(fake_repo, "tests/test_analyzer.py", (
-            "class TestTQ001FullHistoryScan:\n"
-            "    def test_render(self):\n"
-            "        assert 'TQ001' in render()\n"
-        ))
-        problems = engine_lint.check_rule_catalogue(fake_repo)
-        assert len(problems) == 2  # neither positive nor negative evidence
-
-
-class TestTemporalOpsCatalogue:
-    OPERATORS = (
-        "class TemporalAggregate:\n"
-        "    pass\n"
-        "class TemporalAlignJoin:\n"
-        "    pass\n"
-    )
-    DOC = (
-        "# Native temporal operators\n"
-        "TemporalAggregate and TemporalAlignJoin; reached via\n"
-        "GROUP BY TEMPORAL and TEMPORAL JOIN only (TQ017 suggests\n"
-        "the first), counted by plan.temporal_fusions.\n"
-    )
-
-    def test_no_operators_means_clean(self, fake_repo):
-        # the fixture tree ships no native temporal operators
-        assert engine_lint.check_temporal_ops_catalogue(fake_repo) == []
-
-    def test_missing_doc_is_flagged_once(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/plan/operators.py", self.OPERATORS)
-        problems = engine_lint.check_temporal_ops_catalogue(fake_repo)
-        assert len(problems) == 1
-        assert "temporal-ops-catalogue" in problems[0]
-        assert "missing" in problems[0]
-
-    def test_complete_doc_passes(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/plan/operators.py", self.OPERATORS)
-        _write(fake_repo, "docs/TEMPORAL_OPS.md", self.DOC)
-        assert engine_lint.check_temporal_ops_catalogue(fake_repo) == []
-
-    def test_undocumented_surface_token_is_flagged(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/plan/operators.py", self.OPERATORS)
-        _write(fake_repo, "docs/TEMPORAL_OPS.md",
-               self.DOC.replace("TQ017", "TQ0__"))
-        problems = engine_lint.check_temporal_ops_catalogue(fake_repo)
-        assert len(problems) == 1
-        assert "TQ017" in problems[0]
-
-    def test_unlinked_architecture_doc_is_flagged(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/plan/operators.py", self.OPERATORS)
-        _write(fake_repo, "docs/TEMPORAL_OPS.md", self.DOC)
-        _write(fake_repo, "docs/ARCHITECTURE.md", "no link here\n")
-        problems = engine_lint.check_temporal_ops_catalogue(fake_repo)
-        assert len(problems) == 1
-        assert "ARCHITECTURE.md" in problems[0]
-        _write(fake_repo, "docs/ARCHITECTURE.md",
-               "see TEMPORAL_OPS.md for the native operators\n")
-        assert engine_lint.check_temporal_ops_catalogue(fake_repo) == []
 
 
 class TestCostModel:

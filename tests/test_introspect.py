@@ -12,12 +12,10 @@ from repro.core.queries import Workload
 from repro.engine import Database
 from repro.engine.errors import CatalogError, ProgrammingError
 from repro.engine.obs.introspect import (
-    INTROSPECTION_METRICS,
     SYSTEM_VIEWS,
     is_system_view,
     view_columns,
 )
-from repro.engine.obs.telemetry import validate_openmetrics
 from repro.systems import make_system
 
 
@@ -373,25 +371,6 @@ class TestWorkloadConsistency:
             == counters["storage.current_rows_scanned"]
         )
         assert split["history"][1] == counters["storage.history_rows_scanned"]
-
-
-# -- OpenMetrics exposition of the new families ------------------------------
-
-
-class TestIntrospectionOpenMetrics:
-    @pytest.mark.parametrize("name", "ABCDE")
-    def test_exposition_validates_mid_workload(self, tiny_workload, name):
-        system = make_system(name)
-        Loader(system, tiny_workload).load()
-        system.enable_telemetry()
-        for query in list(Workload())[:4]:  # mid-workload, counters hot
-            system.execute(query.sql, query.params(tiny_workload.meta))
-        text = system.openmetrics()
-        assert validate_openmetrics(text) == []
-        for family, (kind, _help) in INTROSPECTION_METRICS.items():
-            assert f"# TYPE {family} {kind}" in text
-        assert 'repro_partition_scans_total{' in text
-        assert 'partition="current"' in text or 'partition="single"' in text
 
 
 # -- auto-ANALYZE: armed by the long-lived entry points ----------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.engine import Database
+from repro.engine import Database, session
 from repro.engine.errors import QueryCancelled, QueryTimeout
 from repro.engine.obs import (
     COUNTERS,
@@ -539,3 +539,25 @@ class TestCacheHitPathDeltas:
         ]
         assert row["calls"] == 2
         assert row["cache_hits"] == 1
+
+
+class TestIdleFastPath:
+    """With telemetry off, no sink and no timeout, a SELECT takes the
+    session's allocation-free path on a plan-cache miss and hit alike."""
+
+    def test_idle_select_builds_no_context_and_records_nothing(
+        self, db, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the idle fast path was left")
+
+        monkeypatch.setattr(ExecutionContext, "begin", forbidden)
+        monkeypatch.setattr(session, "ResourceCounters", forbidden)
+        monkeypatch.setattr(db.telemetry, "record", forbidden)
+        assert not db.telemetry.enabled and not db.tracer.active
+        sql = "SELECT count(*) FROM n WHERE v < 50"
+        for outcome in ("plan.cache_miss", "plan.cache_hit"):
+            before = db.metrics.counter(outcome)
+            assert db.execute(sql).rows == [(50,)]
+            assert db.metrics.counter(outcome) == before + 1
+        assert len(db.telemetry) == 0

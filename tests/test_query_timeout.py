@@ -109,7 +109,11 @@ class TestBenchServiceIntegration:
         assert "TIMEOUT" in m.label()
 
     def test_fast_queries_unaffected_by_timeout_setting(self, db):
-        service = BenchmarkService(repetitions=4, discard=1, timeout_s=10.0)
+        # disable fluctuation adaptation: the repetition count must be exact
+        service = BenchmarkService(
+            repetitions=4, discard=1, timeout_s=10.0,
+            fluctuation_threshold=float("inf"),
+        )
         m = service.measure_sql(db, "SELECT count(*) FROM n", qid="Q-fast")
         assert not m.timed_out
         assert len(m.times) == 3

@@ -1,27 +1,17 @@
-"""Workload telemetry: fingerprints, statement store, OpenMetrics."""
+"""Workload telemetry: fingerprints and the statement store."""
 
-import importlib.util
 import threading
-from pathlib import Path
 
 import pytest
 
 from repro.engine import Database
-from repro.engine.obs import COUNTERS, HISTOGRAMS, MetricsRegistry
+from repro.engine.obs import SYSTEM_VIEWS
 from repro.engine.obs.telemetry import (
-    STATEMENT_FIELDS,
-    STATEMENT_METRICS,
     StatementStatsStore,
-    counter_family,
     fingerprint,
-    histogram_family,
     normalize_statement,
-    render_openmetrics,
-    validate_openmetrics,
 )
 from repro.engine.plan.context import ResourceCounters
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -96,7 +86,7 @@ class TestStatementStatsStore:
         store = StatementStatsStore(enabled=True)
         store.record("SELECT v FROM n", 0.001)
         (row,) = store.snapshot()
-        assert set(row) == set(STATEMENT_FIELDS)
+        assert tuple(row) == tuple(SYSTEM_VIEWS["repro_stat_statements"])
 
     def test_lru_eviction_drops_cold_entries(self):
         store = StatementStatsStore(capacity=2, enabled=True)
@@ -237,97 +227,3 @@ class TestEngineTelemetry:
         assert snapshot["statements_evicted"] == 0
         assert snapshot["statements"][0]["calls"] >= 1
         assert "counters" in snapshot and "histograms" in snapshot
-
-
-# -- OpenMetrics exposition -------------------------------------------------
-
-
-class TestOpenMetrics:
-    def test_registry_exposition_validates(self):
-        registry = MetricsRegistry()
-        registry.inc("txn.commits", 3)
-        registry.observe("query.execute_s", 0.012)
-        text = render_openmetrics(registry)
-        assert validate_openmetrics(text) == []
-        assert "repro_txn_commits_total 3" in text
-        assert "# TYPE repro_query_execute_seconds histogram" in text
-        assert 'repro_query_execute_seconds_bucket{le="+Inf"} 1' in text
-        assert text.endswith("# EOF\n")
-
-    def test_statement_samples_present_and_valid(self, db):
-        db.execute("SELECT v FROM n WHERE v = 1")
-        db.execute("SELECT v FROM n WHERE v = 2")
-        text = db.openmetrics(top=5)
-        assert validate_openmetrics(text) == []
-        assert "repro_statements_tracked 1" in text
-        assert 'repro_statement_calls_total{fingerprint="' in text
-        assert "} 2" in text
-
-    def test_every_declared_family_is_rendered(self, db):
-        db.execute("SELECT v FROM n")
-        text = db.openmetrics()
-        for name in COUNTERS:
-            assert f"# TYPE {counter_family(name)} counter" in text
-        for name in HISTOGRAMS:
-            assert f"# TYPE {histogram_family(name)} histogram" in text
-        for family, (kind, _help) in STATEMENT_METRICS.items():
-            assert f"# TYPE {family} {kind}" in text
-
-    def test_validator_rejects_malformed_expositions(self):
-        assert validate_openmetrics("repro_x_total 1\n")  # no TYPE, no EOF
-        errors = validate_openmetrics(
-            "# TYPE repro_x counter\nrepro_x_total notanumber\n# EOF\n"
-        )
-        assert any("bad value" in e for e in errors)
-        errors = validate_openmetrics(
-            "# TYPE repro_x counter\nrepro_y_total 1\n# EOF\n"
-        )
-        assert any("no preceding # TYPE" in e for e in errors)
-        errors = validate_openmetrics("# TYPE repro_x counter\n\n# EOF\n")
-        assert any("blank line" in e for e in errors)
-        errors = validate_openmetrics("# TYPE 0bad counter\n# EOF\n")
-        assert any("bad metric name" in e for e in errors)
-        errors = validate_openmetrics("# TYPE repro_x counter\n")
-        assert any("EOF" in e for e in errors)
-
-    def test_label_values_are_escaped(self):
-        store = StatementStatsStore(enabled=True)
-        store.record('SELECT v FROM n -- "quoted"\ncomment', 0.001)
-        registry = MetricsRegistry()
-        text = render_openmetrics(registry, store)
-        assert validate_openmetrics(text) == []
-
-
-class TestLintFamilyMappingStaysInSync:
-    """tools/engine_lint.py keeps a static copy of the family-name mapping;
-    this test is the drift guard its docstring promises."""
-
-    def _lint(self):
-        spec = importlib.util.spec_from_file_location(
-            "engine_lint_telemetry", REPO_ROOT / "tools" / "engine_lint.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_static_mapping_matches_runtime_mapping(self):
-        lint = self._lint()
-        for name in COUNTERS:
-            assert lint._openmetrics_family(name) == counter_family(name)
-        for name in HISTOGRAMS:
-            assert lint._openmetrics_family(name, histogram=True) == (
-                histogram_family(name)
-            )
-
-    def test_every_lint_expected_family_appears_in_a_rendered_exposition(self):
-        lint = self._lint()
-        registry = MetricsRegistry()
-        text = render_openmetrics(registry, StatementStatsStore(enabled=True))
-        families, _fields = lint._telemetry_declarations(REPO_ROOT)
-        expected = set(families)
-        expected.update(lint._openmetrics_family(n) for n in COUNTERS)
-        expected.update(
-            lint._openmetrics_family(n, histogram=True) for n in HISTOGRAMS
-        )
-        for family in expected:
-            assert f"# TYPE {family} " in text

@@ -24,40 +24,18 @@ has been broken (or nearly broken) by an innocent-looking edit before:
   silently disable nothing.
 * **metric-names** — every metric name passed to ``.inc()``/``.observe()``
   on a metrics registry anywhere under ``src/repro`` must be declared in
-  ``repro.engine.obs.metrics`` (``COUNTERS``/``HISTOGRAMS``).  The registry
+  ``repro.engine.obs.metrics`` (``COUNTERS``/``HISTOGRAMS``), and every span
+  name started on a tracer (``tracer.span("...")``/``tracer.start("...")``)
+  must be declared in ``repro.engine.obs.tracer.SPANS``.  The registry
   raises at runtime for undeclared counters, but only on the code path that
   increments them; this check catches the typo before any query runs.  A
   ``stats.*``/``plan.*`` counter passed to any ``.inc()`` is checked
   whatever its receiver: the optimizer counters back the cost-model
   acceptance numbers, and a silently dropped increment would fake a
   plan-choice regression.
-* **span-catalogue** — every span name started on a tracer
-  (``tracer.span("...")``/``tracer.start("...")``) under ``src/repro`` must
-  appear in the span catalogue in ``docs/OBSERVABILITY.md``.  ``repro
-  trace`` and its JSONL output surface these names verbatim; an
-  undocumented span is a tree nobody can read.
 * **cost-model** — ``engine/plan/cost.py`` (the cardinality estimator) must
   not import from ``engine/sql``: costing works on sketches the rewriter
   derives, so it stays usable without a parser behind it.
-* **telemetry-docs** — every OpenMetrics metric family the telemetry
-  exposition can emit (registry counters/histograms mapped through the
-  ``repro_``-prefix name mapping, plus the ``STATEMENT_METRICS`` statement
-  families) and every ``STATEMENT_FIELDS`` statement-statistics column must
-  be documented in ``docs/OBSERVABILITY.md``.  Same rationale as
-  **span-catalogue**: these names are scraped by dashboards verbatim, so an
-  undocumented one is a time series nobody can interpret.
-* **rule-catalogue** — every analyzer rule code registered in
-  ``repro.engine.analyze`` must have an entry in ``docs/ANALYZER.md`` and
-  at least one positive and one negative golden test in
-  ``tests/test_analyzer.py`` (``test_positive*`` / ``test_negative*``
-  methods that mention the code).  An undocumented or untested rule is a
-  diagnostic nobody can trust.
-* **view-catalogue** — every system view in the ``SYSTEM_VIEWS`` literal of
-  ``repro.engine.obs.introspect``, every column of every view, and every
-  OpenMetrics family in ``INTROSPECTION_METRICS`` must be documented in
-  ``docs/OBSERVABILITY.md``.  System views are the engine's SQL-facing
-  introspection surface; an undocumented view column is a field users must
-  reverse-engineer from the assembler code.
 * **batch-protocol** — every ``Operator`` subclass under ``engine/plan``
   must speak the chunked batch protocol: it implements (or inherits)
   ``execute_batches`` and must not override the row-level ``execute``
@@ -68,15 +46,9 @@ has been broken (or nearly broken) by an innocent-looking edit before:
   per outer row in the pair-at-a-time ``CrossJoin``/``NestedLoopJoin``).
   A single unguarded loop makes timeouts and cancellation advisory, which
   silently invalidates the §5.1 timeout methodology.
-* **temporal-ops-catalogue** — while the engine ships the native temporal
-  operators (``TemporalAggregate`` / ``TemporalAlignJoin`` under
-  ``engine/plan``), ``docs/TEMPORAL_OPS.md`` must exist and document both
-  operators, the explicit dialect syntax (``GROUP BY TEMPORAL`` and
-  ``TEMPORAL JOIN``), the ``TQ017`` analyzer rule and the
-  ``plan.temporal_fusions`` counter — and
-  ``docs/ARCHITECTURE.md`` / ``docs/SQL_DIALECT.md`` must link to it.  The
-  operators replace rewrites the paper measured as two orders of magnitude
-  slow; an undocumented operator is a speedup nobody will reach.
+
+The doc catalogues of these declarations are generated, not linted:
+``tools/gen_docs.py`` renders them.
 
 Run as ``python tools/engine_lint.py`` (exit 0 = clean); every check is also
 importable for the test suite.  Standard library only.
@@ -175,26 +147,33 @@ def _tuple_of_strings(node: ast.AST) -> Tuple[str, ...]:
     return ()
 
 
-def _rewrite_declarations(root: Path) -> Tuple[Tuple[str, ...], Dict[str, Tuple[str, ...]]]:
-    tree = _parse(root / ENGINE / "plan" / "rewrite.py")
-    all_rules: Tuple[str, ...] = ()
-    invariants: Dict[str, Tuple[str, ...]] = {}
-    for node in tree.body:
-        target = None
+def _assignments(path: Path) -> Dict[str, ast.AST]:
+    """Value node of every module-level ``NAME = ...`` / ``NAME: T = ...``
+    in *path* (empty when the file is missing)."""
+    if not path.is_file():
+        return {}
+    values: Dict[str, ast.AST] = {}
+    for node in _parse(path).body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
         elif isinstance(node, ast.AnnAssign):
             target = node.target
-        if not isinstance(target, ast.Name):
+        else:
             continue
-        value = node.value
-        if target.id == "ALL_RULES":
-            all_rules = _tuple_of_strings(value)
-        elif target.id == "RULE_INVARIANTS" and isinstance(value, ast.Dict):
-            for key, val in zip(value.keys, value.values):
-                if isinstance(key, ast.Constant):
-                    invariants[key.value] = _tuple_of_strings(val)
-    return all_rules, invariants
+        if isinstance(target, ast.Name):
+            values[target.id] = node.value
+    return values
+
+
+def _rewrite_declarations(root: Path) -> Tuple[Tuple[str, ...], Dict[str, Tuple[str, ...]]]:
+    values = _assignments(root / ENGINE / "plan" / "rewrite.py")
+    invariants: Dict[str, Tuple[str, ...]] = {}
+    table = values.get("RULE_INVARIANTS")
+    if isinstance(table, ast.Dict):
+        for key, val in zip(table.keys, table.values):
+            if isinstance(key, ast.Constant):
+                invariants[key.value] = _tuple_of_strings(val)
+    return _tuple_of_strings(values.get("ALL_RULES")), invariants
 
 
 def check_rewrite_invariants(root: Path = REPO_ROOT) -> List[str]:
@@ -313,121 +292,112 @@ def check_profiles(root: Path = REPO_ROOT) -> List[str]:
     return problems
 
 
-# -- check 5: incremented metric names are declared in the registry --------
+# -- check 5: metric and span names are declared --------------------------
 
-def _declared_metrics(root: Path) -> Tuple[Set[str], Set[str]]:
-    """(counter names, histogram names) declared in repro.engine.obs.metrics."""
-    tree = _parse(root / ENGINE / "obs" / "metrics.py")
-    counters: Set[str] = set()
-    histograms: Set[str] = set()
-    for node in tree.body:
-        target = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-        elif isinstance(node, ast.AnnAssign):
-            target = node.target
-        if not isinstance(target, ast.Name):
-            continue
-        if target.id in ("COUNTERS", "HISTOGRAMS") and isinstance(node.value, ast.Dict):
-            bucket = counters if target.id == "COUNTERS" else histograms
-            bucket.update(
-                key.value for key in node.value.keys
-                if isinstance(key, ast.Constant) and isinstance(key.value, str)
-            )
-    return counters, histograms
+def _declared_names(path: Path, target_name: str) -> Set[str]:
+    """String keys of the module-level dict literal *target_name* in *path*
+    (empty when the file or the literal is missing)."""
+    value = _assignments(path).get(target_name)
+    if not isinstance(value, ast.Dict):
+        return set()
+    return {
+        key.value for key in value.keys
+        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+    }
 
 
-def check_metric_names(root: Path = REPO_ROOT) -> List[str]:
-    problems = []
-    counters, histograms = _declared_metrics(root)
-    if not counters:
-        return [
-            f"{ENGINE / 'obs' / 'metrics.py'}: [metric-names] could not "
-            f"locate the COUNTERS declaration"
-        ]
-    declared = {"inc": counters, "observe": histograms}
+def _literal_names(node: ast.AST) -> List[str]:
+    """The names a call argument can take: a string literal, or the string
+    literals on either branch of a conditional expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.IfExp):
+        return _literal_names(node.body) + _literal_names(node.orelse)
+    return []
+
+
+def _call_sites(root: Path, methods: Tuple[str, ...], skip: str):
+    """``(path, lineno, method, receiver, name)`` for every call of one of
+    *methods* under src/repro whose first argument is a literal name; the
+    declaring module ``obs/<skip>`` is excluded."""
     for path in sorted((root / "src/repro").rglob("*.py")):
-        if path.name == "metrics.py" and path.parent.name == "obs":
+        if path.name == skip and path.parent.name == "obs":
             continue
-        tree = _parse(path)
-        for node in ast.walk(tree):
-            if not (
+        for node in ast.walk(_parse(path)):
+            if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in declared
+                and node.func.attr in methods
                 and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
             ):
-                continue
-            name = node.args[0].value
-            receiver = _dotted(node.func.value).lower()
-            optimizer = node.func.attr == "inc" and name.startswith(("stats.", "plan."))
-            if "metric" not in receiver and "registry" not in receiver and not optimizer:
-                continue  # .inc()/.observe() on something else entirely
-            if name not in declared[node.func.attr]:
-                where = "COUNTERS" if node.func.attr == "inc" else "HISTOGRAMS"
-                problems.append(
-                    f"{path.relative_to(root)}:{node.lineno}: "
-                    f"[metric-names] {node.func.attr}({name!r}) but {name!r} "
-                    f"is not declared in repro.engine.obs.metrics.{where}"
-                )
-    return problems
+                receiver = _dotted(node.func.value).lower()
+                for name in _literal_names(node.args[0]):
+                    yield path, node.lineno, node.func.attr, receiver, name
 
 
-# -- check 6: traced span names must be in the docs span catalogue ---------
+def metric_call_sites(root: Path) -> List[Tuple[Path, int, str, str]]:
+    """Every literal metric name passed to ``.inc()``/``.observe()`` on a
+    metrics registry under src/repro, as ``(path, lineno, method, name)``.
+    A ``stats.*``/``plan.*`` name passed to any ``.inc()`` counts whatever
+    its receiver."""
+    sites = []
+    for path, lineno, method, receiver, name in _call_sites(
+        root, ("inc", "observe"), "metrics.py"
+    ):
+        optimizer = method == "inc" and name.startswith(("stats.", "plan."))
+        if "metric" in receiver or "registry" in receiver or optimizer:
+            sites.append((path, lineno, method, name))
+    return sites
 
-def _span_call_sites(root: Path) -> List[Tuple[Path, int, str]]:
+
+def span_call_sites(root: Path) -> List[Tuple[Path, int, str]]:
     """Every literal span name started on a tracer under src/repro.
 
     Matches ``<receiver>.span("name")`` / ``<receiver>.start("name")`` where
     the receiver's dotted path mentions a tracer; the tracer module itself is
     excluded (its internal ``self.start`` relays the caller's name).
     """
-    sites: List[Tuple[Path, int, str]] = []
-    for path in sorted((root / "src/repro").rglob("*.py")):
-        if path.name == "tracer.py" and path.parent.name == "obs":
-            continue
-        tree = _parse(path)
-        for node in ast.walk(tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("span", "start")
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                continue
-            if "tracer" not in _dotted(node.func.value).lower():
-                continue
-            sites.append((path, node.lineno, node.args[0].value))
-    return sites
+    return [
+        (path, lineno, name)
+        for path, lineno, _method, receiver, name in _call_sites(
+            root, ("span", "start"), "tracer.py"
+        )
+        if "tracer" in receiver
+    ]
 
 
-def check_span_catalogue(root: Path = REPO_ROOT) -> List[str]:
-    sites = _span_call_sites(root)
-    if not sites:
-        return []  # nothing traced, nothing to document
-    catalogue_path = root / "docs" / "OBSERVABILITY.md"
-    if not catalogue_path.is_file():
+def check_metric_names(root: Path = REPO_ROOT) -> List[str]:
+    obs = root / ENGINE / "obs"
+    declared = {
+        "inc": _declared_names(obs / "metrics.py", "COUNTERS"),
+        "observe": _declared_names(obs / "metrics.py", "HISTOGRAMS"),
+    }
+    if not declared["inc"]:
         return [
-            f"docs/OBSERVABILITY.md: [span-catalogue] missing, but "
-            f"{len(sites)} tracer span call(s) exist under src/repro"
+            f"{ENGINE / 'obs' / 'metrics.py'}: [metric-names] could not "
+            f"locate the COUNTERS declaration"
         ]
-    catalogue = catalogue_path.read_text()
     problems = []
-    for path, lineno, name in sites:
-        if f"`{name}`" not in catalogue:
+    for path, lineno, method, name in metric_call_sites(root):
+        if name not in declared[method]:
+            where = "COUNTERS" if method == "inc" else "HISTOGRAMS"
             problems.append(
-                f"{path.relative_to(root)}:{lineno}: [span-catalogue] span "
-                f"{name!r} is traced but not documented in "
-                f"docs/OBSERVABILITY.md"
+                f"{path.relative_to(root)}:{lineno}: "
+                f"[metric-names] {method}({name!r}) but {name!r} "
+                f"is not declared in repro.engine.obs.metrics.{where}"
+            )
+    spans = _declared_names(obs / "tracer.py", "SPANS")
+    for path, lineno, name in span_call_sites(root):
+        if name not in spans:
+            problems.append(
+                f"{path.relative_to(root)}:{lineno}: [metric-names] span "
+                f"{name!r} is traced but not declared in "
+                f"repro.engine.obs.tracer.SPANS"
             )
     return problems
 
 
-# -- check 7: the cost model stays sql-free --------------------------------
+# -- check 6: the cost model stays sql-free --------------------------------
 
 def check_cost_model(root: Path = REPO_ROOT) -> List[str]:
     problems = []
@@ -459,7 +429,7 @@ def check_cost_model(root: Path = REPO_ROOT) -> List[str]:
     return problems
 
 
-# -- check 8: operators speak the chunked batch protocol -------------------
+# -- check 7: operators speak the chunked batch protocol -------------------
 
 def _class_bases(node: ast.ClassDef) -> List[str]:
     """Base-class names of one ClassDef (``Operator`` / ``ops.Operator``)."""
@@ -555,297 +525,14 @@ def check_batch_protocol(root: Path = REPO_ROOT) -> List[str]:
     return problems
 
 
-# -- check 9: telemetry metric families and columns are documented ---------
-
-def _telemetry_declarations(root: Path) -> Tuple[Set[str], Set[str]]:
-    """(statement metric families, statement field names) declared in the
-    ``STATEMENT_METRICS`` / ``STATEMENT_FIELDS`` literal dicts of
-    repro.engine.obs.telemetry."""
-    tree = _parse(root / ENGINE / "obs" / "telemetry.py")
-    families: Set[str] = set()
-    fields: Set[str] = set()
-    for node in tree.body:
-        target = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-        elif isinstance(node, ast.AnnAssign):
-            target = node.target
-        if not isinstance(target, ast.Name):
-            continue
-        if target.id in ("STATEMENT_METRICS", "STATEMENT_FIELDS") and isinstance(
-            node.value, ast.Dict
-        ):
-            bucket = families if target.id == "STATEMENT_METRICS" else fields
-            bucket.update(
-                key.value for key in node.value.keys
-                if isinstance(key, ast.Constant) and isinstance(key.value, str)
-            )
-    return families, fields
-
-
-def _openmetrics_family(name: str, histogram: bool = False) -> str:
-    """The exposition family name of a registry metric — mirrors
-    ``repro.engine.obs.telemetry.counter_family``/``histogram_family``
-    (a unit test cross-checks the two against a rendered exposition so
-    this static copy cannot drift)."""
-    flat = name.replace(".", "_")
-    if histogram and flat.endswith("_s"):
-        flat = flat[:-2] + "_seconds"
-    return "repro_" + flat
-
-
-def check_telemetry_docs(root: Path = REPO_ROOT) -> List[str]:
-    telemetry_rel = ENGINE / "obs" / "telemetry.py"
-    if not (root / telemetry_rel).is_file():
-        return [
-            f"{telemetry_rel}: [telemetry-docs] missing — workload telemetry "
-            f"is a declared subsystem"
-        ]
-    families, fields = _telemetry_declarations(root)
-    if not families or not fields:
-        return [
-            f"{telemetry_rel}: [telemetry-docs] could not locate the "
-            f"STATEMENT_METRICS / STATEMENT_FIELDS literal dicts"
-        ]
-    counters, histograms = _declared_metrics(root)
-    expected = dict.fromkeys(sorted(families), "statement metric family")
-    for name in sorted(counters):
-        expected[_openmetrics_family(name)] = f"counter family (for {name!r})"
-    for name in sorted(histograms):
-        expected[_openmetrics_family(name, histogram=True)] = (
-            f"histogram family (for {name!r})"
-        )
-    doc_rel = Path("docs") / "OBSERVABILITY.md"
-    doc_path = root / doc_rel
-    if not doc_path.is_file():
-        return [
-            f"{doc_rel}: [telemetry-docs] missing, but the telemetry "
-            f"exposition emits {len(expected)} metric families"
-        ]
-    doc_text = doc_path.read_text()
-    problems = []
-    for family, kind in expected.items():
-        if f"`{family}`" not in doc_text:
-            problems.append(
-                f"{doc_rel}: [telemetry-docs] OpenMetrics {kind} "
-                f"{family!r} is exposed but not documented here"
-            )
-    for field in sorted(fields):
-        if f"`{field}`" not in doc_text:
-            problems.append(
-                f"{doc_rel}: [telemetry-docs] statement-statistics column "
-                f"{field!r} is exposed but not documented here"
-            )
-    return problems
-
-
-# -- check 10: system views and their columns are documented ---------------
-
-def _introspect_declarations(
-    root: Path,
-) -> Tuple[Dict[str, Set[str]], Set[str]]:
-    """(view name -> column names, OpenMetrics family names) declared in the
-    ``SYSTEM_VIEWS`` / ``INTROSPECTION_METRICS`` literal dicts of
-    repro.engine.obs.introspect."""
-    tree = _parse(root / ENGINE / "obs" / "introspect.py")
-    views: Dict[str, Set[str]] = {}
-    families: Set[str] = set()
-    for node in tree.body:
-        target = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-        elif isinstance(node, ast.AnnAssign):
-            target = node.target
-        if not isinstance(target, ast.Name):
-            continue
-        if not isinstance(node.value, ast.Dict):
-            continue
-        if target.id == "SYSTEM_VIEWS":
-            for key, value in zip(node.value.keys, node.value.values):
-                if not (isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)):
-                    continue
-                columns: Set[str] = set()
-                if isinstance(value, ast.Dict):
-                    columns = {
-                        c.value for c in value.keys
-                        if isinstance(c, ast.Constant)
-                        and isinstance(c.value, str)
-                    }
-                views[key.value] = columns
-        elif target.id == "INTROSPECTION_METRICS":
-            families.update(
-                key.value for key in node.value.keys
-                if isinstance(key, ast.Constant) and isinstance(key.value, str)
-            )
-    return views, families
-
-
-def check_view_catalogue(root: Path = REPO_ROOT) -> List[str]:
-    introspect_rel = ENGINE / "obs" / "introspect.py"
-    if not (root / introspect_rel).is_file():
-        return [
-            f"{introspect_rel}: [view-catalogue] missing — system-view "
-            f"introspection is a declared subsystem"
-        ]
-    views, families = _introspect_declarations(root)
-    if not views or not families:
-        return [
-            f"{introspect_rel}: [view-catalogue] could not locate the "
-            f"SYSTEM_VIEWS / INTROSPECTION_METRICS literal dicts"
-        ]
-    doc_rel = Path("docs") / "OBSERVABILITY.md"
-    doc_path = root / doc_rel
-    if not doc_path.is_file():
-        return [
-            f"{doc_rel}: [view-catalogue] missing, but the engine exposes "
-            f"{len(views)} system views"
-        ]
-    doc_text = doc_path.read_text()
-    problems: List[str] = []
-    for view in sorted(views):
-        if f"`{view}`" not in doc_text:
-            problems.append(
-                f"{doc_rel}: [view-catalogue] system view {view!r} is "
-                f"queryable but not documented here"
-            )
-        for column in sorted(views[view]):
-            if f"`{column}`" not in doc_text:
-                problems.append(
-                    f"{doc_rel}: [view-catalogue] column {column!r} of "
-                    f"system view {view!r} is exposed but not documented here"
-                )
-    for family in sorted(families):
-        if f"`{family}`" not in doc_text:
-            problems.append(
-                f"{doc_rel}: [view-catalogue] introspection OpenMetrics "
-                f"family {family!r} is exposed but not documented here"
-            )
-    return problems
-
-
-# -- check 11: analyzer rules are documented and golden-tested -------------
-
-def check_rule_catalogue(root: Path = REPO_ROOT) -> List[str]:
-    codes = sorted(_analyzer_codes(root))
-    if not codes:
-        return []
-    problems: List[str] = []
-    doc_rel = Path("docs") / "ANALYZER.md"
-    doc_path = root / doc_rel
-    doc_text = doc_path.read_text() if doc_path.is_file() else None
-    tests_rel = Path("tests") / "test_analyzer.py"
-    tests_path = root / tests_rel
-    positive: Set[str] = set()
-    negative: Set[str] = set()
-    if tests_path.is_file():
-        for node in _parse(tests_path).body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            class_codes = {c for c in codes if c in node.name}
-            for inner in node.body:
-                if not isinstance(inner, ast.FunctionDef):
-                    continue
-                if inner.name.startswith("test_positive"):
-                    bucket = positive
-                elif inner.name.startswith("test_negative"):
-                    bucket = negative
-                else:
-                    continue
-                referenced = set(class_codes)
-                for leaf in ast.walk(inner):
-                    if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str):
-                        referenced.update(c for c in codes if c in leaf.value)
-                bucket.update(referenced)
-    if doc_text is None:
-        problems.append(
-            f"{doc_rel}: [rule-catalogue] missing, but {len(codes)} analyzer "
-            f"rule(s) are registered in analyze.py and need documenting"
-        )
-    for code in codes:
-        if doc_text is not None and code not in doc_text:
-            problems.append(
-                f"{doc_rel}: [rule-catalogue] analyzer rule {code} is "
-                f"registered in analyze.py but has no entry here"
-            )
-        if code not in positive:
-            problems.append(
-                f"{tests_rel}: [rule-catalogue] analyzer rule {code} has no "
-                f"positive golden test (a test_positive* method that "
-                f"mentions it)"
-            )
-        if code not in negative:
-            problems.append(
-                f"{tests_rel}: [rule-catalogue] analyzer rule {code} has no "
-                f"negative golden test (a test_negative* method that "
-                f"mentions it)"
-            )
-    return problems
-
-
-def check_temporal_ops_catalogue(root: Path = REPO_ROOT) -> List[str]:
-    operators_rel = ENGINE / "plan" / "operators.py"
-    operators_path = root / operators_rel
-    if not operators_path.is_file():
-        return []
-    operators_text = operators_path.read_text()
-    shipped = [
-        name
-        for name in ("TemporalAggregate", "TemporalAlignJoin")
-        if f"class {name}" in operators_text
-    ]
-    if not shipped:
-        return []
-    doc_rel = Path("docs") / "TEMPORAL_OPS.md"
-    doc_path = root / doc_rel
-    if not doc_path.is_file():
-        return [
-            f"{doc_rel}: [temporal-ops-catalogue] missing, but the engine "
-            f"ships the native temporal operators ({', '.join(shipped)})"
-        ]
-    doc_text = doc_path.read_text()
-    problems: List[str] = []
-    required = list(shipped) + [
-        # the dialect surface, the analyzer hint and its observability
-        "GROUP BY TEMPORAL",
-        "TEMPORAL JOIN",
-        "TQ017",
-        "plan.temporal_fusions",
-    ]
-    for token in required:
-        if token not in doc_text:
-            problems.append(
-                f"{doc_rel}: [temporal-ops-catalogue] must document "
-                f"{token!r} — it is part of the native temporal-operator "
-                f"surface"
-            )
-    for linking_doc in ("ARCHITECTURE.md", "SQL_DIALECT.md"):
-        linking_rel = Path("docs") / linking_doc
-        linking_path = root / linking_rel
-        if not linking_path.is_file():
-            continue
-        if "TEMPORAL_OPS.md" not in linking_path.read_text():
-            problems.append(
-                f"{linking_rel}: [temporal-ops-catalogue] must link to "
-                f"TEMPORAL_OPS.md — the native operators hook into the "
-                f"surface this page documents"
-            )
-    return problems
-
-
 ALL_CHECKS = (
     check_no_wallclock,
     check_rewrite_invariants,
     check_layering,
     check_profiles,
     check_metric_names,
-    check_span_catalogue,
     check_cost_model,
     check_batch_protocol,
-    check_telemetry_docs,
-    check_view_catalogue,
-    check_rule_catalogue,
-    check_temporal_ops_catalogue,
 )
 
 
