@@ -74,8 +74,8 @@ def test_ablation_vertical_partitioning(benchmark, ablation_workload):
 
     benchmark.pedantic(run, rounds=3, iterations=2)
     assert vp.execute(sql, params).rows == inline.execute(sql, params).rows
-    assert vp.db.table("orders").stats.vp_merge_joins > 0
-    assert inline.db.table("orders").stats.vp_merge_joins == 0
+    assert vp.db.metrics.counter("storage.vp_merge_joins") > 0
+    assert inline.db.metrics.counter("storage.vp_merge_joins") == 0
 
 
 def test_ablation_column_store_merge(benchmark, ablation_workload):

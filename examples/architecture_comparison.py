@@ -33,11 +33,11 @@ def main():
               f"history={report['history']:>6} total={report['total']:>6}")
 
     print("\nThe paper's architecture findings, checked live:")
-    orders_b = systems["B"].db.table("orders")
+    counter_b = systems["B"].db.metrics.counter
     print(f"  B vertically partitions current temporal data "
-          f"(merge joins so far: {orders_b.stats.vp_merge_joins})")
+          f"(merge joins so far: {counter_b('storage.vp_merge_joins')})")
     print(f"  B buffers history writes in an undo log "
-          f"(drains so far: {orders_b.stats.undo_drains})")
+          f"(drains so far: {counter_b('storage.undo_drains')})")
     store_c = systems["C"].db.table("orders").partition("current").store
     print(f"  C is a delta/main column store "
           f"(main={store_c.main_size}, delta={store_c.delta_size})")

@@ -241,11 +241,11 @@ def fig06_implicit_explicit(systems, workload, service) -> ExperimentResult:
     # verify the architectural claim: explicit AS OF touches the history
     probes = {}
     for name, system in native.items():
-        table = system.db.table("orders")
-        before = table.stats.history_scans
+        access = system.db.table("orders").partition("history").access
+        before = access.scans
         system.execute(WORKLOAD.query("T7.explicit").sql,
                        WORKLOAD.query("T7.explicit").params(workload.meta))
-        probes[name] = table.stats.history_scans - before
+        probes[name] = access.scans - before
     text = format_figure(
         "Fig 6: Current TT, Implicit vs Explicit (history access not pruned)",
         measurements,

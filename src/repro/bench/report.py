@@ -162,33 +162,6 @@ def format_cache_stats(title: str, stats: Dict[str, Dict[str, int]]) -> str:
     return "\n".join(lines)
 
 
-def format_metrics(
-    title: str, per_system: Dict[str, Dict[str, int]], nonzero_only: bool = True
-) -> str:
-    """Engine metric counters per system, one row per counter name.
-
-    *per_system* maps system name to a ``{counter: value}`` dict (e.g. the
-    ``counters`` half of ``TemporalSystem.metrics()``).
-    """
-    names = sorted({n for per in per_system.values() for n in per})
-    if nonzero_only:
-        names = [n for n in names if any(per.get(n) for per in per_system.values())]
-    lines = [title, "=" * len(title)]
-    width = max((len(n) for n in names), default=8) + 2
-    header = f"{'metric':<{width}}" + "".join(
-        f"{s:>12}" for s in per_system
-    )
-    lines.append(header)
-    if not names:
-        lines.append("(all counters zero)")
-    for name in names:
-        row = f"{name:<{width}}"
-        for per in per_system.values():
-            row += f"{per.get(name, 0):>12}"
-        lines.append(row)
-    return "\n".join(lines)
-
-
 def format_delta_table(diff, only_changed: bool = False) -> str:
     """Per-cell delta table for an :class:`repro.bench.compare.ArtifactDiff`.
 

@@ -10,16 +10,18 @@ Commands mirror the benchmark pipeline of the paper's §4:
   consistency checks;
 * ``systems``  — print the §5.2 architecture cards;
 * ``lint``     — static temporal-query diagnostics without executing;
-* ``cache-stats`` — plan-cache hit rates after repeated workload passes;
+* ``analyze-stats`` — per-partition, per-column ANALYZE statistics;
 * ``trace``    — run one statement and print its lifecycle span tree;
-* ``metrics``  — engine metric counters after workload passes;
+* ``health``   — drive the T/H/K/R/B workload on each archetype and report
+  what it observed: a markdown temporal-health report built from the
+  ``repro_stat_*`` system views, plus (``--json``) a ``repro-health/v1``
+  artifact that also carries each system's metric registry snapshot,
+  its ``repro_stat_statements`` rows and its plan-cache counters;
 * ``bench-diff`` — compare two or more bench artifacts cell by cell
-  (``--gate`` exits nonzero on regression, the CI perf gate);
-* ``stat-statements`` — pg_stat_statements-style per-fingerprint workload
-  statistics (JSON rows) after driving the benchmark queries;
-* ``health`` — markdown temporal-health report assembled by querying the
-  ``repro_stat_*`` system views across archetypes (``--json`` writes a
-  ``repro-health/v1`` artifact).
+  (``--gate`` exits nonzero on regression, the CI perf gate).
+
+Every verb that loads a system generates the workload at ``--h`` / ``--m``
+and loads it through one helper (:func:`_load_system`).
 
 ``bench --json PATH`` additionally writes a machine-readable
 ``BENCH_<experiment>.json`` artifact (schema ``repro-bench/v2``, see
@@ -35,7 +37,7 @@ import time
 from pathlib import Path
 
 from .bench import experiments as x
-from .bench.report import format_cache_stats, format_lint_summary, format_metrics
+from .bench.report import format_cache_stats, format_lint_summary
 from .bench.service import BenchmarkService
 from .core.archive import ArchiveReader, write_archive
 from .core.consistency import check_system
@@ -74,20 +76,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="TPC-BiH bitemporal benchmark (EDBT 2014 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the workload scale and the archetype, shared by the verbs that take them
+    scale = argparse.ArgumentParser(add_help=False)
+    scale.add_argument("--h", type=float, default=0.001)
+    scale.add_argument("--m", type=float, default=0.0003)
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("--system", default="A", help="archetype A..E")
 
-    generate = sub.add_parser("generate", help="generate a workload archive")
-    generate.add_argument("--h", type=float, default=0.001)
-    generate.add_argument("--m", type=float, default=0.0003)
+    generate = sub.add_parser(
+        "generate", parents=[scale], help="generate a workload archive"
+    )
     generate.add_argument("--seed", type=int, default=None)
     generate.add_argument("--out", default="tpcbih_archive.jsonl")
 
     inspect = sub.add_parser("inspect", help="summarise an archive")
     inspect.add_argument("archive")
 
-    query = sub.add_parser("query", help="load a workload and run SQL")
-    query.add_argument("--system", default="A", help="archetype A..E")
-    query.add_argument("--h", type=float, default=0.001)
-    query.add_argument("--m", type=float, default=0.0003)
+    query = sub.add_parser(
+        "query", parents=[system, scale], help="load a workload and run SQL"
+    )
     query.add_argument("--explain", action="store_true")
     query.add_argument(
         "--analyze",
@@ -96,10 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("sql", help="SQL statement to execute")
 
-    bench = sub.add_parser("bench", help="run one experiment (or 'all')")
+    bench = sub.add_parser(
+        "bench", parents=[scale], help="run one experiment (or 'all')"
+    )
     bench.add_argument("experiment", choices=sorted(EXPERIMENTS) + ["all"])
-    bench.add_argument("--h", type=float, default=0.001)
-    bench.add_argument("--m", type=float, default=0.0003)
     bench.add_argument("--out", default=None, help="also write report file(s) here")
     bench.add_argument(
         "--json", dest="json_path", default=None, metavar="PATH",
@@ -127,19 +134,18 @@ def build_parser() -> argparse.ArgumentParser:
         "(artifacts then carry empty 'statements' lists)",
     )
 
-    verify = sub.add_parser("verify", help="run temporal consistency checks")
-    verify.add_argument("--system", default="A", help="archetype A..E")
-    verify.add_argument("--h", type=float, default=0.001)
-    verify.add_argument("--m", type=float, default=0.0003)
+    verify = sub.add_parser(
+        "verify", parents=[system, scale], help="run temporal consistency checks"
+    )
     verify.add_argument("--bulk", action="store_true",
                         help="use the bulk-load path (System D only)")
 
     sub.add_parser("systems", help="print the architecture cards")
 
     lint = sub.add_parser(
-        "lint", help="static temporal-query diagnostics (no execution)"
+        "lint", parents=[system],
+        help="static temporal-query diagnostics (no execution)",
     )
-    lint.add_argument("--system", default="A", help="archetype A..E")
     lint.add_argument(
         "--format", dest="format", choices=("text", "json", "sarif"),
         default="text",
@@ -166,24 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("sql", nargs="?", default=None,
                       help="SELECT statement to analyze")
 
-    cache = sub.add_parser(
-        "cache-stats", help="plan-cache hit rates after workload passes"
-    )
-    cache.add_argument("--system", default="A", help="archetype A..E")
-    cache.add_argument("--h", type=float, default=0.001)
-    cache.add_argument("--m", type=float, default=0.0003)
-    cache.add_argument(
-        "--runs", type=int, default=2,
-        help="workload passes to drive (>1 exercises cache hits)",
-    )
-
     astats = sub.add_parser(
-        "analyze-stats",
+        "analyze-stats", parents=[system, scale],
         help="run ANALYZE over a loaded workload and print the statistics",
     )
-    astats.add_argument("--system", default="A", help="archetype A..E")
-    astats.add_argument("--h", type=float, default=0.001)
-    astats.add_argument("--m", type=float, default=0.0003)
     astats.add_argument(
         "--table", default=None, help="restrict to one table (default: all)"
     )
@@ -193,58 +185,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     trace = sub.add_parser(
-        "trace", help="run one statement and print its lifecycle span tree"
+        "trace", parents=[system, scale],
+        help="run one statement and print its lifecycle span tree",
     )
-    trace.add_argument("--system", default="A", help="archetype A..E")
-    trace.add_argument("--h", type=float, default=0.001)
-    trace.add_argument("--m", type=float, default=0.0003)
     trace.add_argument(
         "--jsonl", default=None, metavar="PATH",
         help="also append every finished span to this JSONL file",
     )
     trace.add_argument("sql", help="SQL statement to trace")
 
-    metrics = sub.add_parser(
-        "metrics", help="engine metric counters after workload passes"
-    )
-    metrics.add_argument("--system", default="A", help="archetype A..E")
-    metrics.add_argument("--h", type=float, default=0.001)
-    metrics.add_argument("--m", type=float, default=0.0003)
-    metrics.add_argument(
-        "--runs", type=int, default=1, help="workload passes to drive"
-    )
-    metrics.add_argument(
-        "--format", dest="format", choices=("text", "json"), default="text",
-        help="output format: human text or the JSON registry snapshot",
-    )
-
-    stat = sub.add_parser(
-        "stat-statements",
-        help="pg_stat_statements-style per-fingerprint workload statistics",
-    )
-    stat.add_argument("--system", default="A", help="archetype A..E")
-    stat.add_argument("--h", type=float, default=0.001)
-    stat.add_argument("--m", type=float, default=0.0003)
-    stat.add_argument(
-        "--runs", type=int, default=1, help="workload passes to drive"
-    )
-    stat.add_argument(
-        "--top", type=int, default=None,
-        help="only the N most expensive statements (default: all)",
-    )
-    stat.add_argument(
-        "--sort", choices=("time", "calls", "rows"), default="time",
-        help="ranking key (default %(default)s)",
-    )
     health = sub.add_parser(
-        "health",
-        help="temporal-health report from the repro_stat_* system views",
+        "health", parents=[scale],
+        help="drive the workload per archetype and report what it observed",
     )
     health.add_argument(
         "--systems", default="ABCDE", help="archetypes to drive (default %(default)s)"
     )
-    health.add_argument("--h", type=float, default=0.001)
-    health.add_argument("--m", type=float, default=0.0003)
     health.add_argument(
         "--runs", type=int, default=1, help="workload passes to drive"
     )
@@ -254,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     health.add_argument(
         "--json", dest="json_path", default=None, metavar="PATH",
-        help="also write the report as a repro-health/v1 JSON artifact",
+        help="also write a repro-health/v1 JSON artifact (adds each "
+        "system's metrics snapshot, statement rows and plan-cache counters)",
     )
 
     diff = sub.add_parser(
@@ -315,12 +272,23 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _cmd_query(args) -> int:
+def _load_system(args, name=None, bulk=False):
+    """Generate the workload at ``--h`` / ``--m`` and load it into archetype
+    *name* (default ``--system``); returns ``(system, workload)``."""
     workload = BitemporalDataGenerator(
         GeneratorConfig(h=args.h, m=args.m)
     ).generate()
-    system = make_system(args.system)
-    Loader(system, workload).load()
+    system = make_system(name or args.system)
+    loader = Loader(system, workload)
+    if bulk:
+        loader.bulk_load()
+    else:
+        loader.load()
+    return system, workload
+
+
+def _cmd_query(args) -> int:
+    system, _workload = _load_system(args)
     if args.analyze:
         print(system.db.explain_analyze(args.sql))
         return 0
@@ -416,15 +384,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    workload = BitemporalDataGenerator(
-        GeneratorConfig(h=args.h, m=args.m)
-    ).generate()
-    system = make_system(args.system)
-    loader = Loader(system, workload)
-    if args.bulk:
-        loader.bulk_load()
-    else:
-        loader.load()
+    system, workload = _load_system(args, bulk=args.bulk)
     report = check_system(system, workload)
     print(report.summary())
     return 0 if report.ok else 1
@@ -598,34 +558,8 @@ def _lint_sarif(system_name, findings):
     }
 
 
-def _cmd_cache_stats(args) -> int:
-    from .core.loader import Loader
-    from .core.queries import Workload
-
-    workload = BitemporalDataGenerator(
-        GeneratorConfig(h=args.h, m=args.m)
-    ).generate()
-    system = make_system(args.system)
-    Loader(system, workload).load()
-    queries = list(Workload())
-    for _ in range(max(1, args.runs)):
-        for query in queries:
-            system.execute(query.sql, query.params(workload.meta))
-    print(
-        format_cache_stats(
-            f"Plan cache after {max(1, args.runs)}x{len(queries)} queries",
-            {args.system: system.cache_stats()},
-        )
-    )
-    return 0
-
-
 def _cmd_analyze_stats(args) -> int:
-    workload = BitemporalDataGenerator(
-        GeneratorConfig(h=args.h, m=args.m)
-    ).generate()
-    system = make_system(args.system)
-    Loader(system, workload).load()
+    system, _workload = _load_system(args)
     snapshots = system.analyze(args.table)
     for snapshot in snapshots:
         print(f"table {snapshot.table} ({snapshot.row_count} rows)")
@@ -653,11 +587,7 @@ def _cmd_analyze_stats(args) -> int:
 def _cmd_trace(args) -> int:
     from .engine.obs import JsonlSink, RingBufferSink, render_span_tree
 
-    workload = BitemporalDataGenerator(
-        GeneratorConfig(h=args.h, m=args.m)
-    ).generate()
-    system = make_system(args.system)
-    Loader(system, workload).load()
+    system, _workload = _load_system(args)
     ring = RingBufferSink()
     tracer = system.tracer
     tracer.add_sink(ring)
@@ -694,28 +624,20 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _drive_workload(args, telemetry: bool = True):
-    """Load a tiny workload into one system, run the benchmark queries
-    ``args.runs`` times, and return ``(system, runs, query_count)``.
-
-    Shared by the ``metrics``, ``stat-statements`` and ``health`` commands
-    so they all observe the same A–E workload shape.
-    """
+def _drive_workload(args, name):
+    """Load the workload into archetype *name* and run the benchmark
+    queries ``args.runs`` times with the statement store on; returns
+    ``(system, runs, query_count)``."""
     from .core.queries import Workload
 
     from .engine.database import DEFAULT_AUTO_ANALYZE_THRESHOLD
 
-    workload = BitemporalDataGenerator(
-        GeneratorConfig(h=args.h, m=args.m)
-    ).generate()
-    system = make_system(args.system)
-    Loader(system, workload).load()
+    system, workload = _load_system(args, name)
     # long-lived CLI database: with the default auto-ANALYZE threshold
     # armed, the first statement planned over a bulk-loaded (or since
     # churned) table refreshes its statistics; writes never do
     system.db.auto_analyze_threshold = DEFAULT_AUTO_ANALYZE_THRESHOLD
-    if telemetry:
-        system.enable_telemetry()
+    system.enable_telemetry()
     system.reset_metrics()
     runs = max(1, args.runs)
     queries = list(Workload())
@@ -725,54 +647,16 @@ def _drive_workload(args, telemetry: bool = True):
     return system, runs, len(queries)
 
 
-def _cmd_metrics(args) -> int:
-    import json
-
-    system, runs, query_count = _drive_workload(args)
-    snapshot = system.metrics()
-    if args.format == "json":
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
-        return 0
-    print(
-        format_metrics(
-            f"Engine metrics after {runs}x{query_count} queries "
-            f"(system {args.system})",
-            {args.system: snapshot["counters"]},
-        )
-    )
-    print()
-    for name, summary in snapshot["histograms"].items():
-        if not summary["count"]:
-            continue
-        print(
-            f"{name}: count={summary['count']} "
-            f"mean={summary['mean'] * 1000:.3f}ms "
-            f"p95={summary['p95'] * 1000:.3f}ms "
-            f"max={summary['max'] * 1000:.3f}ms"
-        )
-        previous = 0
-        for bucket in summary["buckets"]:
-            count = bucket["count"]
-            if count == previous:
-                continue  # only buckets that gained samples
-            le = bucket["le"]
-            label = "+Inf" if le == "+Inf" else f"{float(le) * 1000:g}ms"
-            print(f"  le={label:>8}  {count}")
-            previous = count
-    return 0
-
-
-def _cmd_stat_statements(args) -> int:
-    import json
-
-    system, _runs, _query_count = _drive_workload(args)
-    print(json.dumps(system.stat_statements(top=args.top, sort=args.sort), indent=2))
-    return 0
-
-
 def _system_health(system, top_n: int):
     """One archetype's health facts, queried through its own system views
-    (the introspection subsystem eating its own dog food)."""
+    (the introspection subsystem eating its own dog food).  The registry,
+    the plan cache and the statement store are read first, so they hold
+    the workload alone and not the view queries that follow."""
+    metrics = system.metrics()
+    plan_cache = system.cache_stats()
+    view = system.execute("SELECT * FROM repro_stat_statements")
+    statements = [dict(zip(view.columns, row)) for row in view.rows]
+
     def rows(sql):
         return system.execute(sql).rows
 
@@ -827,11 +711,13 @@ def _system_health(system, top_n: int):
         "chain_depth_outliers": outliers,
         "stale_stats_tables": stale,
         "auto_analyze_runs": auto_runs,
+        "metrics": metrics,
+        "statements": statements,
+        "plan_cache": plan_cache,
     }
 
 
 def _cmd_health(args) -> int:
-    import argparse
     import json
 
     names = [n for n in args.systems.upper() if not n.isspace()]
@@ -840,8 +726,7 @@ def _cmd_health(args) -> int:
     }, "systems": {}}
     lines = ["# Temporal health report", ""]
     for name in names:
-        forwarded = argparse.Namespace(**{**vars(args), "system": name})
-        system, runs, query_count = _drive_workload(forwarded)
+        system, runs, query_count = _drive_workload(args, name)
         health = _system_health(system, args.top_n)
         report["systems"][name] = health
         split = health["scan_split"]
@@ -876,6 +761,12 @@ def _cmd_health(args) -> int:
             lines.append("- statistics fresh on every analyzed table")
         lines.append(
             f"- auto-ANALYZE runs this session: {health['auto_analyze_runs']}"
+        )
+        cache = health["plan_cache"]
+        lookups = cache["hits"] + cache["misses"]
+        lines.append(
+            f"- plan cache: {cache['hits']} hits / {cache['misses']} misses"
+            + (f" ({cache['hits'] / lookups:.0%} hit ratio)" if lookups else "")
         )
         lines.append("")
     print("\n".join(lines).rstrip())
@@ -936,11 +827,8 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "systems": _cmd_systems,
         "lint": _cmd_lint,
-        "cache-stats": _cmd_cache_stats,
         "analyze-stats": _cmd_analyze_stats,
         "trace": _cmd_trace,
-        "metrics": _cmd_metrics,
-        "stat-statements": _cmd_stat_statements,
         "health": _cmd_health,
         "bench-diff": _cmd_bench_diff,
     }[args.command]

@@ -184,13 +184,15 @@ class StatementStatsStore:
         cache_hit: Optional[bool] = None,
         timed_out: bool = False,
         aborted: bool = False,
-        resources=None,
+        metrics=None,
     ) -> StatementStats:
         """Fold one execution into the statement's entry.
 
-        ``resources`` is any object with ``rows_scanned`` / ``batches`` /
-        ``peak_ws_bytes`` attributes (the execution context's
-        :class:`~repro.engine.plan.context.ResourceCounters`); ``None``
+        ``metrics`` is the execution's per-operator map, the record EXPLAIN
+        ANALYZE renders (``id(op)`` →
+        :class:`~repro.engine.plan.context.NodeMetrics`): ``rows_scanned``
+        gains the rows of its leaf nodes, ``batches`` every node's batches,
+        and ``peak_ws_bytes`` is the largest node's ``ws_bytes``.  ``None``
         skips operator-level accounting for this call.
         """
         with self._lock:
@@ -220,11 +222,12 @@ class StatementStatsStore:
                 entry.timeouts += 1
             elif aborted:
                 entry.aborts += 1
-            if resources is not None:
-                entry.rows_scanned += resources.rows_scanned
-                entry.batches += resources.batches
-                if resources.peak_ws_bytes > entry.peak_ws_bytes:
-                    entry.peak_ws_bytes = resources.peak_ws_bytes
+            for node in (metrics or {}).values():
+                if node.leaf:
+                    entry.rows_scanned += node.rows
+                entry.batches += node.batches
+                if node.ws_bytes > entry.peak_ws_bytes:
+                    entry.peak_ws_bytes = node.ws_bytes
             return entry
 
     def note_diagnostics(self, sql: str, count: int) -> None:

@@ -26,35 +26,23 @@ from ..expr import Env
 
 
 class NodeMetrics:
-    """Counters for one physical operator within one execution."""
+    """Counters for one physical operator within one execution.
 
-    __slots__ = ("calls", "rows", "batches", "ws_bytes", "time_s", "detail")
+    ``leaf`` marks a table or materialized scan: its ``rows`` are the data
+    pulled off storage, which the statement store folds into
+    ``rows_scanned`` (:meth:`~repro.engine.obs.telemetry.StatementStatsStore.record`).
+    """
 
-    def __init__(self):
+    __slots__ = ("calls", "rows", "batches", "ws_bytes", "time_s", "detail", "leaf")
+
+    def __init__(self, leaf: bool = False):
+        self.leaf = leaf
         self.calls = 0
         self.rows = 0
         self.batches = 0
         self.ws_bytes = 0  # peak estimated output bytes of one invocation
         self.time_s = 0.0
         self.detail = ""
-
-
-class ResourceCounters:
-    """Whole-statement resource totals, folded into the telemetry store.
-
-    ``rows_scanned`` counts rows produced by *leaf* operators (table and
-    materialized scans) — the data actually pulled off storage, as opposed
-    to rows surviving to the result.  ``peak_ws_bytes`` is the largest
-    estimated output (working set) any single operator invocation
-    produced, per :meth:`~repro.engine.batch.Batch.estimated_bytes`.
-    """
-
-    __slots__ = ("rows_scanned", "batches", "peak_ws_bytes")
-
-    def __init__(self):
-        self.rows_scanned = 0
-        self.batches = 0
-        self.peak_ws_bytes = 0
 
 
 class ExecutionContext(Env):
@@ -67,10 +55,7 @@ class ExecutionContext(Env):
     zero-argument callable polled alongside the deadline.
     """
 
-    __slots__ = (
-        "metrics", "deadline", "cancel_check", "timeout_s", "tracer",
-        "resources",
-    )
+    __slots__ = ("metrics", "deadline", "cancel_check", "timeout_s", "tracer")
 
     def __init__(
         self,
@@ -82,7 +67,6 @@ class ExecutionContext(Env):
         cancel_check: Optional[Callable[[], bool]] = None,
         timeout_s: Optional[float] = None,
         tracer=None,
-        resources: Optional[ResourceCounters] = None,
     ):
         super().__init__(params, outer_rows, cache)
         self.metrics = metrics
@@ -90,30 +74,28 @@ class ExecutionContext(Env):
         self.cancel_check = cancel_check
         self.timeout_s = timeout_s
         self.tracer = tracer  # optional obs.Tracer for per-operator spans
-        self.resources = resources  # optional whole-statement totals
 
     @classmethod
     def begin(
         cls,
         params=None,
         timeout_s: Optional[float] = None,
-        collect_metrics: bool = False,
+        metrics: Optional[Dict[int, NodeMetrics]] = None,
         cancel_check: Optional[Callable[[], bool]] = None,
         tracer=None,
-        resources: Optional[ResourceCounters] = None,
     ) -> "ExecutionContext":
-        """Start a fresh context for one statement execution."""
+        """Start a fresh context for one statement execution; per-operator
+        metrics are recorded into *metrics* when it is a dict."""
         deadline = (
             time.perf_counter() + timeout_s if timeout_s is not None else None
         )
         return cls(
             params,
-            metrics={} if collect_metrics else None,
+            metrics=metrics,
             deadline=deadline,
             cancel_check=cancel_check,
             timeout_s=timeout_s,
             tracer=tracer,
-            resources=resources,
         )
 
     def nested(self, outer_row) -> "ExecutionContext":
@@ -127,7 +109,6 @@ class ExecutionContext(Env):
             cancel_check=self.cancel_check,
             timeout_s=self.timeout_s,
             tracer=self.tracer,
-            resources=self.resources,
         )
 
     # -- cooperative control ------------------------------------------------
@@ -177,8 +158,7 @@ class ExecutionContext(Env):
             self.check()
         metrics = self.metrics
         tracer = self.tracer
-        resources = self.resources
-        if metrics is None and tracer is None and resources is None:
+        if metrics is None and tracer is None:
             return op.execute_batches(self)
         span = tracer.start("operator", op=op.label()) if tracer is not None else None
         started = time.perf_counter()
@@ -190,23 +170,15 @@ class ExecutionContext(Env):
             raise
         elapsed = time.perf_counter() - started
         row_count = sum(batch.length for batch in out)
-        ws_bytes = 0
-        if metrics is not None or resources is not None:
-            ws_bytes = sum(batch.estimated_bytes() for batch in out)
-        if resources is not None:
-            resources.batches += len(out)
-            if not op.children:  # leaf: rows pulled off storage
-                resources.rows_scanned += row_count
-            if ws_bytes > resources.peak_ws_bytes:
-                resources.peak_ws_bytes = ws_bytes
         if span is not None:
             span.set(rows=row_count)
             tracer.finish(span)
         if metrics is None:
             return out
+        ws_bytes = sum(batch.estimated_bytes() for batch in out)
         node = metrics.get(id(op))
         if node is None:
-            node = NodeMetrics()
+            node = NodeMetrics(leaf=not op.children)
             metrics[id(op)] = node
         node.calls += 1
         node.rows += row_count

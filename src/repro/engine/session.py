@@ -17,7 +17,7 @@ from . import temporal
 from .catalog import Column, IndexDef, TableSchema, PeriodDef
 from .errors import NotSupportedError, ProgrammingError, QueryCancelled, QueryTimeout
 from .expr import Env, Scope, compile_expr
-from .plan.context import ExecutionContext, ResourceCounters
+from .plan.context import ExecutionContext
 from .plan.planner import Planner, PlannedQuery
 from .sql import ast, parse_statement
 from .types import SqlType
@@ -72,10 +72,6 @@ class SqlEngine:
         #: plan-cache outcome of the most recent statement (True hit /
         #: False miss / None not applicable), for the telemetry store
         self._cache_outcome: Optional[bool] = None
-        #: whether _run_planned should collect whole-statement resource
-        #: totals, and where it left them
-        self._collect_resources = False
-        self._last_resources: Optional[ResourceCounters] = None
 
     # -- plan cache ----------------------------------------------------------
 
@@ -125,18 +121,18 @@ class SqlEngine:
         tracer = self.db.tracer
         telemetry = self.db.telemetry
         tracking = telemetry.enabled and isinstance(sql, str)
-        self._collect_resources = tracking
         if not tracer.active and not tracking:
             # hot path: no sinks, no statement stats —
             # zero observability overhead
             return self._dispatch(sql, params, timeout_s)
         self._cache_outcome = None
-        self._last_resources = None
+        # the statement store folds the EXPLAIN ANALYZE record of the run
+        metrics = {} if tracking else None
         sql_text = sql if isinstance(sql, str) else type(sql).__name__
         root = tracer.start("query", sql=sql_text) if tracer.active else None
         started = time.perf_counter()
         try:
-            result = self._dispatch(sql, params, timeout_s)
+            result = self._dispatch(sql, params, timeout_s, metrics)
         except BaseException as exc:
             if root is not None:
                 tracer.finish(root, aborted=True)
@@ -148,7 +144,7 @@ class SqlEngine:
                     cache_hit=self._cache_outcome,
                     timed_out=timed_out,
                     aborted=not timed_out,
-                    resources=self._last_resources,
+                    metrics=metrics,
                 )
             raise
         elapsed = time.perf_counter() - started
@@ -161,11 +157,11 @@ class SqlEngine:
                 elapsed,
                 rows=max(result.rowcount, 0),
                 cache_hit=self._cache_outcome,
-                resources=self._last_resources,
+                metrics=metrics,
             )
         return result
 
-    def _dispatch(self, sql, params, timeout_s) -> Result:
+    def _dispatch(self, sql, params, timeout_s, metrics=None) -> Result:
         stmt = None
         tracer = self.db.tracer
         if isinstance(sql, str):
@@ -174,7 +170,7 @@ class SqlEngine:
                 span.set(outcome="hit" if cached is not None else "miss")
             if cached is not None:
                 self._cache_outcome = True
-                return self._run_planned(cached, params, timeout_s)
+                return self._run_planned(cached, params, timeout_s, metrics)
             with tracer.span("parse"):
                 stmt = parse_statement(sql)
         else:
@@ -184,7 +180,7 @@ class SqlEngine:
             if isinstance(sql, str):
                 self._store_plan(sql, planned)
                 self._cache_outcome = False
-            return self._run_planned(planned, params, timeout_s)
+            return self._run_planned(planned, params, timeout_s, metrics)
         if isinstance(stmt, ast.Explain):
             return self._execute_explain(
                 stmt, params, timeout_s, sql if isinstance(sql, str) else None
@@ -215,19 +211,18 @@ class SqlEngine:
             return Result(rowcount=0)
         raise ProgrammingError(f"cannot execute statement {stmt!r}")
 
-    def _run_planned(self, planned: PlannedQuery, params, timeout_s) -> Result:
+    def _run_planned(self, planned: PlannedQuery, params, timeout_s,
+                     metrics=None) -> Result:
         tracer = self.db.tracer
         tracing = tracer.active
-        resources = ResourceCounters() if self._collect_resources else None
-        self._last_resources = resources
-        if timeout_s is None and not tracing and resources is None:
+        if timeout_s is None and not tracing and metrics is None:
             env = Env(_normalize_params(params))
         else:
             env = ExecutionContext.begin(
                 _normalize_params(params),
                 timeout_s=timeout_s,
+                metrics=metrics,
                 tracer=tracer if tracing else None,
-                resources=resources,
             )
         started = time.perf_counter()
         with tracer.span("execute") as span:
@@ -267,14 +262,18 @@ class SqlEngine:
                 self._store_plan(sql, planned)
         else:
             planned = self.planner.plan_select(stmt)
+        return self._analyzed(planned, params, None, outcome)
+
+    def _analyzed(self, planned: PlannedQuery, params, timeout_s, cache) -> str:
+        """Run *planned* recording per-operator metrics and render them
+        (EXPLAIN ANALYZE), ending in a ``plan cache:`` line unless *cache*
+        is None."""
         ctx = ExecutionContext.begin(
-            _normalize_params(params), collect_metrics=True
+            _normalize_params(params), timeout_s=timeout_s, metrics={}
         )
         planned.rows(ctx)
         text = planned.explain_analyze(ctx.metrics)
-        if outcome is not None:
-            text += f"\nplan cache: {outcome}"
-        return text
+        return text if cache is None else f"{text}\nplan cache: {cache}"
 
     def lint(self, sql):
         """Static diagnostics for a SELECT (see :mod:`repro.engine.analyze`)."""
@@ -310,15 +309,10 @@ class SqlEngine:
 
     def _explain_lines(self, stmt: ast.Explain, params, timeout_s) -> List[str]:
         if stmt.analyze:
-            planned = self.planner.plan_select(stmt.statement)
-            ctx = ExecutionContext.begin(
-                _normalize_params(params),
-                timeout_s=timeout_s,
-                collect_metrics=True,
+            text = self._analyzed(
+                self.planner.plan_select(stmt.statement), params, timeout_s,
+                "bypass (EXPLAIN statements are never cached)",
             )
-            planned.rows(ctx)
-            text = planned.explain_analyze(ctx.metrics)
-            text += "\nplan cache: bypass (EXPLAIN statements are never cached)"
         else:
             text = self.explain(stmt.statement)
         return text.split("\n")

@@ -118,8 +118,7 @@ class TableStats:
 
 def mutation_marker(table) -> int:
     """Monotone DML marker of a table: any write moves it forward."""
-    stats = table.stats
-    return stats.inserts + stats.invalidations + stats.plain_writes
+    return table.mutations
 
 
 def _column_stats(values: Sequence[object], buckets: int) -> ColumnStats:

@@ -74,10 +74,6 @@ class TemporalSystem:
         """Switch the pg_stat_statements-style statement store on/off."""
         return self.db.enable_telemetry(enabled)
 
-    def stat_statements(self, top: Optional[int] = None, sort: str = "time"):
-        """Cumulative per-fingerprint statement statistics."""
-        return self.db.telemetry.snapshot(top=top, sort=sort)
-
     def telemetry_snapshot(self, top: Optional[int] = None, sort: str = "time"):
         """Registry snapshot + statement statistics, JSON-serialisable."""
         return self.db.telemetry_snapshot(top=top, sort=sort)

@@ -27,7 +27,7 @@ def _make(profile=None, options=None, rows=300):
 
 
 def _scan_count(db):
-    return db.table("item").stats.current_scans
+    return db.table("item").partition("current").access.scans
 
 
 class TestPkProbe:
@@ -100,18 +100,18 @@ class TestPartitionSelection:
     def test_implicit_current_skips_history(self):
         db = _make(rows=50)
         db.execute("UPDATE item SET v = 0 WHERE id = 1")
-        table = db.table("item")
-        before = table.stats.history_scans
+        history = db.table("item").partition("history").access
+        before = history.scans
         db.execute("SELECT count(*) FROM item")
-        assert table.stats.history_scans == before
+        assert history.scans == before
 
     def test_explicit_as_of_unions_history(self):
         db = _make(rows=50)
         db.execute("UPDATE item SET v = 0 WHERE id = 1")
-        table = db.table("item")
-        before = table.stats.history_scans
+        history = db.table("item").partition("history").access
+        before = history.scans
         db.execute("SELECT count(*) FROM item FOR SYSTEM_TIME AS OF 1")
-        assert table.stats.history_scans == before + 1
+        assert history.scans == before + 1
 
     def test_system_time_all_returns_every_version(self):
         db = _make(rows=10)
@@ -188,12 +188,13 @@ class TestUndoLogHistoryProbe:
         return db
 
     def _probe(self, db):
-        scans_before = db.table("item").stats.history_scans
+        history = db.table("item").partition("history").access
+        scans_before = history.scans
         result = db.execute(
             "SELECT v, sb, se FROM item FOR SYSTEM_TIME ALL WHERE id = 17"
         )
         # the history index answered, not a scan (which would drain anyway)
-        assert db.table("item").stats.history_scans == scans_before
+        assert history.scans == scans_before
         return sorted(result.rows)
 
     def _versions(self, name, early_key=None):
@@ -213,10 +214,10 @@ class TestUndoLogHistoryProbe:
         assert self._probe(db) == expected
         table = db.table("item")
         before = dict(table.scan_partition_quiet(HISTORY))
-        drains = table.stats.undo_drains
+        drains = db.metrics.counter("storage.undo_drains")
         for i in range(101, 201):  # 100 more closed versions: a drain or more
             db.execute("UPDATE item SET v = 1 WHERE id = ?", [i])
-        assert table.stats.undo_drains > drains
+        assert db.metrics.counter("storage.undo_drains") > drains
         for rid, row in before.items():
             assert table.fetch(HISTORY, rid) is row
         assert self._probe(db) == expected

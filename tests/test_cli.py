@@ -121,15 +121,6 @@ def test_lint_requires_sql_or_workload(capsys):
     assert code == 2
 
 
-def test_cache_stats_command(capsys):
-    code = main(["cache-stats", "--system", "A",
-                 "--h", "0.0003", "--m", "0.00005", "--runs", "2"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "hit rate" in out
-    assert "Plan cache" in out
-
-
 def test_analyze_stats_command(capsys):
     code = main(["analyze-stats", "--system", "A", "--table", "orders",
                  "--columns", "--h", "0.0003", "--m", "0.00005"])
@@ -139,17 +130,6 @@ def test_analyze_stats_command(capsys):
     assert "partition current:" in out and "partition history:" in out
     assert "o_orderkey: ndv=" in out
     assert "stats counters:" in out and "'stats.analyze_runs': 1" in out
-
-
-def test_stat_statements_command(capsys):
-    import json
-
-    code = main(["stat-statements", "--system", "A", "--top", "3",
-                 "--h", "0.0003", "--m", "0.00005"])
-    assert code == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert len(rows) == 3
-    assert all(row["calls"] >= 1 and row["fingerprint"] for row in rows)
 
 
 def test_trace_command(capsys):
@@ -176,21 +156,11 @@ def test_trace_command_jsonl(tmp_path, capsys):
     assert all(r["duration_s"] is not None for r in records)
 
 
-def test_metrics_command(capsys):
-    code = main(["metrics", "--system", "A",
-                 "--h", "0.0003", "--m", "0.00005", "--runs", "1"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "Engine metrics" in out
-    assert "storage.current_scans" in out
-    assert "query.execute_s" in out  # histogram summary line
-
-
 def test_health_command(tmp_path, capsys):
     import json
 
     target = tmp_path / "health.json"
-    code = main(["health", "--systems", "AD",
+    code = main(["health", "--systems", "AD", "--runs", "2",
                  "--h", "0.0003", "--m", "0.00005",
                  "--json", str(target)])
     assert code == 0
@@ -199,12 +169,23 @@ def test_health_command(tmp_path, capsys):
     assert "## System A" in out and "## System D" in out
     assert "partition scans:" in out
     assert "hottest partitions" in out
+    assert "plan cache:" in out and "hit ratio" in out
     report = json.loads(target.read_text())
     assert report["schema"] == "repro-health/v1"
     assert set(report["systems"]) == {"A", "D"}
-    split = report["systems"]["A"]["scan_split"]
+    a = report["systems"]["A"]
+    split = a["scan_split"]
     assert split["current"] + split["history"] > 0
-    assert report["systems"]["A"]["hottest_partitions"]
+    assert a["hottest_partitions"]
+    # the registry snapshot, histogram buckets included
+    assert a["metrics"]["counters"]["storage.current_scans"] > 0
+    execute_s = a["metrics"]["histograms"]["query.execute_s"]
+    assert execute_s["count"] > 0 and execute_s["buckets"]
+    # the workload's repro_stat_statements rows, read before the views
+    assert a["statements"]
+    assert all(row["calls"] >= 1 and row["fingerprint"] for row in a["statements"])
+    assert not any("repro_stat" in row["query"] for row in a["statements"])
+    assert a["plan_cache"]["hits"] > 0
 
 
 def test_bench_json_artifact(tmp_path, capsys):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.engine import Database, session
+from repro.engine import Database
 from repro.engine.errors import QueryCancelled, QueryTimeout
 from repro.engine.obs import (
     COUNTERS,
@@ -552,7 +552,6 @@ class TestIdleFastPath:
             raise AssertionError("the idle fast path was left")
 
         monkeypatch.setattr(ExecutionContext, "begin", forbidden)
-        monkeypatch.setattr(session, "ResourceCounters", forbidden)
         monkeypatch.setattr(db.telemetry, "record", forbidden)
         assert not db.telemetry.enabled and not db.tracer.active
         sql = "SELECT count(*) FROM n WHERE v < 50"

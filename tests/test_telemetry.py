@@ -11,7 +11,9 @@ from repro.engine.obs.telemetry import (
     fingerprint,
     normalize_statement,
 )
-from repro.engine.plan.context import ResourceCounters
+from repro.engine.plan.context import ExecutionContext, NodeMetrics
+from repro.engine.sql import parse_statement
+from repro.systems import make_system
 
 
 @pytest.fixture
@@ -111,20 +113,26 @@ class TestStatementStatsStore:
         assert row["calls"] == 2
 
     def test_resource_counters_fold_in(self):
+        """rows_scanned / batches / peak_ws_bytes fold from the operator map."""
+
+        def node(leaf, rows, batches, ws_bytes):
+            metrics = NodeMetrics(leaf=leaf)
+            metrics.rows, metrics.batches, metrics.ws_bytes = rows, batches, ws_bytes
+            return metrics
+
         store = StatementStatsStore(enabled=True)
-        resources = ResourceCounters()
-        resources.rows_scanned = 100
-        resources.batches = 3
-        resources.peak_ws_bytes = 4096
-        store.record("SELECT v FROM n", 0.001, resources=resources)
-        smaller = ResourceCounters()
-        smaller.rows_scanned = 10
-        smaller.batches = 1
-        smaller.peak_ws_bytes = 512
-        store.record("SELECT v FROM n", 0.001, resources=smaller)
+        # a scan under a filter: only the leaf's rows were scanned
+        store.record("SELECT v FROM n", 0.001, metrics={
+            1: node(True, 100, 2, 4096), 2: node(False, 40, 1, 1024),
+        })
+        store.record("SELECT v FROM n", 0.001, metrics={
+            1: node(True, 10, 1, 512), 2: node(False, 4, 1, 128),
+        })
+        store.record("SELECT v FROM n", 0.001)  # no operator record
         (row,) = store.snapshot()
+        assert row["calls"] == 3
         assert row["rows_scanned"] == 110
-        assert row["batches"] == 4
+        assert row["batches"] == 5
         assert row["peak_ws_bytes"] == 4096  # peak, not sum
 
     def test_note_diagnostics_only_touches_existing_entries(self):
@@ -227,3 +235,69 @@ class TestEngineTelemetry:
         assert snapshot["statements_evicted"] == 0
         assert snapshot["statements"][0]["calls"] >= 1
         assert "counters" in snapshot and "histograms" in snapshot
+
+
+# -- the fold equals the EXPLAIN ANALYZE record --------------------------------
+
+
+def _operators(planned):
+    """Every operator of *planned*, its expression subplans' included."""
+    plans, ops = [planned], []
+    while plans:
+        plan = plans.pop()
+        plans.extend(plan.subplans)
+        stack = [plan.op]
+        while stack:
+            op = stack.pop()
+            ops.append(op)
+            stack.extend(op.children)
+    return ops
+
+
+class TestFoldMatchesExplainAnalyze:
+    """A statement's ``rows_scanned`` / ``batches`` / ``peak_ws_bytes`` are
+    what the same statement's per-operator record implies: the rows of its
+    leaf operators, all batches, the largest working set.  In the correlated
+    EXISTS the nested contexts share one record."""
+
+    QUERIES = (
+        "SELECT o.g, count(*), sum(l.q) FROM o, l FOR SYSTEM_TIME ALL "
+        "WHERE o.k = l.k GROUP BY o.g",
+        "SELECT o.k FROM o WHERE EXISTS "
+        "(SELECT 1 FROM l WHERE l.k = o.k AND l.q > 2)",
+    )
+
+    @staticmethod
+    def _system(name):
+        system = make_system(name)
+        for table, columns in (("o", "k integer NOT NULL, g integer"),
+                               ("l", "k integer NOT NULL, q integer")):
+            system.execute(
+                f"CREATE TABLE {table} ({columns}, sb timestamp, se timestamp,"
+                " PRIMARY KEY (k), PERIOD FOR system_time (sb, se))"
+            )
+        for k in range(1, 81):
+            system.execute("INSERT INTO o (k, g) VALUES (?, ?)", [k, k % 7])
+            system.execute("INSERT INTO l (k, q) VALUES (?, ?)", [k, k % 5])
+        for k in range(1, 81, 3):  # history versions (B: some still in undo)
+            system.execute("UPDATE l SET q = q + 1 WHERE k = ?", [k])
+        return system
+
+    @pytest.mark.parametrize("name", ["A", "B"])
+    @pytest.mark.parametrize("sql", QUERIES, ids=["join_aggregate", "exists"])
+    def test_statement_row_equals_operator_record(self, name, sql):
+        system = self._system(name)
+        system.enable_telemetry()
+        system.execute(sql)
+        (row,) = system.db.telemetry.snapshot()
+
+        planned = system.db._sql_engine.planner.plan_select(parse_statement(sql))
+        ctx = ExecutionContext({}, metrics={})
+        planned.rows(ctx)
+        nodes = ctx.metrics
+        assert any(node.calls > 1 for node in nodes.values()) == ("EXISTS" in sql)
+        leaves = [nodes[id(op)] for op in _operators(planned)
+                  if not op.children and id(op) in nodes]
+        assert row["rows_scanned"] == sum(node.rows for node in leaves) > 0
+        assert row["batches"] == sum(node.batches for node in nodes.values())
+        assert row["peak_ws_bytes"] == max(node.ws_bytes for node in nodes.values())

@@ -89,7 +89,7 @@ def _check(table, seen, drains_before):
     for rid, row in seen.items():
         assert table.fetch(HISTORY, rid) is row
     new = [row for rid, row in history.items() if rid not in seen]
-    if table.stats.undo_drains == drains_before:
+    if table.metrics.counter("storage.undo_drains") == drains_before:
         assert not new
     periods = [(row[SB], row[SE]) for row in new]
     assert periods == sorted(periods)
@@ -135,7 +135,7 @@ def test_drains_append_sorted_runs_under_stable_rids(batch, ops):
         table.create_index(_index_def(name))
     tick, next_id, open_rids, seen = 1, 0, [], {}
     for op in ops:
-        drains_before = table.stats.undo_drains
+        drains_before = table.metrics.counter("storage.undo_drains")
         if op[0] == "insert":
             grp, v, ab, length = op[1]
             ae = None if ab is None or length is None else ab + length

@@ -96,13 +96,13 @@ class TestVerticalPartitioning:
         table.insert_version(_row(1, "a"), sys_begin=3)
         rows = [row for _rid, row in table.scan_current(need_temporal=True)]
         assert rows[0][2] == 3 and rows[0][3] == END_OF_TIME
-        assert table.stats.vp_merge_joins == 1
+        assert table.metrics.counter("storage.vp_merge_joins") == 1
 
     def test_scan_without_temporal_skips_join(self):
         table = self._table()
         table.insert_version(_row(1, "a"), sys_begin=3)
         list(table.scan_current(need_temporal=False))
-        assert table.stats.vp_merge_joins == 0
+        assert table.metrics.counter("storage.vp_merge_joins") == 0
 
     def test_reconstruct_for_rids(self):
         table = self._table()
@@ -129,7 +129,7 @@ class TestUndoLog:
         assert len(table.partition(HISTORY)) == 0
         table.invalidate(rids[2], 2)  # triggers the drain
         assert len(table.partition(HISTORY)) == 3
-        assert table.stats.undo_drains == 1
+        assert table.metrics.counter("storage.undo_drains") == 1
 
     def test_history_scan_forces_drain(self):
         table = self._table(batch=100)
