@@ -6,7 +6,15 @@ of the WHERE clause, this module decides — per partition — between:
 * a **sequential scan** with residual filtering,
 * a **primary-key probe** (every archetype keeps a key → current-rids map),
 * a **B-Tree probe/range scan** on a matching secondary index,
-* an **R-Tree containment search** for period predicates (System D's GiST).
+* an **R-Tree containment search** for period predicates (System D's GiST),
+* a **Timeline Index snapshot** for a system-time ``AS OF`` (System E).
+
+Every partition kind tries them in one order: a NULL bound goes to the
+scan (it reads no page); the PK probe runs only where open versions alone
+can match (the split ``current`` partition, or ``single`` with no temporal
+filter); then the cheapest selective secondary index; then the timeline;
+last, the scan.  So a key read on the single-table layouts (D, E) takes
+the Key+Time index the way a split layout's does.
 
 Selectivity is estimated *at run time* from the index's key range, because
 parameter values only arrive then; this reproduces the paper's observation
@@ -178,10 +186,33 @@ class TableAccessPlan:
 
     def _partition_batches(self, partition, env, checks) -> List[Batch]:
         table = self.table
-        # a NULL bound matches no row: the scan's window skips every page
+        # 1. a NULL bound matches no row: the scan's window skips every page
         if any(window is NOTHING for *_pos, window in checks):
             return self._scan_batches(partition, env, checks)
-        # 0. native temporal index (System E): a system-time AS OF resolves
+        # 2. primary-key probe, only where open versions alone can match: the
+        #    key map tracks current versions (the system-created current
+        #    index), and System D's single table holds closed ones beside them
+        if self._pk_values is not None and (
+            partition == CURRENT
+            or (partition == SINGLE and not self._wants_closed_versions())
+        ):
+            key = tuple(fn(env) for fn in self._pk_values)
+            rids = table.current_rids_for_key(key)
+            pairs = table.reconstruct_for_rids(rids) if self.need_temporal else [
+                (rid, table.fetch(table.current_partition_name(), rid)) for rid in rids
+            ]
+            rows = [tuple(row) for _rid, row in pairs if row is not None]
+            self.decisions.append(AccessDecision(partition, "pk-probe"))
+            return self._finish(rows, checks)
+        # 3. the cheapest selective secondary index
+        chosen = self._choose_index(partition, env)
+        if chosen is not None:
+            index_def, rows = chosen
+            self.decisions.append(
+                AccessDecision(partition, index_def.kind if index_def.kind == "rtree" else "index", index_def.name)
+            )
+            return self._finish(rows, checks)
+        # 4. native temporal index (System E): a system-time AS OF resolves
         #    through the Timeline Index instead of scanning (checkpoint +
         #    bounded replay), when the table has one attached
         timeline = getattr(table, "timeline", None)
@@ -190,34 +221,7 @@ class TableAccessPlan:
             if snapshot is not None:
                 self.decisions.append(AccessDecision(partition, "timeline"))
                 return self._finish(snapshot, checks[1:])  # [0]: the AS OF
-        # 1. primary-key probe (current partition only: the map tracks
-        #    current versions, mirroring the system-created current index)
-        if (
-            self._pk_values is not None
-            and partition in (CURRENT, SINGLE)
-            and table.schema.primary_key
-        ):
-            key = tuple(fn(env) for fn in self._pk_values)
-            rids = table.current_rids_for_key(key)
-            pairs = table.reconstruct_for_rids(rids) if self.need_temporal else [
-                (rid, table.fetch(table.current_partition_name(), rid)) for rid in rids
-            ]
-            rows = [tuple(row) for _rid, row in pairs if row is not None]
-            # System D's single table holds history interleaved: the PK map
-            # only tracks open versions, so closed ones must come from a scan
-            if partition == SINGLE and self._wants_closed_versions():
-                return self._scan_batches(partition, env, checks)
-            self.decisions.append(AccessDecision(partition, "pk-probe"))
-            return self._finish(rows, checks)
-        # 2. secondary indexes
-        chosen = self._choose_index(partition, env)
-        if chosen is not None:
-            index_def, rows = chosen
-            self.decisions.append(
-                AccessDecision(partition, index_def.kind if index_def.kind == "rtree" else "index", index_def.name)
-            )
-            return self._finish(rows, checks)
-        # 3. fall back to a scan
+        # 5. fall back to a scan
         return self._scan_batches(partition, env, checks)
 
     def _scan_batches(self, partition, env, checks) -> List[Batch]:
@@ -282,6 +286,12 @@ class TableAccessPlan:
         return True
 
     def _choose_index(self, partition, env):
+        candidates = self._candidate_indexes(partition)
+        if not candidates:
+            # no index to weigh: the scan-only path builds nothing.  On
+            # history this also skips the undo drain below, which the scan
+            # that follows performs anyway (scan_history_batches)
+            return None
         constraints = self._constraints_with_temporal()
         by_column: Dict[str, List[ColumnConstraint]] = {}
         for c in constraints:
@@ -297,7 +307,6 @@ class TableAccessPlan:
             if partition in (CURRENT, SINGLE)
             else self.table.history_count(),
         )
-        candidates = self._candidate_indexes(partition)
         best = None  # (est_rows, index_def, rid_list)
         for index_def, structure in candidates:
             result = self._try_index(

@@ -106,17 +106,3 @@ class SystemE(TemporalSystem):
             index_selectivity_threshold=0.15,
             lint_suppressions=(),
         )
-
-    # -- native time travel -------------------------------------------------
-
-    def snapshot_rows(self, table_name, tick):
-        """Native time travel: timeline snapshot instead of scan+filter."""
-        table = self.db.table(table_name)
-        timeline = self.db.timeline(table_name)
-        partition = table.current_partition_name()
-        rows = []
-        for rid in timeline.snapshot_rids(tick):
-            row = table.fetch(partition, rid)
-            if row is not None:
-                rows.append(tuple(row))
-        return rows

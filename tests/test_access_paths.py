@@ -1,8 +1,12 @@
 """Access-path selection: PK probes, index choice, partition pruning."""
 
+import pytest
+
+from repro.core.loader import Loader
 from repro.engine import Database, IndexDef
 from repro.engine.database import ArchitectureProfile
 from repro.engine.storage.versioned import StorageOptions
+from repro.systems import IndexSetting, apply_index_setting, make_system
 
 DDL = (
     "CREATE TABLE item ("
@@ -158,8 +162,6 @@ class TestUndoLogHistoryProbe:
     the history partition must see them, as a history scan does."""
 
     def _load(self, name, early_key=None):
-        from repro.systems import IndexSetting, apply_index_setting, make_system
-
         system = make_system(name)
         db = system.db
         db.execute(DDL)
@@ -221,3 +223,66 @@ class TestUndoLogHistoryProbe:
         for rid, row in before.items():
             assert table.fetch(HISTORY, rid) is row
         assert self._probe(db) == expected
+
+
+class TestSingleTableKeyReads:
+    """On the single-table layouts (D, E) a key read takes the Key+Time
+    index under every temporal form, as the split layouts do: no PK probe
+    thrown away for a scan, no timeline replay for one key."""
+
+    INDEX = "single: index[tune_customer_c_custkey_current_btree]"
+    SYSTEM = ["", "FOR SYSTEM_TIME AS OF :t", "FOR SYSTEM_TIME FROM :lo TO :hi",
+              "FOR SYSTEM_TIME ALL"]
+    FORMS = SYSTEM + [f"{clause} FOR BUSINESS_TIME FROM :blo TO :bhi" for clause in SYSTEM]
+
+    @staticmethod
+    def _load(name, tiny_workload, setting):
+        system = make_system(name)
+        Loader(system, tiny_workload).load()
+        apply_index_setting(system, setting, ["customer"])
+        return system.db
+
+    @pytest.fixture(scope="class")
+    def single(self, tiny_workload):
+        return {
+            (name, setting): self._load(name, tiny_workload, setting)
+            for name in "DE" for setting in (IndexSetting.KEY_TIME, IndexSetting.NONE)
+        }
+
+    @staticmethod
+    def _params(meta):
+        return {
+            "k": meta.hottest_customer, "t": meta.mid_tick(),
+            "lo": meta.first_scenario_tick, "hi": meta.mid_tick(),
+            "blo": meta.first_history_day, "bhi": meta.mid_day(),
+        }
+
+    @staticmethod
+    def _sql(form):
+        return f"SELECT * FROM customer {form} WHERE c_custkey = :k"
+
+    @pytest.mark.parametrize("name", "DE")
+    @pytest.mark.parametrize("form", FORMS)
+    def test_key_read_takes_the_key_time_index(
+        self, single, name, form, tiny_workload, loaded_system_a
+    ):
+        db = single[name, IndexSetting.KEY_TIME]
+        params = self._params(tiny_workload.meta)
+        probes = db.metrics.counter("index.pk_probes")
+        plan = db.explain_analyze(self._sql(form), params)
+        assert self.INDEX in plan and "scan pages=" not in plan, plan
+        # a closed-version read on the single table runs no PK probe at all
+        assert db.metrics.counter("index.pk_probes") == probes
+        expected = loaded_system_a.execute(self._sql(form), params).rows
+        assert sorted(db.execute(self._sql(form), params).rows) == sorted(expected)
+        if form == "FOR SYSTEM_TIME ALL":
+            assert len(expected) > 1  # the windows decide between versions
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_without_the_index_d_scans_and_e_replays(self, single, form, tiny_workload):
+        params = self._params(tiny_workload.meta)
+        plan = single["D", IndexSetting.NONE].explain_analyze(self._sql(form), params)
+        assert "single: scan" in plan, plan
+        plan = single["E", IndexSetting.NONE].explain_analyze(self._sql(form), params)
+        expected = "single: timeline" if "AS OF" in form else "single: scan"
+        assert expected in plan, plan

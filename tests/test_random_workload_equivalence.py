@@ -111,11 +111,11 @@ def test_property_timeline_snapshot_equals_scan(ops):
     system = make_system("E")
     system.execute(DDL)
     _apply(system.db, ops)
-    timeline = system.db.timeline("w")
-    for tick in timeline.boundaries():
-        via_timeline = sorted(
-            row[0] for row in system.snapshot_rows("w", tick)
-        )
+    as_of = "SELECT id FROM w FOR SYSTEM_TIME AS OF ?"
+    plan = system.db.explain_analyze(as_of, [system.db.now()])
+    assert "single: timeline" in plan, plan
+    for tick in system.db.timeline("w").boundaries():
+        via_timeline = sorted(row[0] for row in system.execute(as_of, [tick]).rows)
         via_sql = sorted(
             row[0]
             for row in system.db.execute(

@@ -23,6 +23,11 @@ row qualifies.  ``BUSINESS_TIME`` is a table's first application period.
 The versions SQLite holds are System A's stored versions, read straight
 from storage (not through the query engine); that every archetype stores
 the same versions is checked first.
+
+A second world carries the paper's Key+Time indexes, and its queries may
+add a full primary-key equality (a stored key, an absent one, or NULL in
+one key column), so the index paths are checked too: the key reads of
+every layout, and System E's time index ahead of its timeline.
 """
 
 import re
@@ -36,7 +41,7 @@ from repro.core.generator import BitemporalDataGenerator, GeneratorConfig
 from repro.core.loader import Loader
 from repro.engine import IndexDef
 from repro.engine.types import END_OF_TIME
-from repro.systems import make_system
+from repro.systems import IndexSetting, apply_index_setting, make_system
 
 SEEDS = (7, 59)
 SYSTEMS = "ABCDE"
@@ -47,7 +52,7 @@ MODES = ("as_of", "from_to", "between", "all")
 class World:
     """One seed's history in A–E and in SQLite."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, setting=IndexSetting.NONE):
         workload = BitemporalDataGenerator(
             GeneratorConfig(h=0.0003, m=0.00005, seed=seed)
         ).generate()
@@ -55,10 +60,12 @@ class World:
         for name in SYSTEMS:
             system = make_system(name)
             Loader(system, workload).load()
+            apply_index_setting(system, setting)
             self.systems[name] = system
         self.sqlite = sqlite3.connect(":memory:")
         self.schemas = {}
         self.endpoints = {}
+        self.keys = {}
         reference = self.systems["A"].db
         for name in TABLES:
             schema = reference.table(name).schema
@@ -68,6 +75,8 @@ class World:
             self.sqlite.execute(f"CREATE TABLE {name} ({', '.join(columns)})")
             marks = ", ".join("?" * len(columns))
             self.sqlite.executemany(f"INSERT INTO {name} VALUES ({marks})", rows)
+            key = [schema.position(c) for c in schema.primary_key]
+            self.keys[name] = sorted({tuple(row[pos] for pos in key) for row in rows})
             for period in filter(None, self.periods(name)):
                 begin, end = (schema.position(c) for c in period)
                 values = {row[pos] for row in rows for pos in (begin, end)} - {None}
@@ -104,6 +113,13 @@ def world(request):
     built.sqlite.close()
 
 
+@pytest.fixture(scope="module")
+def keyed_world():
+    built = World(SEEDS[0], IndexSetting.KEY_TIME)
+    yield built
+    built.sqlite.close()
+
+
 def _multiset(rows):
     return sorted((tuple(row) for row in rows), key=repr)
 
@@ -112,10 +128,12 @@ class Query:
     """One generated SELECT: the engine's text, SQLite's desugaring, and
     the parameters both bind."""
 
-    def __init__(self, table, select, clauses, params, predicates):
+    def __init__(self, table, select, clauses, params, predicates, keys=()):
         self.params = params
         self.engine_sql = " ".join([f"SELECT {select[0]} FROM {table}", *clauses])
-        where = " AND ".join(predicates) or "1"
+        if keys:
+            self.engine_sql += " WHERE " + " AND ".join(keys)
+        where = " AND ".join([*predicates, *keys]) or "1"
         self.oracle_sql = f"SELECT {select[1]} FROM {table} WHERE {where}"
 
     def __repr__(self):
@@ -157,8 +175,26 @@ def _clause(draw, world, table, period, keyword, params):
             f"{begin} <= {high} AND {end} > {low}")
 
 
+def _key_equality(draw, world, table, params):
+    """``col = :kN`` for every primary-key column: a stored key, a key no
+    version holds, or a stored key with NULL in one column."""
+    stored = world.keys[table]
+    kind = draw(st.sampled_from(["stored", "stored", "stored", "absent", "null"]))
+    key = list(draw(st.sampled_from(stored)))
+    if kind == "absent":
+        key = [value + 1 for value in stored[-1]]
+    elif kind == "null":
+        key[draw(st.sampled_from(range(len(key))))] = None
+    equalities = []
+    for column, value in zip(world.schemas[table].primary_key, key):
+        name = f"k{len(equalities)}"
+        params[name] = value
+        equalities.append(f"{column} = :{name}")
+    return equalities
+
+
 @st.composite
-def queries(draw, world):
+def queries(draw, world, keys=False):
     table = draw(st.sampled_from(TABLES))
     columns = world.schemas[table].column_names()
     system, app = world.periods(table)
@@ -186,7 +222,8 @@ def queries(draw, world):
         clause, predicate = _clause(draw, world, table, app, "BUSINESS_TIME", params)
         clauses.append(clause)
         predicates.append(predicate)
-    return Query(table, select, clauses, params, predicates)
+    key = _key_equality(draw, world, table, params) if keys and draw(st.booleans()) else ()
+    return Query(table, select, clauses, params, predicates, key)
 
 
 def test_every_archetype_stores_the_same_versions(world):
@@ -200,7 +237,16 @@ def test_every_archetype_stores_the_same_versions(world):
 @settings(max_examples=600, deadline=None)
 @given(data=st.data())
 def test_scans_agree_with_sqlite(world, data):
-    query = data.draw(queries(world))
+    _agree(world, data.draw(queries(world)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_indexed_reads_agree_with_sqlite(keyed_world, data):
+    _agree(keyed_world, data.draw(queries(keyed_world, keys=True)))
+
+
+def _agree(world, query):
     expected = world.expected(query)
     for name in SYSTEMS:
         got = world.systems[name].execute(query.engine_sql, query.params).rows

@@ -59,11 +59,13 @@ def test_as_of_uses_timeline_access_path(loaded_e, tiny_workload):
 
 def test_native_snapshot_equals_sql(loaded_e, tiny_workload):
     tick = tiny_workload.meta.mid_tick()
-    native = loaded_e.snapshot_rows("orders", tick)
-    via_sql = loaded_e.execute(
-        "SELECT count(*) FROM orders FOR SYSTEM_TIME AS OF ?", [tick]
+    as_of = "SELECT count(*) FROM orders FOR SYSTEM_TIME AS OF ?"
+    assert "single: timeline" in loaded_e.db.explain_analyze(as_of, [tick])
+    via_scan = loaded_e.execute(
+        "SELECT count(*) FROM orders FOR SYSTEM_TIME ALL"
+        " WHERE sys_begin <= ? AND sys_end > ?", [tick, tick]
     ).scalar()
-    assert len(native) == via_sql
+    assert loaded_e.execute(as_of, [tick]).scalar() == via_scan > 0
 
 
 def test_native_temporal_aggregate_matches_r3(loaded_e, loaded_system_a, tiny_workload):
