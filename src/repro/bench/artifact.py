@@ -20,7 +20,7 @@ simply lack the key)::
               "p95_s": ...,               # null when no samples were kept
               "times_s": [...],           # kept (post-discard) samples
               "rows": ..., "timed_out": false, "timeout_s": null,
-              "diagnostics": ["TQ001", ...],
+              "diagnostics": ["TQ010", ...],
               "metrics": {"storage.current_rows_scanned": 1234, ...},
               "statements": [{"fingerprint": "...", "calls": 8, ...}, ...]
             }, ...
@@ -36,7 +36,7 @@ simply lack the key)::
           "metrics": {...}              # summed per-measurement metric deltas
         }, ...
       },
-      "analyzer": {"TQ001": {"severity": "info", "count": 4}, ...}
+      "analyzer": {"TQ010": {"severity": "info", "count": 4}, ...}
     }
 
 Timings are seconds; ``metrics`` values are counter deltas scoped to the

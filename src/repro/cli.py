@@ -147,22 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="static temporal-query diagnostics (no execution)",
     )
     lint.add_argument(
-        "--format", dest="format", choices=("text", "json", "sarif"),
+        "--format", dest="format", choices=("text", "json"),
         default="text",
-        help="output format: human text, JSON, or SARIF 2.1.0",
+        help="output format: human text or JSON",
     )
     lint.add_argument(
         "--fail-on", dest="fail_on", choices=("warning", "error"),
         default="error",
         help="minimum severity that makes the exit code nonzero",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline file of known findings (never fail on these)",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline with the current findings and exit 0",
     )
     lint.add_argument(
         "--workload",
@@ -425,44 +417,15 @@ def _cmd_lint(args) -> int:
         for diagnostic in system.lint(sql):
             findings.append((qid, diagnostic))
 
-    baseline = set()
-    if args.baseline and Path(args.baseline).exists():
-        baseline = {
-            (entry["system"], entry["target"], entry["code"])
-            for entry in json.loads(Path(args.baseline).read_text())
-        }
-    if args.update_baseline:
-        if not args.baseline:
-            print("lint: --update-baseline needs --baseline PATH", file=sys.stderr)
-            return 2
-        entries = sorted(
-            {(args.system, qid, d.code) for qid, d in findings}
-        )
-        Path(args.baseline).write_text(
-            json.dumps(
-                [
-                    {"system": s, "target": t, "code": c}
-                    for s, t, c in entries
-                ],
-                indent=2,
-            )
-            + "\n"
-        )
-        print(f"lint: wrote {len(entries)} baseline entries to {args.baseline}")
-        return 0
-
     threshold = SEVERITIES.index(args.fail_on)
-    fresh = [
+    failing = [
         (qid, d)
         for qid, d in findings
         if SEVERITIES.index(d.severity) >= threshold
-        and (args.system, qid, d.code) not in baseline
     ]
 
     if args.format == "json":
-        print(json.dumps(_lint_json(args.system, findings, baseline), indent=2))
-    elif args.format == "sarif":
-        print(json.dumps(_lint_sarif(args.system, findings), indent=2))
+        print(json.dumps(_lint_json(args.system, findings), indent=2))
     else:
         for qid, diagnostic in findings:
             first, *rest = diagnostic.render().split("\n")
@@ -471,13 +434,13 @@ def _cmd_lint(args) -> int:
                 print(line)
         print(
             f"({len(targets)} statements, {len(findings)} diagnostics, "
-            f"{len(fresh)} at/above --fail-on {args.fail_on} and not in "
-            f"baseline, system {args.system})"
+            f"{len(failing)} at/above --fail-on {args.fail_on}, "
+            f"system {args.system})"
         )
-    return 1 if fresh else 0
+    return 1 if failing else 0
 
 
-def _lint_json(system_name, findings, baseline):
+def _lint_json(system_name, findings):
     """Machine-readable lint output (list of finding objects)."""
     return [
         {
@@ -491,71 +454,9 @@ def _lint_json(system_name, findings, baseline):
             "line": d.line,
             "column": d.column,
             "fragment": d.fragment,
-            "baselined": (system_name, qid, d.code) in baseline,
         }
         for qid, d in findings
     ]
-
-
-#: SARIF severity levels for the analyzer's severities
-_SARIF_LEVELS = {"error": "error", "warning": "warning", "info": "note"}
-
-
-def _lint_sarif(system_name, findings):
-    """Findings as a SARIF 2.1.0 document (the CI artifact format)."""
-    from .engine.analyze import RULES
-
-    results = []
-    for qid, d in findings:
-        region = {}
-        if d.line is not None:
-            region = {"startLine": d.line, "startColumn": d.column or 1}
-        results.append(
-            {
-                "ruleId": d.code,
-                "level": _SARIF_LEVELS[d.severity],
-                "message": {"text": f"{qid}: {d.message}"},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": f"workload/{system_name}/{qid}"
-                            },
-                            **({"region": region} if region else {}),
-                        }
-                    }
-                ],
-                "partialFingerprints": {
-                    "reproLint/v1": f"{system_name}:{qid}:{d.code}"
-                },
-            }
-        )
-    return {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "rules": [
-                            {
-                                "id": rule.code,
-                                "name": rule.name,
-                                "shortDescription": {"text": rule.summary},
-                                "help": {"text": rule.hint},
-                                "defaultConfiguration": {
-                                    "level": _SARIF_LEVELS[rule.severity]
-                                },
-                            }
-                            for rule in RULES.values()
-                        ],
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
 
 
 def _cmd_analyze_stats(args) -> int:

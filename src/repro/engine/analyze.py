@@ -9,7 +9,7 @@ before execution.  This module walks the logical plan **after** rewrite
 the index-vs-scan boundary of §5.3.3) and emits structured diagnostics
 without executing anything.
 
-Each diagnostic carries a stable code (``TQ001``..), a severity, the plan
+Each diagnostic carries a stable code (``TQ002``..), a severity, the plan
 node path, and — thanks to the token spans the parser threads onto AST
 nodes — the line/column and source fragment of the offending SQL text.
 
@@ -24,8 +24,9 @@ Severities:
   without failing anything.
 
 Per-archetype gating: ``ArchitectureProfile.lint_suppressions`` lists
-codes that do not apply to a system — System D's implicit time travel
-(§5.8) legitimately omits the predicates System A must spell out.
+the performance rules whose suggested rewrite measured below 1.5x on that
+archetype (``benchmarks/test_analyzer_cliffs.py``); it is the only profile
+field the rules read.  Codes of deleted rules are never reused.
 
 Entry points: :func:`analyze_sql` / :func:`analyze_select`; surfaced as
 ``EXPLAIN (LINT)`` in the session layer and ``repro lint`` in the CLI.
@@ -104,18 +105,10 @@ class Rule:
 
 _RULE_LIST = (
     Rule(
-        "TQ001",
-        "full-history-scan",
-        "info",
-        "FOR SYSTEM_TIME ALL reads the entire history partition",
-        "§5.5: history access costs 26x/73x/7x/2.1x over current data",
-        "bound the range (AS OF / FROM..TO) if the full history is not needed",
-    ),
-    Rule(
         "TQ002",
         "explicit-current-as-of",
         "warning",
-        "AS OF <current time> spelled explicitly forces a history probe",
+        "AS OF <current time> spelled explicitly forces a time-travel read",
         "§5.5 Fig 6: explicit current timestamps lose the current-partition "
         "pruning that implicit time travel gets for free",
         "drop the temporal clause (implicit current) or use a parameter the "
@@ -160,19 +153,11 @@ _RULE_LIST = (
         "TQ007",
         "unindexed-history-probe",
         "info",
-        "key-in-time probe reaches a history partition with no matching index",
-        "§5.3.3: the history partition is scanned unless an index on the "
-        "probe column covers it",
-        "CREATE INDEX ... ON <table> HISTORY (<column>) to cover the probe",
-    ),
-    Rule(
-        "TQ008",
-        "simulated-application-time",
-        "info",
-        "application-time clause on an archetype without native support",
-        "§2.6: System C has no specific support for application time; the "
-        "clause is rewritten into plain column predicates",
-        "expect plain-predicate performance, not period-index performance",
+        "key-in-time probe reads past versions with no matching index",
+        "§5.3.3: past versions are scanned unless an index on the probe "
+        "column covers the partition that holds them",
+        "CREATE INDEX ... ON <table> (<column>) ON history (ON current on a "
+        "table without a history partition) to cover the probe",
     ),
     Rule(
         "TQ009",
@@ -221,16 +206,6 @@ _RULE_LIST = (
         "matches nothing — the predicate silently selects an empty range",
         "write the bound as DATE '...' so the literal lives in the column's "
         "day-number domain",
-    ),
-    Rule(
-        "TQ014",
-        "subsumed-temporal-constraint",
-        "warning",
-        "temporal predicate is implied by the other constraints on its column",
-        "§5.5: every redundant period predicate is another chance to fall "
-        "off the history-access cliff; the interval domain proves this one "
-        "adds nothing",
-        "drop the wider predicate — the remaining constraints already imply it",
     ),
     Rule(
         "TQ015",
@@ -385,7 +360,7 @@ class _Analysis:
         try:
             query = build_logical(select, self.db)
             # lint the pre-pruning plan: constraint pruning would delete
-            # exactly the evidence TQ014/TQ015/TQ016 report on
+            # exactly the evidence TQ015/TQ016 report on
             query = rewrite_logical(
                 query, self.db, self.profile, exclude=("constraint-pruning",)
             )
@@ -436,13 +411,12 @@ class _Analysis:
                 path,
             )
 
-    # -- per-scan rules (TQ001/TQ002/TQ004/TQ007/TQ008/TQ009) -------------
+    # -- per-scan rules (TQ002/TQ004/TQ007/TQ009) ---------------------------
 
     def _check_scans(self, relation: LogicalNode, path: str):
         for scan in _scans_in(relation):
             scan_path = f"{path}/scan:{scan.binding}"
             table = self._table_of(scan)
-            has_split = bool(table is not None and table.has_split)
             seen_periods: Dict[Tuple[str, str], ast.TemporalClause] = {}
             for clause in scan.ref.temporal:
                 period = _clause_period(scan.schema, clause)
@@ -461,36 +435,10 @@ class _Analysis:
                     seen_periods[key] = clause
                 self._check_range(scan, clause, period, scan_path)
                 if period.is_system:
-                    self._check_system_clause(
-                        scan, clause, period, has_split, scan_path
-                    )
-                elif self.profile is not None and not getattr(
-                    self.profile, "supports_application_time", True
-                ):
-                    self.emit(
-                        "TQ008",
-                        f"application-time clause on {scan.schema.name!r} is "
-                        f"simulated on archetype "
-                        f"{getattr(self.profile, 'name', '?')!r}",
-                        clause,
-                        scan_path,
-                    )
+                    self._check_system_clause(scan, clause, table, scan_path)
 
-    def _check_system_clause(self, scan, clause, period, has_split, scan_path):
-        if clause.mode == "all" and has_split:
-            self.emit(
-                "TQ001",
-                f"FOR SYSTEM_TIME ALL scans the full history of "
-                f"{scan.schema.name!r}",
-                clause,
-                scan_path,
-            )
-        if (
-            clause.mode == "as_of"
-            and has_split
-            and isinstance(clause.low, ast.Literal)
-            and not getattr(self.profile, "prunes_explicit_current", False)
-        ):
+    def _check_system_clause(self, scan, clause, table, scan_path):
+        if clause.mode == "as_of" and isinstance(clause.low, ast.Literal):
             try:
                 is_current = clause.low.value >= self.db.now()
             except TypeError:
@@ -499,25 +447,29 @@ class _Analysis:
                 self.emit(
                     "TQ002",
                     f"explicit AS OF the current time on {scan.schema.name!r} "
-                    f"probes the history partition a bare reference would skip",
+                    f"reads past versions a bare reference would skip",
                     clause,
                     scan_path,
                 )
-        if has_split and getattr(self.profile, "uses_indexes", True):
-            self._check_history_probe(scan, clause, scan_path)
+        if table is not None:
+            self._check_history_probe(scan, table, scan_path)
 
-    def _check_history_probe(self, scan, clause, scan_path):
-        indexed = set()
-        for index in self.db.catalog.indexes_on(scan.schema.name):
-            if index.partition in ("history", "single"):
-                indexed.add(index.columns[0])
+    def _check_history_probe(self, scan, table, scan_path):
+        # past versions live in the history partition of a split table and
+        # in the one partition ("current" or "single") of any other table
+        covering = ("history",) if table.has_split else ("current", "single")
+        indexed = {
+            index.columns[0]
+            for index in self.db.catalog.indexes_on(scan.schema.name)
+            if index.partition in covering
+        }
         for conjunct in scan.pushed:
             column = _probe_column(conjunct, scan)
             if column is not None and column not in indexed:
                 self.emit(
                     "TQ007",
-                    f"probe on {scan.schema.name}.{column} reaches the "
-                    f"history partition without a covering index",
+                    f"probe on {scan.schema.name}.{column} reads past "
+                    f"versions without a covering index",
                     conjunct,
                     scan_path,
                 )
@@ -752,7 +704,7 @@ class _Analysis:
                     where,
                 )
 
-    # -- interval domains (TQ014/TQ015/TQ016) ------------------------------
+    # -- interval domains (TQ015/TQ016) -------------------------------------
 
     def _check_domains(self, relation: LogicalNode, path: str):
         """Per-scan interval-domain analysis over temporal constraints.
@@ -760,10 +712,9 @@ class _Analysis:
         The shared constraint engine (:mod:`..analyze_domains`) folds every
         temporal clause and pushed predicate into per-column intervals;
         an empty intersection means the scan provably matches nothing
-        (TQ015), a predicate containing the intersection of the others is
-        dead weight (TQ014), and a constraint containing the stats
-        min/max of every column it touches selects everything anyway
-        (TQ016 — only with a valid ANALYZE snapshot)."""
+        (TQ015), and a constraint containing the stats min/max of every
+        column it touches selects everything anyway (TQ016 — only with a
+        valid ANALYZE snapshot)."""
         for scan in _scans_in(relation):
             scan_path = f"{path}/scan:{scan.binding}"
             domains = scan_domain_map(scan)
@@ -781,17 +732,6 @@ class _Analysis:
                     f"constraints on {binding}.{column} intersect to the "
                     f"empty interval; the scan can never match a version",
                     node,
-                    scan_path,
-                )
-            for contribution in domains.redundant_predicates():
-                if (contribution.binding, contribution.column) in empty_keys:
-                    continue  # TQ015 already explains this column
-                self.emit(
-                    "TQ014",
-                    f"predicate on {contribution.binding}.{contribution.column} "
-                    f"(interval {contribution.interval.describe()}) is implied "
-                    f"by the other temporal constraints",
-                    contribution.source,
                     scan_path,
                 )
             stats_getter = getattr(self.db, "stats_for", None)

@@ -1,7 +1,8 @@
 """Interval-domain abstract interpretation over temporal constraints.
 
-This is the shared constraint engine behind analyzer rules TQ014/TQ015/
-TQ016 and the ``constraint-pruning`` rewrite rule: it normalizes every
+This is the shared constraint engine behind the ``constraint-pruning``
+rewrite rule (which drops the predicates :meth:`redundant_predicates`
+finds) and analyzer rules TQ015/TQ016: it normalizes every
 temporal constraint on a scan — ``AS OF`` / ``FROM .. TO`` / ``BETWEEN``
 clauses and raw comparisons pushed onto period or date columns — into
 per-(binding, column) **interval lattices**: intersection for

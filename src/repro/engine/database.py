@@ -35,24 +35,17 @@ class ArchitectureProfile:
 
     These complement the storage-level knobs in :class:`StorageOptions`:
 
-    * ``supports_application_time`` — System C has *"no specific support for
-      application time"* (§2.6); its loader stores app-time columns as plain
-      data and the planner refuses native BUSINESS_TIME clauses.
     * ``uses_indexes`` — System C *"does not benefit at all from the
       additional B-Tree index"*; its planner always scans.
-    * ``prunes_explicit_current`` — none of A/B/C recognise that AS OF
-      <current time> could skip the history partition (Fig 6); left
-      switchable for the ablation benchmark.
     * ``index_selectivity_threshold`` — fraction of a partition a range
       predicate must select *below* for the planner to prefer an index scan
       (the paper: indexes "only work on very selective workloads").
+    * ``lint_suppressions`` — the analyzer's one per-archetype policy.
     """
 
     name: str = "generic"
-    supports_application_time: bool = True
     supports_system_time: bool = True
     uses_indexes: bool = True
-    prunes_explicit_current: bool = False
     manual_system_time: bool = False  # System D: client sets SYS_TIME itself
     index_selectivity_threshold: float = 0.15
     #: logical-plan rewrite rules the optimizer applies (see plan.rewrite);
@@ -63,9 +56,9 @@ class ArchitectureProfile:
         "join-reorder",
         "constraint-pruning",
     )
-    #: analyzer diagnostic codes (see repro.engine.analyze) that do not
-    #: apply to this archetype — e.g. System D's implicit time travel
-    #: legitimately omits the predicates System A must spell out
+    #: analyzer performance rules (see repro.engine.analyze) whose suggested
+    #: rewrite measured below 1.5x on this archetype
+    #: (benchmarks/reports/analyzer_cliffs.md), so they stay silent here
     lint_suppressions: Tuple[str, ...] = ()
 
 

@@ -33,12 +33,11 @@ class SystemA(TemporalSystem):
     def profile(self):
         return ArchitectureProfile(
             name="System A",
-            supports_application_time=True,
             supports_system_time=True,
             uses_indexes=True,
-            prunes_explicit_current=False,
             manual_system_time=False,
             index_selectivity_threshold=0.15,
-            # every analyzer rule applies to the row-store reference system
-            lint_suppressions=(),
+            # analyzer performance rules whose suggested rewrite gains
+            # < 1.5x here (benchmarks/reports/analyzer_cliffs.md)
+            lint_suppressions=("TQ002",),
         )

@@ -40,13 +40,11 @@ class SystemC(TemporalSystem):
     def profile(self):
         return ArchitectureProfile(
             name="System C",
-            supports_application_time=False,
             supports_system_time=True,
             uses_indexes=False,
-            prunes_explicit_current=False,
             manual_system_time=False,
             index_selectivity_threshold=0.0,
-            # the column store has no secondary indexes, so the unindexed
-            # history-probe diagnostic is noise here
-            lint_suppressions=("TQ007",),
+            # analyzer performance rules whose suggested rewrite gains
+            # < 1.5x here (benchmarks/reports/analyzer_cliffs.md)
+            lint_suppressions=("TQ003", "TQ007"),
         )

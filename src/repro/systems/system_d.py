@@ -38,14 +38,11 @@ class SystemD(TemporalSystem):
     def profile(self):
         return ArchitectureProfile(
             name="System D",
-            supports_application_time=False,
             supports_system_time=True,  # clauses rewrite to value predicates
             uses_indexes=True,
-            prunes_explicit_current=False,
             manual_system_time=True,
             index_selectivity_threshold=0.15,
-            # implicit time travel over a single interleaved table (§5.8):
-            # history is not a separate partition, so full-history-scan,
-            # explicit-current and history-index diagnostics do not apply
-            lint_suppressions=("TQ001", "TQ002", "TQ007"),
+            # analyzer performance rules whose suggested rewrite gains
+            # < 1.5x here (benchmarks/reports/analyzer_cliffs.md)
+            lint_suppressions=("TQ002",),
         )

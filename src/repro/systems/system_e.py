@@ -98,11 +98,11 @@ class SystemE(TemporalSystem):
     def profile(self):
         return ArchitectureProfile(
             name="System E",
-            supports_application_time=True,
             supports_system_time=True,
             uses_indexes=True,
-            prunes_explicit_current=True,
             manual_system_time=False,
             index_selectivity_threshold=0.15,
+            # every analyzer performance rule's suggested rewrite gains
+            # >= 1.5x here (benchmarks/reports/analyzer_cliffs.md)
             lint_suppressions=(),
         )

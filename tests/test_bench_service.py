@@ -141,9 +141,9 @@ class TestService:
         system.db.execute("INSERT INTO t (a) VALUES (1)")
         service = BenchmarkService(repetitions=2, discard=1)
         measurement = service.measure_sql(
-            system, "SELECT a FROM t FOR SYSTEM_TIME ALL", qid="probe"
+            system, "SELECT * FROM t FOR SYSTEM_TIME ALL", qid="probe"
         )
-        assert [d.code for d in measurement.diagnostics] == ["TQ001"]
+        assert [d.code for d in measurement.diagnostics] == ["TQ010"]
 
     def test_measure_sql_captures_metric_deltas(self):
         from repro.engine import Database
@@ -173,14 +173,14 @@ class TestService:
         service = BenchmarkService(
             repetitions=3, discard=1, fluctuation_threshold=float("inf")
         )
-        sql = "SELECT a FROM t FOR SYSTEM_TIME ALL"
+        sql = "SELECT * FROM t FOR SYSTEM_TIME ALL"
         measurement = service.measure_sql(system, sql, qid="probe")
         (row,) = measurement.statements
         # per-cell delta: exactly this cell's repetitions, incl. warm-up
         assert row["calls"] == 3
         assert row["cache_misses"] == 1 and row["cache_hits"] == 2
         assert row["rows_scanned"] >= 3
-        # the analyzer finding (TQ001) is attributed to the statement
+        # the analyzer finding (TQ010) is attributed to the statement
         assert row["diagnostics"] == len(measurement.diagnostics) == 1
         # a second cell starts from a fresh store
         again = service.measure_sql(system, sql, qid="probe")

@@ -16,6 +16,10 @@ import pytest
 
 from repro.core.loader import Loader
 from repro.core.scenarios import SCENARIOS
+from repro.engine.analyze_domains import scan_domain_map
+from repro.engine.plan.logical import build_logical, scans_in_order
+from repro.engine.plan.rewrite import rewrite_logical
+from repro.engine.sql.parser import parse_statement
 from repro.systems import make_system
 
 
@@ -173,3 +177,48 @@ class TestEmptyScanSurface:
         pruned, plain = system_pairs["A"]
         assert pruned.execute(self.SQL).rows == []
         assert plain.execute(self.SQL).rows == []
+
+
+def _redundant(db, sql):
+    """(column, interval) of each predicate the rewrite would drop from the
+    one scan of *sql*, read from the plan the rewrite itself receives."""
+    query = rewrite_logical(
+        build_logical(parse_statement(sql), db), db, db.profile,
+        exclude=("constraint-pruning",),
+    )
+    (scan,) = scans_in_order(query.relation)
+    return [
+        (c.column, c.interval.describe())
+        for c in scan_domain_map(scan).redundant_predicates()
+    ]
+
+
+class TestRedundantPredicates:
+    """Which predicates the interval domain proves redundant, so the
+    rewrite drops them (the `db` fixture's `item` table, sb = sys begin)."""
+
+    def test_positive_wider_predicate(self, db):
+        assert _redundant(db, "SELECT id FROM item WHERE sb >= 2 AND sb >= 1") == [
+            ("sb", "[1, +inf]")
+        ]
+
+    def test_positive_clause_subsumes_predicate(self, db):
+        # AS OF 5 already implies sb <= 5; the wider sb <= 9 adds nothing
+        assert _redundant(
+            db, "SELECT id FROM item FOR SYSTEM_TIME AS OF 5 WHERE sb <= 9"
+        ) == [("sb", "[-inf, 9]")]
+
+    def test_negative_single_predicate(self, db):
+        assert _redundant(db, "SELECT id FROM item WHERE sb >= 2") == []
+
+    def test_negative_equality_never_flagged(self, db):
+        # an implied equality still drives pk/hash-index probes: keep it
+        assert _redundant(
+            db, "SELECT id FROM item FOR SYSTEM_TIME AS OF 9 WHERE sb = 5"
+        ) == []
+
+    def test_negative_clause_never_flagged(self, db):
+        # a clause wider than the predicates still gates partition choice
+        assert _redundant(
+            db, "SELECT id FROM item FOR SYSTEM_TIME BETWEEN 1 AND 9 WHERE sb <= 2"
+        ) == []

@@ -134,7 +134,7 @@ class TestDocumentedExplain:
         )
         assert result.columns == ["plan"]
         text = "\n".join(row[0] for row in result.rows)
-        assert "TQ001" in text
+        assert "TQ010" in text
         assert "hint:" in text
 
     def test_explain_lint_clean_statement(self, db):

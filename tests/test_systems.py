@@ -36,7 +36,6 @@ def test_system_c_architecture():
     opts = system.db.default_options
     assert opts.store_kind == "column"
     assert not system.db.profile.uses_indexes
-    assert not system.db.profile.supports_application_time
     assert not system.native_application_time
 
 
