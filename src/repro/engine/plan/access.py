@@ -11,9 +11,9 @@ of the WHERE clause, this module decides — per partition — between:
 
 Every partition kind tries them in one order: a NULL bound goes to the
 scan (it reads no page); the PK probe runs only where open versions alone
-can match (the split ``current`` partition, or ``single`` with no temporal
-filter); then the cheapest selective secondary index; then the timeline;
-last, the scan.  So a key read on the single-table layouts (D, E) takes
+can match (the split ``current`` partition, or ``single`` with no explicit
+system-time clause); then the cheapest selective secondary index; then the
+timeline; last, the scan.  So a key read on the single-table layouts (D, E) takes
 the Key+Time index the way a split layout's does.
 
 Selectivity is estimated *at run time* from the index's key range, because
@@ -104,6 +104,7 @@ class TableAccessPlan:
         temporal_filters: List[TemporalBounds],
         constraints: List[ColumnConstraint],
         need_temporal: bool,
+        system_clause: bool,
         columns: Optional[Tuple[int, ...]] = None,
     ):
         self.table = table
@@ -112,6 +113,8 @@ class TableAccessPlan:
         self.temporal_filters = temporal_filters
         self.constraints = constraints
         self.need_temporal = need_temporal
+        #: an explicit system-time clause: closed versions may match
+        self.system_clause = system_clause
         self.columns = columns
         self.decisions: List[AccessDecision] = []
         schema = table.schema
@@ -191,10 +194,11 @@ class TableAccessPlan:
             return self._scan_batches(partition, env, checks)
         # 2. primary-key probe, only where open versions alone can match: the
         #    key map tracks current versions (the system-created current
-        #    index), and System D's single table holds closed ones beside them
+        #    index), and the single table holds closed ones beside them,
+        #    which only an explicit system-time clause asks for
         if self._pk_values is not None and (
             partition == CURRENT
-            or (partition == SINGLE and not self._wants_closed_versions())
+            or (partition == SINGLE and not self.system_clause)
         ):
             key = tuple(fn(env) for fn in self._pk_values)
             rids = table.current_rids_for_key(key)
@@ -276,14 +280,6 @@ class TableAccessPlan:
             if row is not None:
                 rows.append(tuple(row))
         return rows
-
-    def _wants_closed_versions(self) -> bool:
-        """True if the temporal filters may match non-current versions."""
-        if not self.table.is_versioned:
-            return False
-        if not self.temporal_filters:
-            return False
-        return True
 
     def _choose_index(self, partition, env):
         candidates = self._candidate_indexes(partition)

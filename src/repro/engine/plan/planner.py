@@ -534,6 +534,7 @@ class Planner:
             temporal_filters,
             constraints,
             need_temporal,
+            has_system_clause,
             columns,
         )
         description = (

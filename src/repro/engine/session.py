@@ -1,9 +1,11 @@
 """Statement dispatch: parse → plan → execute, for all statement kinds.
 
 DML statements follow the rewrite strategy the paper documents: an UPDATE
-or DELETE first *finds* the affected current versions with an ordinary
-query over the current partition, then applies the temporal row operations
-(invalidate / re-insert / split) through :mod:`repro.engine.temporal`.
+or DELETE first *finds* the affected keys with an ordinary query — the
+implicit-current ``SELECT <pk> FROM t WHERE ...``, planned and executed
+like any other SELECT — then applies the temporal row operations
+(invalidate / re-insert / split) key by key through the ``*_by_key``
+writes of :class:`~repro.engine.database.Database`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from typing import Dict, List, Optional
 
 from . import temporal
 from .catalog import Column, IndexDef, TableSchema, PeriodDef
-from .errors import NotSupportedError, ProgrammingError, QueryCancelled, QueryTimeout
+from .errors import (
+    DataError, NotSupportedError, ProgrammingError, QueryCancelled, QueryTimeout,
+)
 from .expr import Env, Scope, compile_expr
 from .plan.context import ExecutionContext
 from .plan.planner import Planner, PlannedQuery
@@ -188,11 +192,11 @@ class SqlEngine:
         if isinstance(stmt, ast.Analyze):
             return self._execute_analyze(stmt)
         if isinstance(stmt, ast.Insert):
-            return self._execute_insert(stmt, params)
+            return self._execute_insert(stmt, params, timeout_s, metrics)
         if isinstance(stmt, ast.Update):
-            return self._execute_update(stmt, params)
+            return self._execute_update(stmt, params, timeout_s, metrics)
         if isinstance(stmt, ast.Delete):
-            return self._execute_delete(stmt, params)
+            return self._execute_delete(stmt, params, timeout_s, metrics)
         if isinstance(stmt, ast.CreateTable):
             return self._execute_create_table(stmt)
         if isinstance(stmt, ast.CreateIndex):
@@ -333,15 +337,14 @@ class SqlEngine:
 
     # -- DML ---------------------------------------------------------------------
 
-    def _execute_insert(self, stmt: ast.Insert, params) -> Result:
-        table = self.db.table(stmt.table)
-        schema = table.schema
-        env = Env(_normalize_params(params))
-        scope = Scope([])
+    def _execute_insert(self, stmt: ast.Insert, params, timeout_s, metrics) -> Result:
+        schema = self.db.table(stmt.table).schema
         if stmt.select is not None:
             planned = self.planner.plan_select(stmt.select)
-            source_rows = planned.rows(env)
+            source_rows = self._run_planned(planned, params, timeout_s, metrics).rows
         else:
+            env = Env(_normalize_params(params))
+            scope = Scope([])
             source_rows = [
                 tuple(compile_expr(e, scope)((), env) for e in row)
                 for row in stmt.rows
@@ -358,45 +361,55 @@ class SqlEngine:
             count += 1
         return Result(rowcount=count)
 
-    def _find_affected_keys(self, table, where, env):
-        """Distinct primary keys of current versions matching *where*."""
-        schema = table.schema
+    def _affected_keys(self, stmt, schema, params, timeout_s, metrics) -> List[tuple]:
+        """Distinct primary keys of the current versions *stmt* touches.
+
+        The lookup is the implicit-current ``SELECT <pk> FROM t WHERE ...``
+        of the statement, planned and run like any SELECT: it takes the
+        same access path, and a timeout stops it before any write."""
         if not schema.primary_key:
             raise NotSupportedError(
                 f"DML on table {schema.name} requires a primary key"
             )
-        layout = [(schema.name, column) for column in schema.column_names()]
-        scope = Scope(layout)
-        predicate = (
-            compile_expr(where, scope, self.planner._subquery_compiler)
-            if where is not None
-            else None
+        lookup = ast.Select(
+            [ast.SelectItem(ast.ColumnRef(column)) for column in schema.primary_key],
+            [ast.TableRef(stmt.table)],
+            stmt.where,
         )
-        keys = []
-        seen = set()
-        # implicit-current semantics: on single-table layouts (System D)
-        # closed versions are interleaved and must not count as affected
-        for row in temporal.snapshot_rows(table, None):
-            if predicate is not None and predicate(tuple(row), env) is not True:
-                continue
-            key = schema.key_of(row)
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-        return keys
+        planned = self.planner.plan_select(lookup)
+        rows = self._run_planned(planned, params, timeout_s, metrics).rows
+        return list(dict.fromkeys(rows))
 
-    def _execute_update(self, stmt: ast.Update, params) -> Result:
+    def _portion(self, schema, portion: Optional[ast.Portion], env):
+        """(period name, low, high) of a FOR PORTION OF clause, evaluated
+        once per statement; None without one."""
+        if portion is None:
+            return None
+        scope = Scope([])
+        low = compile_expr(portion.low, scope)((), env)
+        high = compile_expr(portion.high, scope)((), env)
+        if low is None or high is None:
+            raise DataError("FOR PORTION OF bounds must not be NULL")
+        if portion.period == "business_time":
+            app = schema.application_periods
+            if not app:
+                raise ProgrammingError(
+                    f"table {schema.name} has no application period"
+                )
+            return app[0].name, low, high
+        return schema.period(portion.period).name, low, high
+
+    def _execute_update(self, stmt: ast.Update, params, timeout_s, metrics) -> Result:
         table = self.db.table(stmt.table)
         schema = table.schema
         env = Env(_normalize_params(params))
-        keys = self._find_affected_keys(table, stmt.where, env)
-        layout = [(schema.name, column) for column in schema.column_names()]
-        scope = Scope(layout)
+        scope = Scope([(schema.name, column) for column in schema.column_names()])
         assignment_fns = [
             (column, compile_expr(expr, scope)) for column, expr in stmt.assignments
         ]
+        portion = self._portion(schema, stmt.portion, env)
         count = 0
-        for key in keys:
+        for key in self._affected_keys(stmt, schema, params, timeout_s, metrics):
             # evaluate SET expressions against the (first) current version
             versions = temporal.current_versions_for_key(table, key)
             if not versions:
@@ -405,44 +418,25 @@ class SqlEngine:
             changes = {
                 column: fn(base_row, env) for column, fn in assignment_fns
             }
-            if stmt.portion is not None:
-                period_name = self._portion_period(schema, stmt.portion)
-                low = compile_expr(stmt.portion.low, Scope([]))((), env)
-                high = compile_expr(stmt.portion.high, Scope([]))((), env)
+            if portion is not None:
                 count += self.db.sequenced_update_by_key(
-                    stmt.table, key, changes, period_name, low, high
+                    stmt.table, key, changes, *portion
                 )
             else:
                 count += self.db.update_by_key(stmt.table, key, changes)
         return Result(rowcount=count)
 
-    def _execute_delete(self, stmt: ast.Delete, params) -> Result:
-        table = self.db.table(stmt.table)
-        schema = table.schema
+    def _execute_delete(self, stmt: ast.Delete, params, timeout_s, metrics) -> Result:
+        schema = self.db.table(stmt.table).schema
         env = Env(_normalize_params(params))
-        keys = self._find_affected_keys(table, stmt.where, env)
+        portion = self._portion(schema, stmt.portion, env)
         count = 0
-        for key in keys:
-            if stmt.portion is not None:
-                period_name = self._portion_period(schema, stmt.portion)
-                low = compile_expr(stmt.portion.low, Scope([]))((), env)
-                high = compile_expr(stmt.portion.high, Scope([]))((), env)
-                count += self.db.sequenced_delete_by_key(
-                    stmt.table, key, period_name, low, high
-                )
+        for key in self._affected_keys(stmt, schema, params, timeout_s, metrics):
+            if portion is not None:
+                count += self.db.sequenced_delete_by_key(stmt.table, key, *portion)
             else:
                 count += self.db.delete_by_key(stmt.table, key)
         return Result(rowcount=count)
-
-    def _portion_period(self, schema, portion: ast.Portion) -> str:
-        if portion.period == "business_time":
-            app = schema.application_periods
-            if not app:
-                raise ProgrammingError(
-                    f"table {schema.name} has no application period"
-                )
-            return app[0].name
-        return schema.period(portion.period).name
 
     # -- DDL -------------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Bitemporal DML semantics: snapshot visibility and sequenced updates.
+"""Bitemporal DML semantics: by-key versioning and sequenced updates.
 
 Implements the SEQUENCED model of Snodgrass that the paper attributes to
 DB2 (§2.3): *"deletes or updates may introduce additional rows when the
@@ -13,37 +13,34 @@ systems realise these semantics by rewriting into plain row operations.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .catalog import TableSchema
-from .errors import IntegrityError
+from .errors import DataError, IntegrityError
 from .storage.versioned import VersionedTable
 from .types import END_OF_TIME, Period
 
 
-def visible_at(schema: TableSchema, row, tick) -> bool:
-    """True if *row* is visible in the system-time snapshot *tick*."""
-    period = schema.system_period
-    if period is None:
-        return True
-    begin = row[schema.position(period.begin_column)]
-    end = row[schema.position(period.end_column)]
-    if begin is None:
-        return False
-    return begin <= tick < end
-
-
 def app_period_of(schema: TableSchema, row, period_name) -> Period:
+    """The application period *row* stores.  A NULL end is open, as reads
+    treat it; a NULL begin has no place on the timeline (``DataError``)."""
     period = schema.period(period_name)
     begin = row[schema.position(period.begin_column)]
     end = row[schema.position(period.end_column)]
-    return Period(begin, end)
+    if begin is None:
+        raise DataError(
+            f"{schema.name}: period {period_name} of key "
+            f"{schema.key_of(row)} has a NULL begin"
+        )
+    return Period(begin, END_OF_TIME if end is None else end)
 
 
 def _set_period(schema: TableSchema, row, period_name, period: Period):
     pdef = schema.period(period_name)
     row[schema.position(pdef.begin_column)] = period.begin
-    row[schema.position(pdef.end_column)] = period.end
+    end = schema.position(pdef.end_column)
+    if row[end] is not None or not period.is_open:  # an open NULL end stays NULL
+        row[end] = period.end
 
 
 def current_versions_for_key(table: VersionedTable, key) -> List[Tuple[int, list]]:
@@ -177,59 +174,3 @@ def temporal_delete(table: VersionedTable, key, tick: int, txn_meta=None) -> int
     for rid, _row in victims:
         table.delete_version(rid, tick, txn_meta=txn_meta)
     return len(victims)
-
-
-def snapshot_rows(
-    table: VersionedTable,
-    sys_tick: Optional[int],
-    include_history: bool = True,
-) -> Iterable[list]:
-    """Rows visible at system time *sys_tick* (None = implicit current).
-
-    ``include_history`` models the paper's Fig 6 finding: an *explicit*
-    AS OF of the current time still unions in the history partition because
-    no optimizer recognises the partition-pruning opportunity; only the
-    *implicit* current query (sys_tick None) touches the current partition
-    alone.
-    """
-    schema = table.schema
-    if not table.is_versioned:
-        for _rid, row in table.scan_current():
-            yield row
-        return
-    if sys_tick is None:
-        if table.has_split:
-            # implicit current: the current partition alone is sufficient
-            for _rid, row in table.scan_current():
-                yield row
-        else:
-            # single-table layout (System D): closed versions are interleaved
-            end_pos = schema.position(schema.system_period.end_column)
-            for _rid, row in table.scan_current():
-                if row[end_pos] >= END_OF_TIME:
-                    yield row
-        return
-    for _rid, row in table.scan_current():
-        if visible_at(schema, row, sys_tick):
-            yield row
-    if include_history and table.has_split:
-        for _rid, row in table.scan_history():
-            if visible_at(schema, row, sys_tick):
-                yield row
-
-
-def key_history(
-    table: VersionedTable,
-    key,
-    order_by_sys: bool = True,
-) -> List[list]:
-    """Every stored version of *key*, across current and history (audit)."""
-    schema = table.schema
-    out = []
-    for _part, _rid, row in table.scan_versions():
-        if schema.key_of(row) == tuple(key):
-            out.append(row)
-    if order_by_sys and schema.system_period is not None:
-        pos = schema.position(schema.system_period.begin_column)
-        out.sort(key=lambda r: (r[pos] is None, r[pos]))
-    return out

@@ -226,11 +226,13 @@ class TestUndoLogHistoryProbe:
 
 
 class TestSingleTableKeyReads:
-    """On the single-table layouts (D, E) a key read takes the Key+Time
-    index under every temporal form, as the split layouts do: no PK probe
-    thrown away for a scan, no timeline replay for one key."""
+    """On the single-table layouts (D, E) a key read takes a key path under
+    every temporal form, as the split layouts do: the PK probe when no
+    system-time clause asks for closed versions, the Key+Time index when
+    one does — no scan, no timeline replay for one key."""
 
     INDEX = "single: index[tune_customer_c_custkey_current_btree]"
+    PK_PROBE = "single: pk-probe"
     SYSTEM = ["", "FOR SYSTEM_TIME AS OF :t", "FOR SYSTEM_TIME FROM :lo TO :hi",
               "FOR SYSTEM_TIME ALL"]
     FORMS = SYSTEM + [f"{clause} FOR BUSINESS_TIME FROM :blo TO :bhi" for clause in SYSTEM]
@@ -270,9 +272,14 @@ class TestSingleTableKeyReads:
         params = self._params(tiny_workload.meta)
         probes = db.metrics.counter("index.pk_probes")
         plan = db.explain_analyze(self._sql(form), params)
-        assert self.INDEX in plan and "scan pages=" not in plan, plan
-        # a closed-version read on the single table runs no PK probe at all
-        assert db.metrics.counter("index.pk_probes") == probes
+        if "SYSTEM_TIME" in form:
+            assert self.INDEX in plan and "scan pages=" not in plan, plan
+            # a closed-version read on the single table runs no PK probe at all
+            assert db.metrics.counter("index.pk_probes") == probes
+        else:
+            # an implicit-current read wants the open versions the key map holds
+            assert self.PK_PROBE in plan and "scan pages=" not in plan, plan
+            assert db.metrics.counter("index.pk_probes") == probes + 1
         expected = loaded_system_a.execute(self._sql(form), params).rows
         assert sorted(db.execute(self._sql(form), params).rows) == sorted(expected)
         if form == "FOR SYSTEM_TIME ALL":
@@ -282,7 +289,9 @@ class TestSingleTableKeyReads:
     def test_without_the_index_d_scans_and_e_replays(self, single, form, tiny_workload):
         params = self._params(tiny_workload.meta)
         plan = single["D", IndexSetting.NONE].explain_analyze(self._sql(form), params)
-        assert "single: scan" in plan, plan
+        expected = "single: scan" if "SYSTEM_TIME" in form else self.PK_PROBE
+        assert expected in plan, plan
         plan = single["E", IndexSetting.NONE].explain_analyze(self._sql(form), params)
-        expected = "single: timeline" if "AS OF" in form else "single: scan"
+        if "SYSTEM_TIME" in form:
+            expected = "single: timeline" if "AS OF" in form else "single: scan"
         assert expected in plan, plan

@@ -151,7 +151,7 @@ def test_property_generator_matches_engine_semantics(ops):
         tick += 1
 
     engine_state = sorted(
-        (row[2], row[3], row[1]) for row in temporal.snapshot_rows(engine_table, None)
+        (row[2], row[3], row[1]) for _rid, row in engine_table.scan_current()
     )
     generator_state = sorted(
         (v["ab"], v["ae"], v["v"]) for v, _ in gen_table.current_versions()

@@ -14,7 +14,7 @@ from repro.engine import temporal
 from repro.engine.catalog import Column, PeriodDef, TableSchema
 from repro.engine.errors import IntegrityError
 from repro.engine.storage.versioned import StorageOptions, VersionedTable
-from repro.engine.types import Period, SqlType
+from repro.engine.types import END_OF_TIME, Period, SqlType
 
 
 def _schema():
@@ -44,38 +44,50 @@ def _insert(table, key, value, ab, ae, tick):
     return temporal.temporal_insert(table, [key, value, ab, ae, None, None], tick)
 
 
+def _current(table):
+    """The open versions: the split current partition holds nothing else,
+    the single table keeps closed versions beside them."""
+    return [row for _rid, row in table.scan_current() if row[5] == END_OF_TIME]
+
+
+def _visible_at(table, tick):
+    """Every stored version whose system period covers *tick*."""
+    return [
+        row for _part, _rid, row in table.scan_versions()
+        if Period(row[4], row[5]).contains(tick)
+    ]
+
+
 class TestVisibility:
     def test_visible_at(self):
         table = _table()
         _insert(table, 1, 10, 0, 100, tick=5)
         row = next(iter(table.scan_current()))[1]
-        assert temporal.visible_at(table.schema, row, 5)
-        assert temporal.visible_at(table.schema, row, 999)
-        assert not temporal.visible_at(table.schema, row, 4)
+        assert (row[4], row[5]) == (5, END_OF_TIME)
+        assert [r[1] for r in _visible_at(table, 5)] == [10]
+        assert [r[1] for r in _visible_at(table, 999)] == [10]
+        assert _visible_at(table, 4) == []
 
     def test_snapshot_rows_implicit_current(self):
         table = _table()
         rid = _insert(table, 1, 10, 0, 100, tick=1)
         table.invalidate(rid, 3)
         _insert(table, 1, 20, 0, 100, tick=3)
-        rows = list(temporal.snapshot_rows(table, None))
-        assert [r[1] for r in rows] == [20]
+        assert [r[1] for r in _current(table)] == [20]
 
     def test_snapshot_rows_past(self):
         table = _table()
         rid = _insert(table, 1, 10, 0, 100, tick=1)
         table.invalidate(rid, 3)
         _insert(table, 1, 20, 0, 100, tick=3)
-        rows = list(temporal.snapshot_rows(table, 2))
-        assert [r[1] for r in rows] == [10]
+        assert [r[1] for r in _visible_at(table, 2)] == [10]
 
     def test_snapshot_single_table_current(self):
         table = VersionedTable(_schema(), StorageOptions(split_history=False))
         rid = _insert(table, 1, 10, 0, 100, tick=1)
         table.invalidate(rid, 3)
         _insert(table, 1, 20, 0, 100, tick=3)
-        rows = list(temporal.snapshot_rows(table, None))
-        assert [r[1] for r in rows] == [20]
+        assert [r[1] for r in _current(table)] == [20]
 
 
 class TestSequencedUpdate:
@@ -87,7 +99,7 @@ class TestSequencedUpdate:
         )
         assert affected == 1
         rows = sorted(
-            ((r[2], r[3], r[1]) for r in temporal.snapshot_rows(table, None))
+            ((r[2], r[3], r[1]) for r in _current(table))
         )
         assert rows == [(0, 30, 10), (30, 60, 99), (60, 100, 10)]
 
@@ -95,7 +107,7 @@ class TestSequencedUpdate:
         table = _table()
         _insert(table, 1, 10, 20, 40, tick=1)
         temporal.sequenced_update(table, (1,), {"v": 99}, "app", Period(0, 100), tick=2)
-        rows = [(r[2], r[3], r[1]) for r in temporal.snapshot_rows(table, None)]
+        rows = [(r[2], r[3], r[1]) for r in _current(table)]
         assert rows == [(20, 40, 99)]
 
     def test_disjoint_portion_noop(self):
@@ -121,14 +133,14 @@ class TestSequencedDelete:
         _insert(table, 1, 10, 0, 100, tick=1)
         affected = temporal.sequenced_delete(table, (1,), "app", Period(40, 60), tick=2)
         assert affected == 1
-        rows = sorted((r[2], r[3]) for r in temporal.snapshot_rows(table, None))
+        rows = sorted((r[2], r[3]) for r in _current(table))
         assert rows == [(0, 40), (60, 100)]
 
     def test_full_cover_removes_key(self):
         table = _table()
         _insert(table, 1, 10, 0, 100, tick=1)
         temporal.sequenced_delete(table, (1,), "app", Period(0, 100), tick=2)
-        assert list(temporal.snapshot_rows(table, None)) == []
+        assert list(_current(table)) == []
         # but the version is still in the history
         assert table.history_count() == 1
 
@@ -140,10 +152,10 @@ class TestNontemporalUpdate:
         _insert(table, 1, 11, 50, 100, tick=1)
         affected = temporal.nontemporal_update(table, (1,), {"v": 7}, tick=2)
         assert affected == 2
-        values = sorted(r[1] for r in temporal.snapshot_rows(table, None))
+        values = sorted(r[1] for r in _current(table))
         assert values == [7, 7]
         # app periods unchanged
-        periods = sorted((r[2], r[3]) for r in temporal.snapshot_rows(table, None))
+        periods = sorted((r[2], r[3]) for r in _current(table))
         assert periods == [(0, 50), (50, 100)]
 
 
@@ -153,15 +165,15 @@ class TestDeleteAndAudit:
         _insert(table, 1, 10, 0, 50, tick=1)
         _insert(table, 1, 11, 50, 100, tick=1)
         assert temporal.temporal_delete(table, (1,), tick=5) == 2
-        assert list(temporal.snapshot_rows(table, None)) == []
-        assert len(temporal.key_history(table, (1,))) == 2
+        assert list(_current(table)) == []
+        assert len(list(table.scan_versions())) == 2
 
     def test_key_history_ordered_by_sys_begin(self):
         table = _table()
         rid = _insert(table, 1, 10, 0, 100, tick=1)
         table.invalidate(rid, 4)
         _insert(table, 1, 20, 0, 100, tick=4)
-        history = temporal.key_history(table, (1,))
+        history = sorted(row for _part, _rid, row in table.scan_versions())
         assert [row[4] for row in history] == [1, 4]
 
 
@@ -184,7 +196,7 @@ class TestOverlapConstraint:
         temporal.temporal_insert(
             table, [1, 11, 100, 200, None, None], 2, enforce_overlap="app"
         )
-        assert len(list(temporal.snapshot_rows(table, None))) == 2
+        assert len(list(_current(table))) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +232,7 @@ def test_property_no_overlapping_current_versions(ops, probe_day):
     for key in (1, 2, 3):
         rows = [
             row
-            for row in temporal.snapshot_rows(table, None)
+            for row in _current(table)
             if row[0] == key
         ]
         periods = sorted((row[2], row[3]) for row in rows)
@@ -250,7 +262,7 @@ def test_property_last_write_wins_at_app_point(ops):
         for day in range(begin, min(begin + width, 130)):
             model[day] = value
         tick += 1
-    rows = [row for row in temporal.snapshot_rows(table, None) if row[0] == 1]
+    rows = [row for row in _current(table) if row[0] == 1]
     for row in rows:
         for day in range(row[2], row[3]):
             assert model[day] == row[1], (day, row)
