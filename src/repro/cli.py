@@ -6,8 +6,8 @@ Commands mirror the benchmark pipeline of the paper's §4:
 * ``inspect``  — summarise an archive (header, Table 2 statistics);
 * ``query``    — load a workload into one system and run SQL against it;
 * ``bench``    — regenerate one experiment (table/figure) or all of them;
-* ``verify``   — load a workload into a system and run the §4 temporal
-  consistency checks;
+* ``verify``   — load a workload into a system and check the §4 snapshot
+  invariants (P4 conservation, P5 referential integrity);
 * ``systems``  — print the §5.2 architecture cards;
 * ``lint``     — static temporal-query diagnostics without executing;
 * ``analyze-stats`` — per-partition, per-column ANALYZE statistics;
@@ -135,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     verify = sub.add_parser(
-        "verify", parents=[system, scale], help="run temporal consistency checks"
+        "verify", parents=[system, scale],
+        help="check snapshot conservation (P4) and referential integrity (P5)",
     )
     verify.add_argument("--bulk", action="store_true",
                         help="use the bulk-load path (System D only)")

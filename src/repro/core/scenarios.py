@@ -207,9 +207,13 @@ def deliver_order(ctx: ScenarioContext, tick: int) -> bool:
         return False
     rng = ctx.rng
     index = rng.uniform_int(0, len(ctx.open_orders) - 1)
-    orderkey = ctx.open_orders.pop(index)
     orders = ctx.store.table("orders")
-    chain = orders.chain((orderkey,))
+    chain = orders.chain((ctx.open_orders[index],))
+    if chain is not None and len(chain) > 1:
+        # manipulate_order split the active period: one end cannot close
+        # every slice, so the order stays open
+        return False
+    orderkey = ctx.open_orders.pop(index)
     if chain is None or chain.head is None:
         return False
     begin = chain.head.values["o_active_begin"]

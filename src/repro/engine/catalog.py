@@ -110,6 +110,18 @@ class TableSchema:
                         f"period {period.name} column {col!r} must be"
                         " date, timestamp or integer"
                     )
+        # what the write path checks (engine/temporal.py): each application
+        # period as (name, begin position, end position), the first one
+        # being the key's WITHOUT OVERLAPS period, and the columns an UPDATE
+        # must name before its successors need checking
+        app = [p for p in self.periods if not p.is_system]
+        self.app_bounds = tuple(
+            (p.name, self._positions[p.begin_column], self._positions[p.end_column])
+            for p in app
+        )
+        self.checked_columns = frozenset(self.primary_key).union(
+            *((p.begin_column, p.end_column) for p in app)
+        )
 
     # -- lookups ---------------------------------------------------------
 

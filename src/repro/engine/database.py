@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import temporal
 from .catalog import Catalog, IndexDef, TableSchema
-from .errors import CatalogError, IntegrityError
+from .errors import CatalogError, DataError, IntegrityError
 from .obs import MetricsRegistry, StatementStatsStore, Tracer
 from .obs import introspect
 from .storage.versioned import StorageOptions, VersionedTable
@@ -172,32 +172,17 @@ class Database:
     def begin(self, meta=None):
         return self.txns.begin(meta=meta)
 
-    def _tick(self) -> int:
-        """System-time tick for the current operation.
-
-        Inside an explicit transaction every operation shares the txn's
-        tick; otherwise each operation autocommits with its own tick.
-        """
-        txn = self.txns.current()
-        if txn is not None:
-            return txn.tick
-        with self.txns.begin() as auto:
-            return auto.tick
-
     def now(self) -> int:
         """The current (last committed) system time."""
         return self.txns.last_committed
 
-    # -- row-level DML (used by the loader and the SQL executor) ------------------
+    # -- row-level DML (the loader's API; engine/temporal.py's write path) ----
 
     def insert_row(self, table_name, values_by_column: Dict[str, object]) -> int:
         table = self.table(table_name)
-        row = table.schema.row_from(values_by_column)
-        if table.is_versioned:
-            rid = temporal.temporal_insert(table, row, self._tick())
-        else:
-            rid = table.insert_version(row, sys_begin=None)
-        return rid
+        adds = [table.schema.row_from(values_by_column)]
+        temporal.check(table, (), adds)
+        return temporal.apply(table, (), adds, self.txns)
 
     def insert_row_explicit(
         self, table_name, values_by_column: Dict[str, object], sys_begin, sys_end
@@ -206,7 +191,8 @@ class Database:
 
         Only legal on archetypes with ``manual_system_time`` (System D,
         §5.8: *"its cost is much lower since we can set the timestamps
-        manually and perform a bulk load"*).
+        manually and perform a bulk load"*).  A closed version is not
+        current, so only its periods are checked.
         """
         if not self.profile.manual_system_time:
             raise IntegrityError(
@@ -214,6 +200,12 @@ class Database:
             )
         table = self.table(table_name)
         row = table.schema.row_from(values_by_column)
+        if sys_begin is not None and sys_begin >= sys_end:
+            raise DataError(
+                f"{table.schema.name}: empty or inverted system period"
+                f" [{sys_begin}, {sys_end})"
+            )
+        temporal.check(table, (), [row], keyed=sys_end >= END_OF_TIME)
         if table.is_versioned and not table.has_split:
             rid = table.insert_version_explicit(row, sys_begin, sys_end)
         else:
@@ -226,40 +218,37 @@ class Database:
 
     def update_by_key(self, table_name, key, changes: Dict[str, object]) -> int:
         table = self.table(table_name)
-        if table.is_versioned:
-            return temporal.nontemporal_update(
-                table, tuple(key), changes, self._tick()
-            )
-        count = 0
-        for rid, row in temporal.current_versions_for_key(table, tuple(key)):
-            table.plain_update(rid, table.schema.row_from(changes, row))
-            count += 1
-        return count
+        versions = temporal.current_versions_for_key(table, tuple(key))
+        successors = temporal.updated_rows(table.schema, versions, changes)
+        if not table.schema.checked_columns.isdisjoint(changes):
+            temporal.check(table, versions, successors)
+        temporal.apply(table, versions, successors, self.txns)
+        return len(versions)
 
     def sequenced_update_by_key(
         self, table_name, key, changes, period_name, begin, end
     ) -> int:
+        """``FOR PORTION OF`` one key; *changes* None is the DELETE."""
         table = self.table(table_name)
-        return temporal.sequenced_update(
-            table, tuple(key), changes, period_name, Period(begin, end), self._tick()
+        schema = table.schema
+        victims, adds = [], []
+        temporal.sequenced_rows(
+            schema, temporal.current_versions_for_key(table, tuple(key)),
+            period_name, Period(begin, end), changes, victims, adds,
         )
+        if changes is not None and not schema.checked_columns.isdisjoint(changes):
+            temporal.check(table, victims, adds)
+        temporal.apply(table, victims, adds, self.txns)
+        return len(victims)
 
     def sequenced_delete_by_key(self, table_name, key, period_name, begin, end) -> int:
-        table = self.table(table_name)
-        return temporal.sequenced_delete(
-            table, tuple(key), period_name, Period(begin, end), self._tick()
-        )
+        return self.sequenced_update_by_key(table_name, key, None, period_name, begin, end)
 
     def delete_by_key(self, table_name, key) -> int:
         table = self.table(table_name)
-        if table.is_versioned:
-            count = temporal.temporal_delete(table, tuple(key), self._tick())
-        else:
-            count = 0
-            for rid, _row in temporal.current_versions_for_key(table, tuple(key)):
-                table.plain_delete(rid)
-                count += 1
-        return count
+        versions = temporal.current_versions_for_key(table, tuple(key))
+        temporal.apply(table, versions, (), self.txns)
+        return len(versions)
 
     # -- statistics -----------------------------------------------------------
 

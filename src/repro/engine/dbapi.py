@@ -199,26 +199,35 @@ class Connection:
         self._txn = None
 
     def rollback(self):
+        """Roll back the open transaction; one that has written cannot be
+        (``NotSupportedError``, see :meth:`Transaction.rollback`)."""
         if self._closed:
             raise InterfaceError("connection is closed")
-        if self._txn is not None and self._txn.is_active:
-            self._txn.rollback()
-        self._txn = None
+        self._end_transaction()
+
+    def _end_transaction(self):
+        txn, self._txn = self._txn, None
+        if txn is not None and txn.is_active:
+            txn.rollback()
 
     def close(self):
-        if self._txn is not None and self._txn.is_active:
-            self._txn.rollback()
         self._closed = True
+        self._end_transaction()
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.commit()
-        else:
-            self.rollback()
-        self.close()
+        try:
+            if exc_type is None:
+                self.commit()
+            else:
+                try:
+                    self.rollback()
+                except NotSupportedError as refused:
+                    raise refused from exc
+        finally:
+            self.close()
         return False
 
 

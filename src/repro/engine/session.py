@@ -3,9 +3,9 @@
 DML statements follow the rewrite strategy the paper documents: an UPDATE
 or DELETE first *finds* the affected keys with an ordinary query — the
 implicit-current ``SELECT <pk> FROM t WHERE ...``, planned and executed
-like any other SELECT — then applies the temporal row operations
-(invalidate / re-insert / split) key by key through the ``*_by_key``
-writes of :class:`~repro.engine.database.Database`.
+like any other SELECT — then computes the temporal row operations
+(invalidate / re-insert / split) of every key, checks the whole write set
+and applies it at one tick (:mod:`repro.engine.temporal`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .expr import Env, Scope, compile_expr
 from .plan.context import ExecutionContext
 from .plan.planner import Planner, PlannedQuery
 from .sql import ast, parse_statement
-from .types import SqlType
+from .types import Period, SqlType
 
 
 @dataclass
@@ -193,10 +193,8 @@ class SqlEngine:
             return self._execute_analyze(stmt)
         if isinstance(stmt, ast.Insert):
             return self._execute_insert(stmt, params, timeout_s, metrics)
-        if isinstance(stmt, ast.Update):
-            return self._execute_update(stmt, params, timeout_s, metrics)
-        if isinstance(stmt, ast.Delete):
-            return self._execute_delete(stmt, params, timeout_s, metrics)
+        if isinstance(stmt, (ast.Update, ast.Delete)):
+            return self._execute_update_delete(stmt, params, timeout_s, metrics)
         if isinstance(stmt, ast.CreateTable):
             return self._execute_create_table(stmt)
         if isinstance(stmt, ast.CreateIndex):
@@ -338,7 +336,8 @@ class SqlEngine:
     # -- DML ---------------------------------------------------------------------
 
     def _execute_insert(self, stmt: ast.Insert, params, timeout_s, metrics) -> Result:
-        schema = self.db.table(stmt.table).schema
+        table = self.db.table(stmt.table)
+        schema = table.schema
         if stmt.select is not None:
             planned = self.planner.plan_select(stmt.select)
             source_rows = self._run_planned(planned, params, timeout_s, metrics).rows
@@ -350,16 +349,17 @@ class SqlEngine:
                 for row in stmt.rows
             ]
         columns = stmt.columns or schema.column_names()
-        count = 0
+        rows = []
         for values in source_rows:
             if len(values) != len(columns):
                 raise ProgrammingError(
                     f"INSERT arity mismatch: {len(columns)} columns, "
                     f"{len(values)} values"
                 )
-            self.db.insert_row(stmt.table, dict(zip(columns, values)))
-            count += 1
-        return Result(rowcount=count)
+            rows.append(schema.row_from(dict(zip(columns, values))))
+        temporal.check(table, (), rows)
+        temporal.apply(table, (), rows, self.db.txns)
+        return Result(rowcount=len(rows))
 
     def _affected_keys(self, stmt, schema, params, timeout_s, metrics) -> List[tuple]:
         """Distinct primary keys of the current versions *stmt* touches.
@@ -381,8 +381,8 @@ class SqlEngine:
         return list(dict.fromkeys(rows))
 
     def _portion(self, schema, portion: Optional[ast.Portion], env):
-        """(period name, low, high) of a FOR PORTION OF clause, evaluated
-        once per statement; None without one."""
+        """(period name, portion) of a FOR PORTION OF clause, evaluated once
+        per statement; None without one."""
         if portion is None:
             return None
         scope = Scope([])
@@ -396,47 +396,45 @@ class SqlEngine:
                 raise ProgrammingError(
                     f"table {schema.name} has no application period"
                 )
-            return app[0].name, low, high
-        return schema.period(portion.period).name, low, high
+            return app[0].name, Period(low, high)
+        return schema.period(portion.period).name, Period(low, high)
 
-    def _execute_update(self, stmt: ast.Update, params, timeout_s, metrics) -> Result:
+    def _execute_update_delete(self, stmt, params, timeout_s, metrics) -> Result:
+        """UPDATE, or DELETE (a statement without assignments): the write
+        set of every key the lookup finds, written at once."""
         table = self.db.table(stmt.table)
         schema = table.schema
         env = Env(_normalize_params(params))
+        assignments = getattr(stmt, "assignments", None)
         scope = Scope([(schema.name, column) for column in schema.column_names()])
         assignment_fns = [
-            (column, compile_expr(expr, scope)) for column, expr in stmt.assignments
+            (column, compile_expr(expr, scope)) for column, expr in assignments or ()
         ]
         portion = self._portion(schema, stmt.portion, env)
-        count = 0
+        victims, adds = [], []
         for key in self._affected_keys(stmt, schema, params, timeout_s, metrics):
-            # evaluate SET expressions against the (first) current version
             versions = temporal.current_versions_for_key(table, key)
             if not versions:
                 continue
-            base_row = tuple(versions[0][1])
-            changes = {
-                column: fn(base_row, env) for column, fn in assignment_fns
-            }
+            changes = None
+            if assignments is not None:
+                # SET is evaluated against the key's first current version
+                base_row = tuple(versions[0][1])
+                changes = {column: fn(base_row, env) for column, fn in assignment_fns}
             if portion is not None:
-                count += self.db.sequenced_update_by_key(
-                    stmt.table, key, changes, *portion
+                temporal.sequenced_rows(
+                    schema, versions, *portion, changes, victims, adds
                 )
             else:
-                count += self.db.update_by_key(stmt.table, key, changes)
-        return Result(rowcount=count)
-
-    def _execute_delete(self, stmt: ast.Delete, params, timeout_s, metrics) -> Result:
-        schema = self.db.table(stmt.table).schema
-        env = Env(_normalize_params(params))
-        portion = self._portion(schema, stmt.portion, env)
-        count = 0
-        for key in self._affected_keys(stmt, schema, params, timeout_s, metrics):
-            if portion is not None:
-                count += self.db.sequenced_delete_by_key(stmt.table, key, *portion)
-            else:
-                count += self.db.delete_by_key(stmt.table, key)
-        return Result(rowcount=count)
+                victims += versions
+                if changes is not None:
+                    adds += temporal.updated_rows(schema, versions, changes)
+        if assignments is not None and not schema.checked_columns.isdisjoint(
+            column for column, _expr in assignments
+        ):
+            temporal.check(table, victims, adds)
+        temporal.apply(table, victims, adds, self.db.txns)
+        return Result(rowcount=len(victims))
 
     # -- DDL -------------------------------------------------------------------
 

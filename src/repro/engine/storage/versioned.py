@@ -164,6 +164,8 @@ class VersionedTable:
             self._sys_end = schema.position(sys_period.end_column)
         else:
             self._sys_begin = self._sys_end = None
+        #: a plain attribute, not a property: every write reads it
+        self.is_versioned = sys_period is not None
 
         self._split = self.options.split_history and sys_period is not None
         period = (self._sys_begin, self._sys_end) if sys_period is not None else None
@@ -180,6 +182,9 @@ class VersionedTable:
 
         # every archetype keeps a key -> current rids map for its PK
         self._pk_current: Dict[tuple, List[int]] = {}
+        #: key -> current rids (None for none) as the write path's key check
+        #: reads them: no copy, no counted index probe, no Python frame
+        self.live_rids = self._pk_current.get
 
     # -- partition helpers -------------------------------------------------
 
@@ -188,10 +193,6 @@ class VersionedTable:
         """``vp_merge_joins`` under the name ``perf/layers.py`` reads.  Every
         other count is a partition's ``access`` or a registry counter."""
         return SimpleNamespace(vp_merge_joins=self.vp_merge_joins)
-
-    @property
-    def is_versioned(self):
-        return self._sys_begin is not None
 
     @property
     def has_split(self):

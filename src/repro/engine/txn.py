@@ -15,18 +15,20 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .errors import OperationalError
+from .errors import NotSupportedError, OperationalError
 
 
 class Transaction:
     """One unit of work with a single system-time tick."""
 
-    __slots__ = ("tick", "meta", "_manager", "_state")
+    __slots__ = ("tick", "meta", "wrote", "_manager", "_state")
 
     def __init__(self, manager: "TransactionManager", tick: int, meta=None):
         self._manager = manager
         self.tick = tick
         self.meta = meta
+        #: set by the write path before it applies a checked write set
+        self.wrote = False
         self._state = "active"
 
     @property
@@ -40,10 +42,18 @@ class Transaction:
         self._manager._finish(self)
 
     def rollback(self):
-        # The engine applies changes eagerly; rollback is only supported for
-        # transactions that performed no writes (the benchmark never aborts).
+        # The engine applies each checked statement at once and keeps no undo
+        # list (the benchmark never aborts), so only a transaction that wrote
+        # nothing rolls back.  One that wrote ends as committed: its writes
+        # stay and its tick is used up, so no later version reuses it.
         if self._state != "active":
             raise OperationalError(f"cannot roll back a {self._state} transaction")
+        if self.wrote:
+            self.commit()
+            raise NotSupportedError(
+                "cannot roll back a transaction that has written: its writes"
+                f" stay committed at system time {self.tick}"
+            )
         self._state = "aborted"
         self._manager._finish(self)
 
@@ -55,7 +65,10 @@ class Transaction:
             if exc_type is None:
                 self.commit()
             else:
-                self.rollback()
+                try:
+                    self.rollback()
+                except NotSupportedError as refused:
+                    raise refused from exc
         return False
 
 
@@ -83,16 +96,15 @@ class TransactionManager:
         return len(self._committed)
 
     def begin(self, meta=None) -> Transaction:
-        if self._active is not None and self._active.is_active:
+        if self._active is not None:
             raise OperationalError("a transaction is already active")
         txn = Transaction(self, self._clock, meta=meta)
         self._active = txn
         return txn
 
     def current(self) -> Optional[Transaction]:
-        if self._active is not None and self._active.is_active:
-            return self._active
-        return None
+        # finishing a transaction clears _active, so it is the open one
+        return self._active
 
     def _finish(self, txn: Transaction):
         if txn is not self._active:

@@ -24,39 +24,6 @@ def test_bulk_loaded_d_is_consistent(tiny_workload):
     assert report.ok, report.summary()
 
 
-def test_detects_bad_period():
-    system = make_system("A")
-    from repro.core.schema import create_benchmark_tables
-
-    create_benchmark_tables(system.db, temporal=True)
-    # inject a corrupt row straight into storage: inverted app period
-    table = system.db.table("customer")
-    row = [None] * len(table.schema.columns)
-    row[table.schema.position("c_custkey")] = 1
-    row[table.schema.position("c_visible_begin")] = 100
-    row[table.schema.position("c_visible_end")] = 50  # inverted!
-    table.insert_version(row, sys_begin=1)
-    report = check_system(system)
-    assert not report.ok
-    assert any(v.rule == "P1" for v in report.violations)
-
-
-def test_detects_overlapping_app_periods():
-    system = make_system("A")
-    from repro.core.schema import create_benchmark_tables
-
-    create_benchmark_tables(system.db, temporal=True)
-    table = system.db.table("customer")
-    for begin, end in ((0, 100), (50, 150)):  # overlapping windows
-        row = [None] * len(table.schema.columns)
-        row[table.schema.position("c_custkey")] = 7
-        row[table.schema.position("c_visible_begin")] = begin
-        row[table.schema.position("c_visible_end")] = end
-        table.insert_version(row, sys_begin=1)
-    report = check_system(system)
-    assert any(v.rule == "P2" for v in report.violations)
-
-
 def test_summary_format():
     report = ConsistencyReport()
     assert "CONSISTENT" in report.summary()

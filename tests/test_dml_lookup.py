@@ -9,7 +9,7 @@ open, as reads do, and rejects a NULL portion bound.
 
 import pytest
 
-from repro.engine import dbapi, temporal
+from repro.engine import dbapi
 from repro.engine.errors import DataError, QueryTimeout
 from repro.engine.types import END_OF_TIME
 from repro.systems import make_system
@@ -95,13 +95,8 @@ class TestKeyPath:
     @pytest.mark.parametrize("name", SYSTEMS)
     def test_key_update_probes_once(self, name):
         db = _database(name)
-        table = db.table("w")
-
-        def by_key():
-            temporal.current_versions_for_key(table, (4,))  # SET's base row
-            db.update_by_key("w", (4,), {"v": 1})
-
-        work, _ = self._counts(db, by_key)
+        # the statement fetches the key's versions once, for SET and write
+        work, _ = self._counts(db, lambda: db.update_by_key("w", (4,), {"v": 1}))
         probes, scans = self._counts(
             db, lambda: db.execute("UPDATE w SET v = 2 WHERE id = ?", [3])
         )
@@ -184,7 +179,9 @@ class TestNullPeriodEnds:
     @pytest.mark.parametrize("name", SYSTEMS)
     def test_stored_null_begin_raises(self, name):
         db = _database(name, rows=0)
-        db.execute("INSERT INTO w (id, v, ab, ae) VALUES (1, 0, NULL, 50)")
+        # INSERT refuses a NULL begin, so the row goes straight into storage
+        with db.begin() as txn:
+            db.table("w").insert_version([1, 0, None, 50, None, None], txn.tick)
         with pytest.raises(DataError):
             db.execute(
                 "UPDATE w FOR PORTION OF business_time FROM 10 TO 20 SET v = 1"

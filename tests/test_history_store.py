@@ -119,7 +119,7 @@ def test_property_generator_matches_engine_semantics(ops):
     """The generator-side sequenced update must produce exactly the same
     visible state as the engine's temporal module — otherwise replayed
     systems would diverge from the generator's bookkeeping."""
-    from repro.engine import temporal
+    from tests.test_temporal_semantics import _insert, sequenced_update
     from repro.engine.catalog import Column, PeriodDef, TableSchema
     from repro.engine.storage.versioned import StorageOptions, VersionedTable
     from repro.engine.types import SqlType
@@ -138,7 +138,7 @@ def test_property_generator_matches_engine_semantics(ops):
         ],
     )
     engine_table = VersionedTable(schema, StorageOptions())
-    temporal.temporal_insert(engine_table, [1, 0, 0, 120, None, None], 1)
+    _insert(engine_table, 1, 0, 0, 120, 1)
     store = GeneratorStore(SPEC)
     gen_table = store.table("t")
     gen_table.insert({"id": 1, "v": 0, "ab": 0, "ae": 120}, tick=1)
@@ -146,7 +146,7 @@ def test_property_generator_matches_engine_semantics(ops):
     tick = 2
     for begin, width, value in ops:
         portion = Period(begin, begin + width)
-        temporal.sequenced_update(engine_table, (1,), {"v": value}, "app", portion, tick)
+        sequenced_update(engine_table, (1,), {"v": value}, "app", portion, tick)
         gen_table.sequenced_update((1,), {"v": value}, portion, tick, period_name="app")
         tick += 1
 

@@ -1,10 +1,13 @@
 """The strongest cross-architecture property: a *random* bitemporal DML
-workload, applied through SQL to every archetype, leaves all of them with
-identical logical content at every probed point in both time dimensions."""
+workload, applied through SQL to every archetype, meets the same refusals
+on all of them (an INSERT of a live key, a key-changing UPDATE onto one)
+and leaves them with identical logical content at every probed point in
+both time dimensions."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.errors import DatabaseError
 from repro.systems import make_system
 
 DDL = (
@@ -19,7 +22,10 @@ DDL = (
 # an operation: (kind, key, value, lo, width)
 operations = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "update", "seq_update", "seq_delete", "delete"]),
+        st.sampled_from([
+            "insert", "insert_live", "update", "rekey", "seq_update",
+            "seq_delete", "delete",
+        ]),
         st.integers(1, 4),        # key
         st.integers(0, 99),       # value
         st.integers(0, 90),       # portion lo
@@ -29,35 +35,45 @@ operations = st.lists(
 )
 
 
+def _statement(kind, key, value, lo, hi):
+    if kind == "insert_live":  # the key may be live: refused on overlap
+        return ("INSERT INTO w (id, v, ab, ae) VALUES (?, ?, ?, ?)",
+                [key, value, lo, hi])
+    if kind == "rekey":  # may land on a live key: refused on overlap
+        return "UPDATE w SET id = ? WHERE id = ?", [1 + value % 4, key]
+    if kind == "update":
+        return "UPDATE w SET v = ? WHERE id = ?", [value, key]
+    if kind == "seq_update":
+        return ("UPDATE w FOR PORTION OF business_time FROM ? TO ?"
+                " SET v = ? WHERE id = ?", [lo, hi, value, key])
+    if kind == "seq_delete":
+        return ("DELETE FROM w FOR PORTION OF business_time FROM ? TO ?"
+                " WHERE id = ?", [lo, hi, key])
+    return "DELETE FROM w WHERE id = ?", [key]
+
+
 def _apply(db, ops):
+    """Run *ops*; returns each one's outcome: None, or the error class."""
     inserted = set()
+    outcomes = []
     for kind, key, value, lo, width in ops:
-        hi = lo + width
         if kind == "insert":
             if key in inserted:
                 continue
             inserted.add(key)
-            db.execute(
-                "INSERT INTO w (id, v, ab, ae) VALUES (?, ?, 0, 120)",
-                [key, value],
-            )
-        elif kind == "update":
-            db.execute("UPDATE w SET v = ? WHERE id = ?", [value, key])
-        elif kind == "seq_update":
-            db.execute(
-                "UPDATE w FOR PORTION OF business_time FROM ? TO ?"
-                " SET v = ? WHERE id = ?",
-                [lo, hi, value, key],
-            )
-        elif kind == "seq_delete":
-            db.execute(
-                "DELETE FROM w FOR PORTION OF business_time FROM ? TO ?"
-                " WHERE id = ?",
-                [lo, hi, key],
+            sql, params = (
+                "INSERT INTO w (id, v, ab, ae) VALUES (?, ?, 0, 120)", [key, value]
             )
         else:
-            db.execute("DELETE FROM w WHERE id = ?", [key])
-            inserted.discard(key)
+            if kind == "delete":
+                inserted.discard(key)
+            sql, params = _statement(kind, key, value, lo, lo + width)
+        try:
+            db.execute(sql, params)
+            outcomes.append(None)
+        except DatabaseError as error:
+            outcomes.append(type(error).__name__)
+    return outcomes
 
 
 def _logical_content(db, ticks, days):
@@ -82,9 +98,11 @@ def _logical_content(db, ticks, days):
 @given(operations)
 def test_property_all_archetypes_agree_on_random_workloads(ops):
     systems = {name: make_system(name) for name in "ABCDE"}
-    for system in systems.values():
+    outcomes = {}
+    for name, system in systems.items():
         system.execute(DDL)
-        _apply(system.db, ops)
+        outcomes[name] = _apply(system.db, ops)
+    assert len({tuple(o) for o in outcomes.values()}) == 1, outcomes
     last_tick = max(s.db.now() for s in systems.values())
     ticks = [1, max(1, last_tick // 2), max(1, last_tick)]
     days = [0, 30, 60, 119]

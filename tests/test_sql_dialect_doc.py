@@ -7,6 +7,7 @@ for each documented feature group against a fresh database.
 import pytest
 
 from repro.engine import Database
+from repro.engine.errors import DataError, IntegrityError
 
 
 @pytest.fixture
@@ -108,6 +109,26 @@ class TestDocumentedExpressions:
         assert db.execute(
             "SELECT date '1994-01-01' + interval '10' day"
         ).scalar() == date_to_day("1994-01-11")
+
+
+class TestDocumentedDml:
+    def test_key_is_temporal_key(self, db):
+        with pytest.raises(IntegrityError):
+            db.execute(
+                "INSERT INTO orders_doc (o_orderkey, o_active_begin, o_active_end)"
+                " VALUES (1, 50, 150)"
+            )
+        with pytest.raises(IntegrityError):
+            db.execute("UPDATE orders_doc SET o_orderkey = 2 WHERE o_orderkey = 1")
+        assert db.execute("UPDATE orders_doc SET o_orderkey = o_orderkey + 1").rowcount == 2
+
+    def test_periods_are_well_formed(self, db):
+        for begin, end in (("NULL", "5"), ("5", "5"), ("9", "5")):
+            with pytest.raises(DataError):
+                db.execute(
+                    "INSERT INTO orders_doc (o_orderkey, o_active_begin,"
+                    f" o_active_end) VALUES (3, {begin}, {end})"
+                )
 
 
 class TestDocumentedExplain:

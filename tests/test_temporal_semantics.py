@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import temporal
+from repro.engine import Database, temporal
 from repro.engine.catalog import Column, PeriodDef, TableSchema
 from repro.engine.errors import IntegrityError
 from repro.engine.storage.versioned import StorageOptions, VersionedTable
+from repro.engine.txn import TransactionManager
 from repro.engine.types import END_OF_TIME, Period, SqlType
 
 
@@ -40,8 +41,45 @@ def _table():
     return VersionedTable(_schema(), StorageOptions())
 
 
+# one key's write, computed and applied the way the Database row API does
+# it, in a transaction at the given tick
+
+
+def _at(tick):
+    return TransactionManager(start_tick=tick)
+
+
 def _insert(table, key, value, ab, ae, tick):
-    return temporal.temporal_insert(table, [key, value, ab, ae, None, None], tick)
+    row = [key, value, ab, ae, None, None]
+    temporal.check(table, (), [row])
+    return temporal.apply(table, (), [row], _at(tick))
+
+
+def sequenced_update(table, key, changes, period, portion, tick):
+    victims, adds = [], []
+    temporal.sequenced_rows(
+        table.schema, temporal.current_versions_for_key(table, key),
+        period, portion, changes, victims, adds,
+    )
+    temporal.apply(table, victims, adds, _at(tick))
+    return len(victims)
+
+
+def sequenced_delete(table, key, period, portion, tick):
+    return sequenced_update(table, key, None, period, portion, tick)
+
+
+def nontemporal_update(table, key, changes, tick):
+    versions = temporal.current_versions_for_key(table, key)
+    successors = temporal.updated_rows(table.schema, versions, changes)
+    temporal.apply(table, versions, successors, _at(tick))
+    return len(versions)
+
+
+def temporal_delete(table, key, tick):
+    versions = temporal.current_versions_for_key(table, key)
+    temporal.apply(table, versions, (), _at(tick))
+    return len(versions)
 
 
 def _current(table):
@@ -94,7 +132,7 @@ class TestSequencedUpdate:
     def test_middle_portion_splits_into_three(self):
         table = _table()
         _insert(table, 1, 10, 0, 100, tick=1)
-        affected = temporal.sequenced_update(
+        affected = sequenced_update(
             table, (1,), {"v": 99}, "app", Period(30, 60), tick=2
         )
         assert affected == 1
@@ -106,14 +144,14 @@ class TestSequencedUpdate:
     def test_covering_portion_replaces(self):
         table = _table()
         _insert(table, 1, 10, 20, 40, tick=1)
-        temporal.sequenced_update(table, (1,), {"v": 99}, "app", Period(0, 100), tick=2)
+        sequenced_update(table, (1,), {"v": 99}, "app", Period(0, 100), tick=2)
         rows = [(r[2], r[3], r[1]) for r in _current(table)]
         assert rows == [(20, 40, 99)]
 
     def test_disjoint_portion_noop(self):
         table = _table()
         _insert(table, 1, 10, 0, 10, tick=1)
-        affected = temporal.sequenced_update(
+        affected = sequenced_update(
             table, (1,), {"v": 99}, "app", Period(50, 60), tick=2
         )
         assert affected == 0
@@ -121,7 +159,7 @@ class TestSequencedUpdate:
     def test_old_version_archived_with_close_tick(self):
         table = _table()
         _insert(table, 1, 10, 0, 100, tick=1)
-        temporal.sequenced_update(table, (1,), {"v": 99}, "app", Period(0, 50), tick=7)
+        sequenced_update(table, (1,), {"v": 99}, "app", Period(0, 50), tick=7)
         history = [row for _rid, row in table.scan_history()]
         assert len(history) == 1
         assert history[0][5] == 7  # sys_end
@@ -131,7 +169,7 @@ class TestSequencedDelete:
     def test_remainders_survive(self):
         table = _table()
         _insert(table, 1, 10, 0, 100, tick=1)
-        affected = temporal.sequenced_delete(table, (1,), "app", Period(40, 60), tick=2)
+        affected = sequenced_delete(table, (1,), "app", Period(40, 60), tick=2)
         assert affected == 1
         rows = sorted((r[2], r[3]) for r in _current(table))
         assert rows == [(0, 40), (60, 100)]
@@ -139,7 +177,7 @@ class TestSequencedDelete:
     def test_full_cover_removes_key(self):
         table = _table()
         _insert(table, 1, 10, 0, 100, tick=1)
-        temporal.sequenced_delete(table, (1,), "app", Period(0, 100), tick=2)
+        sequenced_delete(table, (1,), "app", Period(0, 100), tick=2)
         assert list(_current(table)) == []
         # but the version is still in the history
         assert table.history_count() == 1
@@ -150,7 +188,7 @@ class TestNontemporalUpdate:
         table = _table()
         _insert(table, 1, 10, 0, 50, tick=1)
         _insert(table, 1, 11, 50, 100, tick=1)
-        affected = temporal.nontemporal_update(table, (1,), {"v": 7}, tick=2)
+        affected = nontemporal_update(table, (1,), {"v": 7}, tick=2)
         assert affected == 2
         values = sorted(r[1] for r in _current(table))
         assert values == [7, 7]
@@ -164,7 +202,7 @@ class TestDeleteAndAudit:
         table = _table()
         _insert(table, 1, 10, 0, 50, tick=1)
         _insert(table, 1, 11, 50, 100, tick=1)
-        assert temporal.temporal_delete(table, (1,), tick=5) == 2
+        assert temporal_delete(table, (1,), tick=5) == 2
         assert list(_current(table)) == []
         assert len(list(table.scan_versions())) == 2
 
@@ -178,25 +216,29 @@ class TestDeleteAndAudit:
 
 
 class TestOverlapConstraint:
-    def test_overlapping_insert_rejected(self):
-        table = _table()
-        temporal.temporal_insert(
-            table, [1, 10, 0, 100, None, None], 1, enforce_overlap="app"
+    """The primary key is the temporal key: SQL INSERT refuses a period
+    that overlaps a current version of the same key."""
+
+    @staticmethod
+    def _db():
+        db = Database()
+        db.execute(
+            "CREATE TABLE t (id integer NOT NULL, v integer, ab date, ae date,"
+            " sb timestamp, se timestamp, PRIMARY KEY (id),"
+            " PERIOD FOR app (ab, ae), PERIOD FOR system_time (sb, se))"
         )
+        db.execute("INSERT INTO t (id, v, ab, ae) VALUES (1, 10, 0, 100)")
+        return db
+
+    def test_overlapping_insert_rejected(self):
+        db = self._db()
         with pytest.raises(IntegrityError):
-            temporal.temporal_insert(
-                table, [1, 11, 50, 150, None, None], 2, enforce_overlap="app"
-            )
+            db.execute("INSERT INTO t (id, v, ab, ae) VALUES (1, 11, 50, 150)")
 
     def test_adjacent_insert_allowed(self):
-        table = _table()
-        temporal.temporal_insert(
-            table, [1, 10, 0, 100, None, None], 1, enforce_overlap="app"
-        )
-        temporal.temporal_insert(
-            table, [1, 11, 100, 200, None, None], 2, enforce_overlap="app"
-        )
-        assert len(list(_current(table))) == 2
+        db = self._db()
+        db.execute("INSERT INTO t (id, v, ab, ae) VALUES (1, 11, 100, 200)")
+        assert db.execute("SELECT count(*) FROM t").scalar() == 2
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +267,7 @@ def test_property_no_overlapping_current_versions(ops, probe_day):
         _insert(table, key, 0, 0, 130, tick=1)
     tick = 2
     for key, begin, width, value in ops:
-        temporal.sequenced_update(
+        sequenced_update(
             table, (key,), {"v": value}, "app", Period(begin, begin + width), tick
         )
         tick += 1
@@ -256,7 +298,7 @@ def test_property_last_write_wins_at_app_point(ops):
     model = [0] * 130
     tick = 2
     for _key, begin, width, value in ops:
-        temporal.sequenced_update(
+        sequenced_update(
             table, (1,), {"v": value}, "app", Period(begin, begin + width), tick
         )
         for day in range(begin, min(begin + width, 130)):
@@ -280,7 +322,7 @@ def test_property_history_is_append_only(ops):
     tick = 2
     for key, begin, width, value in ops:
         key = 1 + (key % 2)
-        temporal.sequenced_update(
+        sequenced_update(
             table, (key,), {"v": value}, "app", Period(begin, begin + width), tick
         )
         assert len(table) >= previous_total
