@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator, List
 
 from .dbgen import InitialData
@@ -99,35 +100,18 @@ class ArchiveReader:
 
 
 def replay_archive(reader: ArchiveReader, db, batch_size: int = 1) -> int:
-    """Populate *db* directly from an archive file (no generator needed).
+    """Populate *db* directly from an archive file (no generator needed),
+    through the loader's replay.
 
     Returns the number of applied operations.  The schema must already
     exist (see :func:`repro.core.schema.create_benchmark_tables`).
     """
     from .loader import Loader  # late import: avoid a cycle
 
-    applied = 0
-    with db.begin():
-        for table, values in reader.initial_rows():
-            db.insert_row(table, values)
-            applied += 1
-    batch: List[List[tuple]] = []
-    shim = Loader.__new__(Loader)  # reuse _apply without a workload
-
-    def flush():
-        nonlocal applied
-        if not batch:
-            return
-        with db.begin():
-            for ops in batch:
-                for op in ops:
-                    shim._apply(db, op)
-                    applied += 1
-        batch.clear()
-
-    for ops in reader.transactions():
-        batch.append(ops)
-        if len(batch) >= batch_size:
-            flush()
-    flush()
-    return applied
+    archive = SimpleNamespace(
+        initial=reader.initial_data(), transactions=list(reader.transactions())
+    )
+    loader = Loader(SimpleNamespace(db=db), archive)
+    initial = loader.load_initial()
+    _transactions, operations = loader.replay(batch_size)
+    return initial + operations

@@ -82,8 +82,8 @@ class Loader:
         )
         started = time.perf_counter()
         self.create_schema()
-        report.initial_rows = self._load_initial()
-        report.transactions, report.operations = self._replay(
+        report.initial_rows = self.load_initial()
+        report.transactions, report.operations = self.replay(
             batch_size, report.scenario_latencies if collect_latencies else None
         )
         self.db.drain_all_undo()
@@ -91,7 +91,7 @@ class Loader:
         report.seconds = time.perf_counter() - started
         return report
 
-    def _load_initial(self) -> int:
+    def load_initial(self) -> int:
         """Version 0 enters in a single transaction → one shared tick."""
         count = 0
         db = self.db
@@ -102,7 +102,10 @@ class Loader:
                     count += 1
         return count
 
-    def _replay(self, batch_size, latencies: Optional[List[float]]):
+    def replay(self, batch_size=1, latencies: Optional[List[float]] = None):
+        """Replay the scenarios in system-time order, *batch_size* per
+        transaction; returns (transactions, operations).  *latencies*, if
+        given, receives each transaction's wall-clock seconds."""
         db = self.db
         transactions = self.workload.transactions
         op_count = 0

@@ -37,17 +37,12 @@ class ArchitectureProfile:
 
     * ``uses_indexes`` — System C *"does not benefit at all from the
       additional B-Tree index"*; its planner always scans.
-    * ``index_selectivity_threshold`` — fraction of a partition a range
-      predicate must select *below* for the planner to prefer an index scan
-      (the paper: indexes "only work on very selective workloads").
     * ``lint_suppressions`` — the analyzer's one per-archetype policy.
     """
 
     name: str = "generic"
-    supports_system_time: bool = True
     uses_indexes: bool = True
     manual_system_time: bool = False  # System D: client sets SYS_TIME itself
-    index_selectivity_threshold: float = 0.15
     #: logical-plan rewrite rules the optimizer applies (see plan.rewrite);
     #: individually switchable for ablation benchmarks
     rewrite_rules: Tuple[str, ...] = (
@@ -169,8 +164,8 @@ class Database:
 
     # -- transactions -------------------------------------------------------
 
-    def begin(self, meta=None):
-        return self.txns.begin(meta=meta)
+    def begin(self):
+        return self.txns.begin()
 
     def now(self) -> int:
         """The current (last committed) system time."""

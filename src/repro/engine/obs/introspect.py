@@ -20,8 +20,8 @@ The SQL layer resolves these names like tables (``Database.
 system_view_columns`` / ``system_view_rows``) and lowers them to a
 ``VirtualScan`` operator, so filters, joins and EXPLAIN all compose.
 Assembling a view reads engine state but never perturbs it: row iteration
-goes through ``VersionedTable.scan_partition_quiet`` which bumps no
-stats, metrics or access counters.
+goes through ``VersionedTable.walk``, which bumps no metrics or access
+counters and drains no undo log.
 
 ``SYSTEM_VIEWS`` below is the one declaration of every view and column:
 ``tools/gen_docs.py`` renders the column tables of ``docs/OBSERVABILITY.md``
@@ -287,7 +287,7 @@ def _stat_history_rows(db) -> List[tuple]:
         )
         for part_name in table.partition_names():
             chains: Dict[tuple, List[tuple]] = {}
-            for _rid, row in table.scan_partition_quiet(part_name):
+            for _rid, row in table.walk(part_name):
                 chains.setdefault(schema.key_of(row), []).append(tuple(row))
             buckets: Dict[int, List[tuple]] = {}
             for versions in chains.values():

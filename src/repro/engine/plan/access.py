@@ -35,6 +35,11 @@ from ..types import END_OF_TIME
 
 ValueFn = Callable[[object], object]  # fn(env) -> runtime constant
 
+#: the fraction of a partition an index probe must select *below* for the
+#: planner to prefer it to a scan (the paper: indexes "only work on very
+#: selective workloads", §5.9)
+INDEX_SELECTIVITY_THRESHOLD = 0.15
+
 
 @dataclass
 class ColumnConstraint:
@@ -153,8 +158,7 @@ class TableAccessPlan:
     def _candidate_indexes(self, partition):
         if not self.profile.uses_indexes:
             return []
-        name = SINGLE if partition == SINGLE else partition
-        return list(self.table.indexes_on_partition(name).values())
+        return list(self.table.indexes_on_partition(partition).values())
 
     def _constraints_with_temporal(self) -> List[ColumnConstraint]:
         """Sargable constraints, including ones implied by temporal bounds.
@@ -201,11 +205,9 @@ class TableAccessPlan:
             or (partition == SINGLE and not self.system_clause)
         ):
             key = tuple(fn(env) for fn in self._pk_values)
-            rids = table.current_rids_for_key(key)
-            pairs = table.reconstruct_for_rids(rids) if self.need_temporal else [
-                (rid, table.fetch(table.current_partition_name(), rid)) for rid in rids
-            ]
-            rows = [tuple(row) for _rid, row in pairs if row is not None]
+            rows = table.rows_for_rids(
+                partition, table.current_rids_for_key(key), self.need_temporal
+            )
             self.decisions.append(AccessDecision(partition, "pk-probe"))
             return self._finish(rows, checks)
         # 3. the cheapest selective secondary index
@@ -274,19 +276,16 @@ class TableAccessPlan:
         tick = sys_filter.low(env)
         if not tick < END_OF_TIME:
             return None  # no version is open after the sentinel (or at NaN)
-        rows = []
-        for rid in timeline.snapshot_rids(tick):
-            row = self.table.fetch(partition, rid)
-            if row is not None:
-                rows.append(tuple(row))
-        return rows
+        return self.table.rows_for_rids(
+            partition, timeline.snapshot_rids(tick), self.need_temporal
+        )
 
     def _choose_index(self, partition, env):
         candidates = self._candidate_indexes(partition)
         if not candidates:
             # no index to weigh: the scan-only path builds nothing.  On
             # history this also skips the undo drain below, which the scan
-            # that follows performs anyway (scan_history_batches)
+            # that follows performs anyway (scan_partition_batches)
             return None
         constraints = self._constraints_with_temporal()
         by_column: Dict[str, List[ColumnConstraint]] = {}
@@ -316,14 +315,9 @@ class TableAccessPlan:
         if best is None:
             return None
         est, index_def, rids = best
-        if est / partition_size > self.profile.index_selectivity_threshold:
+        if est / partition_size > INDEX_SELECTIVITY_THRESHOLD:
             return None  # not selective enough: the optimizer prefers a scan
-        if partition in (CURRENT, SINGLE) and self.need_temporal:
-            pairs = self.table.reconstruct_for_rids(rids)
-        else:
-            pairs = [(rid, self.table.fetch(partition, rid)) for rid in rids]
-        rows = [tuple(row) for _rid, row in pairs if row is not None]
-        return index_def, rows
+        return index_def, self.table.rows_for_rids(partition, rids, self.need_temporal)
 
     def _try_index(self, index_def, structure, by_column, env, partition_size):
         if index_def.kind == "rtree":
@@ -370,7 +364,7 @@ class TableAccessPlan:
             ]
             return (len(rids), rids)
         fraction = _estimate_range_fraction(structure, low, high)
-        if fraction > self.profile.index_selectivity_threshold:
+        if fraction > INDEX_SELECTIVITY_THRESHOLD:
             # skip before materialising a huge rid list; outer code re-checks
             return None
         rids = [rid for _key, rid in structure.range_scan(low, high, low_inc, high_inc)]

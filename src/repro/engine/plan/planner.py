@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Set
 
 from ..batch import Batch, batches_from_rows
 from ..catalog import TableSchema
-from ..errors import DataError, NotSupportedError, PlanError, ProgrammingError
+from ..errors import DataError, PlanError, ProgrammingError
 from ..expr import Env, Scope, compile_batch_expr, compile_expr, expr_to_string
 from ..sql import ast
 from ..types import END_OF_TIME
@@ -716,10 +716,6 @@ class Planner:
             period = self._resolve_period(schema, clause.period)
             if period.is_system:
                 has_system = True
-                if not self.profile.supports_system_time:
-                    raise NotSupportedError(
-                        f"{self.profile.name} has no system-time support"
-                    )
             low_fn = self._value_fn(clause.low, outer_scope, required=True)
             high_fn = self._value_fn(clause.high, outer_scope, required=True)
             if clause.mode == "all":

@@ -34,6 +34,8 @@ from itertools import repeat
 from math import inf, isfinite
 from typing import Dict, Optional, Sequence, Tuple
 
+from .batch import rows_from_batches
+
 #: number of equi-width buckets collected for numeric columns
 HISTOGRAM_BUCKETS = 16
 
@@ -173,13 +175,13 @@ def _column_stats(values: Sequence[object], buckets: int) -> ColumnStats:
 
 
 def collect_table_stats(table, buckets: int = HISTOGRAM_BUCKETS) -> TableStats:
-    """Scan every partition of *table* and compute its statistics, one
-    transposed column at a time."""
+    """Scan every partition of *table*, as a query does, and compute its
+    statistics, one transposed column at a time."""
     schema = table.schema
     column_names = schema.column_names()
     out = TableStats(table=schema.name)
     for name in table.partition_names():
-        rows = [row for _rid, row in table.scan_partition(name, need_temporal=True)]
+        rows = rows_from_batches(table.scan_partition_batches(name))
         columns = zip(*rows) if rows else repeat((), len(column_names))
         part = PartitionStats(partition=name, row_count=len(rows))
         for column, values in zip(column_names, columns):

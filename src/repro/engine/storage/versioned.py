@@ -18,12 +18,12 @@ to one knob of :class:`StorageOptions`:
   ``undo_log`` buffers invalidated versions and drains them in background
   batches; the column store's delta/main split comes from
   :class:`~repro.engine.storage.column_store.ColumnStore`.
-* *"System B records more detailed metadata, e.g., on transaction
-  identifiers and the update query type"* → ``record_metadata`` widens every
-  history row with bookkeeping columns.
 * *"None of the systems puts any index on the history table"* → indexes are
   created per-partition and only where an experiment's tuning setting
   (§5.1) asks for them.
+
+The paper also notes that *"System B records more detailed metadata"*; no
+query here reads such metadata, so it is not modelled.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class StorageOptions:
     vertical_partition_current: bool = False
     undo_log: bool = False
     undo_drain_batch: int = 64
-    record_metadata: bool = False
     column_merge_threshold: int = 8192
 
     def __post_init__(self):
@@ -175,8 +174,10 @@ class VersionedTable:
             for name in names
         }
 
-        # System B: system-time info of *current* rows lives here, not inline.
-        self._vp_temporal: Dict[int, Tuple[int, int, Optional[tuple]]] = {}
+        # System B: the (sys_begin, sys_end) of *current* rows live here,
+        # not inline
+        self._vp = self.options.vertical_partition_current and self.is_versioned
+        self._vp_temporal: Dict[int, Tuple[int, int]] = {}
         self._undo = AppendLog() if self.options.undo_log else None
         self._undo_since_drain = 0
 
@@ -228,7 +229,7 @@ class VersionedTable:
 
     # -- writes --------------------------------------------------------------
 
-    def insert_version(self, values, sys_begin=None, txn_meta=None) -> int:
+    def insert_version(self, values, sys_begin=None) -> int:
         """Insert a new row version visible from *sys_begin* onwards.
 
         *values* must be a full-width sequence; for versioned tables the
@@ -241,13 +242,13 @@ class VersionedTable:
             row[self._sys_begin] = sys_begin
             row[self._sys_end] = END_OF_TIME
         part = self._partitions[self.current_partition_name()]
-        if self.options.vertical_partition_current and self.is_versioned:
+        if self._vp:
             # physically strip temporal info from the current row
             stripped = list(row)
             stripped[self._sys_begin] = None
             stripped[self._sys_end] = None
             rid = part.store.append(stripped)
-            self._vp_temporal[rid] = (sys_begin, END_OF_TIME, txn_meta)
+            self._vp_temporal[rid] = (sys_begin, END_OF_TIME)
         else:
             rid = part.store.append(row)
         self._index_insert(part, rid, row)
@@ -282,46 +283,48 @@ class VersionedTable:
         self.metrics.inc("txn.versions_written")
         return rid
 
-    def invalidate(self, rid, sys_end, txn_meta=None):
-        """Close the version at *rid* as of *sys_end* and archive it."""
+    def invalidate(self, rid, sys_end):
+        """Close the version at *rid* as of *sys_end* and archive it.
+
+        A version closed at the tick it began (a second write to its key in
+        the same transaction) holds at no system time, so it is dropped
+        instead: removed from the current partition, its indexes and the
+        key map, and archived nowhere."""
         if not self.is_versioned:
             raise InternalError(f"table {self.schema.name} is not versioned")
-        part = self._partitions[self.current_partition_name()]
-        row = self._materialize_current(part, rid)
+        name = self.current_partition_name()
+        part = self._partitions[name]
+        row = self.fetch(name, rid)
         if row is None:
             raise InternalError(f"no current version at rid {rid}")
-        closed = list(row)
-        closed[self._sys_end] = sys_end
-        if self.options.record_metadata:
-            txn_meta = txn_meta or (None, None)
         self.mutations += 1
         self.metrics.inc("storage.versions_invalidated")
 
         if self.schema.primary_key:
             self._pk_forget(row, rid)
+        held = row[self._sys_begin] < sys_end
+        if held:
+            closed = list(row)
+            closed[self._sys_end] = sys_end
+            if not self._split:
+                # System D: the closed version simply stays in the single table.
+                part.store.update_in_place(rid, closed)
+                self._index_update(part, rid, row, closed)
+                return
 
-        if not self._split:
-            # System D: the closed version simply stays in the single table.
-            part.store.update_in_place(rid, closed)
-            self._index_update(part, rid, row, closed)
-            return
-
-        # remove from current partition (and its indexes)
+        # remove from the current partition (and its indexes)
         self._index_remove(part, rid, row)
         part.store.delete(rid)
         self._vp_temporal.pop(rid, None)
-
+        if not held:
+            return
         if self._undo is not None:
-            self._undo.append((closed, txn_meta))
+            self._undo.append(closed)
             self._undo_since_drain += 1
             if self._undo_since_drain >= self.options.undo_drain_batch:
                 self.drain_undo()
         else:
             self._move_to_history(closed)
-
-    def delete_version(self, rid, sys_end, txn_meta=None):
-        """SQL DELETE: identical to invalidation (the version is archived)."""
-        self.invalidate(rid, sys_end, txn_meta=txn_meta)
 
     def plain_delete(self, rid):
         """Physical delete for non-versioned tables."""
@@ -379,142 +382,87 @@ class VersionedTable:
             return 0
         records = self._undo.drain()
         if records:
-            begin, end = self._sys_begin, self._sys_end
-            records.sort(key=lambda record: (record[0][begin], record[0][end]))
-            for closed_row, _meta in records:
+            records.sort(key=itemgetter(self._sys_begin, self._sys_end))
+            for closed_row in records:
                 self._move_to_history(closed_row)
             self.metrics.inc("storage.undo_drains")
         self._undo_since_drain = 0
         return len(records)
 
     # -- reads ---------------------------------------------------------------
+    #
+    # One way per purpose: queries (and ANALYZE) read batches through
+    # scan_partition_batches, maintenance and test oracles walk a partition
+    # quietly, index, key and timeline probes read rows_for_rids, and the
+    # write path fetches one rid.  System B's vertically partitioned current
+    # rows get their system-time columns back through one merge, _merge_vp.
 
-    def _materialize_current(self, part, rid):
-        row = part.store.fetch(rid)
-        if row is None:
-            return None
-        if self.options.vertical_partition_current and rid in self._vp_temporal:
-            merged = list(row)
-            begin, end, _meta = self._vp_temporal[rid]
-            merged[self._sys_begin] = begin
-            merged[self._sys_end] = end
-            return merged
-        return row
+    def fetch(self, name, rid):
+        """The row at *rid* in partition *name*, None if there is none; a
+        point lookup in the VP side table puts back B's system-time
+        columns, with no sort/merge (the write path's fetch)."""
+        row = self._partitions[name].store.fetch(rid)
+        times = self._vp_temporal.get(rid) if name == CURRENT else None
+        if row is None or times is None:
+            return row
+        merged = list(row)
+        merged[self._sys_begin], merged[self._sys_end] = times
+        return merged
 
-    def fetch(self, partition_name, rid):
-        part = self._partitions[partition_name]
-        if partition_name in (CURRENT, SINGLE):
-            return self._materialize_current(part, rid)
-        return part.store.fetch(rid)
-
-    def scan_current(self, need_temporal=True) -> Iterator[Tuple[int, list]]:
-        """Scan the current partition (or the single table).
-
-        With vertical partitioning, reconstructing temporal columns requires
-        a sort/merge join between the data rows and the temporal side table
-        — the cost source the paper observed for System B (§5.3.1).
-        """
-        part = self._partitions[self.current_partition_name()]
-        part.access.scans += 1
-        part.access.rows_read += len(part)
-        self.metrics.inc("storage.current_scans")
-        self.metrics.inc("storage.current_rows_scanned", len(part))
-        if (
-            need_temporal
-            and self.options.vertical_partition_current
-            and self.is_versioned
-        ):
-            yield from self._scan_current_vp(part)
-            return
-        yield from part.store.scan()
-
-    def _scan_current_vp(self, part):
-        self.vp_merge_joins += 1
-        self.metrics.inc("storage.vp_merge_joins")
-        yield from self._merge_vp_rows(part)
-
-    def _merge_vp_rows(self, part):
-        # Sort both inputs (the optimizer does not know they are clustered),
-        # then merge on rid.  This mirrors the paper's observation of a
-        # sort/merge join "with sorting on both sides".
-        data_side = sorted(part.store.scan(), key=lambda pair: pair[0])
+    def _merge_vp(self, pairs) -> Iterator[Tuple[int, tuple]]:
+        """The ``(rid, row)`` *pairs* of B's current partition with their
+        system-time columns from the side table.  Both sides are sorted
+        (the optimizer does not know they are clustered), then merged on
+        rid: the sort/merge join "with sorting on both sides" the paper
+        observed (§5.3.1)."""
         temporal_side = sorted(self._vp_temporal.items())
-        ti = 0
-        n = len(temporal_side)
-        for rid, row in data_side:
+        begin, end = self._sys_begin, self._sys_end
+        ti, n = 0, len(temporal_side)
+        for rid, row in sorted(pairs, key=itemgetter(0)):
             while ti < n and temporal_side[ti][0] < rid:
                 ti += 1
             merged = list(row)
             if ti < n and temporal_side[ti][0] == rid:
-                begin, end, _meta = temporal_side[ti][1]
-                merged[self._sys_begin] = begin
-                merged[self._sys_end] = end
-            yield rid, merged
+                merged[begin], merged[end] = temporal_side[ti][1]
+            yield rid, tuple(merged)
 
-    def scan_history(self) -> Iterator[Tuple[int, list]]:
-        """Scan the history partition (forces an undo drain first)."""
-        if not self._split:
-            return
-        if self._undo is not None and len(self._undo):
+    def _count_vp_merge(self):
+        self.vp_merge_joins += 1
+        self.metrics.inc("storage.vp_merge_joins")
+
+    def walk(self, name) -> Iterator[Tuple[int, tuple]]:
+        """Every ``(rid, row)`` of partition *name* in rid order, B's
+        system-time columns merged in.  Quiet: no counter moves and the
+        undo log is not drained (its versions are in no partition yet), so
+        maintenance, the system views and test oracles read state without
+        changing it."""
+        store = self.partition(name).store
+        if name == CURRENT and self._vp:
+            return self._merge_vp(store.scan())
+        return store.scan()
+
+    def scan_partition_batches(self, name, need_temporal=True, size=1024, *,
+                               window: Optional[Window] = None, app_windows=(),
+                               columns=None) -> Iterator[Batch]:
+        """One partition's rows as batches, in rid order: the read of every
+        query and of ANALYZE.  *window* is the system-time window (the store
+        prunes pages by zone map), *app_windows* ``(begin_pos, end_pos,
+        window)`` triples for any other period, *columns* the positions to
+        hand over (a column-store table only); the defaults scan every row
+        of every column (docs/EXECUTION.md, "Scan layer").  A history scan
+        drains B's undo log first."""
+        part = self.partition(name)
+        if name == HISTORY:
             self.drain_undo()
-        part = self._partitions[HISTORY]
-        part.access.scans += 1
-        part.access.rows_read += len(part)
-        self.metrics.inc("storage.history_scans")
-        self.metrics.inc("storage.history_rows_scanned", len(part))
-        yield from part.store.scan()
-
-    def scan_partition(self, name, need_temporal=True):
-        if name in (CURRENT, SINGLE):
-            yield from self.scan_current(need_temporal=need_temporal)
-        elif name == HISTORY:
-            yield from self.scan_history()
-        else:
-            raise InternalError(f"unknown partition {name!r}")
-
-    def scan_partition_quiet(self, name, need_temporal=True):
-        """Introspection scan: the same rows as :meth:`scan_partition` but
-        with *no* side effects — no metrics/access-counter bumps and
-        no undo drain, so the system views report state without moving it.
-        """
-        try:
-            part = self._partitions[name]
-        except KeyError:
-            raise InternalError(f"unknown partition {name!r}") from None
-        if (
-            name in (CURRENT, SINGLE)
-            and need_temporal
-            and self.options.vertical_partition_current
-            and self.is_versioned
-        ):
-            yield from self._merge_vp_rows(part)
-            return
-        yield from part.store.scan()
-
-    # -- batch reads ---------------------------------------------------------
-
-    def scan_current_batches(self, need_temporal=True, size=1024, *,
-                             window: Optional[Window] = None, app_windows=(),
-                             columns=None) -> Iterator[Batch]:
-        """Batch variant of :meth:`scan_current`: same rows in the same
-        order (as tuples).  The store applies the system-time *window*
-        (pruning pages by zone map) and the *app_windows* exactly and
-        hands over the *columns* (positions; None = all) of the surviving
-        rows (docs/EXECUTION.md, "Scan layer").
-        """
-        part = self._partitions[self.current_partition_name()]
-        if (
-            need_temporal
-            and self.options.vertical_partition_current
-            and self.is_versioned
-        ):
+        elif name == CURRENT and self._vp and need_temporal:
             # System B pays its sort/merge join and a per-row filter on
             # every scan: the side table has no pages to prune by
             tally = ScanTally()
             tally.pages_read = part.store.page_count
             tally.rows_read = len(part)
-            self._account_scan(part, CURRENT, tally)
-            rows = [tuple(row) for _rid, row in self._scan_current_vp(part)]
+            self._account_scan(part, name, tally)
+            self._count_vp_merge()
+            rows = [row for _rid, row in self._merge_vp(part.store.scan())]
             if window is not None:
                 app_windows = [(self._sys_begin, self._sys_end, window), *app_windows]
             rows = window_rows(rows, app_windows)
@@ -522,22 +470,6 @@ class VersionedTable:
                 rows = list(map(projector(columns), rows))
             yield from batches_from_rows(rows, size)
             return
-        yield from self._scan_store_batches(
-            part, CURRENT, size, window, app_windows, columns
-        )
-
-    def scan_history_batches(self, size=1024, *, window: Optional[Window] = None,
-                             app_windows=(), columns=None) -> Iterator[Batch]:
-        """Batch variant of :meth:`scan_history` (drains the undo log)."""
-        if not self._split:
-            return
-        if self._undo is not None and len(self._undo):
-            self.drain_undo()
-        yield from self._scan_store_batches(
-            self._partitions[HISTORY], HISTORY, size, window, app_windows, columns
-        )
-
-    def _scan_store_batches(self, part, kind, size, window, app_windows, columns):
         tally = ScanTally()
         # only a column store narrows: a row store hands over its tuples
         narrow = {} if columns is None else {"columns": columns}
@@ -547,15 +479,15 @@ class VersionedTable:
             )
         finally:
             # also when the consumer stops early (timeout): count what was read
-            self._account_scan(part, kind, tally)
+            self._account_scan(part, name, tally)
 
-    def _account_scan(self, part, kind, tally):
+    def _account_scan(self, part, name, tally):
         access = part.access
         access.scans += 1
         access.rows_read += tally.rows_read
         access.pages_read += tally.pages_read
         access.pages_pruned += tally.pages_pruned
-        if kind == HISTORY:
+        if name == HISTORY:
             self.metrics.inc("storage.history_scans")
             self.metrics.inc("storage.history_rows_scanned", tally.rows_read)
         else:
@@ -564,70 +496,32 @@ class VersionedTable:
         self.metrics.inc("storage.pages_scanned", tally.pages_read)
         self.metrics.inc("storage.pages_pruned", tally.pages_pruned)
 
-    def scan_partition_batches(self, name, need_temporal=True, size=1024, *,
-                               window: Optional[Window] = None, app_windows=(),
-                               columns=None):
-        """One partition's rows as batches.  *window* is the system-time
-        window, *app_windows* ``(begin_pos, end_pos, window)`` triples for
-        any other period, *columns* the positions to hand over (a
-        column-store table only); the defaults scan every row of every
-        column."""
-        if name in (CURRENT, SINGLE):
-            yield from self.scan_current_batches(
-                need_temporal=need_temporal, size=size, window=window,
-                app_windows=app_windows, columns=columns,
-            )
-        elif name == HISTORY:
-            yield from self.scan_history_batches(
-                size=size, window=window, app_windows=app_windows, columns=columns
-            )
-        else:
-            raise InternalError(f"unknown partition {name!r}")
+    def scan_versions(self) -> Iterator[Tuple[str, int, tuple]]:
+        """All versions as ``(partition, rid, row)``, the undo log drained
+        first: the walk of every partition."""
+        self.drain_undo()
+        for name in self._partitions:
+            for rid, row in self.walk(name):
+                yield name, rid, row
 
-    def scan_versions(self) -> Iterator[Tuple[str, int, list]]:
-        """All versions as (partition, rid, row) across partitions."""
-        for rid, row in self.scan_current():
-            yield self.current_partition_name(), rid, row
-        if self._split:
-            for rid, row in self.scan_history():
-                yield HISTORY, rid, row
+    def rows_for_rids(self, name, rids, need_temporal=True) -> List[tuple]:
+        """The live rows at *rids* in partition *name*, as tuples: the read
+        behind PK, index and timeline probes.
 
-    def reconstruct_for_rids(self, rids) -> List[Tuple[int, list]]:
-        """Fetch current rows for *rids* with temporal columns materialised.
-
-        On a vertically partitioned table this is NOT a cheap point lookup:
-        the engine has to join the data partition with the temporal side
-        table, sorting both sides — the behaviour the paper measured on
-        System B even for index-assisted audit queries (§5.5.1).  On all
-        other layouts it degenerates to direct fetches.
+        On B's vertically partitioned current partition, with
+        *need_temporal*, this is NOT a cheap point lookup: the data rows
+        are joined with the temporal side table, sorting both sides, in rid
+        order — the behaviour the paper measured on System B even for
+        index-assisted audit queries (§5.5.1).  Elsewhere it fetches each
+        rid in the order given.
         """
-        part = self._partitions[self.current_partition_name()]
-        if not (self.options.vertical_partition_current and self.is_versioned):
-            out = []
-            for rid in rids:
-                row = self._materialize_current(part, rid)
-                if row is not None:
-                    out.append((rid, row))
-            return out
-        self.vp_merge_joins += 1
-        self.metrics.inc("storage.vp_merge_joins")
-        wanted = sorted(set(rids))
-        temporal_side = sorted(self._vp_temporal.items())
-        out = []
-        ti, n = 0, len(temporal_side)
-        for rid in wanted:
-            row = part.store.fetch(rid)
-            if row is None:
-                continue
-            while ti < n and temporal_side[ti][0] < rid:
-                ti += 1
-            merged = list(row)
-            if ti < n and temporal_side[ti][0] == rid:
-                begin, end, _meta = temporal_side[ti][1]
-                merged[self._sys_begin] = begin
-                merged[self._sys_end] = end
-            out.append((rid, merged))
-        return out
+        if name == CURRENT and self._vp and need_temporal:
+            self._count_vp_merge()
+            fetch = self._partitions[CURRENT].store.fetch
+            pairs = [(rid, row) for rid in set(rids) if (row := fetch(rid)) is not None]
+            return [row for _rid, row in self._merge_vp(pairs)]
+        fetch = self.fetch
+        return [tuple(row) for rid in rids if (row := fetch(name, rid)) is not None]
 
     def current_rids_for_key(self, key) -> List[int]:
         """Current version rids for a primary-key tuple (PK probe path)."""
@@ -650,10 +544,11 @@ class VersionedTable:
         key_of = _key_function(
             index.kind, [self.schema.position(c) for c in index.columns]
         )
-        # registered after the build: a history scan drains B's undo log
-        # first, and the drained versions must not be indexed twice
-        rows = self.scan_current() if target in (CURRENT, SINGLE) else self.scan_history()
-        for rid, row in rows:
+        # drained before the build and registered after it, so a version
+        # still in B's undo log is indexed once, by the drain
+        if target == HISTORY:
+            self.drain_undo()
+        for rid, row in self.walk(target):
             key = key_of(row)
             if key is not None:
                 structure.insert(key, rid)

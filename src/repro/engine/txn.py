@@ -21,12 +21,11 @@ from .errors import NotSupportedError, OperationalError
 class Transaction:
     """One unit of work with a single system-time tick."""
 
-    __slots__ = ("tick", "meta", "wrote", "_manager", "_state")
+    __slots__ = ("tick", "wrote", "_manager", "_state")
 
-    def __init__(self, manager: "TransactionManager", tick: int, meta=None):
+    def __init__(self, manager: "TransactionManager", tick: int):
         self._manager = manager
         self.tick = tick
-        self.meta = meta
         #: set by the write path before it applies a checked write set
         self.wrote = False
         self._state = "active"
@@ -95,10 +94,10 @@ class TransactionManager:
     def commit_count(self):
         return len(self._committed)
 
-    def begin(self, meta=None) -> Transaction:
+    def begin(self) -> Transaction:
         if self._active is not None:
             raise OperationalError("a transaction is already active")
-        txn = Transaction(self, self._clock, meta=meta)
+        txn = Transaction(self, self._clock)
         self._active = txn
         return txn
 

@@ -104,7 +104,6 @@ class TemporalSystem:
             f"  current/history split: {opts.split_history}",
             f"  vertical partitioning: {opts.vertical_partition_current}",
             f"  undo log:              {opts.undo_log}",
-            f"  version metadata:      {opts.record_metadata}",
             f"  native app time:       {self.native_application_time}",
             f"  native system time:    {self.native_system_time}",
             f"  optimizer uses indexes:{self.db.profile.uses_indexes}",

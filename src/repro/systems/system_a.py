@@ -27,16 +27,13 @@ class SystemA(TemporalSystem):
             split_history=True,
             vertical_partition_current=False,
             undo_log=False,
-            record_metadata=False,
         )
 
     def profile(self):
         return ArchitectureProfile(
             name="System A",
-            supports_system_time=True,
             uses_indexes=True,
             manual_system_time=False,
-            index_selectivity_threshold=0.15,
             # analyzer performance rules whose suggested rewrite gains
             # < 1.5x here (benchmarks/reports/analyzer_cliffs.md)
             lint_suppressions=("TQ002",),

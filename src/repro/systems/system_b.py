@@ -32,16 +32,13 @@ class SystemB(TemporalSystem):
             vertical_partition_current=True,
             undo_log=True,
             undo_drain_batch=64,
-            record_metadata=True,
         )
 
     def profile(self):
         return ArchitectureProfile(
             name="System B",
-            supports_system_time=True,
             uses_indexes=True,
             manual_system_time=False,
-            index_selectivity_threshold=0.15,
             # analyzer performance rules whose suggested rewrite gains
             # < 1.5x here (benchmarks/reports/analyzer_cliffs.md)
             lint_suppressions=("TQ003", "TQ007"),

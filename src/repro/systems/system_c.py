@@ -33,17 +33,14 @@ class SystemC(TemporalSystem):
             split_history=True,
             vertical_partition_current=False,
             undo_log=False,
-            record_metadata=False,
             column_merge_threshold=4096,
         )
 
     def profile(self):
         return ArchitectureProfile(
             name="System C",
-            supports_system_time=True,
             uses_indexes=False,
             manual_system_time=False,
-            index_selectivity_threshold=0.0,
             # analyzer performance rules whose suggested rewrite gains
             # < 1.5x here (benchmarks/reports/analyzer_cliffs.md)
             lint_suppressions=("TQ003", "TQ007"),

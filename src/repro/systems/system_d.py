@@ -32,16 +32,13 @@ class SystemD(TemporalSystem):
             split_history=False,
             vertical_partition_current=False,
             undo_log=False,
-            record_metadata=False,
         )
 
     def profile(self):
         return ArchitectureProfile(
             name="System D",
-            supports_system_time=True,  # clauses rewrite to value predicates
             uses_indexes=True,
             manual_system_time=True,
-            index_selectivity_threshold=0.15,
             # analyzer performance rules whose suggested rewrite gains
             # < 1.5x here (benchmarks/reports/analyzer_cliffs.md)
             lint_suppressions=("TQ002",),

@@ -60,13 +60,13 @@ def _instrument(table: VersionedTable, timeline: TimelineIndex):
     original_insert = table.insert_version
     original_invalidate = table.invalidate
 
-    def insert_version(values, sys_begin=None, txn_meta=None):
-        rid = original_insert(values, sys_begin=sys_begin, txn_meta=txn_meta)
+    def insert_version(values, sys_begin=None):
+        rid = original_insert(values, sys_begin=sys_begin)
         timeline.activate(rid, sys_begin)
         return rid
 
-    def invalidate(rid, sys_end, txn_meta=None):
-        original_invalidate(rid, sys_end, txn_meta=txn_meta)
+    def invalidate(rid, sys_end):
+        original_invalidate(rid, sys_end)
         timeline.invalidate(rid, sys_end)
 
     table.insert_version = insert_version
@@ -98,10 +98,8 @@ class SystemE(TemporalSystem):
     def profile(self):
         return ArchitectureProfile(
             name="System E",
-            supports_system_time=True,
             uses_indexes=True,
             manual_system_time=False,
-            index_selectivity_threshold=0.15,
             # every analyzer performance rule's suggested rewrite gains
             # >= 1.5x here (benchmarks/reports/analyzer_cliffs.md)
             lint_suppressions=(),

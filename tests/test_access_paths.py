@@ -215,7 +215,7 @@ class TestUndoLogHistoryProbe:
         db = self._load("B", early_key=17)
         assert self._probe(db) == expected
         table = db.table("item")
-        before = dict(table.scan_partition_quiet(HISTORY))
+        before = dict(table.walk(HISTORY))
         drains = db.metrics.counter("storage.undo_drains")
         for i in range(101, 201):  # 100 more closed versions: a drain or more
             db.execute("UPDATE item SET v = 1 WHERE id = ?", [i])

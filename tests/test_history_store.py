@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.history import GeneratorStore, VersionChain, VersionNode
-from repro.engine.types import Period
+from repro.engine.catalog import Column, PeriodDef, TableSchema
+from repro.engine.storage.versioned import CURRENT, StorageOptions, VersionedTable
+from repro.engine.types import Period, SqlType
+from tests.test_temporal_semantics import _insert, sequenced_update
 
 SPEC = [("t", ("id",), {"app": ("ab", "ae")})]
 
@@ -119,11 +122,6 @@ def test_property_generator_matches_engine_semantics(ops):
     """The generator-side sequenced update must produce exactly the same
     visible state as the engine's temporal module — otherwise replayed
     systems would diverge from the generator's bookkeeping."""
-    from tests.test_temporal_semantics import _insert, sequenced_update
-    from repro.engine.catalog import Column, PeriodDef, TableSchema
-    from repro.engine.storage.versioned import StorageOptions, VersionedTable
-    from repro.engine.types import SqlType
-
     schema = TableSchema(
         "t",
         [
@@ -151,7 +149,7 @@ def test_property_generator_matches_engine_semantics(ops):
         tick += 1
 
     engine_state = sorted(
-        (row[2], row[3], row[1]) for _rid, row in engine_table.scan_current()
+        (row[2], row[3], row[1]) for _rid, row in engine_table.walk(CURRENT)
     )
     generator_state = sorted(
         (v["ab"], v["ae"], v["v"]) for v, _ in gen_table.current_versions()

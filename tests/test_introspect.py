@@ -171,13 +171,13 @@ class TestStatTables:
         second = db.execute(sql).rows
         assert first == second  # introspection is side-effect free
 
-    def test_scan_partition_quiet_is_silent(self, db):
+    def test_walk_is_silent(self, db):
         _insert(db, 0, 3)
         table = db.table("item")
         part = table._partitions["current"]
         metrics_before = db.metrics.counter("storage.current_scans")
         access_before = part.access.scans
-        rows = list(table.scan_partition_quiet("current"))
+        rows = list(table.walk("current"))
         assert len(rows) == 3
         assert db.metrics.counter("storage.current_scans") == metrics_before
         assert part.access.scans == access_before

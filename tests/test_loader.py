@@ -84,6 +84,39 @@ def test_history_with_split_orders_loads_on_every_system(m):
         assert check_system(system, workload).ok, name
 
 
+@pytest.mark.parametrize("batch_size", [1, 10, 100])
+def test_batched_loads_store_no_empty_versions(tiny_workload, batch_size):
+    """Two writes to one key in one transaction close the first write's
+    version at the tick it began.  Such a version holds at no system time,
+    so storage drops it: every stored version has sys_begin < sys_end, and
+    A-E store the same versions and answer time travel alike."""
+    expected = sum(
+        tiny_workload.version_counts(table)["total"] for table in VERSIONED_TABLES
+    )
+    ticks = tiny_workload.meta.initial_tick, tiny_workload.meta.mid_tick()
+    stored, as_of = {}, {}
+    for name in "ABCDE":
+        system = make_system(name)
+        Loader(system, tiny_workload).load(batch_size=batch_size)
+        stored[name] = _every_version(system)
+        as_of[name] = [
+            system.execute(
+                "SELECT count(*) FROM orders FOR SYSTEM_TIME AS OF ?", [tick]
+            ).scalar()
+            for tick in ticks
+        ]
+        for table in VERSIONED_TABLES:
+            schema = system.db.table(table).schema
+            begin = schema.position(schema.system_period.begin_column)
+            end = schema.position(schema.system_period.end_column)
+            assert all(row[begin] < row[end] for row in stored[name][table]), name
+    assert all(versions == stored["A"] for versions in stored.values())
+    assert all(counts == as_of["A"] for counts in as_of.values())
+    total = sum(len(rows) for rows in stored["A"].values())
+    # at batch size 1 every version holds; batching drops the same-tick ones
+    assert total == expected if batch_size == 1 else total < expected
+
+
 def test_bulk_load_rejected_on_immutable_systems(tiny_workload):
     system = make_system("A")
     with pytest.raises(NotSupportedError):

@@ -288,8 +288,9 @@ def _reference_column_stats(values, buckets):
 def _reference_table_stats(table, buckets=stats_mod.HISTOGRAM_BUCKETS):
     column_names = table.schema.column_names()
     out = stats_mod.TableStats(table=table.schema.name)
+    table.drain_undo()  # as ANALYZE's history scan does
     for name in table.partition_names():
-        rows = [row for _rid, row in table.scan_partition(name, need_temporal=True)]
+        rows = [row for _rid, row in table.walk(name)]
         part = stats_mod.PartitionStats(partition=name, row_count=len(rows))
         for position, column in enumerate(column_names):
             part.columns[column] = _reference_column_stats(
@@ -320,7 +321,7 @@ _LAYOUTS = {
     "row-single": StorageOptions(split_history=False),
     "column": StorageOptions(store_kind="column"),
     "vertical": StorageOptions(vertical_partition_current=True, undo_log=True,
-                               undo_drain_batch=4, record_metadata=True),
+                               undo_drain_batch=4),
 }
 
 

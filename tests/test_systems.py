@@ -28,7 +28,6 @@ def test_system_b_architecture():
     opts = system.db.default_options
     assert opts.vertical_partition_current
     assert opts.undo_log
-    assert opts.record_metadata
 
 
 def test_system_c_architecture():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.engine import Database, temporal
 from repro.engine.catalog import Column, PeriodDef, TableSchema
 from repro.engine.errors import IntegrityError
-from repro.engine.storage.versioned import StorageOptions, VersionedTable
+from repro.engine.storage.versioned import HISTORY, StorageOptions, VersionedTable
 from repro.engine.txn import TransactionManager
 from repro.engine.types import END_OF_TIME, Period, SqlType
 
@@ -85,7 +85,10 @@ def temporal_delete(table, key, tick):
 def _current(table):
     """The open versions: the split current partition holds nothing else,
     the single table keeps closed versions beside them."""
-    return [row for _rid, row in table.scan_current() if row[5] == END_OF_TIME]
+    return [
+        row for _rid, row in table.walk(table.current_partition_name())
+        if row[5] == END_OF_TIME
+    ]
 
 
 def _visible_at(table, tick):
@@ -100,7 +103,7 @@ class TestVisibility:
     def test_visible_at(self):
         table = _table()
         _insert(table, 1, 10, 0, 100, tick=5)
-        row = next(iter(table.scan_current()))[1]
+        row = next(iter(table.walk(table.current_partition_name())))[1]
         assert (row[4], row[5]) == (5, END_OF_TIME)
         assert [r[1] for r in _visible_at(table, 5)] == [10]
         assert [r[1] for r in _visible_at(table, 999)] == [10]
@@ -160,7 +163,7 @@ class TestSequencedUpdate:
         table = _table()
         _insert(table, 1, 10, 0, 100, tick=1)
         sequenced_update(table, (1,), {"v": 99}, "app", Period(0, 50), tick=7)
-        history = [row for _rid, row in table.scan_history()]
+        history = [row for _rid, row in table.walk(HISTORY)]
         assert len(history) == 1
         assert history[0][5] == 7  # sys_end
 

@@ -74,7 +74,7 @@ def _pairs(structure):
 
 def _history(table):
     """History rows by rid, read without draining the undo log."""
-    return dict(table.scan_partition_quiet(HISTORY))
+    return dict(table.walk(HISTORY))
 
 
 def _check(table, seen, drains_before):
@@ -127,7 +127,7 @@ def test_drains_append_sorted_runs_under_stable_rids(batch, ops):
         SCHEMA,
         StorageOptions(
             vertical_partition_current=True, undo_log=True,
-            undo_drain_batch=batch, record_metadata=True,
+            undo_drain_batch=batch,
         ),
     )
     table.partition(HISTORY).store._page_size = 4  # seal pages within a few rows
@@ -148,9 +148,9 @@ def test_drains_append_sorted_runs_under_stable_rids(batch, ops):
         elif op[0] == "drain":
             table.drain_undo()
         elif op[0] == "scan":
-            list(table.scan_history())  # forces a drain
+            list(table.scan_partition_batches(HISTORY))  # forces a drain
             # scans cache the zones of sealed pages; later drains keep them
-            list(table.scan_history_batches(window=(tick // 3, tick // 3 + 1)))
+            list(table.scan_partition_batches(HISTORY, window=(tick // 3, tick // 3 + 1)))
         elif op[0] == "recreate":
             # a history index built while versions wait in the undo log
             table.drop_index(op[1])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.batch import rows_from_batches
 from repro.engine.catalog import Column, IndexDef, PeriodDef, TableSchema
 from repro.engine.errors import CatalogError, InternalError
 from repro.engine.storage.versioned import CURRENT, HISTORY, SINGLE, StorageOptions, VersionedTable
@@ -39,7 +40,7 @@ class TestSplitLayout:
         table.invalidate(rid, 7)
         assert table.current_count() == 0
         assert table.history_count() == 1
-        history = list(table.scan_history())
+        history = list(table.walk(HISTORY))
         assert history[0][1][3] == 7  # closed sys_end
 
     def test_pk_map_tracks_current_only(self):
@@ -94,21 +95,22 @@ class TestVerticalPartitioning:
     def test_scan_reconstructs_temporal_columns(self):
         table = self._table()
         table.insert_version(_row(1, "a"), sys_begin=3)
-        rows = [row for _rid, row in table.scan_current(need_temporal=True)]
+        rows = rows_from_batches(table.scan_partition_batches(CURRENT))
         assert rows[0][2] == 3 and rows[0][3] == END_OF_TIME
         assert table.metrics.counter("storage.vp_merge_joins") == 1
 
     def test_scan_without_temporal_skips_join(self):
         table = self._table()
         table.insert_version(_row(1, "a"), sys_begin=3)
-        list(table.scan_current(need_temporal=False))
+        list(table.scan_partition_batches(CURRENT, need_temporal=False))
         assert table.metrics.counter("storage.vp_merge_joins") == 0
 
     def test_reconstruct_for_rids(self):
         table = self._table()
         rids = [table.insert_version(_row(i, "x"), sys_begin=i) for i in range(1, 6)]
-        pairs = table.reconstruct_for_rids(rids[1:3])
-        assert [row[2] for _rid, row in pairs] == [2, 3]
+        rows = table.rows_for_rids(CURRENT, rids[1:3])
+        assert [row[2] for row in rows] == [2, 3]
+        assert table.metrics.counter("storage.vp_merge_joins") == 1
 
     def test_requires_split(self):
         with pytest.raises(CatalogError):
@@ -135,7 +137,7 @@ class TestUndoLog:
         table = self._table(batch=100)
         rid = table.insert_version(_row(1, "a"), sys_begin=1)
         table.invalidate(rid, 2)
-        rows = list(table.scan_history())
+        rows = rows_from_batches(table.scan_partition_batches(HISTORY))
         assert len(rows) == 1
         assert table.history_count() == 1
 
@@ -208,3 +210,30 @@ class TestColumnStoreTable:
         assert table.fetch(SINGLE, rid) == (1, "b")
         assert table.plain_delete(rid)
         assert table.fetch(SINGLE, rid) is None
+
+
+@pytest.mark.parametrize("options", [
+    StorageOptions(),
+    StorageOptions(vertical_partition_current=True, undo_log=True, undo_drain_batch=1),
+    StorageOptions(store_kind="column", column_merge_threshold=2),
+    StorageOptions(split_history=False),
+], ids=["split", "vertical-undo", "column", "single"])
+def test_version_closed_at_its_begin_is_dropped(options):
+    """A version closed at the tick it began holds at no system time: it is
+    removed from its partition, its indexes and the key map, and archived
+    nowhere, while a version that held is archived as before."""
+    table = VersionedTable(_schema(), options)
+    structure = table.create_index(IndexDef("iv", "t", ("v",)))
+    held = table.insert_version(_row(1, "a"), sys_begin=1)
+    table.invalidate(held, 3)
+    empty = table.insert_version(_row(1, "b"), sys_begin=3)
+    table.invalidate(empty, 3)
+    table.drain_undo()
+    assert [(row[1], row[2], row[3]) for _part, _rid, row in table.scan_versions()] == [
+        ("a", 1, 3)
+    ]
+    assert len(table) == 1 and table.current_count() == (0 if table.has_split else 1)
+    assert table.fetch(table.current_partition_name(), empty) is None
+    assert table.current_rids_for_key((1,)) == []
+    assert structure.search("b") == []
+    assert table._vp_temporal == {}
