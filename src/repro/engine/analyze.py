@@ -130,7 +130,8 @@ _RULE_LIST = (
         "error",
         "temporal range is empty (lower bound not below upper bound)",
         "SQL:2011 period semantics: FROM..TO is half-open, BETWEEN closed",
-        "swap or widen the bounds; an empty range returns no versions",
+        "swap or widen the bounds; the query still returns the versions "
+        "whose period spans the gap between the bounds",
     ),
     Rule(
         "TQ005",
@@ -416,12 +417,9 @@ class _Analysis:
     def _check_scans(self, relation: LogicalNode, path: str):
         for scan in _scans_in(relation):
             scan_path = f"{path}/scan:{scan.binding}"
-            table = self._table_of(scan)
             seen_periods: Dict[Tuple[str, str], ast.TemporalClause] = {}
-            for clause in scan.ref.temporal:
-                period = _clause_period(scan.schema, clause)
-                if period is None:
-                    continue
+            for restriction in scan.restrictions:
+                clause, period = restriction.clause, restriction.period
                 key = (period.begin_column, period.end_column)
                 if key in seen_periods:
                     self.emit(
@@ -433,11 +431,11 @@ class _Analysis:
                     )
                 else:
                     seen_periods[key] = clause
-                self._check_range(scan, clause, period, scan_path)
+                self._check_range(scan, restriction, scan_path)
                 if period.is_system:
-                    self._check_system_clause(scan, clause, table, scan_path)
+                    self._check_system_clause(scan, clause, scan_path)
 
-    def _check_system_clause(self, scan, clause, table, scan_path):
+    def _check_system_clause(self, scan, clause, scan_path):
         if clause.mode == "as_of" and isinstance(clause.low, ast.Literal):
             try:
                 is_current = clause.low.value >= self.db.now()
@@ -451,13 +449,12 @@ class _Analysis:
                     clause,
                     scan_path,
                 )
-        if table is not None:
-            self._check_history_probe(scan, table, scan_path)
+        self._check_history_probe(scan, scan_path)
 
-    def _check_history_probe(self, scan, table, scan_path):
+    def _check_history_probe(self, scan, scan_path):
         # past versions live in the history partition of a split table and
         # in the one partition ("current" or "single") of any other table
-        covering = ("history",) if table.has_split else ("current", "single")
+        covering = ("history",) if scan.table.has_split else ("current", "single")
         indexed = {
             index.columns[0]
             for index in self.db.catalog.indexes_on(scan.schema.name)
@@ -474,18 +471,22 @@ class _Analysis:
                     scan_path,
                 )
 
-    def _check_range(self, scan, clause, period, scan_path):
-        low = clause.low.value if isinstance(clause.low, ast.Literal) else None
-        high = clause.high.value if isinstance(clause.high, ast.Literal) else None
+    def _check_range(self, scan, restriction, scan_path):
+        """TQ004: a window that holds no instant — ``low > high``, or
+        ``low == high`` with the high end exclusive."""
+        if restriction.window is None:
+            return
+        low, high, inclusive = restriction.window
+        low = low.value if isinstance(low, ast.Literal) else None
+        high = high.value if isinstance(high, ast.Literal) else None
         if low is None or high is None:
             return
         try:
-            empty = (low >= high) if clause.mode == "from_to" else (
-                (low > high) if clause.mode == "between" else False
-            )
+            empty = low > high or (low == high and not inclusive)
         except TypeError:
             return
         if empty:
+            clause = restriction.clause
             self.emit(
                 "TQ004",
                 f"temporal range on {scan.schema.name!r} is empty "
@@ -790,9 +791,8 @@ class _Analysis:
         for scan in _scans_in(relation):
             if star.table is not None and star.table != scan.binding:
                 continue
-            for clause in scan.ref.temporal:
-                period = _clause_period(scan.schema, clause)
-                if period is not None and period.is_system and clause.mode != "as_of":
+            for restriction in scan.restrictions:
+                if restriction.period.is_system and not restriction.is_point:
                     self.emit(
                         "TQ010",
                         f"SELECT * over the version history of "
@@ -801,14 +801,6 @@ class _Analysis:
                         f"{path}/scan:{scan.binding}",
                     )
                     return
-
-    # -- helpers ----------------------------------------------------------
-
-    def _table_of(self, scan: LogicalScan):
-        try:
-            return self.db.table(scan.schema.name)
-        except CatalogError:
-            return None
 
 
 # ---------------------------------------------------------------------------
@@ -850,19 +842,6 @@ def _predicate_conjuncts(relation: LogicalNode, path: str):
                 yield conjunct, f"{path}/scan:{node.binding}"
 
 
-def _clause_period(schema, clause: ast.TemporalClause):
-    """Mirror of the planner's period resolution, returning None on failure."""
-    if clause.period == "system_time":
-        return schema.system_period
-    if clause.period == "business_time":
-        app = schema.application_periods
-        return app[0] if app else None
-    try:
-        return schema.period(clause.period)
-    except CatalogError:
-        return None
-
-
 def _period_kind(schema, column_name: str) -> Optional[str]:
     """``"system"``/``"application"`` if the column belongs to a period."""
     for period in schema.periods:
@@ -877,18 +856,13 @@ def _qualified(scan: LogicalScan, ref: ast.ColumnRef) -> str:
 
 def _column_literal_pairs(conjunct):
     """(column ref, literal) pairs of a comparison or BETWEEN conjunct."""
-    if isinstance(conjunct, ast.Binary) and conjunct.op in _COMPARISONS:
-        left, right = conjunct.left, conjunct.right
-        if isinstance(left, ast.ColumnRef) and isinstance(right, ast.Literal):
-            yield left, right
-        elif isinstance(right, ast.ColumnRef) and isinstance(left, ast.Literal):
-            yield right, left
-    elif isinstance(conjunct, ast.Between) and isinstance(
-        conjunct.operand, ast.ColumnRef
-    ):
-        for bound in (conjunct.low, conjunct.high):
-            if isinstance(bound, ast.Literal):
-                yield conjunct.operand, bound
+    comparison = ast.column_comparison(conjunct, lambda ref: True)
+    if comparison is None:
+        return
+    column, op, value = comparison
+    for bound in value if op in ("between", "not between") else (value,):
+        if isinstance(bound, ast.Literal):
+            yield column, bound
 
 
 def _comparison_sides(conjunct):
@@ -907,20 +881,12 @@ def _is_period_column(ref: ast.ColumnRef, period_columns) -> bool:
 
 def _probe_column(conjunct, scan: LogicalScan) -> Optional[str]:
     """The column of a ``col = <constant>`` equality pushed onto *scan*."""
-    if not (isinstance(conjunct, ast.Binary) and conjunct.op == "="):
+    comparison = ast.column_comparison(conjunct, scan.owns)
+    if comparison is None:
         return None
-    for column_side, value_side in (
-        (conjunct.left, conjunct.right),
-        (conjunct.right, conjunct.left),
-    ):
-        if not isinstance(column_side, ast.ColumnRef):
-            continue
-        if column_side.table not in (None, scan.binding):
-            continue
-        if not scan.schema.has_column(column_side.name):
-            continue
-        if isinstance(value_side, (ast.Literal, ast.Param)):
-            return column_side.name
+    column, op, value = comparison
+    if op == "=" and isinstance(value, (ast.Literal, ast.Param)):
+        return column.name
     return None
 
 
@@ -1090,12 +1056,11 @@ def _is_temporal_aggregate_rewrite(select: ast.Select, relation: LogicalNode) ->
         return False
     if scan.ref.name != table_a or len(scan.ref.temporal) != 1:
         return False
-    sclause = scan.ref.temporal[0]
+    (restriction,) = scan.restrictions
+    sclause = restriction.clause
     if sclause.mode != "all" or sclause.period != clause_a.period:
         return False
-    period = _clause_period(scan.schema, clause_a)
-    if period is None:
-        return False
+    period = restriction.period
     if {col_a, col_b} != {period.begin_column, period.end_column}:
         return False
     alias = derived.alias

@@ -11,12 +11,16 @@ conjunction, an explicit empty element for contradictions and ``TOP``
 included.
 
 The abstraction is deliberately faithful to how the engine *executes*
-each construct, not to SQL:2011 on paper:
+each construct, not to SQL:2011 on paper: a clause is the two
+comparisons of its window (``ast.TemporalClause.window``, read per scan
+as ``LogicalScan.restrictions``):
 
 * ``AS OF t``       ⇒ ``begin <= t`` and ``end > t`` (NULL end = open now)
 * ``FROM l TO h``   ⇒ ``begin < h`` and ``end > l``  (half-open overlap)
 * ``BETWEEN l, h``  ⇒ ``begin <= h`` and ``end > l`` (closed overlap)
 * ``FOR .. ALL``    ⇒ no constraint
+
+and a pushed comparison is read by ``ast.column_comparison``.
 
 Two soundness subtleties are encoded as flags on each contribution:
 
@@ -36,8 +40,9 @@ for application periods and dates); ``None`` means ±infinity.  Strict
 comparisons are normalized away (``> v`` becomes ``low = v + 1``), which
 is exact because the domains are integral.
 
-The module depends only on the SQL AST, the type enum and catalog
-errors, so both ``analyze`` and ``plan.rewrite`` can import it freely.
+The module imports only the SQL AST and the type enum (a scan is read
+through its attributes), so both ``analyze`` and ``plan.rewrite`` can
+import it freely.
 """
 
 from __future__ import annotations
@@ -45,12 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .errors import CatalogError
 from .sql import ast
 from .types import SqlType
-
-_COMPARISONS = ("=", "<", "<=", ">", ">=")
-
 
 # ---------------------------------------------------------------------------
 # the interval lattice
@@ -307,19 +308,6 @@ class DomainMap:
 # ---------------------------------------------------------------------------
 
 
-def period_of(schema, clause) -> Optional[object]:
-    """The period a temporal clause resolves to (the planner's rules)."""
-    if clause.period == "system_time":
-        return schema.system_period
-    if clause.period == "business_time":
-        app = schema.application_periods
-        return app[0] if app else None
-    try:
-        return schema.period(clause.period)
-    except CatalogError:
-        return None
-
-
 def tracked_columns(schema) -> Dict[str, str]:
     """column name -> kind (``period-begin``/``period-end``/``date``)."""
     out: Dict[str, str] = {}
@@ -338,53 +326,37 @@ def scan_domain_map(scan) -> DomainMap:
     period and date columns."""
     domains = DomainMap()
     tracked = tracked_columns(scan.schema)
-    for clause in scan.ref.temporal:
-        _add_clause(domains, scan, clause)
+    for restriction in scan.restrictions:
+        _add_clause(domains, scan, restriction)
     for conjunct in scan.pushed:
         _add_predicate(domains, scan, conjunct, tracked)
     return domains
 
 
-def _add_clause(domains: DomainMap, scan, clause):
-    if clause.mode == "all":
+def _add_clause(domains: DomainMap, scan, restriction):
+    """A clause's window as its two comparisons.  The begin bound rejects
+    NULL (an unset begin never matches); the end bound does not (a NULL
+    end means "still current" = end of time)."""
+    if restriction.window is None:
         return
-    period = period_of(scan.schema, clause)
-    if period is None:
+    low, high, _inclusive = restriction.window
+    low, high = _int_literal(low), _int_literal(high)
+    if low is None or high is None:
         return
-    low = _int_literal(clause.low)
-    high = _int_literal(clause.high)
-
-    def add(column, interval, null_rejecting):
+    comparisons = restriction.conjuncts(low, high)
+    for (column, op, value), null_rejecting in zip(comparisons, (True, False)):
         domains.add(
             Contribution(
                 binding=scan.binding,
                 column=column,
-                interval=interval,
-                source=clause,
+                interval=_INTERVALS[op](value),
+                source=restriction.clause,
                 origin="clause",
                 null_rejecting=null_rejecting,
                 exact=True,
-                clause_mode=clause.mode,
+                clause_mode=restriction.clause.mode,
             )
         )
-
-    # begin constraints reject NULL (an unset begin never matches); end
-    # constraints do not (NULL end means "still current" = end of time).
-    if clause.mode == "as_of":
-        if low is None:
-            return
-        add(period.begin_column, Interval(None, low), True)
-        add(period.end_column, Interval(low + 1, None), False)
-    elif clause.mode == "from_to":
-        if low is None or high is None:
-            return
-        add(period.begin_column, Interval(None, high - 1), True)
-        add(period.end_column, Interval(low + 1, None), False)
-    elif clause.mode == "between":
-        if low is None or high is None:
-            return
-        add(period.begin_column, Interval(None, high), True)
-        add(period.end_column, Interval(low + 1, None), False)
 
 
 def _add_predicate(domains: DomainMap, scan, conjunct, tracked):
@@ -406,62 +378,44 @@ def _add_predicate(domains: DomainMap, scan, conjunct, tracked):
     )
 
 
+#: ``column op v`` as a closed integer interval
+_INTERVALS: Dict[str, Callable[[int], Interval]] = {
+    "=": lambda v: Interval(v, v),
+    "<": lambda v: Interval(None, v - 1),
+    "<=": lambda v: Interval(None, v),
+    ">": lambda v: Interval(v + 1, None),
+    ">=": lambda v: Interval(v, None),
+}
+
+
 def _interval_of(expr, scan, tracked):
     """``(column, interval, exact, op)`` of a predicate over one tracked
     column, or None when the expression falls outside the domain (an OR
     among them; conjuncts arrive here already split)."""
-    if isinstance(expr, ast.Binary) and expr.op in _COMPARISONS:
-        column = op = None
-        value = None
-        if isinstance(expr.left, ast.ColumnRef):
-            column, op, value = expr.left, expr.op, _int_literal(expr.right)
-        elif isinstance(expr.right, ast.ColumnRef):
-            column = expr.right
-            op = _FLIPPED[expr.op]
-            value = _int_literal(expr.left)
-        if column is None or value is None:
+
+    def owns(ref):
+        return scan.owns(ref) and ref.name in tracked
+
+    comparison = ast.column_comparison(expr, owns)
+    if comparison is not None:
+        column, op, value = comparison
+        if op == "between":
+            low, high = _int_literal(value[0]), _int_literal(value[1])
+            if low is None or high is None:
+                return None
+            return (column.name, Interval(low, high), True, op)
+        value = _int_literal(value)
+        if op not in _INTERVALS or value is None:
             return None
-        name = _tracked_name(column, scan, tracked)
-        if name is None:
-            return None
-        interval = {
-            "=": Interval(value, value),
-            "<": Interval(None, value - 1),
-            "<=": Interval(None, value),
-            ">": Interval(value + 1, None),
-            ">=": Interval(value, None),
-        }[op]
-        return (name, interval, True, op)
-    if isinstance(expr, ast.Between) and not expr.negated:
-        name = _tracked_name(expr.operand, scan, tracked)
-        low = _int_literal(expr.low)
-        high = _int_literal(expr.high)
-        if name is None or low is None or high is None:
-            return None
-        return (name, Interval(low, high), True, "between")
-    if isinstance(expr, ast.InList) and not expr.negated:
-        name = _tracked_name(expr.operand, scan, tracked)
-        if name is None:
-            return None
+        return (column.name, _INTERVALS[op](value), True, op)
+    if isinstance(expr, ast.InList) and not expr.negated and owns(expr.operand):
         values = [_int_literal(item) for item in expr.items]
         if not values or any(v is None for v in values):
             return None
         # the hull of the points: sound but inexact (gaps are lost)
+        name = expr.operand.name
         return (name, Interval(min(values), max(values)), len(values) == 1, "in")
     return None
-
-
-_FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _tracked_name(expr, scan, tracked) -> Optional[str]:
-    if not isinstance(expr, ast.ColumnRef):
-        return None
-    if expr.table not in (None, scan.binding):
-        return None
-    if not scan.schema.has_column(expr.name):
-        return None
-    return expr.name if expr.name in tracked else None
 
 
 __all__ = [
@@ -470,7 +424,6 @@ __all__ = [
     "EMPTY",
     "Interval",
     "TOP",
-    "period_of",
     "scan_domain_map",
     "tracked_columns",
 ]

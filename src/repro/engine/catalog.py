@@ -165,11 +165,22 @@ class TableSchema:
     def application_periods(self) -> List[PeriodDef]:
         return [p for p in self.periods if not p.is_system]
 
-    def period(self, name) -> PeriodDef:
-        for p in self.periods:
-            if p.name.lower() == name.lower():
-                return p
-        raise CatalogError(f"no period {name!r} on table {self.name}")
+    def resolve_period(self, name) -> PeriodDef:
+        """The period a temporal clause, a ``FOR PORTION OF`` or a
+        ``TEMPORAL JOIN`` names: ``system_time`` is the system-time period,
+        ``business_time`` the first application period, any other name a
+        declared period."""
+        if name == "system_time":
+            found = self.system_period
+        elif name == "business_time":
+            found = next(iter(self.application_periods), None)
+        else:
+            found = next(
+                (p for p in self.periods if p.name.lower() == name.lower()), None
+            )
+        if found is None:
+            raise CatalogError(f"no period {name!r} on table {self.name}")
+        return found
 
     @property
     def is_temporal(self):

@@ -53,21 +53,31 @@ class ColumnConstraint:
 
 @dataclass
 class TemporalBounds:
-    """Resolved temporal clause: which rows of a dimension are wanted."""
+    """One period's window as storage applies it, built from a clause's
+    ``(low, high, high_inclusive)`` (``ast.TemporalClause.window``): the
+    half-open ``[lo, hi)`` a matching version's period must overlap
+    (``begin < hi and end > lo``, storage/zonemap.py), an inclusive high
+    end moved up by :func:`after`.  ``AS OF t`` passes one function as
+    both ends, so ``t`` is evaluated once."""
 
     begin_column: str
     end_column: str
-    mode: str  # "as_of" | "overlap" | "all"
-    low: Optional[ValueFn] = None
-    high: Optional[ValueFn] = None  # exclusive upper bound for "overlap"
+    low: ValueFn
+    high: ValueFn
+    inclusive: bool
+
+    @property
+    def is_point(self) -> bool:
+        """``AS OF``: one instant, which System E's timeline answers."""
+        return self.high is self.low
 
     def window(self, env) -> Window:
-        """The half-open ``[lo, hi)`` a matching row's period must overlap
-        (``begin < hi and end > lo``, storage/zonemap.py); ``AS OF t`` is
-        ``[t, after(t))``.  A NULL bound makes the predicate UNKNOWN for
-        every row: :data:`NOTHING`.  Not asked of mode ``all``."""
+        """``[lo, hi)``; a NULL bound makes the predicate UNKNOWN for every
+        row: :data:`NOTHING`."""
         lo = self.low(env)
-        hi = after(lo) if self.mode == "as_of" else self.high(env)
+        hi = lo if self.is_point else self.high(env)
+        if self.inclusive:
+            hi = after(hi)
         return NOTHING if lo is None or hi is None else (lo, hi)
 
 
@@ -95,10 +105,11 @@ class AccessDecision:
 class TableAccessPlan:
     """Plans and executes access to one table across its partitions.
 
-    Every temporal bound but ``ALL`` becomes a window storage applies
-    exactly — the system-time one also prunes pages by zone map — and a
-    column store decodes only *columns* (positions; None = all), which is
-    then the layout of every batch this plan returns.
+    Every temporal window is applied by storage exactly — the
+    system-time one also prunes pages by zone map — and a column store
+    decodes only *columns* (positions; None = all), which is then the
+    layout of every batch this plan returns.  *constraints* hold the
+    pushed conjuncts' and the windows' comparisons alike.
     """
 
     def __init__(
@@ -126,7 +137,7 @@ class TableAccessPlan:
         period = schema.system_period
         bounds = [
             (schema.position(tb.begin_column), schema.position(tb.end_column), tb)
-            for tb in temporal_filters if tb.mode != "all"
+            for tb in temporal_filters
         ]
         # the system-time bounds go first: theirs is the window zone maps
         # prune by, the others are checked row by row
@@ -159,23 +170,6 @@ class TableAccessPlan:
         if not self.profile.uses_indexes:
             return []
         return list(self.table.indexes_on_partition(partition).values())
-
-    def _constraints_with_temporal(self) -> List[ColumnConstraint]:
-        """Sargable constraints, including ones implied by temporal bounds.
-
-        ``AS OF t`` implies ``begin <= t`` and ``end > t``; an index on the
-        period's begin column can serve the first, which is exactly how the
-        paper's *Time Index* setting (§5.1) helps point time travel.
-        """
-        out = list(self.constraints)
-        for tb in self.temporal_filters:
-            if tb.mode == "as_of":
-                out.append(ColumnConstraint(tb.begin_column, "<=", high=tb.low))
-                out.append(ColumnConstraint(tb.end_column, ">", low=tb.low))
-            elif tb.mode == "overlap":
-                out.append(ColumnConstraint(tb.begin_column, "<", high=tb.high))
-                out.append(ColumnConstraint(tb.end_column, ">", low=tb.low))
-        return out
 
     # -- execution ------------------------------------------------------------
 
@@ -271,7 +265,7 @@ class TableAccessPlan:
         for tb in self.temporal_filters:
             if tb.begin_column == period.begin_column:
                 sys_filter = tb
-        if sys_filter is None or sys_filter.mode != "as_of":
+        if sys_filter is None or not sys_filter.is_point:
             return None
         tick = sys_filter.low(env)
         if not tick < END_OF_TIME:
@@ -287,9 +281,8 @@ class TableAccessPlan:
             # history this also skips the undo drain below, which the scan
             # that follows performs anyway (scan_partition_batches)
             return None
-        constraints = self._constraints_with_temporal()
         by_column: Dict[str, List[ColumnConstraint]] = {}
-        for c in constraints:
+        for c in self.constraints:
             by_column.setdefault(c.column, []).append(c)
         if partition == HISTORY:
             # versions still in System B's undo log are in no history index
@@ -371,21 +364,25 @@ class TableAccessPlan:
         return (len(rids), rids)
 
     def _try_rtree(self, index_def, structure, by_column, env):
+        """The versions whose period overlaps what the constraints ask of
+        it: ``begin <= h`` (``< h``) and ``end > l`` (``>= l``) search the
+        tree for ``[l, after(h))`` (``[l, h)``), a superset for ``>=``
+        that the filter above the scan trims."""
         begin_col, end_col = index_def.columns
-        # containment: begin <= t and end > t
-        point = None
+        high = low = None
         for c in by_column.get(begin_col, ()):
             if c.op in ("<=", "<") and c.high is not None:
-                point = c.high(env)
-        if point is None:
+                high = c.high(env)
+                if c.op == "<=":
+                    high = after(high)
+        for c in by_column.get(end_col, ()):
+            if c.op in (">", ">=") and c.low is not None:
+                low = c.low(env)
+                if c.op == ">=" and low is not None:
+                    low -= 1
+        if high is None or low is None:
             return None
-        has_end = any(
-            c.op in (">", ">=") and c.low is not None
-            for c in by_column.get(end_col, ())
-        )
-        if not has_end:
-            return None
-        rids = structure.search_contains(point)
+        rids = structure.search_overlap(low, high)
         return (len(rids), rids)
 
 

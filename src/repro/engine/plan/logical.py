@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Set, Tuple
 
-from ..errors import CatalogError, PlanError, ProgrammingError
+from ..errors import PlanError, ProgrammingError
 from ..sql import ast
+from ..types import END_OF_TIME
 
 # ---------------------------------------------------------------------------
 # predicate helpers (shared by the rewriter and the planner)
@@ -184,17 +185,66 @@ class LogicalValues(LogicalNode):
     est_rows: int = 1
 
 
+@dataclass(frozen=True)
+class TemporalRestriction:
+    """One temporal clause of a scan, read once: the period it names
+    (``TableSchema.resolve_period``) and its window
+    (``ast.TemporalClause.window``)."""
+
+    clause: Optional[ast.TemporalClause]  # None: the implicit-current one
+    period: object  # catalog.PeriodDef
+    window: Optional[Tuple[ast.Expr, ast.Expr, bool]]  # None for ALL
+
+    @property
+    def is_point(self) -> bool:
+        """``AS OF``: one instant, both ends the same expression."""
+        return self.window is not None and self.window[0] is self.window[1]
+
+    def conjuncts(self, low, high):
+        """The window as the two comparisons a version's period passes,
+        ``(column, op, value)`` with *low* / *high* the window's ends in
+        the caller's own form: ``begin <= high`` (``<`` when the high end
+        is exclusive) and ``end > low``.  A NULL end is open."""
+        period = self.period
+        return (
+            (period.begin_column, "<=" if self.window[2] else "<", high),
+            (period.end_column, ">", low),
+        )
+
+
 @dataclass
 class LogicalScan(LogicalNode):
-    """A base-table reference, temporal clauses and pushed conjuncts attached."""
+    """A base-table reference, temporal clauses and pushed conjuncts attached.
+
+    What the clauses mean is decided here, once, for every reader:
+    :attr:`restrictions` (each clause's period and window), and the
+    partitions the scan reads with the implicit-current window of a
+    single-table layout (:attr:`partitions`, :attr:`current_restriction`).
+    """
 
     ref: ast.TableRef
-    schema: object  # catalog.TableSchema
+    table: object = field(repr=False, compare=False)  # storage.VersionedTable
     est_rows: int = 1
     pushed: Tuple[ast.Expr, ...] = ()
     #: "heuristic" (partition row counts) or "stats" (ANALYZE snapshot
     #: refined the estimate; the cost-based join order may engage)
     est_source: str = "heuristic"
+    #: every temporal clause, in order, with its period resolved
+    restrictions: Tuple[TemporalRestriction, ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        # an unknown period raises CatalogError here, when the scan is built
+        resolve = self.schema.resolve_period
+        self.restrictions = tuple(
+            TemporalRestriction(clause, resolve(clause.period), clause.window())
+            for clause in self.ref.temporal
+        )
+
+    @property
+    def schema(self):  # catalog.TableSchema
+        return self.table.schema
 
     @property
     def binding(self) -> str:
@@ -203,6 +253,49 @@ class LogicalScan(LogicalNode):
     @property
     def bindings(self) -> Set[str]:
         return {self.ref.binding}
+
+    def owns(self, expr) -> bool:
+        """Whether *expr* is a reference to a column of this scan."""
+        return (
+            isinstance(expr, ast.ColumnRef)
+            and expr.table in (None, self.binding)
+            and self.schema.has_column(expr.name)
+        )
+
+    @property
+    def system_clause(self) -> bool:
+        """An explicit system-time clause: closed versions may match."""
+        return any(r.period.is_system for r in self.restrictions)
+
+    @property
+    def partitions(self) -> Tuple[str, ...]:
+        """The partitions the scan reads: the current (or single) one, and
+        a split table's history under a system-time clause (Fig 6)."""
+        table = self.table
+        current = table.current_partition_name()
+        if table.is_versioned and table.has_split and self.system_clause:
+            return (current, "history")
+        return (current,)
+
+    @property
+    def current_restriction(self) -> Optional[TemporalRestriction]:
+        """The window a versioned single table (Systems D and E) read
+        without a system-time clause keeps open versions by, on the
+        system period: ``(END_OF_TIME - 1, END_OF_TIME, False)``."""
+        table = self.table
+        if not table.is_versioned or table.has_split or self.system_clause:
+            return None
+        window = (ast.Literal(END_OF_TIME - 1), ast.Literal(END_OF_TIME), False)
+        return TemporalRestriction(None, self.schema.system_period, window)
+
+    def stored_rows(self) -> int:
+        """The versions the scan's partitions hold (at least 1): the
+        estimate before statistics, and the access node's in EXPLAIN."""
+        table = self.table
+        rows = table.current_count()
+        if "history" in self.partitions:
+            rows += table.history_count()
+        return max(1, rows)
 
 
 @dataclass
@@ -419,10 +512,9 @@ def _build_from_item(item, db) -> LogicalNode:
                 item.name.lower(), item.binding, columns=system_columns
             )
         table = db.table(item.name)
-        schema = table.schema
-        return LogicalScan(
-            item, schema, est_rows=_estimate_scan_rows(table, schema, item)
-        )
+        scan = LogicalScan(item, table)
+        scan.est_rows = scan.stored_rows()
+        return scan
     if isinstance(item, ast.DerivedTable):
         return LogicalDerived(
             item.select,
@@ -464,51 +556,11 @@ def _align_period_refs(side: LogicalNode, period_name: str):
             "each side of a TEMPORAL JOIN must be a single table reference"
         )
     scan = scans[0]
-    schema = scan.schema
-    period = None
-    if period_name == "system_time":
-        period = schema.system_period
-    elif period_name == "business_time":
-        periods = schema.application_periods
-        period = periods[0] if periods else None
-    else:
-        try:
-            period = schema.period(period_name)
-        except CatalogError:
-            period = None
-    if period is None:
-        raise ProgrammingError(
-            f"table {schema.name!r} has no period {period_name!r} "
-            f"for TEMPORAL JOIN"
-        )
+    period = scan.schema.resolve_period(period_name)
     return (
         ast.ColumnRef(period.begin_column, scan.binding),
         ast.ColumnRef(period.end_column, scan.binding),
     )
-
-
-def _estimate_scan_rows(table, schema, ref: ast.TableRef) -> int:
-    est = table.current_count() + (
-        table.history_count()
-        if (_has_system_clause(schema, ref) and table.has_split)
-        else 0
-    )
-    return max(1, est)
-
-
-def _has_system_clause(schema, ref: ast.TableRef) -> bool:
-    for clause in ref.temporal:
-        if clause.period == "system_time":
-            return True
-        if clause.period == "business_time":
-            continue
-        try:
-            period = schema.period(clause.period)
-        except CatalogError:
-            continue  # lowering reports unknown periods
-        if period.is_system:
-            return True
-    return False
 
 
 def output_columns_of(select: ast.Select, db) -> List[str]:

@@ -29,14 +29,12 @@ from functools import partial
 from typing import Dict, List, Optional, Set
 
 from ..batch import Batch, batches_from_rows
-from ..catalog import TableSchema
 from ..errors import DataError, PlanError, ProgrammingError
 from ..expr import Env, Scope, compile_batch_expr, compile_expr, expr_to_string
 from ..sql import ast
-from ..types import END_OF_TIME
 from . import cost
 from . import operators as ops
-from .access import ColumnConstraint, TableAccessPlan, TemporalBounds, after
+from .access import ColumnConstraint, TableAccessPlan, TemporalBounds
 from .logical import (
     LogicalAlignJoin,
     LogicalDerived,
@@ -83,6 +81,20 @@ def _expr_key(expr, scope: Scope) -> str:
         inner = "*" if expr.arg is None else _expr_key(expr.arg, scope)
         return f"{expr.func}{'~d' if expr.distinct else ''}({inner})"
     return expr_to_string(expr)
+
+
+#: the comparisons an index can serve, besides BETWEEN
+_RANGE_OPS = ("=", "<", "<=", ">", ">=")
+
+
+def _constraint(column, op, value_fn) -> ColumnConstraint:
+    """``column op value``: an upper bound for ``<``/``<=``, a lower bound
+    for ``>``/``>=``, both for ``=``."""
+    if op == "=":
+        return ColumnConstraint(column, op, low=value_fn, high=value_fn)
+    if op in ("<", "<="):
+        return ColumnConstraint(column, op, high=value_fn)
+    return ColumnConstraint(column, op, low=value_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +483,7 @@ class Planner:
     def _lower_scan(self, node: LogicalScan, outer_scope, referenced) -> _Relation:
         ref = node.ref
         self._note_dependency(ref.name)
-        table = self.db.table(ref.name)
+        table = node.table
         schema = table.schema
         binding = node.binding
         layout = [(binding, column) for column in schema.column_names()]
@@ -484,39 +496,38 @@ class Planner:
             layout = [layout[i] for i in columns]
         scope = Scope(layout, outer=outer_scope)
 
-        temporal_filters, has_system_clause = self._resolve_temporal(
-            ref, schema, outer_scope
-        )
-
-        # which partitions must be read?
-        if not table.is_versioned:
-            partitions = [table.current_partition_name()]
-        elif not table.has_split:
-            partitions = [table.current_partition_name()]
-            if not has_system_clause:
-                # System D "current" semantics: filter open versions by value
-                period = schema.system_period
-                temporal_filters.append(
-                    TemporalBounds(
-                        period.begin_column,
-                        period.end_column,
-                        "overlap",
-                        low=lambda env: END_OF_TIME - 1,
-                        high=lambda env: END_OF_TIME,
-                    )
-                )
-        elif has_system_clause:
-            # Fig 6: explicit system time always unions in the history
-            # partition (no optimizer prunes it), unless the profile opts in.
-            partitions = [table.current_partition_name(), "history"]
-        else:
-            partitions = [table.current_partition_name()]
+        # every window is a storage window, and its two comparisons are
+        # index constraints (after the pushed conjuncts', in clause order)
+        restrictions = node.restrictions
+        current = node.current_restriction
+        if current is not None:
+            restrictions += (current,)
+        temporal_filters: List[TemporalBounds] = []
+        window_constraints: List[ColumnConstraint] = []
+        for restriction in restrictions:
+            if restriction.window is None:
+                continue
+            low, high, inclusive = restriction.window
+            low_fn = self._value_fn(low, outer_scope, required=True)
+            high_fn = low_fn if restriction.is_point else self._value_fn(
+                high, outer_scope, required=True
+            )
+            period = restriction.period
+            temporal_filters.append(TemporalBounds(
+                period.begin_column, period.end_column, low_fn, high_fn, inclusive
+            ))
+            window_constraints.extend(
+                _constraint(column, op, fn)
+                for column, op, fn in restriction.conjuncts(low_fn, high_fn)
+            )
+        partitions = list(node.partitions)
+        has_system_clause = node.system_clause
 
         # pushed conjuncts (assigned by the rewrite pass) -> access constraints
         pushed = list(node.pushed)
         constraints: List[ColumnConstraint] = []
         for conjunct in pushed:
-            constraint = self._to_constraint(conjunct, binding, schema, scope, outer_scope)
+            constraint = self._to_constraint(conjunct, node, outer_scope)
             if constraint is not None:
                 constraints.append(constraint)
 
@@ -532,27 +543,24 @@ class Planner:
             self.profile,
             partitions,
             temporal_filters,
-            constraints,
+            constraints + window_constraints,
             need_temporal,
             has_system_clause,
             columns,
         )
         description = (
             f"Access({schema.name} as {binding}, partitions={partitions}, "
-            f"temporal={len(temporal_filters)})"
+            f"temporal={len(restrictions)})"
         )
         # node.est_rows carries the partition-count heuristic from
         # build_logical, or a refined per-partition selectivity estimate
         # when the rewrite pass found a valid ANALYZE snapshot
         est = max(1, node.est_rows)
         stats_backed = node.est_source == "stats"
-        raw_est = table.current_count() + (
-            table.history_count() if (has_system_clause and table.has_split) else 0
-        )
         op: ops.Operator = ops.TableAccess(access, description)
         if pushed:
             # the access node shows the pre-filter partition estimate
-            op.est_rows = max(1, raw_est)
+            op.est_rows = node.stored_rows()
             op = ops.Filter(
                 op,
                 self._compile(conjoin(pushed), scope, "selection"),
@@ -707,96 +715,22 @@ class Planner:
                 continue
         return None
 
-    # -- temporal resolution ----------------------------------------------------
-
-    def _resolve_temporal(self, ref, schema: TableSchema, outer_scope):
-        filters: List[TemporalBounds] = []
-        has_system = False
-        for clause in ref.temporal:
-            period = self._resolve_period(schema, clause.period)
-            if period.is_system:
-                has_system = True
-            low_fn = self._value_fn(clause.low, outer_scope, required=True)
-            high_fn = self._value_fn(clause.high, outer_scope, required=True)
-            if clause.mode == "all":
-                bounds = TemporalBounds(
-                    period.begin_column, period.end_column, "all"
-                )
-            elif clause.mode == "as_of":
-                bounds = TemporalBounds(
-                    period.begin_column, period.end_column, "as_of", low=low_fn
-                )
-            elif clause.mode == "from_to":
-                bounds = TemporalBounds(
-                    period.begin_column, period.end_column, "overlap",
-                    low=low_fn, high=high_fn,
-                )
-            else:  # between: inclusive upper bound
-                bounds = TemporalBounds(
-                    period.begin_column, period.end_column, "overlap",
-                    low=low_fn,
-                    high=(lambda env, fn=high_fn: after(fn(env))),
-                )
-            filters.append(bounds)
-        return filters, has_system
-
-    def _resolve_period(self, schema: TableSchema, name: str):
-        if name == "system_time":
-            period = schema.system_period
-            if period is None:
-                raise ProgrammingError(
-                    f"table {schema.name} has no system-time period"
-                )
-            return period
-        if name == "business_time":
-            app = schema.application_periods
-            if not app:
-                raise ProgrammingError(
-                    f"table {schema.name} has no application-time period"
-                )
-            return app[0]
-        return schema.period(name)
-
-    def _to_constraint(self, conjunct, binding, schema, scope, outer_scope):
-        """Turn a pushed conjunct into a ColumnConstraint when sargable."""
-        if isinstance(conjunct, ast.Between):
-            column = self._local_column(conjunct.operand, binding, schema)
-            if column is None:
+    def _to_constraint(self, conjunct, scan: LogicalScan, outer_scope):
+        """A pushed conjunct as a ColumnConstraint when sargable."""
+        comparison = ast.column_comparison(conjunct, scan.owns)
+        if comparison is None:
+            return None
+        column, op, value = comparison
+        if op == "between":
+            low_fn = self._value_fn(value[0], outer_scope)
+            high_fn = self._value_fn(value[1], outer_scope)
+            if low_fn is None or high_fn is None:
                 return None
-            low_fn = self._value_fn(conjunct.low, outer_scope)
-            high_fn = self._value_fn(conjunct.high, outer_scope)
-            if low_fn is None or high_fn is None or conjunct.negated:
-                return None
-            return ColumnConstraint(column, "between", low=low_fn, high=high_fn)
-        if not isinstance(conjunct, ast.Binary):
+            return ColumnConstraint(column.name, op, low=low_fn, high=high_fn)
+        if op not in _RANGE_OPS:
             return None
-        op = conjunct.op
-        if op not in ("=", "<", "<=", ">", ">="):
-            return None
-        column = self._local_column(conjunct.left, binding, schema)
-        value_expr = conjunct.right
-        if column is None:
-            column = self._local_column(conjunct.right, binding, schema)
-            value_expr = conjunct.left
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-        if column is None:
-            return None
-        value_fn = self._value_fn(value_expr, outer_scope)
-        if value_fn is None:
-            return None
-        if op == "=":
-            return ColumnConstraint(column, "=", low=value_fn, high=value_fn)
-        if op in ("<", "<="):
-            return ColumnConstraint(column, op, high=value_fn)
-        return ColumnConstraint(column, op, low=value_fn)
-
-    def _local_column(self, expr, binding, schema) -> Optional[str]:
-        if isinstance(expr, ast.ColumnRef):
-            if expr.table == binding and schema.has_column(expr.name):
-                return expr.name
-            if expr.table is None and schema.has_column(expr.name):
-                return expr.name
-        return None
+        value_fn = self._value_fn(value, outer_scope)
+        return None if value_fn is None else _constraint(column.name, op, value_fn)
 
     def _value_fn(self, expr, outer_scope, required=False):
         """``fn(env)`` for an expression over constants, params and outer

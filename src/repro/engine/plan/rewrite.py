@@ -42,13 +42,11 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analyze_domains import scan_domain_map
-from ..errors import CatalogError, ProgrammingError
+from ..errors import ProgrammingError
 from ..expr import Env, Interval, Scope, compile_expr
 from ..sql import ast
-from ..types import END_OF_TIME
 from . import cost
 from .logical import (
-    _has_system_clause,
     LogicalAlignJoin,
     LogicalEmpty,
     LogicalFilter,
@@ -472,8 +470,7 @@ def _refine_scan_estimates(relation: LogicalNode, db) -> LogicalNode:
         snapshot = db.stats_for(scan.schema.name)
         if snapshot is None:
             continue
-        table = db.table(scan.ref.name)
-        partitions, predicates = _scan_cost_inputs(scan, table, snapshot)
+        partitions, predicates = _scan_cost_inputs(scan, snapshot)
         est = cost.estimate_scan_rows(partitions, predicates)
         mapping[id(scan)] = replace(
             scan, est_rows=max(1, int(est + 0.5)), est_source="stats"
@@ -483,20 +480,16 @@ def _refine_scan_estimates(relation: LogicalNode, db) -> LogicalNode:
     return replace_scans(relation, mapping)
 
 
-def _scan_cost_inputs(scan: LogicalScan, table, snapshot):
-    """(partition sketches, predicate sketches) the cost model prices.
+def _scan_cost_inputs(scan: LogicalScan, snapshot):
+    """(partition sketches, predicate sketches) the cost model prices: the
+    scan's partitions, its pushed conjuncts and its windows' comparisons.
 
-    Partition choice mirrors physical lowering: explicit system time on a
-    split table adds the history partition; a versioned single-partition
-    table (System D) without a system clause gets the implicit-current
-    bound on the period end column instead.
+    Of the implicit-current window only ``end > END_OF_TIME - 1`` is
+    priced: every stored version begins before the sentinel.
     """
-    has_system = _has_system_clause(scan.schema, scan.ref)
-    names = [table.current_partition_name()]
-    if table.is_versioned and table.has_split and has_system:
-        names.append("history")
+    table = scan.table
     partitions = []
-    for name in names:
+    for name in scan.partitions:
         part = snapshot.partition(name)
         if part is not None:
             partitions.append(
@@ -507,14 +500,13 @@ def _scan_cost_inputs(scan: LogicalScan, table, snapshot):
                 table.history_count() if name == "history" else table.current_count()
             )
             partitions.append(cost.PartitionSketch(name, rows))
-    predicates = [_conjunct_sketch(c, scan.binding, scan.schema) for c in scan.pushed]
-    predicates.extend(_temporal_sketches(scan))
-    if table.is_versioned and not table.has_split and not has_system:
-        period = scan.schema.system_period
-        if period is not None:
-            predicates.append(
-                cost.PredicateSketch(period.end_column, ">", END_OF_TIME - 1)
-            )
+    predicates = [_conjunct_sketch(c, scan) for c in scan.pushed]
+    for restriction in scan.restrictions:
+        if restriction.window is not None:
+            predicates.extend(_window_sketches(restriction))
+    current = scan.current_restriction
+    if current is not None:
+        predicates.append(_window_sketches(current)[1])
     return partitions, predicates
 
 
@@ -525,88 +517,48 @@ def _literal_value(expr):
     return None
 
 
-def _local_column_name(expr, binding, schema) -> Optional[str]:
-    if not isinstance(expr, ast.ColumnRef):
-        return None
-    if expr.table is not None and expr.table != binding:
-        return None
-    if expr.table is None and not schema.has_column(expr.name):
-        return None
-    return expr.name
+def _window_sketches(restriction) -> List[cost.PredicateSketch]:
+    """A window's two comparisons as range sketches.  The per-partition
+    statistics then price them naturally: a current partition's ``end``
+    column is pinned at END_OF_TIME so ``end > t`` costs ~1.0 there,
+    while a history partition prices both bounds from its closed
+    intervals."""
+    low, high, _inclusive = restriction.window
+    return [
+        cost.PredicateSketch(column, op, _literal_value(value))
+        for column, op, value in restriction.conjuncts(low, high)
+    ]
 
 
-def _conjunct_sketch(conjunct, binding, schema) -> cost.PredicateSketch:
+def _conjunct_sketch(conjunct, scan: LogicalScan) -> cost.PredicateSketch:
     """One pushed conjunct as a neutral sketch (op "other" when opaque)."""
-    if isinstance(conjunct, ast.Between) and not conjunct.negated:
-        column = _local_column_name(conjunct.operand, binding, schema)
-        if column is not None:
+    if isinstance(conjunct, ast.IsNull) and scan.owns(conjunct.operand):
+        return cost.PredicateSketch(
+            conjunct.operand.name, "notnull" if conjunct.negated else "isnull"
+        )
+    if (
+        isinstance(conjunct, ast.InList)
+        and not conjunct.negated
+        and scan.owns(conjunct.operand)
+    ):
+        return cost.PredicateSketch(
+            conjunct.operand.name, "in", count=len(conjunct.items)
+        )
+    comparison = ast.column_comparison(conjunct, scan.owns)
+    if comparison is not None:
+        column, op, value = comparison
+        if op == "between":
+            low, high = value
             return cost.PredicateSketch(
-                column,
-                "between",
-                _literal_value(conjunct.low),
-                high=_literal_value(conjunct.high),
+                column.name, op, _literal_value(low), high=_literal_value(high)
             )
-    if isinstance(conjunct, ast.IsNull):
-        column = _local_column_name(conjunct.operand, binding, schema)
-        if column is not None:
-            return cost.PredicateSketch(
-                column, "notnull" if conjunct.negated else "isnull"
-            )
-    if isinstance(conjunct, ast.InList) and not conjunct.negated:
-        column = _local_column_name(conjunct.operand, binding, schema)
-        if column is not None:
-            return cost.PredicateSketch(column, "in", count=len(conjunct.items))
-    if isinstance(conjunct, ast.Binary) and conjunct.op in ("=", "<", "<=", ">", ">="):
-        flipped = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-        for operand, other, op in (
-            (conjunct.left, conjunct.right, conjunct.op),
-            (conjunct.right, conjunct.left, flipped[conjunct.op]),
-        ):
-            column = _local_column_name(operand, binding, schema)
-            if column is not None and not isinstance(other, ast.ColumnRef):
-                return cost.PredicateSketch(column, op, _literal_value(other))
+        if op in _SKETCHED_OPS and not isinstance(value, ast.ColumnRef):
+            return cost.PredicateSketch(column.name, op, _literal_value(value))
     return cost.PredicateSketch("", "other")
 
 
-def _temporal_sketches(scan: LogicalScan) -> List[cost.PredicateSketch]:
-    """Temporal clauses as range sketches over the period's columns.
-
-    ``AS OF t`` selects versions with ``begin <= t AND end > t``; overlap
-    modes bound begin below the high end and end above the low end.  The
-    per-partition statistics then price them naturally: a current
-    partition's ``end`` column is pinned at END_OF_TIME so ``end > t``
-    costs ~1.0 there, while a history partition prices both bounds from
-    its closed intervals.
-    """
-    out: List[cost.PredicateSketch] = []
-    for clause in scan.ref.temporal:
-        period = _period_for(scan.schema, clause.period)
-        if period is None or clause.mode == "all":
-            continue
-        low = _literal_value(clause.low)
-        high = _literal_value(clause.high)
-        if clause.mode == "as_of":
-            out.append(cost.PredicateSketch(period.begin_column, "<=", low))
-            out.append(cost.PredicateSketch(period.end_column, ">", low))
-        elif clause.mode == "from_to":
-            out.append(cost.PredicateSketch(period.begin_column, "<", high))
-            out.append(cost.PredicateSketch(period.end_column, ">", low))
-        else:  # between: inclusive upper bound
-            out.append(cost.PredicateSketch(period.begin_column, "<=", high))
-            out.append(cost.PredicateSketch(period.end_column, ">", low))
-    return out
-
-
-def _period_for(schema, name: str):
-    if name == "system_time":
-        return schema.system_period
-    if name == "business_time":
-        app = schema.application_periods
-        return app[0] if app else None
-    try:
-        return schema.period(name)
-    except CatalogError:
-        return None
+#: the comparisons the cost model prices from statistics
+_SKETCHED_OPS = ("=", "<", "<=", ">", ">=")
 
 
 # ---------------------------------------------------------------------------
@@ -797,30 +749,33 @@ def _tighten_clauses(scan: LogicalScan, domains) -> LogicalScan:
     Sound as a conjunction: the scan's predicates stay in place, so
     ``clause' = clause AND (bounds the predicates imply)`` selects the
     same rows — including NULL period ends, which the predicates that
-    justified the tightening reject themselves.
+    justified the tightening reject themselves.  A window admits
+    ``begin <= high`` (``< high`` exclusive) and ``end > low``; an
+    ``AS OF`` has one bound for both and is left alone.
     """
     clauses = []
     any_changed = False
-    for clause in scan.ref.temporal:
-        if clause.mode not in ("from_to", "between"):
+    for restriction in scan.restrictions:
+        clause = restriction.clause
+        if restriction.window is None or restriction.is_point:
             clauses.append(clause)
             continue
-        period = _period_for(scan.schema, clause.period)
-        low = _clause_literal(clause.low)
-        high = _clause_literal(clause.high)
-        if period is None or low is None or high is None:
+        period = restriction.period
+        low_expr, high_expr, inclusive = restriction.window
+        low = _clause_literal(low_expr)
+        high = _clause_literal(high_expr)
+        if low is None or high is None:
             clauses.append(clause)
             continue
         begin = domains.predicate_domain((scan.binding, period.begin_column))
         end = domains.predicate_domain((scan.binding, period.end_column))
         new_low, new_high = low, high
         if begin.high is not None:
-            # the clause constrains begin < high (from_to) / <= high (between)
-            limit = begin.high + 1 if clause.mode == "from_to" else begin.high
+            limit = begin.high if inclusive else begin.high + 1
             if limit < new_high:
                 new_high = limit
         if end.low is not None:
-            # both modes constrain end > low, i.e. end >= low + 1
+            # end > low, i.e. end >= low + 1
             if end.low - 1 > new_low:
                 new_low = end.low - 1
         if (new_low, new_high) == (low, high):
@@ -966,11 +921,7 @@ def _lower_temporal_group(select: ast.Select, relation: LogicalNode):
             "GROUP BY TEMPORAL(...) requires a single-table FROM clause"
         )
     scan = scans[0]
-    period = _period_for(scan.schema, period_name)
-    if period is None:
-        raise ProgrammingError(
-            f"table {scan.schema.name!r} has no period {period_name!r}"
-        )
+    period = scan.schema.resolve_period(period_name)
     # the select list reads the operator's ``__tagg`` layout: ``t`` for
     # TEMPORAL(p), ``__a<i>`` for the i-th aggregate
     aggregates: List[ast.Aggregate] = []

@@ -390,14 +390,7 @@ class SqlEngine:
         high = compile_expr(portion.high, scope)((), env)
         if low is None or high is None:
             raise DataError("FOR PORTION OF bounds must not be NULL")
-        if portion.period == "business_time":
-            app = schema.application_periods
-            if not app:
-                raise ProgrammingError(
-                    f"table {schema.name} has no application period"
-                )
-            return app[0].name, Period(low, high)
-        return schema.period(portion.period).name, Period(low, high)
+        return schema.resolve_period(portion.period).name, Period(low, high)
 
     def _execute_update_delete(self, stmt, params, timeout_s, metrics) -> Result:
         """UPDATE, or DELETE (a statement without assignments): the write

@@ -9,7 +9,7 @@ these directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 # ---------------------------------------------------------------------------
 # expressions
@@ -187,18 +187,35 @@ class TemporalClause:
     """One ``FOR <period> ...`` clause attached to a table reference.
 
     ``period`` is ``"system_time"``, ``"business_time"`` or the name of a
-    declared application period.  ``mode`` is one of:
-
-    * ``as_of`` — snapshot at ``low``
-    * ``from_to`` — half-open range ``[low, high)``
-    * ``between`` — closed range ``[low, high]``
-    * ``all`` — the entire dimension (``FOR SYSTEM_TIME ALL``)
+    declared period (``TableSchema.resolve_period`` resolves it).  ``mode``
+    is ``as_of``, ``from_to``, ``between`` or ``all``; what a mode admits
+    is defined once, by :meth:`window`.
     """
 
     period: str
     mode: str
     low: Optional[Expr] = None
     high: Optional[Expr] = None
+
+    def window(self):
+        """The window ``(low, high, high_inclusive)`` a version's period
+        must overlap — ``begin <= high`` (``< high`` when exclusive) and
+        ``end > low``, a NULL end open — or None for ``ALL``:
+
+        * ``AS OF t`` is ``(t, t, True)``;
+        * ``FROM a TO b`` is ``(a, b, False)``;
+        * ``BETWEEN a AND b`` is ``(a, b, True)``.
+
+        Every reader derives its own form from this triple: the storage
+        window (``plan.access.TemporalBounds``), index constraints and cost
+        sketches (``plan.logical.TemporalRestriction.conjuncts``), interval
+        domains, clause tightening and the analyzer's emptiness check.
+        """
+        if self.mode == "all":
+            return None
+        if self.mode == "as_of":
+            return self.low, self.low, True
+        return self.low, self.high, self.mode != "from_to"
 
 
 @dataclass(frozen=True)
@@ -424,3 +441,32 @@ def walk_expr(expr):
 def contains_aggregate(expr) -> bool:
     """True if any node in *expr* is an aggregate call."""
     return any(isinstance(node, Aggregate) for node in walk_expr(expr))
+
+
+#: a comparison read from the other side: ``5 < x`` is ``x > 5``
+FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def column_comparison(conjunct, owns: Callable[[ColumnRef], bool]):
+    """A conjunct as ``(column ref, op, value)``, or None.
+
+    ``col op expr`` reads as written and ``expr op col`` with *op*
+    flipped, where *owns* says which column references count (a scan's
+    own columns, say); the left side is tried first.  ``BETWEEN`` reads as
+    op ``"between"`` (``"not between"`` when negated) with value
+    ``(low, high)``.  Every reader of a comparison — index constraints,
+    cost sketches, interval domains and the analyzer — reads it here and
+    maps *value* to its own form.
+    """
+    if isinstance(conjunct, Between):
+        operand = conjunct.operand
+        if isinstance(operand, ColumnRef) and owns(operand):
+            op = "not between" if conjunct.negated else "between"
+            return operand, op, (conjunct.low, conjunct.high)
+    elif isinstance(conjunct, Binary) and conjunct.op in FLIPPED:
+        left, right = conjunct.left, conjunct.right
+        if isinstance(left, ColumnRef) and owns(left):
+            return left, conjunct.op, right
+        if isinstance(right, ColumnRef) and owns(right):
+            return right, FLIPPED[conjunct.op], left
+    return None

@@ -8,7 +8,7 @@ a table scan's cost grows linearly with history length (paper Fig 4).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..batch import Batch, drain_full_batches
 from .zonemap import (
@@ -158,23 +158,3 @@ class RowStore:
         self._count = 0
         self._next_rid = 0
 
-
-class AppendLog:
-    """An append-only log of arbitrary records (System B's undo log)."""
-
-    def __init__(self):
-        self._records: List[Any] = []
-
-    def __len__(self):
-        return len(self._records)
-
-    def append(self, record):
-        self._records.append(record)
-
-    def drain(self) -> List[Any]:
-        """Return and remove all buffered records in append order."""
-        records, self._records = self._records, []
-        return records
-
-    def peek(self):
-        return list(self._records)

@@ -40,7 +40,7 @@ from ..index import create_index_structure
 from ..obs import MetricsRegistry
 from ..types import END_OF_TIME
 from .column_store import ColumnStore
-from .row_store import AppendLog, RowStore
+from .row_store import RowStore
 from .zonemap import ScanTally, Window, window_rows
 
 CURRENT = "current"
@@ -119,9 +119,11 @@ def _key_function(kind, positions):
     if kind == "rtree":
         begin, end = positions
 
-        def period(row):
+        def period(row):  # a NULL end is open, a NULL begin never matches
             lo, hi = row[begin], row[end]
-            return None if lo is None or hi is None else (lo, hi)
+            if lo is None:
+                return None
+            return (lo, END_OF_TIME if hi is None else hi)
 
         return period
     # one position: the value (so a NULL is not indexed); several: a tuple
@@ -178,8 +180,8 @@ class VersionedTable:
         # not inline
         self._vp = self.options.vertical_partition_current and self.is_versioned
         self._vp_temporal: Dict[int, Tuple[int, int]] = {}
-        self._undo = AppendLog() if self.options.undo_log else None
-        self._undo_since_drain = 0
+        #: System B's undo log: closed versions waiting for the drain
+        self._undo: Optional[list] = [] if self.options.undo_log else None
 
         # every archetype keeps a key -> current rids map for its PK
         self._pk_current: Dict[tuple, List[int]] = {}
@@ -320,8 +322,7 @@ class VersionedTable:
             return
         if self._undo is not None:
             self._undo.append(closed)
-            self._undo_since_drain += 1
-            if self._undo_since_drain >= self.options.undo_drain_batch:
+            if len(self._undo) >= self.options.undo_drain_batch:
                 self.drain_undo()
         else:
             self._move_to_history(closed)
@@ -380,13 +381,12 @@ class VersionedTable:
         transaction that fills the log — B's tail."""
         if self._undo is None:
             return 0
-        records = self._undo.drain()
+        records, self._undo = self._undo, []
         if records:
             records.sort(key=itemgetter(self._sys_begin, self._sys_end))
             for closed_row in records:
                 self._move_to_history(closed_row)
             self.metrics.inc("storage.undo_drains")
-        self._undo_since_drain = 0
         return len(records)
 
     # -- reads ---------------------------------------------------------------

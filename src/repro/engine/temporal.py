@@ -30,7 +30,7 @@ from .types import END_OF_TIME, Period
 def app_period_of(schema: TableSchema, row, period_name) -> Period:
     """The application period *row* stores.  A NULL end is open, as reads
     treat it; a NULL begin has no place on the timeline (``DataError``)."""
-    period = schema.period(period_name)
+    period = schema.resolve_period(period_name)
     begin = row[schema.position(period.begin_column)]
     end = row[schema.position(period.end_column)]
     if begin is None:
@@ -42,7 +42,7 @@ def app_period_of(schema: TableSchema, row, period_name) -> Period:
 
 
 def _set_period(schema: TableSchema, row, period_name, period: Period):
-    pdef = schema.period(period_name)
+    pdef = schema.resolve_period(period_name)
     row[schema.position(pdef.begin_column)] = period.begin
     end = schema.position(pdef.end_column)
     if row[end] is not None or not period.is_open:  # an open NULL end stays NULL

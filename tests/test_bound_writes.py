@@ -209,7 +209,7 @@ def test_a_recreated_index_uses_its_new_columns():
     assert list(structure.items()) == [(("x", 1), first)]
 
 
-def test_an_rtree_never_indexes_a_null_endpoint():
+def test_an_rtree_indexes_a_null_end_as_open_and_no_null_begin():
     table = VersionedTable(SCHEMA, StorageOptions(split_history=False))
     null_end = table.insert_version([1, 0, "a", 3, None, None, None], sys_begin=1)
     full = table.insert_version([2, 0, "a", 3, 8, None, None], sys_begin=1)
@@ -217,8 +217,8 @@ def test_an_rtree_never_indexes_a_null_endpoint():
         IndexDef("ir", "t", ("ab", "ae"), kind="rtree", partition=SINGLE)
     )
     null_begin = table.insert_version([3, 0, "a", None, 8, None, None], sys_begin=2)
-    assert sorted(structure.all_values()) == [full]
+    assert sorted(structure.all_values()) == [null_end, full]
     table.invalidate(full, 5)  # closed in place: same key, no new entry
-    assert sorted(structure.all_values()) == [full]
-    assert null_end not in structure.search_overlap(0, 100)
+    assert sorted(structure.all_values()) == [null_end, full]
+    assert structure.search_overlap(END_OF_TIME - 1, END_OF_TIME) == [null_end]
     assert null_begin not in structure.search_overlap(0, 100)

@@ -62,7 +62,11 @@ class TestTableSchema:
         schema = _schema()
         assert schema.system_period.name == "system_time"
         assert [p.name for p in schema.application_periods] == ["app"]
-        assert schema.period("APP").begin_column == "ab"
+        assert schema.resolve_period("APP").begin_column == "ab"
+        assert schema.resolve_period("business_time").name == "app"
+        assert schema.resolve_period("system_time") is schema.system_period
+        with pytest.raises(CatalogError, match="no period 'nope' on table t"):
+            schema.resolve_period("nope")
 
     def test_key_of(self):
         schema = _schema()

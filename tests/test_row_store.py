@@ -1,6 +1,6 @@
 """Row store / append log unit tests."""
 
-from repro.engine.storage.row_store import AppendLog, RowStore
+from repro.engine.storage.row_store import RowStore
 
 
 def test_append_fetch():
@@ -51,13 +51,3 @@ def test_clear():
     assert len(store) == 0
     assert list(store.scan()) == []
 
-
-def test_append_log_drain():
-    log = AppendLog()
-    log.append("a")
-    log.append("b")
-    assert len(log) == 2
-    assert log.peek() == ["a", "b"]
-    assert log.drain() == ["a", "b"]
-    assert len(log) == 0
-    assert log.drain() == []

@@ -35,6 +35,7 @@ from repro.engine.catalog import Column, PeriodDef, TableSchema
 from repro.engine.database import ArchitectureProfile
 from repro.engine.errors import CatalogError
 from repro.engine.plan.access import TemporalBounds
+from repro.engine.sql import ast
 from repro.engine.storage import column_store
 from repro.engine.storage.column_store import ColumnStore
 from repro.engine.storage.row_store import RowStore
@@ -78,7 +79,8 @@ probe_ticks = st.one_of(
 )
 windows = st.one_of(
     st.tuples(st.just("as_of"), probe_ticks, st.none()),
-    st.tuples(st.just("overlap"), probe_ticks, probe_ticks),  # also lo == hi, lo > hi
+    # also lo == hi, lo > hi
+    st.tuples(st.sampled_from(["from_to", "between"]), probe_ticks, probe_ticks),
 )
 clauses = st.one_of(st.none(), windows)
 # empty, one column, the period columns only, everything, anything
@@ -103,25 +105,35 @@ store_ops = st.lists(
 
 
 def _window(spec):
-    """The storage window of a clause spec ``(mode, low, high)``."""
+    """The storage window of a clause spec ``(mode, low, high)``, built the
+    way lowering builds it: from the clause's ``(low, high, inclusive)``."""
     mode, low, high = spec
-    return TemporalBounds("b", "e", mode, low=lambda env: low, high=lambda env: high).window(None)
+    clause = ast.TemporalClause(
+        "system_time", mode, ast.Literal(low), None if mode == "as_of" else ast.Literal(high)
+    )
+    low_expr, high_expr, inclusive = clause.window()
+    low_fn = lambda env: low_expr.value  # noqa: E731
+    high_fn = low_fn if high_expr is low_expr else (lambda env: high_expr.value)
+    return TemporalBounds("b", "e", low_fn, high_fn, inclusive).window(None)
 
 
 def _matches(row, period, spec) -> bool:
     """The clause's SQL:2011 predicate: ``AS OF t`` is ``begin <= t AND
-    end > t``, ``FROM lo TO hi`` is ``begin < hi AND end > lo``; a NULL
-    begin or bound is UNKNOWN (no match), a NULL end is open."""
+    end > t``, ``FROM lo TO hi`` is ``begin < hi AND end > lo``, ``BETWEEN
+    lo AND hi`` is ``begin <= hi AND end > lo``; a NULL begin or bound is
+    UNKNOWN (no match), a NULL end is open."""
     if spec is None:
         return True
     mode, low, high = spec
+    if mode == "as_of":
+        high = low
     begin, end = row[period[0]], row[period[1]]
     end = END_OF_TIME if end is None else end
-    if begin is None or low is None or (mode == "overlap" and high is None):
+    if begin is None or low is None or high is None:
         return False
-    if mode == "as_of":
-        return begin <= low < end
-    return begin < high and end > low
+    if mode == "from_to":
+        return begin < high and end > low
+    return begin <= high and end > low
 
 
 def _expected(rows, window, app, columns):
@@ -168,7 +180,7 @@ def _check_store(store, probe, sizes=SIZES):
 
 def _run_store_ops(store, ops, sizes):
     next_id = 0
-    probe = (("overlap", 2, 4), ("as_of", 3, None), (0, 3, 5))
+    probe = (("from_to", 2, 4), ("as_of", 3, None), (0, 3, 5))
     for op in ops:
         kind = op[0]
         if kind == "append":
@@ -427,8 +439,8 @@ def test_table_windowed_scan_matches_filtered_scan(layout, ops, size):
         elif op[0] == "probe":
             probe = op[1:]
         _check_table(table, probe, size)
-    _check_table(table, (("as_of", tick // 2, None), ("overlap", 1, 4), (0, 3)), size)
-    _check_table(table, (("overlap", END_OF_TIME - 1, END_OF_TIME), None, ()), size)
+    _check_table(table, (("as_of", tick // 2, None), ("between", 1, 4), (0, 3)), size)
+    _check_table(table, (("from_to", END_OF_TIME - 1, END_OF_TIME), None, ()), size)
 
 
 def test_in_place_invalidation_drops_the_page_zone():

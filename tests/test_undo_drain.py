@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.engine.catalog import Column, IndexDef, PeriodDef, TableSchema
 from repro.engine.storage.versioned import HISTORY, StorageOptions, VersionedTable
 from repro.engine.storage.zonemap import zone_of
-from repro.engine.types import SqlType
+from repro.engine.types import END_OF_TIME, SqlType
 
 SCHEMA = TableSchema(
     "t",
@@ -47,7 +47,10 @@ INDEXES = {
     "h_id_sb": ("btree", ("id", "sb"), lambda row: (row[0], row[SB])),
     "h_app": (
         "rtree", ("ab", "ae"),
-        lambda row: None if row[3] is None or row[4] is None else (row[3], row[4]),
+        # a NULL end is indexed as open, a NULL begin not at all
+        lambda row: None if row[3] is None else (
+            row[3], END_OF_TIME if row[4] is None else row[4]
+        ),
     ),
 }
 
