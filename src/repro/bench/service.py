@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..engine.errors import QueryCancelled, QueryTimeout
+from ..engine.errors import QueryTimeout
 from ..engine.obs import MetricsRegistry
 
 
@@ -123,7 +123,7 @@ class BenchmarkService:
                 started = time.perf_counter()
                 try:
                     out = fn()
-                except (QueryTimeout, QueryCancelled):
+                except QueryTimeout:
                     # the engine aborted the query cooperatively mid-run:
                     # record the cutoff instant and stop measuring this cell
                     elapsed = time.perf_counter() - started

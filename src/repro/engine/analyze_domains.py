@@ -105,7 +105,6 @@ class Interval:
 
 
 TOP = Interval(None, None)
-EMPTY = Interval(1, 0)
 
 
 def _max_bound(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -174,12 +173,6 @@ class DomainMap:
         self.contributions.append(contribution)
         key = (contribution.binding, contribution.column)
         self._by_key.setdefault(key, []).append(contribution)
-
-    def keys(self) -> List[Tuple[str, str]]:
-        return list(self._by_key)
-
-    def at(self, key: Tuple[str, str]) -> List[Contribution]:
-        return list(self._by_key.get(key, ()))
 
     def domain(self, key: Tuple[str, str]) -> Interval:
         """The meet (intersection) of every contribution on *key*."""
@@ -421,7 +414,6 @@ def _interval_of(expr, scan, tracked):
 __all__ = [
     "Contribution",
     "DomainMap",
-    "EMPTY",
     "Interval",
     "TOP",
     "scan_domain_map",

@@ -293,17 +293,13 @@ class Database:
         snapshot = self.catalog.stats_of(table_name)
         table = self._tables.get(table_name.lower())
         if table is not None:
-            marker = stats_mod.mutation_marker(table)
-            if (
-                snapshot is not None
-                and snapshot.catalog_version == self.catalog.version_of(table_name)
-                and snapshot.mutation_marker == marker
-            ):
+            if stats_mod.is_fresh(snapshot, self.catalog, table):
                 self.metrics.inc("stats.hits")
                 return snapshot
             threshold = self.auto_analyze_threshold
             baseline = snapshot.mutation_marker if snapshot is not None else 0
-            if threshold is not None and marker - baseline >= threshold:
+            if (threshold is not None
+                    and stats_mod.mutation_marker(table) - baseline >= threshold):
                 (snapshot,) = self.analyze(table_name)
                 self.metrics.inc("stats.auto_analyze_runs")
                 return snapshot

@@ -78,7 +78,3 @@ class PlanError(InternalError):
 
 class QueryTimeout(OperationalError):
     """A query exceeded the benchmark harness timeout."""
-
-
-class QueryCancelled(OperationalError):
-    """A query was cancelled cooperatively through its ExecutionContext."""

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 import re
+import time
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .errors import DataError, ProgrammingError
+from .errors import DataError, ProgrammingError, QueryTimeout
 from .sql import ast
 from .types import date_to_day, day_to_date
 
@@ -75,21 +76,57 @@ class Scope:
 
 
 class Env:
-    """Runtime evaluation environment for one query execution.
+    """Runtime environment of one statement execution.
 
     ``cache`` is shared across nesting levels; uncorrelated subqueries use
     it to run once per statement execution instead of once per outer row.
+    ``timeout_s`` sets a deadline that :meth:`check` and :meth:`guard_iter`
+    poll; ``metrics`` (``id(operator)`` -> ``NodeMetrics``, shared by every
+    nesting level) and ``tracer`` switch on the per-operator accounting of
+    :meth:`~repro.engine.plan.operators.Operator.batches`.  With all three
+    unset an execution pays nothing for them.
     """
 
-    __slots__ = ("params", "outer_rows", "cache")
+    __slots__ = ("params", "outer_rows", "cache", "deadline", "timeout_s",
+                 "metrics", "tracer")
 
-    def __init__(self, params=None, outer_rows=None, cache=None):
+    def __init__(self, params=None, timeout_s=None, metrics=None, tracer=None):
         self.params = params if params is not None else {}
-        self.outer_rows: List[tuple] = outer_rows or []
-        self.cache: Dict[int, object] = cache if cache is not None else {}
+        self.outer_rows: List[tuple] = []
+        self.cache: Dict[int, object] = {}
+        self.timeout_s = timeout_s
+        self.deadline = None if timeout_s is None else time.perf_counter() + timeout_s
+        self.metrics = metrics
+        self.tracer = tracer
 
     def nested(self, outer_row) -> "Env":
-        return Env(self.params, [outer_row] + self.outer_rows, self.cache)
+        """Correlated-subquery environment: a new outer row, all else shared.
+        Built without ``__init__``: it runs once per outer row."""
+        env = object.__new__(Env)
+        env.params, env.cache = self.params, self.cache
+        env.outer_rows = [outer_row] + self.outer_rows
+        env.deadline, env.timeout_s = self.deadline, self.timeout_s
+        env.metrics, env.tracer = self.metrics, self.tracer
+        return env
+
+    def check(self):
+        """Raise :class:`QueryTimeout` once the deadline has passed."""
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise QueryTimeout(f"query exceeded timeout of {self.timeout_s}s")
+
+    def guard_iter(self, iterable, every: int = 4096):
+        """*iterable*, polling the deadline every *every* items; unchanged
+        when there is no deadline."""
+        if self.deadline is None:
+            return iterable
+
+        def guarded():
+            for count, item in enumerate(iterable, 1):
+                yield item
+                if count % every == 0:
+                    self.check()
+
+        return guarded()
 
     def param(self, index=None, name=None):
         if name is not None:

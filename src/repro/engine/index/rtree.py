@@ -4,10 +4,10 @@ PostgreSQL (the paper's System D) exposes GiST indexes, whose canonical
 instantiation is the R-Tree (paper §2.5).  For temporal data the indexed
 geometry is a 1-D interval ``[begin, end)``.  This implementation uses the
 classic Guttman insertion algorithm with quadratic split, restricted to one
-dimension, and supports the two queries temporal predicates need:
-
-* ``search_overlap(lo, hi)`` — all entries whose interval intersects [lo, hi)
-* ``search_contains(point)`` — all entries whose interval contains the point
+dimension.  ``search_overlap(lo, hi)`` returns every entry whose interval
+intersects [lo, hi) (a point ``t`` is the window [t, t + 1)), and
+``remove`` deletes an entry eagerly, so a version whose period changed in
+place is found under its new interval only.
 
 The paper found the GiST index "constantly higher cost than the B-Tree"
 (§5.3.3); our benchmarks reproduce that because interval MBRs on
@@ -129,6 +129,39 @@ class RTree:
             (left if grow_left <= grow_right else right).entries.append(entry)
         return _wrap(left), _wrap(right)
 
+    # -- removal ----------------------------------------------------------
+
+    def remove(self, interval: Tuple[int, int], value: Any) -> bool:
+        """Remove one (interval, value) entry; returns True if it existed.
+
+        No rebalancing, as in the B-Tree: the bounds on the path shrink to
+        what is left and an emptied node leaves its parent."""
+        lo, hi = interval
+        if not self._remove(self._root, lo, hi, value):
+            return False
+        if not self._root.entries:
+            self._root = _RNode(is_leaf=True)
+        self._size -= 1
+        return True
+
+    def _remove(self, node, lo, hi, value) -> bool:
+        for i, entry in enumerate(node.entries):
+            if node.is_leaf:
+                found = entry.value == value and entry.lo == lo and entry.hi == hi
+            else:
+                found = (entry.lo <= lo and hi <= entry.hi
+                         and self._remove(entry.child, lo, hi, value))
+            if found:
+                break
+        else:
+            return False
+        if node.is_leaf or not entry.child.entries:
+            del node.entries[i]
+        else:
+            bound = _bounding(entry.child)
+            entry.lo, entry.hi = bound.lo, bound.hi
+        return True
+
     # -- search -----------------------------------------------------------
 
     def search_overlap(self, lo, hi) -> List[Any]:
@@ -138,16 +171,6 @@ class RTree:
         self.access.range_scans += 1
         out: List[Any] = []
         self._search(self._root, lo, hi, out)
-        self.access.rows_returned += len(out)
-        return out
-
-    def search_contains(self, point) -> List[Any]:
-        """Row ids whose interval contains *point*."""
-        if self._metrics is not None:
-            self._metrics.inc("index.rtree_searches")
-        self.access.probes += 1
-        out: List[Any] = []
-        self._search(self._root, point, point + 1, out)
         self.access.rows_returned += len(out)
         return out
 

@@ -109,7 +109,7 @@ SYSTEM_VIEWS: Dict[str, Dict[str, str]] = {
             "cumulative analyzer findings attributed to this statement "
             "(recorded by the benchmark service, outside the timed region)"
         ),
-        "timeouts": "executions aborted by deadline or cancellation",
+        "timeouts": "executions aborted by deadline",
         "aborts": "executions aborted by any other error",
     },
     "repro_stat_metrics": {
@@ -183,16 +183,12 @@ def _estimate_partition_bytes(part) -> int:
 def _stats_freshness(db, table) -> Tuple[Optional[int], Optional[int]]:
     """(last_analyze, stats_stale) for one table, without bumping the
     ``stats.*`` lookup counters the way ``Database.stats_for`` does."""
-    from ..stats import mutation_marker
+    from ..stats import is_fresh
 
     snapshot = db.catalog.stats_of(table.schema.name)
     if snapshot is None:
         return None, None
-    stale = (
-        snapshot.catalog_version != db.catalog.version_of(table.schema.name)
-        or snapshot.mutation_marker != mutation_marker(table)
-    )
-    return snapshot.catalog_version, (1 if stale else 0)
+    return snapshot.catalog_version, (0 if is_fresh(snapshot, db.catalog, table) else 1)
 
 
 def _stat_tables_rows(db) -> List[tuple]:

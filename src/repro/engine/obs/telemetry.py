@@ -190,7 +190,7 @@ class StatementStatsStore:
 
         ``metrics`` is the execution's per-operator map, the record EXPLAIN
         ANALYZE renders (``id(op)`` →
-        :class:`~repro.engine.plan.context.NodeMetrics`): ``rows_scanned``
+        :class:`~repro.engine.plan.operators.NodeMetrics`): ``rows_scanned``
         gains the rows of its leaf nodes, ``batches`` every node's batches,
         and ``peak_ws_bytes`` is the largest node's ``ws_bytes``.  ``None``
         skips operator-level accounting for this call.

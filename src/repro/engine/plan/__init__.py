@@ -1,6 +1,5 @@
 """Query planning and execution: logical IR, rewrites, operators, planner."""
 
-from .context import ExecutionContext, NodeMetrics
 from .logical import (
     LogicalDerived,
     LogicalFilter,
@@ -12,12 +11,12 @@ from .logical import (
     LogicalValues,
     build_logical,
 )
+from .operators import NodeMetrics
 from .planner import Planner, PlannedQuery
 from .rewrite import ALL_RULES, rewrite_logical
 
 __all__ = [
     "ALL_RULES",
-    "ExecutionContext",
     "LogicalDerived",
     "LogicalFilter",
     "LogicalJoin",

@@ -235,11 +235,9 @@ class TableAccessPlan:
             columns=self.columns,
         )
         # the deadline is polled once per batch, not per row
-        check = getattr(env, "check", None)
         out: List[Batch] = []
         for batch in source:
-            if check is not None:
-                check()
+            env.check()
             out.append(batch)
         pages = (access.pages_read - read, access.pages_pruned - pruned)
         self.decisions.append(

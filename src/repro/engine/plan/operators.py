@@ -21,18 +21,19 @@ keys); a ``selection`` function returning the surviving row indices for a
 ``HashJoin`` residual; a ``scalar`` ``fn(row, env)`` per candidate row
 (``NestedLoopJoin``) or per statement (the planner's LIMIT / OFFSET).
 
-``batches`` is a thin dispatcher: when the env is an
-:class:`~repro.engine.plan.context.ExecutionContext` the call routes
-through it, which enforces the cooperative deadline and records
-per-operator counters for ``EXPLAIN ANALYZE``; a plain ``Env`` costs one
-``getattr``.  ``rows(env)`` / ``execute(env)`` are the row-level boundary:
-they materialise the batches into one fresh ``list[tuple]``.  Deadline
+``batches(env)`` is the one dispatch: it polls the deadline, then calls
+``execute_batches`` directly, or, when the env carries ``metrics`` or a
+``tracer``, runs it inside an operator span and folds rows, batches,
+working-set bytes and time into the operator's :class:`NodeMetrics` for
+``EXPLAIN ANALYZE``.  ``rows(env)`` is the row-level boundary: it
+materialises the batches into one fresh ``list[tuple]``.  Deadline
 polling happens per batch inside batch loops; only ``CrossJoin`` and
 ``NestedLoopJoin`` poll per outer row through ``guard_iter``.
 """
 
 from __future__ import annotations
 
+import time
 from collections import defaultdict
 from functools import partial, reduce
 from itertools import chain, compress
@@ -42,6 +43,26 @@ from typing import Callable, List, Optional, Sequence
 from ..batch import Batch, batch_size, batches_from_rows, rows_from_batches
 from ..expr import Env
 from ..types import compare_values
+
+
+class NodeMetrics:
+    """Counters for one physical operator within one execution.
+
+    ``leaf`` marks a table or materialized scan: its ``rows`` are the data
+    pulled off storage, which the statement store folds into
+    ``rows_scanned`` (:meth:`~repro.engine.obs.telemetry.StatementStatsStore.record`).
+    """
+
+    __slots__ = ("calls", "rows", "batches", "ws_bytes", "time_s", "detail", "leaf")
+
+    def __init__(self, leaf: bool = False):
+        self.leaf = leaf
+        self.calls = 0
+        self.rows = 0
+        self.batches = 0
+        self.ws_bytes = 0  # peak estimated output bytes of one invocation
+        self.time_s = 0.0
+        self.detail = ""
 
 
 class Operator:
@@ -55,20 +76,49 @@ class Operator:
     est_rows: Optional[int] = None
 
     def batches(self, env: Env) -> List[Batch]:
-        # ExecutionContext exposes run_operator; a plain Env does not.
-        runner = getattr(env, "run_operator", None)
-        if runner is not None:
-            return runner(self)
-        return self.execute_batches(env)
+        """Run the operator under *env*'s deadline and accounting.
+
+        Row counts are summed per batch, never per row.  Times are
+        *inclusive* of children (Postgres EXPLAIN ANALYZE style); repeated
+        invocations (a subplan under a correlated subquery) accumulate and
+        surface as ``loops``.
+        """
+        if env.deadline is not None:
+            env.check()
+        if env.metrics is None and env.tracer is None:
+            return self.execute_batches(env)
+        metrics, tracer = env.metrics, env.tracer
+        span = tracer.start("operator", op=self.label()) if tracer is not None else None
+        started = time.perf_counter()
+        try:
+            out = self.execute_batches(env)
+        except BaseException:
+            if span is not None:
+                tracer.finish(span, aborted=True)
+            raise
+        elapsed = time.perf_counter() - started
+        row_count = sum(batch.length for batch in out)
+        if span is not None:
+            span.set(rows=row_count)
+            tracer.finish(span)
+        if metrics is None:
+            return out
+        node = metrics.get(id(self))
+        if node is None:
+            node = metrics[id(self)] = NodeMetrics(leaf=not self.children)
+        node.calls += 1
+        node.rows += row_count
+        node.batches += len(out)
+        node.ws_bytes = max(node.ws_bytes, sum(batch.estimated_bytes() for batch in out))
+        node.time_s += elapsed
+        detail = self.metrics_detail()
+        if detail:
+            node.detail = detail
+        return out
 
     def rows(self, env: Env) -> List[tuple]:
         """Row-level boundary: the operator's output as one fresh list."""
         return rows_from_batches(self.batches(env))
-
-    def execute(self, env: Env) -> List[tuple]:
-        """Row-level execution without context dispatch (always a fresh
-        list, so callers may mutate the result freely)."""
-        return rows_from_batches(self.execute_batches(env))
 
     def execute_batches(self, env: Env) -> List[Batch]:
         raise NotImplementedError
@@ -183,10 +233,8 @@ class Filter(Operator):
     def execute_batches(self, env):
         out: List[Batch] = []
         selection = self._selection
-        check = getattr(env, "check", None)
         for batch in self.children[0].batches(env):
-            if check is not None:
-                check()
+            env.check()
             selected = selection(batch, env)
             if len(selected) == batch.length:
                 out.append(batch)
@@ -205,10 +253,8 @@ class CrossJoin(Operator):
     def execute_batches(self, env):
         left_rows = self.children[0].rows(env)
         right_rows = self.children[1].rows(env)
-        guard = getattr(env, "guard_iter", None)
-        if guard is not None:
-            # poll often on the outer side: each step emits len(right) rows
-            left_rows = guard(left_rows, 256)
+        # poll often on the outer side: each step emits len(right) rows
+        left_rows = env.guard_iter(left_rows, 256)
         size = batch_size()
         out: List[Batch] = []
         chunk: List[tuple] = []
@@ -237,10 +283,8 @@ class NestedLoopJoin(Operator):
     def execute_batches(self, env):
         left_rows = self.children[0].rows(env)
         right_rows = self.children[1].rows(env)
-        guard = getattr(env, "guard_iter", None)
-        if guard is not None:
-            # poll often on the outer side: each step scans the inner input
-            left_rows = guard(left_rows, 256)
+        # poll often on the outer side: each step scans the inner input
+        left_rows = env.guard_iter(left_rows, 256)
         predicate = self._predicate
         size = batch_size()
         out: List[Batch] = []
@@ -311,14 +355,12 @@ class HashJoin(Operator):
         self._build_side = build_side if kind == "inner" else "right"
 
     def execute_batches(self, env):
-        check = getattr(env, "check", None)
         key_fns = (self._left_keys, self._right_keys)
         build_left = self._build_side == "left"
         build, probe = (0, 1) if build_left else (1, 0)
         table = defaultdict(list)
         for batch in self.children[build].batches(env):
-            if check is not None:
-                check()
+            env.check()
             columns = [fn(batch, env) for fn in key_fns[build]]
             keyed = zip(_row_keys(columns, batch.length), batch.to_rows())
             for key, row in compress(keyed, _matchable(columns)):
@@ -328,8 +370,7 @@ class HashJoin(Operator):
         pad = (None,) * self._right_width
         out: List[Batch] = []
         for batch in self.children[probe].batches(env):
-            if check is not None:
-                check()
+            env.check()
             keys = _row_keys([fn(batch, env) for fn in key_fns[probe]], batch.length)
             # one comprehension per probe batch; a bucket is None or non-empty
             matched = zip(batch.to_rows(), map(lookup, keys))
@@ -381,10 +422,8 @@ class Aggregate(Operator):
         ]
         index: dict = {}  # group key -> slot
         rows_in = 0
-        check = getattr(env, "check", None)
         for batch in self.children[0].batches(env):
-            if check is not None:
-                check()
+            env.check()
             rows_in += batch.length
             if key_exprs:
                 keys = _row_keys([fn(batch, env) for fn in key_exprs], batch.length)
@@ -547,14 +586,12 @@ class TemporalAggregate(Operator):
 
     def _collect(self, env):
         """(begins, ends, per-accumulator argument columns) over the input."""
-        check = getattr(env, "check", None)
         specs = self._accumulators
         begins: List[object] = []
         ends: List[object] = []
         values: List[list] = [[] for _ in specs]
         for batch in self.children[0].batches(env):
-            if check is not None:
-                check()
+            env.check()
             begins.extend(self._begin_fn(batch, env))
             ends.extend(self._end_fn(batch, env))
             for slot, (_func, arg, _distinct) in zip(values, specs):
@@ -562,7 +599,6 @@ class TemporalAggregate(Operator):
         return begins, ends, values
 
     def execute_batches(self, env):
-        check = getattr(env, "check", None)
         begins, ends, values = self._collect(env)
         specs = self._accumulators
         # boundary set: every non-NULL/non-NaN endpoint of every version,
@@ -598,8 +634,8 @@ class TemporalAggregate(Operator):
         steps = 0
         for t in ordered:
             steps += 1
-            if check is not None and steps % 1024 == 0:
-                check()
+            if steps % 1024 == 0:
+                env.check()
             while si < n_starts and starts[si][0] <= t:
                 idx = starts[si][1]
                 active[idx] = True
@@ -674,11 +710,9 @@ class TemporalAlignJoin(Operator):
     def _collect(self, child, key_fns, begin_fn, end_fn, env):
         """(key, begin, end, row) entries grouped by key, dropping rows that
         can never join (NULL/NaN key part or period bound)."""
-        check = getattr(env, "check", None)
         groups = defaultdict(list)
         for batch in child.batches(env):
-            if check is not None:
-                check()
+            env.check()
             columns = [fn(batch, env) for fn in key_fns]
             keys = _row_keys(columns, batch.length)
             begins, ends = begin_fn(batch, env), end_fn(batch, env)
@@ -688,7 +722,6 @@ class TemporalAlignJoin(Operator):
         return groups
 
     def execute_batches(self, env):
-        check = getattr(env, "check", None)
         left_groups = self._collect(
             self.children[0], self._left_keys,
             self._left_begin, self._left_end, env,
@@ -713,8 +746,8 @@ class TemporalAlignJoin(Operator):
             active_right: List[tuple] = []
             while li < ln or ri < rn:
                 steps += 1
-                if check is not None and steps % 4096 == 0:
-                    check()
+                if steps % 4096 == 0:
+                    env.check()
                 from_left = ri >= rn or (
                     li < ln
                     and compare_values(lrun[li][1], rrun[ri][1]) <= 0

@@ -152,7 +152,7 @@ def _format_bytes(value: int) -> str:
 
 
 class PlannedQuery:
-    """Executable plan: call :meth:`rows` with an Env or ExecutionContext."""
+    """Executable plan: call :meth:`rows` with an :class:`~repro.engine.expr.Env`."""
 
     def __init__(
         self,
@@ -931,13 +931,11 @@ class _Finalize(ops.Operator):
 
     def execute_batches(self, env):
         item_fns = self._item_fns
-        check = getattr(env, "check", None)
         need_pre = any(spec[0] == "pre" for spec in self._sort_specs)
         pre_rows: List[tuple] = []
         out_rows: List[tuple] = []
         for batch in self.children[0].batches(env):
-            if check is not None:
-                check()
+            env.check()
             out_rows.extend(zip(*[fn(batch, env) for fn in item_fns]))
             if need_pre:
                 pre_rows.extend(batch.to_rows())
@@ -954,8 +952,7 @@ class _Finalize(ops.Operator):
                     pre_rows = [pre_rows[i] for i in keep]
         for spec in reversed(self._sort_specs):
             kind, key, desc = spec
-            if check is not None:
-                check()
+            env.check()
             if kind == "out":
                 keys = [row[key] for row in out_rows]
             else:

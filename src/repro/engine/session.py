@@ -17,11 +17,8 @@ from typing import Dict, List, Optional
 
 from . import temporal
 from .catalog import Column, IndexDef, TableSchema, PeriodDef
-from .errors import (
-    DataError, NotSupportedError, ProgrammingError, QueryCancelled, QueryTimeout,
-)
+from .errors import DataError, NotSupportedError, ProgrammingError, QueryTimeout
 from .expr import Env, Scope, compile_expr
-from .plan.context import ExecutionContext
 from .plan.planner import Planner, PlannedQuery
 from .sql import ast, parse_statement
 from .types import Period, SqlType
@@ -141,7 +138,7 @@ class SqlEngine:
             if root is not None:
                 tracer.finish(root, aborted=True)
             if tracking:
-                timed_out = isinstance(exc, (QueryTimeout, QueryCancelled))
+                timed_out = isinstance(exc, QueryTimeout)
                 telemetry.record(
                     sql,
                     time.perf_counter() - started,
@@ -216,16 +213,8 @@ class SqlEngine:
     def _run_planned(self, planned: PlannedQuery, params, timeout_s,
                      metrics=None) -> Result:
         tracer = self.db.tracer
-        tracing = tracer.active
-        if timeout_s is None and not tracing and metrics is None:
-            env = Env(_normalize_params(params))
-        else:
-            env = ExecutionContext.begin(
-                _normalize_params(params),
-                timeout_s=timeout_s,
-                metrics=metrics,
-                tracer=tracer if tracing else None,
-            )
+        env = Env(_normalize_params(params), timeout_s, metrics,
+                  tracer if tracer.active else None)
         started = time.perf_counter()
         with tracer.span("execute") as span:
             rows = planned.rows(env)
@@ -270,11 +259,9 @@ class SqlEngine:
         """Run *planned* recording per-operator metrics and render them
         (EXPLAIN ANALYZE), ending in a ``plan cache:`` line unless *cache*
         is None."""
-        ctx = ExecutionContext.begin(
-            _normalize_params(params), timeout_s=timeout_s, metrics={}
-        )
-        planned.rows(ctx)
-        text = planned.explain_analyze(ctx.metrics)
+        env = Env(_normalize_params(params), timeout_s, metrics={})
+        planned.rows(env)
+        text = planned.explain_analyze(env.metrics)
         return text if cache is None else f"{text}\nplan cache: {cache}"
 
     def lint(self, sql):

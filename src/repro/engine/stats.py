@@ -123,6 +123,17 @@ def mutation_marker(table) -> int:
     return table.mutations
 
 
+def is_fresh(snapshot, catalog, table) -> bool:
+    """Does *snapshot* still describe *table*?  Stale once DDL moved the
+    table's catalog version or a write moved its mutation marker since
+    the snapshot was collected."""
+    return (
+        snapshot is not None
+        and snapshot.catalog_version == catalog.version_of(table.schema.name)
+        and snapshot.mutation_marker == mutation_marker(table)
+    )
+
+
 def _column_stats(values: Sequence[object], buckets: int) -> ColumnStats:
     nulls = values.count(None)
     non_null = [v for v in values if v is not None] if nulls else values

@@ -325,18 +325,6 @@ class ColumnStore:
             )
         return zone
 
-    def scan_column(self, col) -> Iterator[Tuple[int, Any]]:
-        """Single-column scan — the column store's natural access path."""
-        decode = self._dictionaries[col].decode
-        vector = self._main[col]
-        for rid in range(self.main_size):
-            if self._main_live[rid]:
-                yield rid, decode(vector[rid])
-        base = self.main_size
-        for offset, row in enumerate(self._delta):
-            if row is not None:
-                yield base + offset, row[col]
-
     def clear(self):
         self._dictionaries = [_Dictionary() for _ in range(self._column_count)]
         self._main: List[List[int]] = [[] for _ in range(self._column_count)]

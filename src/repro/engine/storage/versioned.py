@@ -106,28 +106,42 @@ class _Partition:
         self.access = AccessCounters()
         self.indexes: Dict[str, Tuple[IndexDef, object]] = {}
         #: the same indexes as the write path sees them, keyed like
-        #: ``indexes``: (key function, structure, removes lazily)
-        self.keyed: Dict[str, Tuple[Callable, object, bool]] = {}
+        #: ``indexes``: (key function, structure)
+        self.keyed: Dict[str, Tuple[Callable, object]] = {}
 
     def __len__(self):
         return len(self.store)
 
 
-def _key_function(kind, positions):
+def _key_function(kind, positions, ends):
     """What an index of *kind* over the columns at *positions* stores a row
-    under; None means the row is not indexed."""
+    under; None means the row is not indexed.  A NULL at an end column (a
+    position in *ends*: a period's end, or the end of the interval an
+    R-Tree indexes) is an open end, stored as END_OF_TIME; any other NULL
+    leaves a one-column key or an R-Tree period unindexed."""
     if kind == "rtree":
-        begin, end = positions
+        ends = ends | {positions[1]}
 
-        def period(row):  # a NULL end is open, a NULL begin never matches
-            lo, hi = row[begin], row[end]
-            if lo is None:
-                return None
-            return (lo, END_OF_TIME if hi is None else hi)
+    def part(position):
+        if position in ends:
+            return lambda row: END_OF_TIME if row[position] is None else row[position]
+        return itemgetter(position)
+
+    if kind == "rtree":
+        begin, end = map(part, positions)
+
+        def period(row):
+            lo, hi = begin(row), end(row)
+            return None if lo is None or hi is None else (lo, hi)
 
         return period
-    # one position: the value (so a NULL is not indexed); several: a tuple
-    return itemgetter(*positions)
+    if ends.isdisjoint(positions):
+        # one position: the value (so a NULL is not indexed); several: a tuple
+        return itemgetter(*positions)
+    if len(positions) == 1:
+        return part(positions[0])
+    parts = [part(position) for position in positions]
+    return lambda row: tuple(get(row) for get in parts)
 
 
 class VersionedTable:
@@ -541,8 +555,10 @@ class VersionedTable:
         if index.name in part.indexes:
             raise CatalogError(f"index {index.name!r} already on {self.schema.name}")
         structure = create_index_structure(index.kind, metrics=self.metrics)
+        schema = self.schema
         key_of = _key_function(
-            index.kind, [self.schema.position(c) for c in index.columns]
+            index.kind, [schema.position(c) for c in index.columns],
+            {schema.position(p.end_column) for p in schema.periods},
         )
         # drained before the build and registered after it, so a version
         # still in B's undo log is indexed once, by the drain
@@ -553,7 +569,7 @@ class VersionedTable:
             if key is not None:
                 structure.insert(key, rid)
         part.indexes[index.name] = (index, structure)
-        part.keyed[index.name] = (key_of, structure, index.kind == "rtree")
+        part.keyed[index.name] = (key_of, structure)
         return structure
 
     def drop_index(self, name):
@@ -569,23 +585,22 @@ class VersionedTable:
         return self._partitions[name].indexes
 
     def _index_insert(self, part, rid, row):
-        for key_of, structure, _lazy in part.keyed.values():
+        for key_of, structure in part.keyed.values():
             key = key_of(row)
             if key is not None:
                 structure.insert(key, rid)
 
     def _index_remove(self, part, rid, row):
-        # an rtree removes lazily: its scans re-check liveness via fetch()
-        for key_of, structure, lazy in part.keyed.values():
-            if not lazy and (key := key_of(row)) is not None:
+        for key_of, structure in part.keyed.values():
+            if (key := key_of(row)) is not None:
                 structure.remove(key, rid)
 
     def _index_update(self, part, rid, old_row, new_row):
-        for key_of, structure, lazy in part.keyed.values():
+        for key_of, structure in part.keyed.values():
             old_key, new_key = key_of(old_row), key_of(new_row)
             if old_key == new_key:
                 continue
-            if not lazy and old_key is not None:
+            if old_key is not None:
                 structure.remove(old_key, rid)
             if new_key is not None:
                 structure.insert(new_key, rid)

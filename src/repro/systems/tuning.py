@@ -59,14 +59,13 @@ def time_indexes(system, table_names: Optional[List[str]] = None, kind="btree") 
             continue
         table = db.table(schema.name)
         sys_period = schema.system_period
-        current = "current" if table.has_split else "current"
         for app in schema.application_periods:
             cols = (
                 [app.begin_column, app.end_column]
                 if kind == "rtree"
                 else [app.begin_column]
             )
-            created.append(_create(db, schema.name, cols, current, kind))
+            created.append(_create(db, schema.name, cols, "current", kind))
             if table.has_split:
                 created.append(_create(db, schema.name, cols, "history", kind))
         if sys_period is not None:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.loader import Loader
 from repro.engine import Database, IndexDef
 from repro.engine.database import ArchitectureProfile
+from repro.engine.plan import access
 from repro.engine.storage.versioned import StorageOptions
 from repro.systems import IndexSetting, apply_index_setting, make_system
 
@@ -28,6 +29,17 @@ def _make(profile=None, options=None, rows=300):
                 "ab": 0, "ae": 1000,
             })
     return db
+
+
+def _index_and_scan_reads(system, indexes, queries, strategy):
+    """Each query's sorted rows with *indexes* (whose probe EXPLAIN ANALYZE
+    names *strategy* where the profile uses indexes), then without them."""
+    indexed = [sorted(system.execute(sql).rows) for sql in queries]
+    if system.db.profile.uses_indexes:
+        assert strategy in system.db.explain_analyze(queries[0])
+    for index in indexes:
+        system.execute(f"DROP INDEX {index}")
+    return indexed, [sorted(system.execute(sql).rows) for sql in queries]
 
 
 def _scan_count(db):
@@ -141,6 +153,60 @@ class TestRtreeAccess:
             "SELECT count(*) FROM item FOR SYSTEM_TIME AS OF 1"
         ).scalar()
         assert expected == 100
+
+
+class TestIndexesFollowWrites:
+    """Indexes created before the writes read what a scan reads."""
+
+    @pytest.mark.parametrize("name", "ABCDE")
+    def test_index_read_equals_scan_read_after_writes(self, name, monkeypatch):
+        # the index exists before the writes: on D and E an UPDATE closes
+        # the old version in place, and the index must then find it under
+        # its closed period only
+        monkeypatch.setattr(access, "INDEX_SELECTIVITY_THRESHOLD", 1.0)
+        system = make_system(name)
+        system.execute(
+            "CREATE TABLE t (id INTEGER NOT NULL, v INTEGER, sys_begin INTEGER,"
+            " sys_end INTEGER, PERIOD FOR system_time (sys_begin, sys_end),"
+            " PRIMARY KEY (id))"
+        )
+        split = system.db.table("t").has_split
+        partitions = ("current", "history") if split else ("current",)
+        for partition in partitions:
+            system.execute(
+                f"CREATE INDEX r_{partition} ON t (sys_begin, sys_end)"
+                f" USING rtree ON {partition}"
+            )
+        for i in range(100):
+            system.execute("INSERT INTO t (id, v) VALUES (?, ?)", [i, i])
+        for v in range(5):
+            system.execute("UPDATE t SET v = ? WHERE id = 0", [v])
+        queries = [
+            f"SELECT id, v FROM t FOR SYSTEM_TIME AS OF {tick}"
+            for tick in (3, 50, 101, 103)
+        ] + ["SELECT id, v FROM t", "SELECT id, v FROM t FOR SYSTEM_TIME ALL"]
+        indexed, scanned = _index_and_scan_reads(
+            system, [f"r_{p}" for p in partitions], queries, "rtree[r_"
+        )
+        assert indexed == scanned
+        assert len(indexed[0]) == 3
+
+    @pytest.mark.parametrize("name", "ABCDE")
+    def test_btree_on_a_period_end_finds_open_versions(self, name, monkeypatch):
+        monkeypatch.setattr(access, "INDEX_SELECTIVITY_THRESHOLD", 1.0)
+        system = make_system(name)
+        system.execute(
+            "CREATE TABLE a (k INTEGER NOT NULL, b INTEGER, e INTEGER,"
+            " PERIOD FOR p (b, e), PRIMARY KEY (k))"
+        )
+        system.execute("CREATE INDEX ae ON a (e)")
+        for k in range(20):  # odd keys: an open (NULL) end
+            end = None if k % 2 else k % 5 + 3
+            system.execute("INSERT INTO a VALUES (?, ?, ?)", [k, k % 5, end])
+        queries = [f"SELECT k FROM a FOR p AS OF {tick}" for tick in range(9)]
+        indexed, scanned = _index_and_scan_reads(system, ["ae"], queries, "index[ae]")
+        assert indexed == scanned
+        assert len(indexed[8]) == 10
 
 
 class TestCorrelatedParameterProbes:

@@ -127,11 +127,7 @@ def db():
     None,
     ("btree", ("b",)),
     ("rtree", ("b", "e")),
-    pytest.param(("btree", ("e",)), marks=pytest.mark.xfail(
-        strict=True,
-        reason="a B-Tree leaves a NULL (open) end unindexed, so a probe on the "
-        "end column misses the open versions",
-    )),
+    ("btree", ("e",)),
 ], ids=["scan", "btree", "rtree", "btree-on-end"])
 def test_queries_return_what_the_clause_admits(index, monkeypatch):
     # an index probe however unselective, so every probe path runs

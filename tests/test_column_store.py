@@ -78,7 +78,8 @@ def test_scan_column():
     store = ColumnStore(2, merge_threshold=3)
     for i in range(6):
         store.append([i, i * 10])
-    values = [v for _rid, v in store.scan_column(1)]
+    # one column across main and delta, through the projected batch scan
+    values = [v for batch in store.scan_batches(4, columns=[1]) for (v,) in batch.to_rows()]
     assert values == [0, 10, 20, 30, 40, 50]
 
 

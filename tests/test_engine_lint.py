@@ -31,10 +31,7 @@ def fake_repo(tmp_path):
     _write(tmp_path, "src/repro/engine/plan/operators.py", (
         "class Ok:\n"
         "    def execute_batches(self, env):\n"
-        "        rows = self.children[0].rows(env)\n"
-        '        guard = getattr(env, "guard_iter", None)\n'
-        "        if guard is not None:\n"
-        "            rows = guard(rows)\n"
+        "        rows = env.guard_iter(self.children[0].rows(env))\n"
         "        return [row for row in rows]\n"
     ))
     _write(tmp_path, "src/repro/engine/plan/cost.py",
@@ -312,30 +309,13 @@ class TestBatchProtocol:
             self._BASE
             + "class Filter(Operator):\n"
             "    def execute_batches(self, env):\n"
-            '        check = getattr(env, "check", None)\n'
             "        out = []\n"
             "        for batch in self.children[0].batches(env):\n"
-            "            if check is not None:\n"
-            "                check()\n"
+            "            env.check()\n"
             "            out.append(batch)\n"
             "        return out\n"
         ))
         assert engine_lint.check_batch_protocol(fake_repo) == []
-
-    def test_stray_execute_override_is_flagged(self, fake_repo):
-        _write(fake_repo, "src/repro/engine/plan/operators.py", (
-            self._BASE
-            + "class Legacy(Operator):\n"
-            "    def execute_batches(self, env):\n"
-            "        return []\n"
-            "    def execute(self, env):\n"
-            '        guard = getattr(env, "guard_iter", None)\n'
-            "        return list(self._rows)\n"
-        ))
-        problems = engine_lint.check_batch_protocol(fake_repo)
-        assert len(problems) == 1
-        assert "batch-protocol" in problems[0]
-        assert "Legacy" in problems[0]
 
     def test_missing_entrypoint_is_flagged(self, fake_repo):
         _write(fake_repo, "src/repro/engine/plan/operators.py", (
@@ -403,10 +383,7 @@ class TestBatchProtocol:
             self._BASE
             + "class Pairs(Operator):\n"
             "    def execute_batches(self, env):\n"
-            "        rows = self.children[0].rows(env)\n"
-            '        guard = getattr(env, "guard_iter", None)\n'
-            "        if guard is not None:\n"
-            "            rows = guard(rows, 256)\n"
+            "        rows = env.guard_iter(self.children[0].rows(env), 256)\n"
             "        return [row for row in rows]\n"
         ))
         assert engine_lint.check_batch_protocol(fake_repo) == []

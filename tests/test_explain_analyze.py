@@ -114,7 +114,7 @@ class TestPlanCacheLine:
 
     def test_cache_hit_still_reports_working_set(self, db):
         """Regression: a cached plan re-runs under a fresh metrics-collecting
-        ExecutionContext, so the per-operator ``ws≈`` bytes must not vanish
+        Env, so the per-operator ``ws≈`` bytes must not vanish
         (or zero out) just because planning was skipped."""
         sql = "SELECT id FROM item WHERE price > 100"
         db.execute(sql)  # populates the cache

@@ -210,7 +210,7 @@ class TestScopes:
         outer = Scope([("o", "x")])
         inner = Scope([("i", "y")], outer=outer)
         expr = parse_statement("SELECT o.x + i.y").items[0].expr
-        env = Env({}, outer_rows=[(10,)])
+        env = Env({}).nested((10,))
         assert compile_expr(expr, inner)((5,), env) == 15
         batch = Batch.from_rows([(5,), (6,)])
         assert compile_batch_expr(expr, inner)(batch, env) == [15, 16]

@@ -37,22 +37,22 @@ class TestMaterializedAliasing:
     def test_execute_returns_a_copy(self):
         backing = [(1,), (2,), (3,)]
         op = ops.Materialized(backing)
-        first = op.execute(_env())
+        first = op.rows(_env())
         first.append((99,))
         first.reverse()
-        assert op.execute(_env()) == [(1,), (2,), (3,)]
+        assert op.rows(_env()) == [(1,), (2,), (3,)]
 
     def test_consumer_mutation_does_not_leak_into_reuse(self):
         # a reused subplan result fed to two joins: the first consumer
         # sorting in place must not change what the second consumer sees
         op = ops.Materialized([(2, "b"), (1, "a")])
-        seen_first = op.execute(_env())
+        seen_first = op.rows(_env())
         seen_first.sort()
         probe = ops.HashJoin(
             ops.Materialized([(1, "x")]), op, [col(0)], [col(0)]
         )
         assert rows_of(probe) == [(1, "x", 1, "a")]
-        assert op.execute(_env()) == [(2, "b"), (1, "a")]
+        assert op.rows(_env()) == [(2, "b"), (1, "a")]
 
 
 class TestJoinNullKeys:

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.engine import Database
-from repro.engine.errors import QueryCancelled, QueryTimeout
+from repro.engine.errors import ProgrammingError, QueryTimeout
+from repro.engine.expr import Env
 from repro.engine.obs import (
     COUNTERS,
     HISTOGRAMS,
@@ -16,7 +17,7 @@ from repro.engine.obs import (
     Tracer,
     render_span_tree,
 )
-from repro.engine.plan.context import ExecutionContext
+from repro.engine.plan import operators
 from repro.engine.sql import parse_statement
 
 
@@ -376,22 +377,16 @@ class TestTracingUnderAbort:
         ]
         self._assert_complete(root)
 
-    def test_cancelled_operators_emit_aborted_spans(self, db):
+    def test_failed_operators_emit_aborted_spans(self, db):
         ring = db.tracer.add_sink(RingBufferSink())
         planned = db._sql_engine.planner.plan_select(
-            parse_statement("SELECT v FROM n")
+            parse_statement("SELECT (SELECT v FROM n) FROM n")
         )
         ring.clear()  # drop the planning spans; the abort path is the target
-        # let the outermost operator start, then cancel before its child runs
-        state = {"polls": 0}
-
-        def cancel_soon():
-            state["polls"] += 1
-            return state["polls"] > 1
-
-        ctx = ExecutionContext.begin(cancel_check=cancel_soon, tracer=db.tracer)
-        with pytest.raises(QueryCancelled):
-            planned.rows(ctx)
+        # the scan under the projection finishes, then the projection's
+        # scalar subquery raises: it returns 100 rows
+        with pytest.raises(ProgrammingError):
+            planned.rows(Env(tracer=db.tracer))
         assert ring.spans()  # operator spans were recorded, not lost
         assert all(s.duration is not None for s in ring.spans())
         assert any(s.status == "aborted" for s in ring.spans())
@@ -551,7 +546,8 @@ class TestIdleFastPath:
         def forbidden(*args, **kwargs):
             raise AssertionError("the idle fast path was left")
 
-        monkeypatch.setattr(ExecutionContext, "begin", forbidden)
+        monkeypatch.setattr(operators, "NodeMetrics", forbidden)
+        monkeypatch.setattr("repro.engine.obs.tracer.Span", forbidden)
         monkeypatch.setattr(db.telemetry, "record", forbidden)
         assert not db.telemetry.enabled and not db.tracer.active
         sql = "SELECT count(*) FROM n WHERE v < 50"

@@ -1,12 +1,12 @@
-"""Cooperative timeout and cancellation through ExecutionContext."""
+"""Cooperative timeout through the execution environment's deadline."""
 
 import time
 
 import pytest
 
 from repro.engine import Database
-from repro.engine.errors import OperationalError, QueryCancelled, QueryTimeout
-from repro.engine.plan import ExecutionContext
+from repro.engine.errors import OperationalError, QueryTimeout
+from repro.engine.expr import Env
 from repro.bench.service import BenchmarkService
 
 
@@ -27,35 +27,25 @@ class TestExecutionContext:
             __import__("repro.engine.sql", fromlist=["parse_statement"])
             .parse_statement("SELECT v FROM n")
         )
-        ctx = ExecutionContext.begin(timeout_s=0)
+        env = Env(timeout_s=0)
         with pytest.raises(QueryTimeout):
-            planned.rows(ctx)
+            planned.rows(env)
 
     def test_timeout_is_operational_error(self):
         assert issubclass(QueryTimeout, OperationalError)
-        assert issubclass(QueryCancelled, OperationalError)
-
-    def test_cancel_check_aborts(self, db):
-        planned = db._sql_engine.planner.plan_select(
-            __import__("repro.engine.sql", fromlist=["parse_statement"])
-            .parse_statement("SELECT v FROM n")
-        )
-        ctx = ExecutionContext.begin(cancel_check=lambda: True)
-        with pytest.raises(QueryCancelled):
-            planned.rows(ctx)
 
     def test_no_deadline_executes_normally(self, db):
         assert len(db.execute("SELECT v FROM n", timeout_s=None).rows) == 200
 
     def test_guard_iter_is_identity_without_deadline(self):
-        ctx = ExecutionContext.begin()
+        env = Env()
         items = [1, 2, 3]
-        assert ctx.guard_iter(items) is items
+        assert env.guard_iter(items) is items
 
     def test_guard_iter_polls_deadline(self):
-        ctx = ExecutionContext.begin(timeout_s=0)
+        env = Env(timeout_s=0)
         with pytest.raises(QueryTimeout):
-            list(ctx.guard_iter(iter(range(10_000)), every=64))
+            list(env.guard_iter(iter(range(10_000)), every=64))
 
 
 class TestEngineTimeout:

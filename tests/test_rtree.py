@@ -13,9 +13,9 @@ class TestBasics:
         tree.insert((0, 10), "a")
         tree.insert((5, 15), "b")
         tree.insert((20, 30), "c")
-        assert sorted(tree.search_contains(7)) == ["a", "b"]
-        assert tree.search_contains(25) == ["c"]
-        assert tree.search_contains(16) == []
+        assert sorted(tree.search_overlap(7, 8)) == ["a", "b"]
+        assert tree.search_overlap(25, 26) == ["c"]
+        assert tree.search_overlap(16, 17) == []
 
     def test_empty_interval_rejected(self):
         tree = RTree()
@@ -55,7 +55,7 @@ def test_property_contains_matches_bruteforce(items, point):
     expected = sorted(
         i for i, (s, n) in enumerate(items) if s <= point < s + n
     )
-    assert sorted(tree.search_contains(point)) == expected
+    assert sorted(tree.search_overlap(point, point + 1)) == expected
 
 
 @settings(max_examples=50, deadline=None)

@@ -11,7 +11,8 @@ from repro.engine.obs.telemetry import (
     fingerprint,
     normalize_statement,
 )
-from repro.engine.plan.context import ExecutionContext, NodeMetrics
+from repro.engine.expr import Env
+from repro.engine.plan.operators import NodeMetrics
 from repro.engine.sql import parse_statement
 from repro.systems import make_system
 
@@ -292,9 +293,9 @@ class TestFoldMatchesExplainAnalyze:
         (row,) = system.db.telemetry.snapshot()
 
         planned = system.db._sql_engine.planner.plan_select(parse_statement(sql))
-        ctx = ExecutionContext({}, metrics={})
-        planned.rows(ctx)
-        nodes = ctx.metrics
+        env = Env({}, metrics={})
+        planned.rows(env)
+        nodes = env.metrics
         assert any(node.calls > 1 for node in nodes.values()) == ("EXISTS" in sql)
         leaves = [nodes[id(op)] for op in _operators(planned)
                   if not op.children and id(op) in nodes]

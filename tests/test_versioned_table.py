@@ -186,7 +186,7 @@ class TestSecondaryIndexes:
             IndexDef("ir", "t", ("sb", "se"), kind="rtree", partition="current")
         )
         rid = table.insert_version(_row(1, "a"), sys_begin=5)
-        assert rid in structure.search_contains(6)
+        assert rid in structure.search_overlap(6, 7)
 
 
 class TestColumnStoreTable:

@@ -38,14 +38,12 @@ has been broken (or nearly broken) by an innocent-looking edit before:
   derives, so it stays usable without a parser behind it.
 * **batch-protocol** — every ``Operator`` subclass under ``engine/plan``
   must speak the chunked batch protocol: it implements (or inherits)
-  ``execute_batches`` and must not override the row-level ``execute``
-  shim — a stray list-returning override would silently bypass batch
-  dispatch, per-operator metrics and the materialization-boundary copy.
-  Loop-bearing ``execute_batches`` bodies must poll the
-  ``ExecutionContext`` (``check()`` at batch granularity; ``guard_iter``
-  per outer row in the pair-at-a-time ``CrossJoin``/``NestedLoopJoin``).
-  A single unguarded loop makes timeouts and cancellation advisory, which
-  silently invalidates the §5.1 timeout methodology.
+  ``execute_batches``.  Loop-bearing ``execute_batches`` bodies must poll
+  the env's deadline (``env.check()`` at batch granularity;
+  ``env.guard_iter`` per outer row in the pair-at-a-time
+  ``CrossJoin``/``NestedLoopJoin``).  A single unguarded loop makes
+  timeouts advisory, which silently invalidates the §5.1 timeout
+  methodology.
 
 The doc catalogues of these declarations are generated, not linted:
 ``tools/gen_docs.py`` renders them.
@@ -64,7 +62,7 @@ from typing import Dict, List, Set, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ENGINE = Path("src/repro/engine")
 
-#: loop-bearing node types that force an execute_batches() to poll the context
+#: loop-bearing node types that force an execute_batches() to poll the deadline
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
           ast.GeneratorExp)
 #: wall-clock reads forbidden inside the engine (dotted-name prefixes)
@@ -96,24 +94,15 @@ def _dotted(node: ast.AST) -> str:
     return ".".join(reversed(parts))
 
 
-# -- shared: does a function poll the ExecutionContext? ---------------
+# -- shared: does a function poll the deadline? ------------------------
 
 def _polls_context(node: ast.FunctionDef) -> bool:
-    """True when the method names a context hook (guard_iter/check).
-
-    Both guard styles name the hook as a string or an attribute:
-        guard = getattr(env, "guard_iter", None)
-        check = getattr(env, "check", None)
-    """
-    mentioned: Set[str] = set()
-    for inner in ast.walk(node):
-        if isinstance(inner, ast.Constant) and isinstance(inner.value, str):
-            mentioned.add(inner.value)
-        elif isinstance(inner, ast.Name):
-            mentioned.add(inner.id)
-        elif isinstance(inner, ast.Attribute):
-            mentioned.add(inner.attr)
-    return bool(mentioned & {"guard_iter", "check"})
+    """True when the method reaches a deadline hook: ``env.check()`` or
+    ``env.guard_iter(rows)``."""
+    return any(
+        isinstance(inner, ast.Attribute) and inner.attr in ("check", "guard_iter")
+        for inner in ast.walk(node)
+    )
 
 
 # -- check 1: no wall-clock reads inside the engine ------------------------
@@ -489,21 +478,13 @@ def check_batch_protocol(root: Path = REPO_ROOT) -> List[str]:
     problems = []
     for name in sorted(operator_like - {"Operator"}):
         path, node = classes[name]
-        for inner in node.body:
-            if isinstance(inner, ast.FunctionDef) and inner.name == "execute":
-                problems.append(
-                    f"{path.relative_to(root)}:{inner.lineno}: "
-                    f"[batch-protocol] {name} overrides the row-level "
-                    f"execute() shim; implement execute_batches() so batch "
-                    f"dispatch and the materialization boundary stay intact"
-                )
         if not inherits_entrypoint(name, set()):
             problems.append(
                 f"{path.relative_to(root)}:{node.lineno}: "
                 f"[batch-protocol] {name} neither implements nor inherits "
                 f"execute_batches()"
             )
-    # loop-bearing batch entrypoints must poll the context per batch
+    # loop-bearing batch entrypoints must poll the deadline per batch
     for path in sorted((root / ENGINE / "plan").glob("*.py")):
         tree = _parse(path)
         for node in ast.walk(tree):
@@ -519,7 +500,7 @@ def check_batch_protocol(root: Path = REPO_ROOT) -> List[str]:
                 problems.append(
                     f"{path.relative_to(root)}:{node.lineno}: "
                     f"[batch-protocol] execute_batches() loops without "
-                    f"polling the ExecutionContext (check per batch, or "
+                    f"polling the deadline (env.check() per batch, or "
                     f"guard_iter per outer row of a pair-at-a-time join)"
                 )
     return problems
